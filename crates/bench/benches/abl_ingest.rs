@@ -61,7 +61,6 @@ fn engine_config(queries: usize, durable_dir: Option<&PathBuf>) -> EngineConfig 
             config
         }),
         sharing: true,
-        stage_timestamps: true,
     }
 }
 

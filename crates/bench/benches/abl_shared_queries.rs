@@ -62,7 +62,6 @@ fn engine_config() -> EngineConfig {
         throughput_smoothing: 0.25,
         durability: None,
         sharing: true,
-        stage_timestamps: true,
     }
 }
 

@@ -17,7 +17,7 @@
 //! reference, not a strawman), so selection/aggregation sit near parity
 //! there while the data-dependent equi-probe scan, which auto-vectorization
 //! cannot touch, shows the full AVX2 win. The accelerator kernels are
-//! measured separately by `micro_engine`/fig. 8; this harness is
+//! measured separately by fig. 8; this harness is
 //! single-threaded CPU only.
 //!
 //! All three kernels produce identical output (byte-identical for selection

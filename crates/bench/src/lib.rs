@@ -61,7 +61,6 @@ pub fn engine_config(mode: ExecutionMode, task_size: usize) -> EngineConfig {
         throughput_smoothing: 0.25,
         durability: None,
         sharing: true,
-        stage_timestamps: true,
     }
 }
 

@@ -58,14 +58,6 @@ pub struct EngineConfig {
     /// environment variable forces it off at engine construction (the
     /// differential-testing escape hatch).
     pub sharing: bool,
-    /// Pipeline stage timestamping: when on (the default), every task is
-    /// stamped at ingest-ack, dispatch-cut, queue-pop, worker-start, result
-    /// assembly and sink delivery, feeding the per-query stage histograms
-    /// and the flight recorder (see `docs/observability.md`). Turning it
-    /// off removes every per-task clock read beyond the existing latency
-    /// counter; counters and histogram *families* still exist but stage
-    /// histograms stay empty.
-    pub stage_timestamps: bool,
 }
 
 impl Default for EngineConfig {
@@ -86,7 +78,6 @@ impl Default for EngineConfig {
             throughput_smoothing: 0.25,
             durability: None,
             sharing: true,
-            stage_timestamps: true,
         }
     }
 }
@@ -216,13 +207,6 @@ impl SaberBuilder {
     /// queries (on by default; `SABER_NO_SHARING=1` also forces it off).
     pub fn sharing(mut self, enabled: bool) -> Self {
         self.config.sharing = enabled;
-        self
-    }
-
-    /// Enables or disables per-task pipeline stage timestamping (on by
-    /// default; see [`EngineConfig::stage_timestamps`]).
-    pub fn stage_timestamps(mut self, enabled: bool) -> Self {
-        self.config.stage_timestamps = enabled;
         self
     }
 

@@ -177,9 +177,6 @@ pub struct Dispatcher {
     streams: Vec<Arc<StreamIngest>>,
     cutter: Mutex<CutterState>,
     global_task_ids: Arc<AtomicU64>,
-    /// Stage tracing switch: when off, ingest-ack stamping is skipped
-    /// entirely (no extra clock reads or CAS on the ingest path).
-    stage_timestamps: bool,
     /// Reference instant for the `first_pending_ns` offsets.
     anchor: Instant,
     /// Total tasks ever cut, incremented under the cutter lock *during* the
@@ -199,7 +196,8 @@ impl Dispatcher {
         task_size: usize,
         buffer_capacity: usize,
         global_task_ids: Arc<AtomicU64>,
-        stage_timestamps: bool,
+        // Accepted and ignored: `benchmark/src/layers.rs` still passes five arguments.
+        _stage_timestamps: bool,
     ) -> Self {
         let streams = plan
             .input_schemas()
@@ -222,7 +220,6 @@ impl Dispatcher {
             streams,
             cutter: Mutex::new(CutterState { next_seq: 0 }),
             global_task_ids,
-            stage_timestamps,
             anchor: Instant::now(),
             tasks_cut: AtomicU64::new(0),
         }
@@ -322,20 +319,18 @@ impl Dispatcher {
                 }
                 Ok(())
             })?;
-            if self.stage_timestamps {
-                // Acknowledge the chunk for stage tracing: only the first
-                // producer after a cut pays the (failed-CAS-free) store.
-                let ns = (self.anchor.elapsed().as_nanos() as u64).saturating_add(1);
-                // relaxed-ok: monitoring timestamp; the cutter consumes it
-                // with a swap under the cutter lock, and skew of one sample
-                // only shifts an ingest_wait histogram entry.
-                let _ = input.first_pending_ns.compare_exchange(
-                    0,
-                    ns,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                );
-            }
+            // Acknowledge the chunk for stage tracing: only the first
+            // producer after a cut pays the (failed-CAS-free) store.
+            let ns = (self.anchor.elapsed().as_nanos() as u64).saturating_add(1);
+            // relaxed-ok: monitoring timestamp; the cutter consumes it
+            // with a swap under the cutter lock, and skew of one sample
+            // only shifts an ingest_wait histogram entry.
+            let _ = input.first_pending_ns.compare_exchange(
+                0,
+                ns,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            );
             self.cut_ready(sink)?;
         }
         Ok(())
@@ -422,25 +417,22 @@ impl Dispatcher {
         state.next_seq += 1;
         self.tasks_cut.fetch_add(1, Ordering::SeqCst);
         let created = Instant::now();
-        let ingest_ack = if self.stage_timestamps {
-            // Oldest acknowledged-but-undispatched instant across inputs;
-            // the swap re-arms each stream's stamp for the next task.
-            self.streams
-                .iter()
-                .filter_map(|input| {
-                    // relaxed-ok: monitoring timestamp consumed under the
-                    // cutter lock; see first_pending_ns.
-                    match input.first_pending_ns.swap(0, Ordering::Relaxed) {
-                        0 => None,
-                        ns => Some(ns - 1),
-                    }
-                })
-                .min()
-                .map(|ns| self.anchor + Duration::from_nanos(ns))
-                .unwrap_or(created)
-        } else {
-            created
-        };
+        // Oldest acknowledged-but-undispatched instant across inputs; the
+        // swap re-arms each stream's stamp for the next task.
+        let ingest_ack = self
+            .streams
+            .iter()
+            .filter_map(|input| {
+                // relaxed-ok: monitoring timestamp consumed under the
+                // cutter lock; see first_pending_ns.
+                match input.first_pending_ns.swap(0, Ordering::Relaxed) {
+                    0 => None,
+                    ns => Some(ns - 1),
+                }
+            })
+            .min()
+            .map(|ns| self.anchor + Duration::from_nanos(ns))
+            .unwrap_or(created);
         Ok(QueryTask {
             id,
             query_id: self.query_id,

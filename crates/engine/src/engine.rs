@@ -329,8 +329,7 @@ impl Saber {
     }
 
     /// The engine's flight recorder: an always-on, fixed-size ring of
-    /// recent per-task pipeline traces (fed when
-    /// [`EngineConfig::stage_timestamps`] is on).
+    /// recent per-task pipeline traces.
     pub fn flight_recorder(&self) -> &Arc<FlightRecorder> {
         &self.core.recorder
     }
@@ -679,14 +678,13 @@ impl Saber {
             sink.clone(),
             stats.clone(),
             core.recorder.clone(),
-            core.config.stage_timestamps,
         ));
         let dispatcher = Arc::new(Dispatcher::new(
             plan,
             core.config.query_task_size,
             core.config.input_buffer_capacity,
             core.task_ids.clone(),
-            core.config.stage_timestamps,
+            true,
         ));
         core.queue.register_query_at(id);
         let state = Arc::new(QueryState {
@@ -965,7 +963,6 @@ impl Saber {
             matrix: self.core.matrix.clone(),
             registry: self.core.registry.clone(),
             flow: self.core.flow.clone(),
-            stage_timestamps: self.core.config.stage_timestamps,
         }
     }
 
@@ -1784,7 +1781,6 @@ mod tests {
             throughput_smoothing: 0.25,
             durability: None,
             sharing: true,
-            stage_timestamps: true,
         };
         Saber::with_config(config).unwrap()
     }
@@ -2290,7 +2286,6 @@ mod tests {
             throughput_smoothing: 0.25,
             durability: None,
             sharing: true,
-            stage_timestamps: true,
         };
         let mut engine = Saber::with_config(config).unwrap();
         let q = QueryBuilder::new("agg", schema())

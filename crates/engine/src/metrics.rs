@@ -13,14 +13,14 @@
 use crate::scheduler::Processor;
 use parking_lot::RwLock;
 use saber_obs::{Histogram, HistogramSnapshot, STAGE_NAMES, TRACE_STAGES};
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Per-stage latency histograms of one query, indexed like
 /// [`saber_obs::STAGE_NAMES`] (`ingest_wait`, `queue`, `schedule`, `exec`,
-/// `deliver`, `total`). Recording is wait-free; fed by the result stage when
-/// stage timestamping is enabled.
+/// `deliver`, `total`). Recording is wait-free; fed by the result stage for
+/// every released task.
 #[derive(Debug)]
 pub struct StageHistograms {
     hists: [Histogram; TRACE_STAGES],
@@ -42,9 +42,10 @@ impl StageHistograms {
         }
     }
 
-    /// The histogram of one stage index (see [`saber_obs::STAGE_NAMES`]).
-    pub fn hist(&self, stage: usize) -> Option<&Histogram> {
-        self.hists.get(stage)
+    /// The `total` stage (ingest-ack → sink-delivered): the engine's one
+    /// definition of result latency.
+    pub fn total(&self) -> &Histogram {
+        &self.hists[TRACE_STAGES - 1]
     }
 
     /// Named snapshots of every stage, in storage order.
@@ -72,74 +73,20 @@ pub struct QueryStats {
     pub tasks_gpu: AtomicU64,
     /// Result tuples emitted.
     pub tuples_out: AtomicU64,
-    /// Sum of task result latencies in nanoseconds (dispatch → emitted).
-    pub latency_sum_nanos: AtomicU64,
-    /// Number of latency samples.
-    pub latency_samples: AtomicU64,
-    /// Maximum observed latency in nanoseconds.
-    pub latency_max_nanos: AtomicU64,
     /// Nanoseconds producers of this query spent blocked on backpressure.
     pub backpressure_wait_nanos: AtomicU64,
     /// Number of task submissions that had to block on backpressure.
     pub backpressure_waits: AtomicU64,
     /// Per-stage pipeline latency histograms (nanoseconds).
     pub stages: StageHistograms,
-    /// Seqlock version guarding the latency sum/samples/max triple against
-    /// torn reads: [`QueryStats::record_latency`] brackets its updates with
-    /// an odd/even bump, [`QueryStats::snapshot`] retries while a write is
-    /// in flight. The writer is effectively single-threaded (the result
-    /// stage's release loop, under its `ordered` lock).
-    latency_gen: AtomicU64,
 }
 
 impl QueryStats {
-    /// Records one end-to-end task latency.
-    pub fn record_latency(&self, latency: Duration) {
-        let nanos = latency.as_nanos() as u64;
-        // relaxed-ok: seqlock begin-write marker (odd); the Release fence
-        // below orders it before the counter updates for snapshot readers.
-        self.latency_gen.fetch_add(1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        // relaxed-ok: seqlock payload; published by the version bump below.
-        self.latency_sum_nanos.fetch_add(nanos, Ordering::Relaxed);
-        // relaxed-ok: seqlock payload; published by the version bump below.
-        self.latency_samples.fetch_add(1, Ordering::Relaxed);
-        // relaxed-ok: seqlock payload; published by the version bump below.
-        self.latency_max_nanos.fetch_max(nanos, Ordering::Relaxed);
-        // pairs-with: snapshot
-        self.latency_gen.fetch_add(1, Ordering::Release);
-    }
-
-    /// Takes a consistent point-in-time copy of every counter. The latency
-    /// sum/samples/max triple is read under the seqlock, so the pair can
-    /// never tear (a torn pair previously skewed `avg_latency` whenever a
-    /// read landed between the sum and sample increments).
+    /// Takes a point-in-time copy of every counter. The latency fields come
+    /// from the `total` stage histogram, under its contract: a snapshot
+    /// racing a record may be off by the one in-flight sample.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let latency;
-        let mut tries = 0u32;
-        loop {
-            let v1 = self.latency_gen.load(Ordering::Acquire);
-            let read = (
-                self.latency_sum_nanos.load(Ordering::Relaxed),
-                self.latency_samples.load(Ordering::Relaxed),
-                self.latency_max_nanos.load(Ordering::Relaxed),
-            );
-            fence(Ordering::Acquire);
-            if v1.is_multiple_of(2) && self.latency_gen.load(Ordering::Relaxed) == v1 {
-                latency = read;
-                break;
-            }
-            // A writer is mid-update; retry until a consistent read — the
-            // write section is a handful of uncontended RMWs, so this
-            // terminates. The periodic yield keeps a same-core writer
-            // schedulable so the retry cannot spin out a whole timeslice.
-            tries += 1;
-            if tries.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
+        let total = self.stages.total().snapshot();
         StatsSnapshot {
             tuples_in: self.tuples_in.load(Ordering::Relaxed),
             bytes_in: self.bytes_in.load(Ordering::Relaxed),
@@ -147,22 +94,22 @@ impl QueryStats {
             tasks_cpu: self.tasks_cpu.load(Ordering::Relaxed),
             tasks_gpu: self.tasks_gpu.load(Ordering::Relaxed),
             tuples_out: self.tuples_out.load(Ordering::Relaxed),
-            latency_sum_nanos: latency.0,
-            latency_samples: latency.1,
-            latency_max_nanos: latency.2,
+            latency_sum_nanos: total.sum(),
+            latency_samples: total.count(),
+            latency_max_nanos: total.max(),
             backpressure_wait_nanos: self.backpressure_wait_nanos.load(Ordering::Relaxed),
             backpressure_waits: self.backpressure_waits.load(Ordering::Relaxed),
         }
     }
 
-    /// Average task latency (from a consistent snapshot).
+    /// Average task latency (ingest-ack → sink-delivered).
     pub fn avg_latency(&self) -> Duration {
         self.snapshot().avg_latency()
     }
 
     /// Maximum task latency.
     pub fn max_latency(&self) -> Duration {
-        Duration::from_nanos(self.latency_max_nanos.load(Ordering::Relaxed))
+        self.snapshot().max_latency()
     }
 
     /// Records one producer backpressure stall.
@@ -204,7 +151,7 @@ impl QueryStats {
     }
 }
 
-/// A consistent point-in-time copy of one query's counters (see
+/// A point-in-time copy of one query's counters (see
 /// [`QueryStats::snapshot`]). Plain values: render, diff or ship it without
 /// touching the live atomics again.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -221,10 +168,10 @@ pub struct StatsSnapshot {
     pub tasks_gpu: u64,
     /// Result tuples emitted.
     pub tuples_out: u64,
-    /// Sum of task result latencies in nanoseconds (dispatch → emitted).
+    /// Sum of task result latencies in nanoseconds (ingest-ack →
+    /// sink-delivered, the `total` stage).
     pub latency_sum_nanos: u64,
-    /// Number of latency samples (consistent with the sum: both come from
-    /// one seqlock-protected read).
+    /// Number of latency samples.
     pub latency_samples: u64,
     /// Maximum observed latency in nanoseconds.
     pub latency_max_nanos: u64,
@@ -365,41 +312,15 @@ mod tests {
     fn latency_accounting() {
         let s = QueryStats::default();
         assert_eq!(s.avg_latency(), Duration::ZERO);
-        s.record_latency(Duration::from_millis(10));
-        s.record_latency(Duration::from_millis(20));
+        s.stages.record([0, 0, 0, 0, 0, 10_000_000]);
+        s.stages.record([0, 0, 0, 0, 0, 20_000_000]);
         assert_eq!(s.avg_latency(), Duration::from_millis(15));
         assert_eq!(s.max_latency(), Duration::from_millis(20));
-    }
-
-    #[test]
-    fn snapshot_latency_pair_never_tears() {
-        // Every recorded latency is exactly 1 ms, so any consistent
-        // sum/samples pair divides to exactly 1 ms; a torn pair (sum already
-        // bumped, samples not yet) would not. Hammer reads against a writer.
-        let s = Arc::new(QueryStats::default());
-        let writer = {
-            let s = s.clone();
-            std::thread::spawn(move || {
-                for _ in 0..200_000 {
-                    s.record_latency(Duration::from_millis(1));
-                }
-            })
-        };
-        let mut observed = 0u64;
-        while observed < 100_000 {
-            let snap = s.snapshot();
-            if snap.latency_samples > 0 {
-                assert_eq!(
-                    snap.latency_sum_nanos,
-                    snap.latency_samples * 1_000_000,
-                    "torn latency pair surfaced by snapshot()"
-                );
-                assert_eq!(snap.avg_latency(), Duration::from_millis(1));
-            }
-            observed = snap.latency_samples;
-        }
-        writer.join().unwrap();
-        assert_eq!(s.snapshot().latency_samples, 200_000);
+        let total = s.stages.total().snapshot();
+        let snap = s.snapshot();
+        assert_eq!(snap.latency_samples, total.count());
+        assert_eq!(snap.avg_latency(), Duration::from_nanos(total.mean()));
+        assert_eq!(snap.max_latency(), Duration::from_nanos(total.max()));
     }
 
     #[test]
@@ -415,8 +336,7 @@ mod tests {
             assert_eq!(snap.count(), 2);
         }
         assert_eq!(snaps[5].1.sum(), 300);
-        assert_eq!(s.stages.hist(5).unwrap().count(), 2);
-        assert!(s.stages.hist(6).is_none());
+        assert_eq!(s.stages.total().count(), 2);
     }
 
     #[test]

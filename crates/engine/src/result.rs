@@ -54,22 +54,17 @@ pub struct ResultStage {
     completed_tasks: AtomicU64,
     /// The engine-wide flight recorder each released task traces into.
     recorder: Arc<FlightRecorder>,
-    /// When off, stage histograms and traces are not fed (the end-to-end
-    /// latency counters still are).
-    stage_timestamps: bool,
     query_id: u64,
 }
 
 impl ResultStage {
     /// Creates the result stage of one query. Completed tasks trace into
-    /// `recorder` and the query's stage histograms when `stage_timestamps`
-    /// is on.
+    /// `recorder` and the query's stage histograms.
     pub fn new(
         plan: &CompiledPlan,
         sink: QuerySink,
         stats: Arc<QueryStats>,
         recorder: Arc<FlightRecorder>,
-        stage_timestamps: bool,
     ) -> Self {
         Self {
             ordered: Mutex::new(Ordered {
@@ -82,7 +77,6 @@ impl ResultStage {
             stats,
             completed_tasks: AtomicU64::new(0),
             recorder,
-            stage_timestamps,
             query_id: plan.query_id() as u64,
         }
     }
@@ -120,11 +114,7 @@ impl ResultStage {
             let next = ordered.next_seq;
             ordered.pending.remove(&next)
         } {
-            let assembled = if self.stage_timestamps {
-                Instant::now()
-            } else {
-                result.stamps.started
-            };
+            let assembled = Instant::now();
             match result.output {
                 TaskOutput::Rows(rows) => {
                     self.sink.append(&rows);
@@ -160,22 +150,19 @@ impl ResultStage {
                     }
                 }
             }
-            self.stats.record_latency(result.stamps.created.elapsed());
-            if self.stage_timestamps {
-                let delivered = Instant::now();
-                let s = result.stamps;
-                let stages: [u64; TRACE_STAGES] = [
-                    nanos_between(s.ingest_ack, s.created),
-                    nanos_between(s.created, s.popped),
-                    nanos_between(s.popped, s.started),
-                    nanos_between(s.started, assembled),
-                    nanos_between(assembled, delivered),
-                    nanos_between(s.ingest_ack, delivered),
-                ];
-                self.stats.stages.record(stages);
-                self.recorder
-                    .record(self.query_id, ordered.next_seq, stages);
-            }
+            let delivered = Instant::now();
+            let s = result.stamps;
+            let stages: [u64; TRACE_STAGES] = [
+                nanos_between(s.ingest_ack, s.created),
+                nanos_between(s.created, s.popped),
+                nanos_between(s.popped, s.started),
+                nanos_between(s.started, assembled),
+                nanos_between(assembled, delivered),
+                nanos_between(s.ingest_ack, delivered),
+            ];
+            self.stats.stages.record(stages);
+            self.recorder
+                .record(self.query_id, ordered.next_seq, stages);
             // relaxed-ok: progress counter; removal-drain reads it via
             // completed_tasks() after flushing under the cutter lock, whose
             // release/acquire already orders the preceding completions.
@@ -228,7 +215,6 @@ mod tests {
             sink.clone(),
             Arc::new(QueryStats::default()),
             Arc::new(FlightRecorder::new(8)),
-            true,
         );
         (stage, sink)
     }
@@ -300,7 +286,7 @@ mod tests {
         let sink = QuerySink::new(plan.output_schema().clone(), true);
         let stats = Arc::new(QueryStats::default());
         let recorder = Arc::new(FlightRecorder::new(8));
-        let stage = ResultStage::new(&plan, sink, stats.clone(), recorder.clone(), true);
+        let stage = ResultStage::new(&plan, sink, stats.clone(), recorder.clone());
         for seq in 0..3u64 {
             stage
                 .submit(
@@ -316,30 +302,6 @@ mod tests {
         assert_eq!(traces.len(), 3);
         assert_eq!(traces[0].seq, 2, "newest trace first");
         assert!(traces.iter().all(|t| t.query == plan.query_id() as u64));
-    }
-
-    #[test]
-    fn stage_timestamps_off_skips_tracing_but_keeps_latency() {
-        let q = QueryBuilder::new("sel", schema())
-            .count_window(4, 4)
-            .select(Expr::literal(1.0))
-            .build()
-            .unwrap();
-        let plan = CompiledPlan::compile(&q).unwrap();
-        let sink = QuerySink::new(plan.output_schema().clone(), true);
-        let stats = Arc::new(QueryStats::default());
-        let recorder = Arc::new(FlightRecorder::new(8));
-        let stage = ResultStage::new(&plan, sink, stats.clone(), recorder.clone(), false);
-        stage
-            .submit(
-                0,
-                TaskOutput::Rows(rows(2, 0)),
-                TaskStamps::collapsed(Instant::now()),
-            )
-            .unwrap();
-        assert!(recorder.dump().is_empty());
-        assert_eq!(stats.stages.snapshots()[0].1.count(), 0);
-        assert_eq!(stats.snapshot().latency_samples, 1);
     }
 
     #[test]
@@ -361,7 +323,6 @@ mod tests {
             sink.clone(),
             stats.clone(),
             Arc::new(FlightRecorder::new(8)),
-            true,
         );
 
         // Two tasks of 6 rows each; window 0 (rows 0..8) spans both.

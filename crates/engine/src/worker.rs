@@ -11,12 +11,12 @@ use crate::flow::FlowControl;
 use crate::queue::TaskQueue;
 use crate::registry::QueryRegistry;
 use crate::scheduler::{Processor, Scheduler};
-use crate::task::{QueryTask, TaskStamps};
+use crate::task::TaskStamps;
 use crate::throughput::ThroughputMatrix;
-use saber_cpu::{CpuExecutor, TaskOutput};
-use saber_gpu::pipeline::{GpuPipeline, PipelineJob};
+use saber_cpu::{CompiledPlan, CpuExecutor, StreamBatch, TaskOutput};
+use saber_gpu::pipeline::{GpuPipeline, PipelineJob, PipelineResult};
 use saber_gpu::GpuDevice;
-use saber_types::RowBuffer;
+use saber_types::{Result, RowBuffer};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -35,9 +35,6 @@ pub struct WorkerContext {
     /// Admission-control gate: every finished task returns its credit here,
     /// waking producers blocked on backpressure.
     pub flow: Arc<FlowControl>,
-    /// Stage tracing switch: when off, queue-pop stamps collapse to the cut
-    /// instant and no extra clock reads happen per task.
-    pub stage_timestamps: bool,
 }
 
 impl WorkerContext {
@@ -68,47 +65,9 @@ impl WorkerContext {
 /// The CPU worker loop: one instance runs per CPU worker thread.
 pub fn run_cpu_worker(ctx: WorkerContext) {
     let executor = CpuExecutor::new();
-    loop {
-        match ctx
-            .scheduler
-            .next_task(&ctx.queue, Processor::Cpu, Duration::from_millis(20))
-        {
-            Some(task) => {
-                let QueryTask {
-                    query_id,
-                    seq,
-                    plan,
-                    batches,
-                    created,
-                    ingest_ack,
-                    ..
-                } = task;
-                let popped = if ctx.stage_timestamps {
-                    Instant::now()
-                } else {
-                    created
-                };
-                let started = Instant::now();
-                let output = executor.execute(&plan, &batches).unwrap_or_else(|_| {
-                    TaskOutput::Rows(RowBuffer::new(plan.output_schema().clone()))
-                });
-                ctx.matrix
-                    .record(query_id, Processor::Cpu, started.elapsed());
-                let stamps = TaskStamps {
-                    ingest_ack,
-                    created,
-                    popped,
-                    started,
-                };
-                ctx.finish(query_id, seq, stamps, output, Processor::Cpu);
-            }
-            None => {
-                if ctx.queue.is_shutdown() && ctx.queue.is_empty() {
-                    break;
-                }
-            }
-        }
-    }
+    run_worker(&ctx, Processor::Cpu, |plan, batches| {
+        executor.execute(plan, batches)
+    });
 }
 
 /// The accelerator worker loop: drives the device, optionally keeping
@@ -116,46 +75,41 @@ pub fn run_cpu_worker(ctx: WorkerContext) {
 /// overlaps kernel execution.
 pub fn run_gpu_worker(ctx: WorkerContext, device: Arc<GpuDevice>, pipeline_depth: usize) {
     if pipeline_depth <= 1 {
-        run_gpu_worker_sequential(ctx, device);
+        run_worker(&ctx, Processor::Gpu, |plan, batches| {
+            device.execute(plan, batches)
+        });
     } else {
         run_gpu_worker_pipelined(ctx, device, pipeline_depth);
     }
 }
 
-fn run_gpu_worker_sequential(ctx: WorkerContext, device: Arc<GpuDevice>) {
+/// The one-task-at-a-time loop shared by CPU workers and the unpipelined
+/// accelerator worker: pick a task for `processor`, run `execute` on it,
+/// record the observed throughput and enter the result stage.
+fn run_worker(
+    ctx: &WorkerContext,
+    processor: Processor,
+    execute: impl Fn(&CompiledPlan, &[StreamBatch]) -> Result<TaskOutput>,
+) {
     loop {
         match ctx
             .scheduler
-            .next_task(&ctx.queue, Processor::Gpu, Duration::from_millis(20))
+            .next_task(&ctx.queue, processor, Duration::from_millis(20))
         {
             Some(task) => {
-                let QueryTask {
-                    query_id,
-                    seq,
-                    plan,
-                    batches,
-                    created,
-                    ingest_ack,
-                    ..
-                } = task;
-                let popped = if ctx.stage_timestamps {
-                    Instant::now()
-                } else {
-                    created
-                };
+                let popped = Instant::now();
                 let started = Instant::now();
-                let output = device.execute(&plan, &batches).unwrap_or_else(|_| {
-                    TaskOutput::Rows(RowBuffer::new(plan.output_schema().clone()))
-                });
+                let output =
+                    execute(&task.plan, &task.batches).unwrap_or_else(|_| empty_output(&task.plan));
                 ctx.matrix
-                    .record(query_id, Processor::Gpu, started.elapsed());
+                    .record(task.query_id, processor, started.elapsed());
                 let stamps = TaskStamps {
-                    ingest_ack,
-                    created,
+                    ingest_ack: task.ingest_ack,
+                    created: task.created,
                     popped,
                     started,
                 };
-                ctx.finish(query_id, seq, stamps, output, Processor::Gpu);
+                ctx.finish(task.query_id, task.seq, stamps, output, processor);
             }
             None => {
                 if ctx.queue.is_shutdown() && ctx.queue.is_empty() {
@@ -166,11 +120,32 @@ fn run_gpu_worker_sequential(ctx: WorkerContext, device: Arc<GpuDevice>) {
     }
 }
 
+/// The stand-in result of a task whose execution failed: the query's
+/// sequence (and any drain waiting on it) keeps moving.
+fn empty_output(plan: &CompiledPlan) -> TaskOutput {
+    TaskOutput::Rows(RowBuffer::new(plan.output_schema().clone()))
+}
+
 struct InFlightTask {
     query_id: usize,
     seq: u64,
     stamps: TaskStamps,
     submitted: Instant,
+}
+
+/// Finishes one pipeline completion: records the observed throughput and
+/// enters the result stage.
+fn complete(
+    ctx: &WorkerContext,
+    in_flight: &mut HashMap<u64, InFlightTask>,
+    result: PipelineResult,
+) {
+    if let Some(meta) = in_flight.remove(&result.task_id) {
+        let duration = meta.submitted.elapsed();
+        ctx.matrix.record(meta.query_id, Processor::Gpu, duration);
+        let output = result.output.unwrap_or_else(|_| empty_output(&result.plan));
+        ctx.finish(meta.query_id, meta.seq, meta.stamps, output, Processor::Gpu);
+    }
 }
 
 fn run_gpu_worker_pipelined(ctx: WorkerContext, device: Arc<GpuDevice>, depth: usize) {
@@ -194,11 +169,6 @@ fn run_gpu_worker_pipelined(ctx: WorkerContext, device: Arc<GpuDevice>, depth: u
                         batches: task.batches,
                     };
                     let submitted = Instant::now();
-                    let popped = if ctx.stage_timestamps {
-                        submitted
-                    } else {
-                        task.created
-                    };
                     in_flight.insert(
                         task.id,
                         InFlightTask {
@@ -207,7 +177,7 @@ fn run_gpu_worker_pipelined(ctx: WorkerContext, device: Arc<GpuDevice>, depth: u
                             stamps: TaskStamps {
                                 ingest_ack: task.ingest_ack,
                                 created: task.created,
-                                popped,
+                                popped: submitted,
                                 started: submitted,
                             },
                             submitted,
@@ -218,13 +188,11 @@ fn run_gpu_worker_pipelined(ctx: WorkerContext, device: Arc<GpuDevice>, depth: u
                         // with an empty result so the query's sequence (and
                         // any drain waiting on it) keeps moving.
                         if let Some(meta) = in_flight.remove(&task.id) {
-                            let output =
-                                TaskOutput::Rows(RowBuffer::new(plan.output_schema().clone()));
                             ctx.finish(
                                 meta.query_id,
                                 meta.seq,
                                 meta.stamps,
-                                output,
+                                empty_output(&plan),
                                 Processor::Gpu,
                             );
                         }
@@ -238,26 +206,12 @@ fn run_gpu_worker_pipelined(ctx: WorkerContext, device: Arc<GpuDevice>, depth: u
         let mut drained = false;
         while let Ok(result) = completions.try_recv() {
             drained = true;
-            if let Some(meta) = in_flight.remove(&result.task_id) {
-                let duration = meta.submitted.elapsed();
-                ctx.matrix.record(meta.query_id, Processor::Gpu, duration);
-                let output = result.output.unwrap_or_else(|_| {
-                    TaskOutput::Rows(RowBuffer::new(result.plan.output_schema().clone()))
-                });
-                ctx.finish(meta.query_id, meta.seq, meta.stamps, output, Processor::Gpu);
-            }
+            complete(&ctx, &mut in_flight, result);
         }
         if !drained && !in_flight.is_empty() {
             // Wait briefly for the next completion instead of spinning.
             if let Ok(result) = completions.recv_timeout(Duration::from_millis(5)) {
-                if let Some(meta) = in_flight.remove(&result.task_id) {
-                    let duration = meta.submitted.elapsed();
-                    ctx.matrix.record(meta.query_id, Processor::Gpu, duration);
-                    let output = result.output.unwrap_or_else(|_| {
-                        TaskOutput::Rows(RowBuffer::new(result.plan.output_schema().clone()))
-                    });
-                    ctx.finish(meta.query_id, meta.seq, meta.stamps, output, Processor::Gpu);
-                }
+                complete(&ctx, &mut in_flight, result);
             }
         }
 

@@ -315,17 +315,28 @@ impl ConnHandle {
         self.shared.net.mark_dirty(&self.shared);
     }
 
+    /// Enqueues a one-line text response. A `\r`/`\n` inside it (say a
+    /// binary client's multi-line SQL echoed by `QUERIES`) would split the
+    /// reply and leave the tail to answer the client's next request, so
+    /// both are flattened to spaces.
+    fn send_response_line(&self, line: String) {
+        if line.contains(['\r', '\n']) {
+            self.send_line(&line.replace(['\r', '\n'], " "));
+        } else {
+            self.send_line(&line);
+        }
+    }
+
     /// Sends a success ack in the connection's protocol mode: the frame
-    /// `OK(message)` on binary connections, the line `OK <message>` (or
-    /// `message` verbatim when it already starts with a response verb) on
-    /// text connections.
+    /// `OK(message)` on binary connections (message verbatim), the line
+    /// `OK <message>` on text connections.
     pub fn reply_ok(&self, message: &str) {
         if self.is_binary() {
             self.send_frame(&Frame::Ok {
                 message: message.to_string(),
             });
         } else {
-            self.send_line(&format!("OK {message}"));
+            self.send_response_line(format!("OK {message}"));
         }
     }
 
@@ -337,7 +348,7 @@ impl ConnHandle {
                 message: message.to_string(),
             });
         } else {
-            self.send_line(&format!("ERR {} {message}", code.as_str()));
+            self.send_response_line(format!("ERR {} {message}", code.as_str()));
         }
     }
 

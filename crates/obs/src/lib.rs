@@ -2,8 +2,6 @@
 //!
 //! Zero-dependency, std-only building blocks for production metrics:
 //!
-//! * [`Counter`] / [`Gauge`] — single-word atomic instruments whose hot-path
-//!   update is one `Relaxed` RMW.
 //! * [`Histogram`] — a log-linear bucketed latency histogram with a
 //!   **fixed-size atomic bucket array**: `record()` is a single `Relaxed`
 //!   `fetch_add` on one bucket (plus one `Relaxed` `fetch_add` on the exact
@@ -11,14 +9,11 @@
 //!   uncontended cache lines, no locks, no allocation). Snapshots are
 //!   mergeable and answer p50/p90/p99/p999 with a bounded relative error of
 //!   `2^-4` (6.25%) per bucket.
-//! * [`Registry`] — a named collection of instruments rendering the
-//!   Prometheus text exposition format. Registration takes a short lock
-//!   (rare); updates through the returned handles are lock-free.
 //! * [`FlightRecorder`] — an always-on, fixed-size, lock-free ring of recent
 //!   per-task pipeline traces (seqlock slots), dumpable on demand.
-//! * [`PromWriter`] — a small helper for composing a Prometheus text
-//!   exposition from ad-hoc snapshots (the server's scrape handler walks
-//!   live engine state with it).
+//! * [`PromWriter`] — the one renderer of the Prometheus text exposition,
+//!   composed from snapshots (the server's scrape handler walks live
+//!   engine state with it).
 //!
 //! The atomics protocol (orderings, seqlock validation) is documented in
 //! `docs/concurrency.md` and machine-checked by `saber_lint`.
@@ -26,9 +21,7 @@
 mod expo;
 mod flight;
 mod hist;
-mod registry;
 
 pub use expo::{escape_label_value, PromWriter};
 pub use flight::{FlightRecord, FlightRecorder, STAGE_NAMES, TRACE_STAGES};
 pub use hist::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, NUM_BUCKETS};
-pub use registry::{Counter, Gauge, Registry};

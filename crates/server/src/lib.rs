@@ -65,13 +65,15 @@
 pub mod protocol;
 
 use protocol::{data_type_name, format_batch, parse_command, Command, Encoding, Payload};
-use saber_engine::{EngineConfig, IngestHandle, Processor, QueryHandle, QueryId, Saber, StreamId};
+use saber_engine::{
+    EngineConfig, IngestHandle, Processor, QueryHandle, QueryId, QueryStats, Saber, StreamId,
+};
 use saber_net::wire::{ErrCode, Frame};
 use saber_net::{App, ConnHandle, NetConfig, NetMetricsHandle, NetServer, Request};
 use saber_obs::PromWriter;
 use saber_sql::SharedCatalog;
 use saber_types::schema::SchemaRef;
-use saber_types::{Result, RowBuffer, SaberError};
+use saber_types::{Result, RowBuffer, SaberError, Schema};
 use std::collections::HashSet;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -271,7 +273,7 @@ impl Shared {
     /// Renders the structured "unknown query" error: the offending id plus
     /// the ids that *are* live, so a client can recover without a round
     /// trip through `QUERIES`.
-    fn unknown_query(&self, st: &State, id: usize) -> String {
+    fn unknown_query(&self, st: &State, id: usize) -> Response {
         let known: Vec<String> = st
             .queries
             .iter()
@@ -281,14 +283,12 @@ impl Shared {
                 _ => None,
             })
             .collect();
-        if known.is_empty() {
-            format!("ERR query unknown query {id} (no queries registered; send QUERY first)")
+        let message = if known.is_empty() {
+            format!("unknown query {id} (no queries registered; send QUERY first)")
         } else {
-            format!(
-                "ERR query unknown query {id} (known queries: {})",
-                known.join(", ")
-            )
-        }
+            format!("unknown query {id} (known queries: {})", known.join(", "))
+        };
+        Response::Err(ErrCode::Query, message)
     }
 }
 
@@ -541,37 +541,56 @@ fn register_query_slot(
     Ok(())
 }
 
-fn saber_err(e: &SaberError) -> String {
-    format!("ERR {} {}", e.category(), e.message())
+/// One reply to one request. [`execute`] answers every command with this
+/// value, whichever protocol the request arrived in; [`send`] is the only
+/// place that knows how each mode spells it.
+enum Response {
+    /// `OK <message>` / `Frame::Ok`.
+    Ok(String),
+    /// `ERR <category> <message>` / `Frame::Err`.
+    Err(ErrCode, String),
+    /// `PONG` / `Frame::Pong`.
+    Pong,
+    /// `BYE` / `Frame::Bye`; the connection closes once it has flushed.
+    Bye,
+    /// The Prometheus exposition body.
+    Metrics(String),
 }
 
-/// Sends a response rendered as a text protocol line through `conn`,
-/// translating to the equivalent frame on binary connections (`OK ...` →
-/// `OK`, `ERR <category> ...` → `ERR` with the matching code, `PONG`/`BYE`
-/// → their frames).
-fn reply(conn: &ConnHandle, response: &str) {
-    if !conn.is_binary() {
-        conn.send_line(response);
-        return;
-    }
-    if response == "PONG" {
-        conn.send_frame(&Frame::Pong);
-    } else if response == "BYE" {
-        conn.send_frame(&Frame::Bye);
-    } else if let Some(message) = response.strip_prefix("OK ") {
-        conn.send_frame(&Frame::Ok {
-            message: message.to_string(),
-        });
-    } else if let Some(rest) = response.strip_prefix("ERR ") {
-        let (category, message) = rest.split_once(' ').unwrap_or((rest, ""));
-        conn.send_frame(&Frame::Err {
-            code: ErrCode::from_category(category),
-            message: message.to_string(),
-        });
-    } else {
-        conn.send_frame(&Frame::Ok {
-            message: response.to_string(),
-        });
+/// The typed error of a failed engine call. `SaberError` categories the
+/// wire has no code for (`schema`, `buffer`, `device`) are `other`.
+fn saber_err(e: &SaberError) -> Response {
+    Response::Err(
+        ErrCode::from_category(e.category()),
+        e.message().to_string(),
+    )
+}
+
+/// Encodes `response` for the connection's protocol mode.
+fn send(conn: &ConnHandle, response: Response) {
+    match response {
+        Response::Ok(message) => conn.reply_ok(&message),
+        Response::Err(code, message) => conn.reply_err(code, &message),
+        Response::Pong if conn.is_binary() => conn.send_frame(&Frame::Pong),
+        Response::Pong => conn.send_line("PONG"),
+        Response::Bye => {
+            if conn.is_binary() {
+                conn.send_frame(&Frame::Bye);
+            } else {
+                conn.send_line("BYE");
+            }
+            conn.close_after_flush();
+        }
+        Response::Metrics(text) if conn.is_binary() => {
+            conn.send_frame(&Frame::MetricsText { text });
+        }
+        Response::Metrics(text) => {
+            // Multi-line response: a sized header, the exposition body, a
+            // terminator — so line-oriented clients know where it ends.
+            conn.send_line(&format!("OK metrics bytes={}", text.len()));
+            conn.send_bytes(text.as_bytes());
+            conn.send_line("END");
+        }
     }
 }
 
@@ -587,10 +606,16 @@ impl App for SaberApp {
         if self.shared.lock_push().contains(&conn.id()) {
             return;
         }
-        match request {
-            Request::Line(line) => handle_line(&self.shared, conn, &line),
-            Request::Frame(frame) => handle_frame(&self.shared, conn, frame),
-            Request::HttpGet { path } => handle_http(&self.shared, conn, &path),
+        // Both protocols decode to one `Command`; a request that does not
+        // decode is a protocol error in either.
+        let command = match request {
+            Request::Line(line) => parse_command(&line),
+            Request::Frame(frame) => Command::from_frame(frame),
+            Request::HttpGet { path } => return handle_http(&self.shared, conn, &path),
+        };
+        match command {
+            Ok(command) => execute(&self.shared, conn, command),
+            Err(message) => send(conn, Response::Err(ErrCode::Protocol, message)),
         }
     }
 
@@ -602,128 +627,6 @@ impl App for SaberApp {
         let mut st = self.shared.lock();
         for reg in st.queries.iter_mut().flatten() {
             reg.subscribers.retain(|s| s.conn.id() != conn.id());
-        }
-    }
-}
-
-/// Handles one text-protocol line on a dispatch worker.
-fn handle_line(shared: &Arc<Shared>, conn: &ConnHandle, line: &str) {
-    let command = match parse_command(line) {
-        Ok(command) => command,
-        Err(message) => {
-            conn.send_line(&format!("ERR protocol {message}"));
-            return;
-        }
-    };
-    match command {
-        Command::Quit => {
-            conn.send_line("BYE");
-            conn.close_after_flush();
-        }
-        Command::Subscribe { query, encoding } => {
-            subscribe(shared, conn, query, SubEncoding::Text(encoding));
-        }
-        Command::Metrics => {
-            // Multi-line response: a sized header, the exposition body, a
-            // terminator — so line-oriented clients know where it ends.
-            let body = render_metrics(shared);
-            conn.send_line(&format!("OK metrics bytes={}", body.len()));
-            conn.send_bytes(body.as_bytes());
-            conn.send_line("END");
-        }
-        other => {
-            let response = execute(shared, conn, other);
-            conn.send_line(&response);
-        }
-    }
-}
-
-/// Handles one binary-protocol frame on a dispatch worker: the frame maps
-/// onto the same [`Command`] surface as the text protocol, with raw row
-/// payloads instead of CSV/base64.
-fn handle_frame(shared: &Arc<Shared>, conn: &ConnHandle, frame: Frame) {
-    match frame {
-        Frame::Ping => reply(conn, "PONG"),
-        Frame::Quit => {
-            reply(conn, "BYE");
-            conn.close_after_flush();
-        }
-        Frame::Subscribe { query } => {
-            subscribe(shared, conn, query as usize, SubEncoding::Binary);
-        }
-        Frame::Insert {
-            query,
-            stream,
-            rows,
-        } => {
-            let response = insert_raw(shared, conn, query as usize, stream as usize, &rows);
-            reply(conn, &response);
-        }
-        Frame::Query { sql } => {
-            let response = execute(shared, conn, Command::Query { sql });
-            reply(conn, &response);
-        }
-        Frame::CreateStream { definition } => {
-            // Reuse the text parser for the schema grammar.
-            let response = match parse_command(&format!("CREATE STREAM {definition}")) {
-                Ok(command) => execute(shared, conn, command),
-                Err(message) => format!("ERR protocol {message}"),
-            };
-            reply(conn, &response);
-        }
-        Frame::DropQuery { query } => {
-            let response = execute(
-                shared,
-                conn,
-                Command::DropQuery {
-                    query: query as usize,
-                },
-            );
-            reply(conn, &response);
-        }
-        Frame::Flush => {
-            let response = execute(shared, conn, Command::Flush);
-            reply(conn, &response);
-        }
-        Frame::Streams => {
-            let response = execute(shared, conn, Command::Streams);
-            reply(conn, &response);
-        }
-        Frame::Queries => {
-            let response = execute(shared, conn, Command::Queries);
-            reply(conn, &response);
-        }
-        Frame::Stats { query } => {
-            let response = execute(
-                shared,
-                conn,
-                Command::Stats {
-                    query: Some(query as usize),
-                },
-            );
-            reply(conn, &response);
-        }
-        Frame::Metrics => {
-            conn.send_frame(&Frame::MetricsText {
-                text: render_metrics(shared),
-            });
-        }
-        // Server-to-client and handshake frames are not valid requests.
-        Frame::Hello { .. }
-        | Frame::HelloAck { .. }
-        | Frame::Auth { .. }
-        | Frame::Ok { .. }
-        | Frame::Err { .. }
-        | Frame::Pong
-        | Frame::Bye
-        | Frame::Data { .. }
-        | Frame::End
-        | Frame::MetricsText { .. }
-        | Frame::Nop => {
-            conn.send_frame(&Frame::Err {
-                code: ErrCode::Protocol,
-                message: "frame type is not a client request".to_string(),
-            });
         }
     }
 }
@@ -769,230 +672,229 @@ fn render_metrics(shared: &Arc<Shared>) -> String {
         &[],
         shared.started.elapsed().as_secs_f64(),
     );
-    {
-        let st = shared.lock();
-        let stats = st.engine.stats();
+    // Sample under the state lock — the one every `INSERT` takes to resolve
+    // its target — only what needs it; snapshotting and formatting six
+    // 976-bucket histograms per live query happens after it is released.
+    let st = shared.lock();
+    let stats = st.engine.stats();
+    let tuples_in = stats.total_tuples_in();
+    let bytes_in = stats.total_bytes_in();
+    let tuples_out = stats.total_tuples_out();
+    let backpressure_wait = stats.total_backpressure_wait();
+    let physical_plans = st.engine.num_physical_plans();
+    let queued_tasks = st.engine.queued_tasks();
+    let queued_tasks_peak = st.engine.max_queued_tasks_observed();
+    let in_flight_tasks = st.engine.in_flight_tasks();
+    // (id, stats block, subscribers, queue depth) per live query.
+    let queries: Vec<(usize, Arc<QueryStats>, usize, usize)> = st
+        .queries
+        .iter()
+        .enumerate()
+        .filter_map(|(id, slot)| {
+            let reg = slot.as_ref().filter(|reg| !reg.dropped)?;
+            let qstats = st.engine.query_stats(QueryId(id))?;
+            let depth = st.engine.queue_depth(QueryId(id));
+            Some((id, qstats, reg.subscribers.len(), depth))
+        })
+        .collect();
+    let placements = st.engine.placements();
+    let durability = st.engine.durability_stats();
+    let traces = st.engine.flight_recorder().recorded();
+    drop(st);
+    w.counter(
+        "saber_engine_tuples_in_total",
+        "Rows accepted into input buffers, across all queries ever registered.",
+        &[],
+        tuples_in as f64,
+    );
+    w.counter(
+        "saber_engine_bytes_in_total",
+        "Bytes accepted into input buffers.",
+        &[],
+        bytes_in as f64,
+    );
+    w.counter(
+        "saber_engine_tuples_out_total",
+        "Result rows emitted, across all queries.",
+        &[],
+        tuples_out as f64,
+    );
+    w.counter(
+        "saber_engine_backpressure_wait_seconds_total",
+        "Time producers spent blocked on the credit gate.",
+        &[],
+        backpressure_wait.as_secs_f64(),
+    );
+    w.gauge(
+        "saber_queries",
+        "Live registered queries.",
+        &[],
+        queries.len() as f64,
+    );
+    w.gauge(
+        "saber_physical_plans",
+        "Physical plan instances executing (shared plans count once).",
+        &[],
+        physical_plans as f64,
+    );
+    w.gauge(
+        "saber_queued_tasks",
+        "Query tasks currently queued for the scheduler.",
+        &[],
+        queued_tasks as f64,
+    );
+    w.gauge(
+        "saber_queued_tasks_peak",
+        "High-water mark of the task queue depth.",
+        &[],
+        queued_tasks_peak as f64,
+    );
+    w.gauge(
+        "saber_in_flight_tasks",
+        "Tasks dispatched to a processor and not yet returned.",
+        &[],
+        in_flight_tasks as f64,
+    );
+    for (id, qstats, subscribers, queue_depth) in queries {
+        let q = id.to_string();
+        let labels: [(&str, &str); 1] = [("query", q.as_str())];
+        let snap = qstats.snapshot();
         w.counter(
-            "saber_engine_tuples_in_total",
-            "Rows accepted into input buffers, across all queries ever registered.",
-            &[],
-            stats.total_tuples_in() as f64,
+            "saber_query_tuples_in_total",
+            "Rows accepted into this query's input buffers.",
+            &labels,
+            snap.tuples_in as f64,
         );
         w.counter(
-            "saber_engine_bytes_in_total",
-            "Bytes accepted into input buffers.",
-            &[],
-            stats.total_bytes_in() as f64,
+            "saber_query_bytes_in_total",
+            "Bytes accepted into this query's input buffers.",
+            &labels,
+            snap.bytes_in as f64,
         );
         w.counter(
-            "saber_engine_tuples_out_total",
-            "Result rows emitted, across all queries.",
-            &[],
-            stats.total_tuples_out() as f64,
+            "saber_query_tuples_out_total",
+            "Result rows emitted by this query.",
+            &labels,
+            snap.tuples_out as f64,
         );
         w.counter(
-            "saber_engine_backpressure_wait_seconds_total",
-            "Time producers spent blocked on the credit gate.",
-            &[],
-            stats.total_backpressure_wait().as_secs_f64(),
+            "saber_query_tasks_created_total",
+            "Query tasks cut by the dispatcher for this query.",
+            &labels,
+            snap.tasks_created as f64,
         );
-        let live = st
-            .queries
-            .iter()
-            .flatten()
-            .filter(|reg| !reg.dropped)
-            .count();
-        w.gauge(
-            "saber_queries",
-            "Live registered queries.",
-            &[],
-            live as f64,
+        w.counter(
+            "saber_query_tasks_total",
+            "Tasks executed, by processor.",
+            &[("query", q.as_str()), ("processor", "cpu")],
+            snap.tasks_cpu as f64,
         );
-        w.gauge(
-            "saber_physical_plans",
-            "Physical plan instances executing (shared plans count once).",
-            &[],
-            st.engine.num_physical_plans() as f64,
+        w.counter(
+            "saber_query_tasks_total",
+            "Tasks executed, by processor.",
+            &[("query", q.as_str()), ("processor", "gpgpu")],
+            snap.tasks_gpu as f64,
         );
         w.gauge(
-            "saber_queued_tasks",
-            "Query tasks currently queued for the scheduler.",
-            &[],
-            st.engine.queued_tasks() as f64,
+            "saber_query_latency_max_seconds",
+            "Worst end-to-end result latency observed.",
+            &labels,
+            snap.latency_max_nanos as f64 / 1e9,
+        );
+        w.counter(
+            "saber_query_backpressure_wait_seconds_total",
+            "Time this query's producers spent blocked on the credit gate.",
+            &labels,
+            snap.backpressure_wait().as_secs_f64(),
         );
         w.gauge(
-            "saber_queued_tasks_peak",
-            "High-water mark of the task queue depth.",
-            &[],
-            st.engine.max_queued_tasks_observed() as f64,
+            "saber_query_queue_depth",
+            "Tasks of this query currently queued.",
+            &labels,
+            queue_depth as f64,
         );
         w.gauge(
-            "saber_in_flight_tasks",
-            "Tasks dispatched to a processor and not yet returned.",
-            &[],
-            st.engine.in_flight_tasks() as f64,
+            "saber_query_subscribers",
+            "Connections subscribed to this query's results.",
+            &labels,
+            subscribers as f64,
         );
-        for (id, slot) in st.queries.iter().enumerate() {
-            let Some(reg) = slot else { continue };
-            if reg.dropped {
-                continue;
-            }
-            let q = id.to_string();
-            let labels: [(&str, &str); 1] = [("query", q.as_str())];
-            let Some(qstats) = st.engine.query_stats(QueryId(id)) else {
-                continue;
-            };
-            let snap = qstats.snapshot();
-            w.counter(
-                "saber_query_tuples_in_total",
-                "Rows accepted into this query's input buffers.",
-                &labels,
-                snap.tuples_in as f64,
-            );
-            w.counter(
-                "saber_query_bytes_in_total",
-                "Bytes accepted into this query's input buffers.",
-                &labels,
-                snap.bytes_in as f64,
-            );
-            w.counter(
-                "saber_query_tuples_out_total",
-                "Result rows emitted by this query.",
-                &labels,
-                snap.tuples_out as f64,
-            );
-            w.counter(
-                "saber_query_tasks_created_total",
-                "Query tasks cut by the dispatcher for this query.",
-                &labels,
-                snap.tasks_created as f64,
-            );
-            w.counter(
-                "saber_query_tasks_total",
-                "Tasks executed, by processor.",
-                &[("query", q.as_str()), ("processor", "cpu")],
-                snap.tasks_cpu as f64,
-            );
-            w.counter(
-                "saber_query_tasks_total",
-                "Tasks executed, by processor.",
-                &[("query", q.as_str()), ("processor", "gpgpu")],
-                snap.tasks_gpu as f64,
-            );
-            w.counter(
-                "saber_query_latency_seconds_total",
-                "Summed end-to-end (ingest to sink) result latency.",
-                &labels,
-                snap.latency_sum_nanos as f64 / 1e9,
-            );
-            w.counter(
-                "saber_query_latency_samples_total",
-                "Latency observations behind the latency sum.",
-                &labels,
-                snap.latency_samples as f64,
-            );
-            w.gauge(
-                "saber_query_latency_max_seconds",
-                "Worst end-to-end result latency observed.",
-                &labels,
-                snap.latency_max_nanos as f64 / 1e9,
-            );
-            w.counter(
-                "saber_query_backpressure_wait_seconds_total",
-                "Time this query's producers spent blocked on the credit gate.",
-                &labels,
-                snap.backpressure_wait().as_secs_f64(),
-            );
-            w.gauge(
-                "saber_query_queue_depth",
-                "Tasks of this query currently queued.",
-                &labels,
-                st.engine.queue_depth(QueryId(id)) as f64,
-            );
-            w.gauge(
-                "saber_query_subscribers",
-                "Connections subscribed to this query's results.",
-                &labels,
-                reg.subscribers.len() as f64,
-            );
-            for (stage, stage_snap) in qstats.stages.snapshots() {
-                w.histogram(
-                    "saber_query_stage_latency_seconds",
-                    "Per-task pipeline stage latency (empty unless stage \
-                     timestamping is enabled).",
-                    &[("query", q.as_str()), ("stage", stage)],
-                    &stage_snap,
-                    1e9,
-                );
-            }
-        }
-        for d in st.engine.placements() {
-            let q = d.query.0.to_string();
-            let labels: [(&str, &str); 1] = [("query", q.as_str())];
-            w.gauge(
-                "saber_placement_gpu_preferred",
-                "1 while the scheduler routes this query's tasks to the accelerator.",
-                &labels,
-                if d.preferred == Processor::Gpu {
-                    1.0
-                } else {
-                    0.0
-                },
-            );
-            w.gauge(
-                "saber_placement_modeled_speedup",
-                "Cost model's CPU-time / GPU-time ratio for one task.",
-                &labels,
-                d.modeled_speedup,
-            );
-            w.gauge(
-                "saber_sched_task_rate",
-                "Observed task throughput of the HLS matrix, by processor (tasks/s).",
-                &[("query", q.as_str()), ("processor", "cpu")],
-                d.cpu_rate,
-            );
-            w.gauge(
-                "saber_sched_task_rate",
-                "Observed task throughput of the HLS matrix, by processor (tasks/s).",
-                &[("query", q.as_str()), ("processor", "gpgpu")],
-                d.gpu_rate,
+        for (stage, stage_snap) in qstats.stages.snapshots() {
+            w.histogram(
+                "saber_query_stage_latency_seconds",
+                "Per-task pipeline stage latency (total = ingest-ack to sink-delivered).",
+                &[("query", q.as_str()), ("stage", stage)],
+                &stage_snap,
+                1e9,
             );
         }
-        if let Some(d) = st.engine.durability_stats() {
-            w.gauge(
-                "saber_wal_bytes",
-                "Framed bytes appended to the write-ahead log.",
-                &[],
-                d.wal_bytes as f64,
-            );
-            w.gauge(
-                "saber_wal_segments",
-                "WAL segment files currently on disk.",
-                &[],
-                d.wal_segments as f64,
-            );
-            if let Some(cp) = d.last_checkpoint {
-                w.gauge(
-                    "saber_wal_last_checkpoint",
-                    "WAL position of the newest catalog snapshot.",
-                    &[],
-                    cp as f64,
-                );
-            }
-            w.counter(
-                "saber_recovery_replayed_rows_total",
-                "Rows re-ingested by crash recovery at startup.",
-                &[],
-                d.recovery_replayed_rows as f64,
-            );
-        }
-        w.counter(
-            "saber_trace_records_total",
-            "Pipeline task traces captured by the flight recorder.",
-            &[],
-            st.engine.flight_recorder().recorded() as f64,
+    }
+    for d in placements {
+        let q = d.query.0.to_string();
+        let labels: [(&str, &str); 1] = [("query", q.as_str())];
+        w.gauge(
+            "saber_placement_gpu_preferred",
+            "1 while the scheduler routes this query's tasks to the accelerator.",
+            &labels,
+            if d.preferred == Processor::Gpu {
+                1.0
+            } else {
+                0.0
+            },
+        );
+        w.gauge(
+            "saber_placement_modeled_speedup",
+            "Cost model's CPU-time / GPU-time ratio for one task.",
+            &labels,
+            d.modeled_speedup,
+        );
+        w.gauge(
+            "saber_sched_task_rate",
+            "Observed task throughput of the HLS matrix, by processor (tasks/s).",
+            &[("query", q.as_str()), ("processor", "cpu")],
+            d.cpu_rate,
+        );
+        w.gauge(
+            "saber_sched_task_rate",
+            "Observed task throughput of the HLS matrix, by processor (tasks/s).",
+            &[("query", q.as_str()), ("processor", "gpgpu")],
+            d.gpu_rate,
         );
     }
+    if let Some(d) = durability {
+        w.gauge(
+            "saber_wal_bytes",
+            "Framed bytes appended to the write-ahead log.",
+            &[],
+            d.wal_bytes as f64,
+        );
+        w.gauge(
+            "saber_wal_segments",
+            "WAL segment files currently on disk.",
+            &[],
+            d.wal_segments as f64,
+        );
+        if let Some(cp) = d.last_checkpoint {
+            w.gauge(
+                "saber_wal_last_checkpoint",
+                "WAL position of the newest catalog snapshot.",
+                &[],
+                cp as f64,
+            );
+        }
+        w.counter(
+            "saber_recovery_replayed_rows_total",
+            "Rows re-ingested by crash recovery at startup.",
+            &[],
+            d.recovery_replayed_rows as f64,
+        );
+    }
+    w.counter(
+        "saber_trace_records_total",
+        "Pipeline task traces captured by the flight recorder.",
+        &[],
+        traces as f64,
+    );
     if let Some(net) = shared.net_metrics.get() {
         w.gauge(
             "saber_net_connections",
@@ -1065,7 +967,12 @@ fn render_metrics(shared: &Arc<Shared>) -> String {
 /// subscriber exists, so a window closing between ack and readiness cannot
 /// be dropped — and since only ready subscribers are pushed to (and ack and
 /// rows travel the same in-order outbox), no `ROW` can precede the ack.
-fn subscribe(shared: &Arc<Shared>, conn: &ConnHandle, query: usize, encoding: SubEncoding) {
+fn subscribe(shared: &Arc<Shared>, conn: &ConnHandle, query: usize, encoding: Encoding) {
+    let encoding = if conn.is_binary() {
+        SubEncoding::Binary
+    } else {
+        SubEncoding::Text(encoding)
+    };
     // Mark the connection push-only *before* the ack goes out: once the
     // client holds an `OK subscribed`, anything further it sends is ignored
     // rather than interpreted.
@@ -1084,10 +991,10 @@ fn subscribe(shared: &Arc<Shared>, conn: &ConnHandle, query: usize, encoding: Su
                 });
             }
             _ => {
-                let message = shared.unknown_query(&st, query);
+                let unknown = shared.unknown_query(&st, query);
                 drop(st);
                 shared.lock_push().remove(&conn.id());
-                reply(conn, &message);
+                send(conn, unknown);
                 return;
             }
         }
@@ -1095,223 +1002,233 @@ fn subscribe(shared: &Arc<Shared>, conn: &ConnHandle, query: usize, encoding: Su
     // Push connections get NOP keepalives and survive a read-side
     // half-close ("no more input, still receiving").
     conn.set_keepalive(true);
-    reply(conn, &format!("OK subscribed {query}"));
+    send(conn, Response::Ok(format!("subscribed {query}")));
     ready.store(true, Ordering::SeqCst);
     // Windows held back while our ack was pending can flow now.
     shared.notifier.wake();
 }
 
-/// Executes one non-subscription command, returning the response line
-/// (rendered in text form; [`reply`] translates for binary connections).
-fn execute(shared: &Arc<Shared>, conn: &ConnHandle, command: Command) -> String {
-    match command {
-        Command::Ping => "PONG".to_string(),
-        Command::CreateStream { name, schema } => {
-            let schema = schema.into_ref();
-            // On a durable server the engine owns the catalog: declaring
-            // through it logs the stream for recovery (identical
-            // redefinitions are no-ops). `shared.catalog` is the same
-            // handle, so compilation sees the stream either way.
-            let durable = {
-                let st = shared.lock();
-                match st.engine.shared_catalog() {
-                    Some(_) => match st.engine.create_stream(&name, schema.clone()) {
-                        Ok(()) => true,
-                        Err(e) => return saber_err(&e),
-                    },
-                    None => false,
-                }
-            };
-            if !durable {
-                shared.catalog.register(&name, schema);
-            }
-            format!("OK stream {name}")
-        }
-        Command::Query { sql } => {
-            // Compile against the shared catalog *outside* the state lock.
-            let query = match shared.catalog.compile(&sql) {
-                Ok(q) => q,
-                Err(e) => {
-                    return format!(
-                        "ERR query line {} col {}: {}",
-                        e.line(),
-                        e.column(),
-                        e.message()
-                    )
-                }
-            };
-            let input_schemas: Vec<SchemaRef> = (0..query.num_inputs())
-                .map(|i| query.input_schema(i).clone())
-                .collect();
-            let clean_sql = sql.trim().trim_end_matches(';').to_string();
-            let mut st = shared.lock();
-            // Registration works on the running engine: queries join the
-            // live set immediately, whatever traffic is already flowing.
-            // The SQL text rides along so a durable engine can log the
-            // registration and restore it on recovery.
-            match st.engine.add_query_with_sql(query, &clean_sql) {
-                Ok(handle) => {
-                    // Engine ids are monotonic but may skip a value if a
-                    // registration was abandoned; index the slot table by
-                    // the engine's id rather than assuming density.
-                    let id = handle.id().index();
-                    match register_query_slot(
-                        &mut st,
-                        &shared.notifier,
-                        clean_sql,
-                        input_schemas,
-                        handle,
-                    ) {
-                        Ok(()) => format!("OK query {id}"),
-                        Err(e) => saber_err(&e),
-                    }
-                }
-                Err(e) => saber_err(&e),
-            }
-        }
+/// Executes one command on a dispatch worker and sends its [`Response`].
+fn execute(shared: &Arc<Shared>, conn: &ConnHandle, command: Command) {
+    let response = match command {
+        // Acks for itself: the ack must be enqueued before the subscriber
+        // turns ready.
+        Command::Subscribe { query, encoding } => return subscribe(shared, conn, query, encoding),
+        Command::Ping => Response::Pong,
+        Command::Quit => Response::Bye,
+        Command::Metrics => Response::Metrics(render_metrics(shared)),
+        Command::CreateStream { name, schema } => create_stream(shared, name, schema),
+        Command::Query { sql } => register_query(shared, sql),
         Command::DropQuery { query } => drop_query(shared, query),
         Command::Insert {
             query,
             stream,
             payload,
         } => insert(shared, conn, query, stream, &payload),
-        Command::Flush => {
-            // Resolve per-query handles under the lock, flush outside it:
-            // flushing admits tasks through the credit gate, which can
-            // block under backpressure and must not stall other clients.
-            let handles: Vec<QueryHandle> = {
-                let st = shared.lock();
-                st.queries
-                    .iter()
-                    .flatten()
-                    .filter(|reg| !reg.dropped)
-                    .map(|reg| reg.handle.clone())
-                    .collect()
-            };
-            for handle in &handles {
-                if let Err(e) = handle.flush() {
-                    // A query removed between resolve and flush is not an
-                    // error for the caller: the removal drained it anyway.
-                    if matches!(e, SaberError::State(_)) {
-                        continue;
-                    }
-                    return saber_err(&e);
-                }
-            }
-            "OK flushed".to_string()
+        Command::Flush => flush(shared),
+        Command::Streams => list_streams(shared),
+        Command::Queries => list_queries(shared),
+        Command::Stats { query: None } => engine_stats(shared),
+        Command::Stats { query: Some(query) } => query_stats(shared, query),
+    };
+    send(conn, response);
+}
+
+/// `CREATE STREAM`: declares (or replaces) a stream schema.
+fn create_stream(shared: &Shared, name: String, schema: Schema) -> Response {
+    let schema = schema.into_ref();
+    // On a durable server the engine owns the catalog: declaring through it
+    // logs the stream for recovery (identical redefinitions are no-ops).
+    // `shared.catalog` is the same handle, so compilation sees the stream
+    // either way.
+    let durable = {
+        let st = shared.lock();
+        match st.engine.shared_catalog() {
+            Some(_) => match st.engine.create_stream(&name, schema.clone()) {
+                Ok(()) => true,
+                Err(e) => return saber_err(&e),
+            },
+            None => false,
         }
-        Command::Streams => {
-            let mut entries = Vec::new();
-            for (name, schema) in shared.catalog.streams() {
-                let attrs: Vec<String> = schema
-                    .attributes()
-                    .iter()
-                    .map(|a| format!("{}:{}", a.name(), data_type_name(a.data_type())))
-                    .collect();
-                entries.push(format!("{name}({})", attrs.join(",")));
-            }
-            format!("OK streams {}", entries.join(" "))
-        }
-        Command::Queries => {
-            let st = shared.lock();
-            let live: Vec<(usize, &QueryReg)> = st
-                .queries
-                .iter()
-                .enumerate()
-                .filter_map(|(i, q)| match q {
-                    Some(reg) if !reg.dropped => Some((i, reg)),
-                    _ => None,
-                })
-                .collect();
-            let mut out = format!("OK queries {}", live.len());
-            for (id, reg) in live {
-                out.push_str(&format!(" [{id}] {}", reg.sql));
-            }
-            out
-        }
-        Command::Stats { query: None } => {
-            // Engine-wide summary: uptime, totals across every query (live
-            // and dropped — ids are never reused), plan count, connections.
-            let st = shared.lock();
-            let live = st
-                .queries
-                .iter()
-                .flatten()
-                .filter(|reg| !reg.dropped)
-                .count();
-            let stats = st.engine.stats();
-            let connections = shared
-                .net_metrics
-                .get()
-                .map(|m| m.connections())
-                .unwrap_or(0);
-            format!(
-                "OK stats uptime_secs={} queries={live} tuples_in={} tuples_out={} \
-                 physical_queries={} queued_tasks={} connections={connections}",
-                shared.started.elapsed().as_secs(),
-                stats.total_tuples_in(),
-                stats.total_tuples_out(),
-                st.engine.num_physical_plans(),
-                st.engine.queued_tasks(),
+    };
+    if !durable {
+        shared.catalog.register(&name, schema);
+    }
+    Response::Ok(format!("stream {name}"))
+}
+
+/// `QUERY`: compiles the statement and registers it on the running engine.
+fn register_query(shared: &Shared, sql: String) -> Response {
+    // Compile against the shared catalog *outside* the state lock.
+    let query = match shared.catalog.compile(&sql) {
+        Ok(q) => q,
+        Err(e) => {
+            return Response::Err(
+                ErrCode::Query,
+                format!("line {} col {}: {}", e.line(), e.column(), e.message()),
             )
         }
-        Command::Stats { query: Some(query) } => {
-            let st = shared.lock();
-            let subscribers = match st.queries.get(query) {
-                Some(Some(reg)) if !reg.dropped => reg.subscribers.len(),
-                _ => return shared.unknown_query(&st, query),
-            };
-            // One consistent snapshot instead of a torn series of relaxed
-            // loads (the latency pair in particular is seqlock-protected).
-            let snap = st
-                .engine
-                .query_stats(QueryId(query))
-                .expect("registered query")
-                .snapshot();
-            let mut line = format!(
-                "OK stats query={query} tuples_in={} bytes_in={} tuples_out={} \
-                 tasks_created={} queued_tasks={} subscribers={subscribers} \
-                 avg_latency_us={} max_latency_us={}",
-                snap.tuples_in,
-                snap.bytes_in,
-                snap.tuples_out,
-                snap.tasks_created,
-                st.engine.queue_depth(QueryId(query)),
-                snap.avg_latency().as_micros(),
-                snap.max_latency().as_micros(),
-            );
-            // Plan-sharing section: which physical plan instance this query
-            // executes on and how many logical queries share it, plus the
-            // engine-wide physical plan count (so clients can observe that N
-            // identical QUERYs cost one plan, not N).
-            if let Some((phys, members)) = st.engine.sharing_info(QueryId(query)) {
-                line.push_str(&format!(" physical={} members={members}", phys.0));
+    };
+    let input_schemas: Vec<SchemaRef> = (0..query.num_inputs())
+        .map(|i| query.input_schema(i).clone())
+        .collect();
+    let clean_sql = sql.trim().trim_end_matches(';').to_string();
+    let mut st = shared.lock();
+    // Registration works on the running engine: queries join the live set
+    // immediately, whatever traffic is already flowing. The SQL text rides
+    // along so a durable engine can log the registration and restore it on
+    // recovery.
+    match st.engine.add_query_with_sql(query, &clean_sql) {
+        Ok(handle) => {
+            // Engine ids are monotonic but may skip a value if a
+            // registration was abandoned; index the slot table by the
+            // engine's id rather than assuming density.
+            let id = handle.id().index();
+            match register_query_slot(&mut st, &shared.notifier, clean_sql, input_schemas, handle) {
+                Ok(()) => Response::Ok(format!("query {id}")),
+                Err(e) => saber_err(&e),
             }
-            line.push_str(&format!(
-                " physical_queries={}",
-                st.engine.num_physical_plans()
-            ));
-            // Durability section (engine-wide, appended on durable servers
-            // only): WAL volume, checkpoint position, recovery replay count.
-            if let Some(durability) = st.engine.durability_stats() {
-                let last_checkpoint = match durability.last_checkpoint {
-                    Some(seq) => seq.to_string(),
-                    None => "none".to_string(),
-                };
-                line.push_str(&format!(
-                    " wal_bytes={} wal_segments={} last_checkpoint={last_checkpoint} \
-                     recovery_replayed_rows={}",
-                    durability.wal_bytes,
-                    durability.wal_segments,
-                    durability.recovery_replayed_rows
-                ));
-            }
-            line
         }
-        Command::Quit | Command::Subscribe { .. } | Command::Metrics => {
-            unreachable!("handled by the caller")
+        Err(e) => saber_err(&e),
+    }
+}
+
+/// `FLUSH`: cuts every live query's pending rows into (undersized) tasks.
+fn flush(shared: &Shared) -> Response {
+    // Resolve per-query handles under the lock, flush outside it: flushing
+    // admits tasks through the credit gate, which can block under
+    // backpressure and must not stall other clients.
+    let handles: Vec<QueryHandle> = {
+        let st = shared.lock();
+        st.queries
+            .iter()
+            .flatten()
+            .filter(|reg| !reg.dropped)
+            .map(|reg| reg.handle.clone())
+            .collect()
+    };
+    for handle in &handles {
+        if let Err(e) = handle.flush() {
+            // A query removed between resolve and flush is not an error for
+            // the caller: the removal drained it anyway.
+            if matches!(e, SaberError::State(_)) {
+                continue;
+            }
+            return saber_err(&e);
         }
     }
+    Response::Ok("flushed".to_string())
+}
+
+/// `STREAMS`: lists the catalog.
+fn list_streams(shared: &Shared) -> Response {
+    let mut entries = Vec::new();
+    for (name, schema) in shared.catalog.streams() {
+        let attrs: Vec<String> = schema
+            .attributes()
+            .iter()
+            .map(|a| format!("{}:{}", a.name(), data_type_name(a.data_type())))
+            .collect();
+        entries.push(format!("{name}({})", attrs.join(",")));
+    }
+    Response::Ok(format!("streams {}", entries.join(" ")))
+}
+
+/// `QUERIES`: lists the live queries with their SQL.
+fn list_queries(shared: &Shared) -> Response {
+    let st = shared.lock();
+    let live: Vec<(usize, &QueryReg)> = st
+        .queries
+        .iter()
+        .enumerate()
+        .filter_map(|(i, q)| match q {
+            Some(reg) if !reg.dropped => Some((i, reg)),
+            _ => None,
+        })
+        .collect();
+    let mut out = format!("queries {}", live.len());
+    for (id, reg) in live {
+        out.push_str(&format!(" [{id}] {}", reg.sql));
+    }
+    Response::Ok(out)
+}
+
+/// `STATS`: the engine-wide summary — uptime, totals across every query
+/// (live and dropped — ids are never reused), plan count, connections.
+fn engine_stats(shared: &Shared) -> Response {
+    let st = shared.lock();
+    let live = st
+        .queries
+        .iter()
+        .flatten()
+        .filter(|reg| !reg.dropped)
+        .count();
+    let stats = st.engine.stats();
+    let connections = shared
+        .net_metrics
+        .get()
+        .map(|m| m.connections())
+        .unwrap_or(0);
+    Response::Ok(format!(
+        "stats uptime_secs={} queries={live} tuples_in={} tuples_out={} \
+         physical_queries={} queued_tasks={} connections={connections}",
+        shared.started.elapsed().as_secs(),
+        stats.total_tuples_in(),
+        stats.total_tuples_out(),
+        st.engine.num_physical_plans(),
+        st.engine.queued_tasks(),
+    ))
+}
+
+/// `STATS <query>`: one query's counters.
+fn query_stats(shared: &Shared, query: usize) -> Response {
+    let st = shared.lock();
+    let subscribers = match st.queries.get(query) {
+        Some(Some(reg)) if !reg.dropped => reg.subscribers.len(),
+        _ => return shared.unknown_query(&st, query),
+    };
+    let snap = st
+        .engine
+        .query_stats(QueryId(query))
+        .expect("registered query")
+        .snapshot();
+    let mut line = format!(
+        "stats query={query} tuples_in={} bytes_in={} tuples_out={} \
+         tasks_created={} queued_tasks={} subscribers={subscribers} \
+         avg_latency_us={} max_latency_us={}",
+        snap.tuples_in,
+        snap.bytes_in,
+        snap.tuples_out,
+        snap.tasks_created,
+        st.engine.queue_depth(QueryId(query)),
+        snap.avg_latency().as_micros(),
+        snap.max_latency().as_micros(),
+    );
+    // Plan-sharing section: which physical plan instance this query
+    // executes on and how many logical queries share it, plus the
+    // engine-wide physical plan count (so clients can observe that N
+    // identical QUERYs cost one plan, not N).
+    if let Some((phys, members)) = st.engine.sharing_info(QueryId(query)) {
+        line.push_str(&format!(" physical={} members={members}", phys.0));
+    }
+    line.push_str(&format!(
+        " physical_queries={}",
+        st.engine.num_physical_plans()
+    ));
+    // Durability section (engine-wide, appended on durable servers only):
+    // WAL volume, checkpoint position, recovery replay count.
+    if let Some(durability) = st.engine.durability_stats() {
+        let last_checkpoint = match durability.last_checkpoint {
+            Some(seq) => seq.to_string(),
+            None => "none".to_string(),
+        };
+        line.push_str(&format!(
+            " wal_bytes={} wal_segments={} last_checkpoint={last_checkpoint} \
+             recovery_replayed_rows={}",
+            durability.wal_bytes, durability.wal_segments, durability.recovery_replayed_rows
+        ));
+    }
+    Response::Ok(line)
 }
 
 /// Resolves an `INSERT` target: the input schema and cached ingest handle.
@@ -1319,7 +1236,7 @@ fn resolve_insert(
     shared: &Shared,
     query: usize,
     stream: usize,
-) -> std::result::Result<(SchemaRef, IngestHandle), String> {
+) -> std::result::Result<(SchemaRef, IngestHandle), Response> {
     let st = shared.lock();
     let Some(Some(reg)) = st.queries.get(query) else {
         return Err(shared.unknown_query(&st, query));
@@ -1328,68 +1245,43 @@ fn resolve_insert(
         return Err(shared.unknown_query(&st, query));
     }
     let Some(schema) = reg.input_schemas.get(stream).cloned() else {
-        return Err(format!(
-            "ERR query query {query} has no input stream {stream}"
+        return Err(Response::Err(
+            ErrCode::Query,
+            format!("query {query} has no input stream {stream}"),
         ));
     };
     Ok((schema, reg.ingest[stream].clone()))
 }
 
-/// Handles a text `INSERT`: resolve the target under the state lock, then
-/// decode and ingest *outside* it, so one client blocked on the engine's
-/// credit gate never stalls the others' commands.
+/// Handles `INSERT` in either protocol: resolve the target under the state
+/// lock, then decode and ingest *outside* it, so one client blocked on the
+/// engine's credit gate never stalls the others' commands. A binary
+/// frame's raw rows are validated and ingested in place — no CSV or base64
+/// decode and no copy on the hot path, the point of the binary protocol.
 fn insert(
     shared: &Shared,
     conn: &ConnHandle,
     query: usize,
     stream: usize,
     payload: &Payload,
-) -> String {
+) -> Response {
     // Queries are slot-stable (ids are never reused), so the resolved
     // handle stays valid across lock acquisitions; in the steady state this
     // is one short lock plus an Arc clone of the cached handle.
     let (schema, handle) = match resolve_insert(shared, query, stream) {
         Ok(target) => target,
-        Err(message) => return message,
+        Err(response) => return response,
     };
     let bytes = match payload.decode(&schema) {
         Ok(bytes) => bytes,
-        Err(message) => return format!("ERR payload {message}"),
+        Err(message) => return Response::Err(ErrCode::Payload, message),
     };
     let rows = bytes.len() / schema.row_size();
     // Charge the row quota for what was decoded — the charge always
     // succeeds; over-quota connections get their *next* read delayed.
     conn.charge_rows(rows as u64);
     match handle.ingest(&bytes) {
-        Ok(()) => format!("OK rows {rows}"),
-        Err(e) => saber_err(&e),
-    }
-}
-
-/// Handles a binary `INSERT`: the payload is the raw row bytes (no CSV or
-/// base64 decode on the hot path — the point of the binary protocol).
-fn insert_raw(
-    shared: &Shared,
-    conn: &ConnHandle,
-    query: usize,
-    stream: usize,
-    bytes: &[u8],
-) -> String {
-    let (schema, handle) = match resolve_insert(shared, query, stream) {
-        Ok(target) => target,
-        Err(message) => return message,
-    };
-    let row_size = schema.row_size();
-    if bytes.is_empty() || !bytes.len().is_multiple_of(row_size) {
-        return format!(
-            "ERR payload row payload of {} bytes is not a positive multiple of the {row_size}-byte row size",
-            bytes.len()
-        );
-    }
-    let rows = bytes.len() / row_size;
-    conn.charge_rows(rows as u64);
-    match handle.ingest(bytes) {
-        Ok(()) => format!("OK rows {rows}"),
+        Ok(()) => Response::Ok(format!("rows {rows}")),
         Err(e) => saber_err(&e),
     }
 }
@@ -1399,7 +1291,7 @@ fn insert_raw(
 /// block on the workers), then the slot is marked dropped and the
 /// broadcaster — woken through the notifier — delivers the final windows
 /// plus `END` to the query's subscribers and clears the slot.
-fn drop_query(shared: &Arc<Shared>, query: usize) -> String {
+fn drop_query(shared: &Shared, query: usize) -> Response {
     let handle = {
         let st = shared.lock();
         match st.queries.get(query) {
@@ -1433,7 +1325,7 @@ fn drop_query(shared: &Arc<Shared>, query: usize) -> String {
         shared.notifier.wake();
     }
     match result {
-        Ok(()) => format!("OK dropped {query}"),
+        Ok(()) => Response::Ok(format!("dropped {query}")),
         Err(e) => saber_err(&e),
     }
 }

@@ -1,6 +1,9 @@
-//! The wire protocol: newline-delimited, length-safe text framing.
+//! The command surface and the text protocol: newline-delimited, length-safe
+//! framing.
 //!
-//! Every request is one line (capped at
+//! Both wire modes decode to one [`Command`]: text lines through
+//! [`parse_command`], binary frames through [`Command::from_frame`]. Every
+//! text request is one line (capped at
 //! [`ServerConfig::max_line_bytes`](crate::ServerConfig::max_line_bytes) so a
 //! misbehaving client cannot grow server memory without bound), and every
 //! response is one line. Row payloads travel either as human-friendly CSV or
@@ -12,7 +15,9 @@
 //! parsing/formatting: it never touches a socket except through the generic
 //! [`read_line_capped`] helper.
 
+use saber_net::wire::Frame;
 use saber_types::{DataType, RowBuffer, Schema, TupleRef, Value};
+use std::borrow::Cow;
 use std::io::{self, BufRead};
 
 /// How a subscriber wants result rows encoded.
@@ -31,28 +36,30 @@ pub enum Payload {
     Csv(String),
     /// Base64 of raw row bytes (length must be a multiple of the row size).
     B64(String),
+    /// The raw row bytes of a binary `Insert` frame (same length rule).
+    Raw(Vec<u8>),
 }
 
 impl Payload {
-    /// Decodes the payload into raw row bytes for `schema`.
-    pub fn decode(&self, schema: &Schema) -> Result<Vec<u8>, String> {
-        match self {
-            Payload::Csv(text) => decode_csv_rows(schema, text),
-            Payload::B64(text) => {
-                let bytes = b64_decode(text)?;
-                if bytes.is_empty() {
-                    return Err("empty payload".into());
-                }
-                if !bytes.len().is_multiple_of(schema.row_size()) {
-                    return Err(format!(
-                        "payload is {} bytes, not a multiple of the {}-byte row size",
-                        bytes.len(),
-                        schema.row_size()
-                    ));
-                }
-                Ok(bytes)
-            }
+    /// Decodes the payload into raw row bytes for `schema`; a
+    /// [`Payload::Raw`] is validated and borrowed, never copied.
+    pub fn decode(&self, schema: &Schema) -> Result<Cow<'_, [u8]>, String> {
+        let bytes = match self {
+            Payload::Csv(text) => return decode_csv_rows(schema, text).map(Cow::Owned),
+            Payload::B64(text) => Cow::Owned(b64_decode(text)?),
+            Payload::Raw(bytes) => Cow::Borrowed(bytes.as_slice()),
+        };
+        if bytes.is_empty() {
+            return Err("empty payload".into());
         }
+        if !bytes.len().is_multiple_of(schema.row_size()) {
+            return Err(format!(
+                "payload is {} bytes, not a multiple of the {}-byte row size",
+                bytes.len(),
+                schema.row_size()
+            ));
+        }
+        Ok(bytes)
     }
 }
 
@@ -186,6 +193,56 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
             "unknown command `{other}` (CREATE STREAM, QUERY, DROP QUERY, INSERT, \
              SUBSCRIBE, FLUSH, STREAMS, QUERIES, STATS, METRICS, PING, QUIT)"
         )),
+    }
+}
+
+impl Command {
+    /// Maps one binary-protocol request frame onto the command surface the
+    /// text protocol parses to. Errors are reported like [`parse_command`]'s.
+    pub fn from_frame(frame: Frame) -> Result<Command, String> {
+        Ok(match frame {
+            Frame::CreateStream { definition } => parse_create_stream(&definition)?,
+            Frame::Query { sql } => Command::Query { sql },
+            Frame::DropQuery { query } => Command::DropQuery {
+                query: query as usize,
+            },
+            Frame::Insert {
+                query,
+                stream,
+                rows,
+            } => Command::Insert {
+                query: query as usize,
+                stream: stream as usize,
+                payload: Payload::Raw(rows),
+            },
+            // Binary subscribers always receive `Data` frames of raw row
+            // bytes; the encoding only selects between the text renderings.
+            Frame::Subscribe { query } => Command::Subscribe {
+                query: query as usize,
+                encoding: Encoding::B64,
+            },
+            Frame::Flush => Command::Flush,
+            Frame::Streams => Command::Streams,
+            Frame::Queries => Command::Queries,
+            Frame::Stats { query } => Command::Stats {
+                query: Some(query as usize),
+            },
+            Frame::Metrics => Command::Metrics,
+            Frame::Ping => Command::Ping,
+            Frame::Quit => Command::Quit,
+            // Server-to-client and handshake frames are not valid requests.
+            Frame::Hello { .. }
+            | Frame::HelloAck { .. }
+            | Frame::Auth { .. }
+            | Frame::Ok { .. }
+            | Frame::Err { .. }
+            | Frame::Pong
+            | Frame::Bye
+            | Frame::Data { .. }
+            | Frame::End
+            | Frame::MetricsText { .. }
+            | Frame::Nop => return Err("frame type is not a client request".into()),
+        })
     }
 }
 
@@ -592,7 +649,7 @@ mod tests {
         };
         assert_eq!((query, stream), (0, 0));
         let bytes = payload.decode(&schema).unwrap();
-        let rows = RowBuffer::from_bytes(schema.clone().into_ref(), bytes).unwrap();
+        let rows = RowBuffer::from_bytes(schema.clone().into_ref(), bytes.into_owned()).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows.row(0).timestamp(), 1);
         assert_eq!(rows.row(1).get_f32(1), 0.25);
@@ -622,16 +679,30 @@ mod tests {
     }
 
     #[test]
-    fn b64_payload_length_is_validated_against_the_row_size() {
+    fn raw_payload_length_is_validated_against_the_row_size() {
         let schema = schema();
-        let err = Payload::B64(b64_encode(&[0u8; 15]))
-            .decode(&schema)
-            .unwrap_err();
-        assert!(err.contains("multiple"), "{err}");
-        let ok = Payload::B64(b64_encode(&[0u8; 32]))
-            .decode(&schema)
-            .unwrap();
-        assert_eq!(ok.len(), 32);
+        for short in [
+            Payload::B64(b64_encode(&[0u8; 15])),
+            Payload::Raw(vec![0u8; 15]),
+        ] {
+            let err = short.decode(&schema).unwrap_err();
+            assert!(err.contains("multiple"), "{err}");
+        }
+        assert_eq!(
+            Payload::Raw(Vec::new()).decode(&schema).unwrap_err(),
+            "empty payload"
+        );
+        for whole in [
+            Payload::B64(b64_encode(&[0u8; 32])),
+            Payload::Raw(vec![0u8; 32]),
+        ] {
+            assert_eq!(whole.decode(&schema).unwrap().len(), 32);
+        }
+        // A frame's rows are validated in place, not copied.
+        assert!(matches!(
+            Payload::Raw(vec![0u8; 16]).decode(&schema).unwrap(),
+            Cow::Borrowed(_)
+        ));
     }
 
     #[test]

@@ -23,7 +23,6 @@ fn config(mode: ExecutionMode, max_queued: usize) -> EngineConfig {
         throughput_smoothing: 0.25,
         durability: None,
         sharing: true,
-        stage_timestamps: true,
     }
 }
 

@@ -25,7 +25,6 @@ fn config() -> EngineConfig {
         throughput_smoothing: 0.25,
         durability: None,
         sharing: true,
-        stage_timestamps: true,
     }
 }
 

@@ -20,7 +20,6 @@ fn test_config(mode: ExecutionMode) -> EngineConfig {
         throughput_smoothing: 0.25,
         durability: None,
         sharing: true,
-        stage_timestamps: true,
     }
 }
 

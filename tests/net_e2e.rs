@@ -369,3 +369,191 @@ fn binary_metrics_frame_returns_exposition_text() {
 
     server.shutdown().expect("clean shutdown");
 }
+
+/// What a client observes of one reply, whichever protocol carried it.
+#[derive(Debug, PartialEq)]
+enum Reply {
+    Ok(String),
+    Err(ErrCode, String),
+    Pong,
+    Bye,
+}
+
+impl Reply {
+    fn from_line(line: &str) -> Reply {
+        if let Some(message) = line.strip_prefix("OK ") {
+            Reply::Ok(message.to_string())
+        } else if let Some(rest) = line.strip_prefix("ERR ") {
+            let (category, message) = rest.split_once(' ').unwrap_or((rest, ""));
+            Reply::Err(ErrCode::from_category(category), message.to_string())
+        } else {
+            match line {
+                "PONG" => Reply::Pong,
+                "BYE" => Reply::Bye,
+                other => panic!("unexpected text reply `{other}`"),
+            }
+        }
+    }
+
+    fn from_frame(frame: Frame) -> Reply {
+        match frame {
+            Frame::Ok { message } => Reply::Ok(message),
+            Frame::Err { code, message } => Reply::Err(code, message),
+            Frame::Pong => Reply::Pong,
+            Frame::Bye => Reply::Bye,
+            other => panic!("unexpected reply frame {other:?}"),
+        }
+    }
+
+    /// Blanks the `STATS` values that depend on how far the workers have
+    /// got, so two servers can be compared.
+    fn without_timing(self) -> Reply {
+        let Reply::Ok(message) = self else {
+            return self;
+        };
+        let fields: Vec<String> = message
+            .split(' ')
+            .map(|field| match field.split_once('=') {
+                Some((
+                    key @ ("tuples_out" | "queued_tasks" | "avg_latency_us" | "max_latency_us"),
+                    _,
+                )) => format!("{key}=_"),
+                _ => field.to_string(),
+            })
+            .collect();
+        Reply::Ok(fields.join(" "))
+    }
+}
+
+/// Every verb, sent as a text line to one fresh server and as a frame to
+/// another: the two clients observe the same `(ok | code, message)` —
+/// both protocols decode to one command and are answered from one typed
+/// response.
+#[test]
+fn every_verb_is_answered_identically_in_both_modes() {
+    let good = rows(4, 0);
+    let ragged = vec![0u8; 15];
+    let insert = |query: u32, stream: u32, bytes: &[u8]| {
+        (
+            format!("INSERT {query} {stream} B64 {}", b64_encode(bytes)),
+            Frame::Insert {
+                query,
+                stream,
+                rows: bytes.to_vec(),
+            },
+        )
+    };
+    let query = |sql: &str| {
+        (
+            format!("QUERY {sql}"),
+            Frame::Query {
+                sql: sql.to_string(),
+            },
+        )
+    };
+    let create = |definition: &str| {
+        (
+            "CREATE STREAM ".to_string() + definition,
+            Frame::CreateStream {
+                definition: definition.to_string(),
+            },
+        )
+    };
+    // (verb, the error it must draw if any, its line and its frame).
+    let q = Some(ErrCode::Query);
+    let verbs: Vec<(&str, Option<ErrCode>, (String, Frame))> = vec![
+        (
+            "create stream",
+            None,
+            create("S (timestamp TIMESTAMP, v FLOAT)"),
+        ),
+        (
+            "create stream, bad type",
+            Some(ErrCode::Protocol),
+            create("T (x BLOB)"),
+        ),
+        ("query", None, query("SELECT * FROM S [ROWS 2]")),
+        ("query, bad sql", q, query("SELECT FROM")),
+        ("insert", None, insert(0, 0, &good)),
+        (
+            "insert, bad row size",
+            Some(ErrCode::Payload),
+            insert(0, 0, &ragged),
+        ),
+        ("insert, unknown query", q, insert(7, 0, &good)),
+        ("insert, bad stream index", q, insert(0, 3, &good)),
+        ("flush", None, ("FLUSH".into(), Frame::Flush)),
+        ("streams", None, ("STREAMS".into(), Frame::Streams)),
+        ("queries", None, ("QUERIES".into(), Frame::Queries)),
+        ("stats", None, ("STATS 0".into(), Frame::Stats { query: 0 })),
+        (
+            "stats, unknown query",
+            q,
+            ("STATS 7".into(), Frame::Stats { query: 7 }),
+        ),
+        (
+            "drop",
+            None,
+            ("DROP QUERY 0".into(), Frame::DropQuery { query: 0 }),
+        ),
+        (
+            "drop, already dropped",
+            q,
+            ("DROP QUERY 0".into(), Frame::DropQuery { query: 0 }),
+        ),
+        ("ping", None, ("PING".into(), Frame::Ping)),
+        ("quit", None, ("QUIT".into(), Frame::Quit)),
+    ];
+
+    let text_server = serve(config());
+    let binary_server = serve(config());
+    let mut text = Text::connect(text_server.local_addr());
+    let mut bin = binary(binary_server.local_addr());
+    for (verb, error, (line, frame)) in verbs {
+        let from_text = Reply::from_line(&text.send(&line)).without_timing();
+        bin.send(&frame).expect("send frame");
+        let from_binary =
+            Reply::from_frame(bin.recv_skip_nops().expect("reply frame")).without_timing();
+        assert_eq!(from_text, from_binary, "`{verb}` differs between modes");
+        // The table exercises what it claims to: the error paths draw an
+        // error of the right kind, the rest succeed.
+        let drew = match &from_binary {
+            Reply::Err(code, _) => Some(*code),
+            _ => None,
+        };
+        assert_eq!(drew, error, "`{verb}` answered {from_binary:?}");
+    }
+
+    text_server.shutdown().expect("clean shutdown");
+    binary_server.shutdown().expect("clean shutdown");
+}
+
+/// A binary `Query` frame may carry a multi-line statement. It is stored
+/// and echoed verbatim to binary clients, but a text reply is one line: a
+/// raw newline would split `QUERIES` and leave the tail to answer the
+/// client's next request.
+#[test]
+fn multi_line_sql_cannot_split_a_text_reply() {
+    let server = serve(config());
+    let mut admin = Text::connect(server.local_addr());
+    admin.send("CREATE STREAM S (timestamp TIMESTAMP, v FLOAT)");
+
+    let sql = "SELECT *\r\nFROM S [ROWS 2]";
+    let mut bin = binary(server.local_addr());
+    bin.send(&Frame::Query { sql: sql.into() }).unwrap();
+    assert_eq!(expect_ok(bin.recv_skip_nops().unwrap()), "query 0");
+
+    assert_eq!(
+        admin.send("QUERIES"),
+        "OK queries 1 [0] SELECT *  FROM S [ROWS 2]"
+    );
+    assert_eq!(admin.send("PING"), "PONG");
+
+    bin.send(&Frame::Queries).unwrap();
+    assert_eq!(
+        expect_ok(bin.recv_skip_nops().unwrap()),
+        format!("queries 1 [0] {sql}")
+    );
+
+    server.shutdown().expect("clean shutdown");
+}

@@ -528,3 +528,99 @@ fn http_scrape_returns_prometheus_exposition_with_stage_histograms() {
 
     server.shutdown().expect("clean shutdown");
 }
+
+/// The metric catalog in `docs/observability.md` is the live exposition's
+/// family list, no more and no less: a durable server with one subscribed
+/// query that has closed a window and taken a checkpoint serves every
+/// family the doc tabulates, and tabulates every family it serves.
+#[test]
+fn metric_catalog_matches_the_live_exposition() {
+    use saber::engine::DurabilityConfig;
+    use std::collections::BTreeSet;
+
+    let dir = std::env::temp_dir().join(format!("saber-catalog-e2e-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut durability = DurabilityConfig::new(&dir);
+    durability.checkpoint_interval = Some(Duration::from_millis(25));
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            engine: EngineConfig {
+                durability: Some(durability),
+                ..engine_config()
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    let mut c = Client::connect(addr);
+    c.send("CREATE STREAM S (timestamp TIMESTAMP, v INT, k INT)");
+    assert_eq!(c.send(&format!("QUERY {SQL}")), "OK query 0");
+    let mut subscriber = Client::connect(addr);
+    assert_eq!(subscriber.send("SUBSCRIBE 0"), "OK subscribed 0");
+    for p in 0..PRODUCERS {
+        c.send(&format!(
+            "INSERT 0 0 B64 {}",
+            b64_encode(producer_rows(p).bytes())
+        ));
+    }
+
+    // `# TYPE <family> <kind>` heads every family exactly once.
+    let families = |body: &str| -> BTreeSet<String> {
+        body.lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .map(|l| l.split(' ').next().unwrap().to_string())
+            .collect()
+    };
+    // The last family to appear is the checkpoint position: checkpoints
+    // run on their cadence once a window has closed.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let served = loop {
+        let served = families(&http_get(addr, "/metrics").1);
+        if served.contains("saber_wal_last_checkpoint") {
+            break served;
+        }
+        assert!(Instant::now() < deadline, "no checkpoint: {served:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+
+    // The doc side: every `saber_*` name in the first column of the
+    // catalog's tables, label selectors stripped.
+    let doc = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/docs/observability.md"
+    ))
+    .unwrap();
+    let catalog = doc
+        .split("## Metric catalog")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## ").next())
+        .expect("catalog section");
+    let documented: BTreeSet<String> = catalog
+        .lines()
+        .filter(|row| row.starts_with("| `saber_"))
+        .flat_map(|row| {
+            let first_column = row[2..].split(" | ").next().unwrap();
+            // Code spans are the odd pieces between backticks.
+            first_column
+                .split('`')
+                .skip(1)
+                .step_by(2)
+                .map(|name| name.split('{').next().unwrap().to_string())
+                .collect::<Vec<_>>()
+        })
+        .collect();
+
+    let undocumented: Vec<_> = served.difference(&documented).collect();
+    let unserved: Vec<_> = documented.difference(&served).collect();
+    assert!(
+        undocumented.is_empty() && unserved.is_empty(),
+        "served but not in docs/observability.md: {undocumented:?}; \
+         documented but not served: {unserved:?}"
+    );
+
+    server.shutdown().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
