@@ -18,6 +18,15 @@
 //!   bytes. The cutter lock is never held during a producer's buffer copy —
 //!   only while cutting, which is the one step that must serialize.
 //!
+//! φ is the task size under load and a ceiling otherwise: a dispatcher on
+//! its own cuts at φ and on [`Dispatcher::flush`] only, but inside an engine
+//! an *idle worker* flushes pending rows that have waited [`EARLY_CUT_AGE`]
+//! (see `WorkerContext::cut_aged`), so a slow stream's latency is bounded by
+//! that age instead of by the time φ bytes take to arrive. The dispatcher's
+//! part is to say how old its oldest pending row is
+//! ([`Dispatcher::oldest_pending_age`]) and to arm the task queue's
+//! early-cut deadline when a row starts waiting.
+//!
 //! Window computation is *not* performed here — the task only records the
 //! absolute tuple index / first timestamp of its batches so the execution
 //! stage can derive window boundaries in parallel (deferred window
@@ -26,15 +35,22 @@
 //! window without cross-task state.
 
 use crate::circular::CircularBuffer;
+use crate::queue::TaskQueue;
 use crate::task::QueryTask;
 use parking_lot::{Condvar, Mutex};
 use saber_cpu::exec::StreamBatch;
 use saber_cpu::plan::CompiledPlan;
 use saber_query::WindowSpec;
 use saber_types::{Result, RowBuffer, SaberError};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// τ: how long a pending row waits for its task to fill before an idle
+/// worker cuts an undersized task for it. The bound on window latency a
+/// stream slower than φ per τ pays for batching; streams that fill φ faster,
+/// and any stream while its task-queue shard holds a backlog, never see it.
+pub const EARLY_CUT_AGE: Duration = Duration::from_millis(4);
 
 /// Lock-free ingest front-end of one input stream.
 #[derive(Debug)]
@@ -54,10 +70,13 @@ pub struct StreamIngest {
     pending_from: AtomicU64,
     /// Absolute tuple index of the first pending row (cutter-owned).
     next_row_index: AtomicU64,
-    /// Stage tracing: nanoseconds (from the dispatcher anchor, offset by 1
-    /// so 0 means "nothing pending") at which the oldest still-pending byte
-    /// arrived. Producers CAS it from 0 after an append; the cutter swaps
-    /// it back to 0 when it consumes the pending region.
+    /// Nanoseconds (from the dispatcher anchor, offset by 1 so 0 means
+    /// "nothing pending") at which the oldest still-pending byte arrived.
+    /// Producers CAS it from 0 after an append; the cutter swaps it back to
+    /// 0 when it consumes the pending region, then stamps anew whatever
+    /// arrived while it was cutting (`seal_task`). Invariant the early cut
+    /// rests on: pending rows never sit without a stamp. Feeds the
+    /// `ingest_wait` stage and the workers' early cut.
     first_pending_ns: AtomicU64,
     /// Backs `space_freed`; held only around blocking waits for ring space.
     space: Mutex<()>,
@@ -105,6 +124,14 @@ impl StreamIngest {
     pub fn pending_bytes(&self) -> u64 {
         let head = self.buffer.head();
         head.saturating_sub(self.pending_from.load(Ordering::Acquire))
+    }
+
+    /// Anchor-relative nanoseconds at which the oldest pending row arrived.
+    fn first_pending(&self) -> Option<u64> {
+        match self.first_pending_ns.load(Ordering::Acquire) {
+            0 => None,
+            ns => Some(ns - 1),
+        }
     }
 
     /// Appends whole rows, blocking while the ring lacks space. Space frees
@@ -187,6 +214,10 @@ pub struct Dispatcher {
     /// one cut whose submission into the task queue is still in flight on
     /// another thread.
     tasks_cut: AtomicU64,
+    /// The engine's task queue, whose early-cut deadline this dispatcher
+    /// arms when a row starts waiting. `None` for a dispatcher used on its
+    /// own: nothing then cuts below φ but [`Dispatcher::flush`].
+    early_cut: Option<Arc<TaskQueue>>,
 }
 
 impl Dispatcher {
@@ -222,7 +253,15 @@ impl Dispatcher {
             global_task_ids,
             anchor: Instant::now(),
             tasks_cut: AtomicU64::new(0),
+            early_cut: None,
         }
+    }
+
+    /// Makes every first pending row arm `queue`'s early-cut deadline
+    /// [`EARLY_CUT_AGE`] ahead, waking a parked worker if need be.
+    pub fn arming_early_cuts(mut self, queue: Arc<TaskQueue>) -> Self {
+        self.early_cut = Some(queue);
+        self
     }
 
     /// Total tasks ever cut for this query (see the field docs for the
@@ -257,6 +296,24 @@ impl Dispatcher {
             .iter()
             .map(|s| s.pending_bytes() as usize)
             .sum()
+    }
+
+    /// How long the oldest pending row has waited to be cut into a task;
+    /// `None` while no input holds an arrival stamp. The stamp is placed
+    /// after the append it covers, so a `Some` may briefly outlive rows
+    /// that a concurrent cut already took — callers that act on the age
+    /// check [`Dispatcher::pending_bytes`] too.
+    pub fn oldest_pending_age(&self) -> Option<Duration> {
+        let oldest = self
+            .streams
+            .iter()
+            .filter_map(|s| s.first_pending())
+            .min()?;
+        Some(
+            self.anchor
+                .elapsed()
+                .saturating_sub(Duration::from_nanos(oldest)),
+        )
     }
 
     /// Ingests `bytes` (whole rows) into input `stream`, returning any query
@@ -312,28 +369,41 @@ impl Dispatcher {
                 // an undersized task — the only way space ever frees up.
                 if !self.cut_ready(sink)? {
                     let mut state = self.cutter.lock();
-                    if self.pending_bytes() > 0 {
-                        let task = self.cut_task(&mut state)?;
+                    if let Some(task) = self.flush_locked(&mut state)? {
                         sink(task)?;
                     }
                 }
                 Ok(())
             })?;
-            // Acknowledge the chunk for stage tracing: only the first
-            // producer after a cut pays the (failed-CAS-free) store.
-            let ns = (self.anchor.elapsed().as_nanos() as u64).saturating_add(1);
-            // relaxed-ok: monitoring timestamp; the cutter consumes it
-            // with a swap under the cutter lock, and skew of one sample
-            // only shifts an ingest_wait histogram entry.
-            let _ = input.first_pending_ns.compare_exchange(
-                0,
-                ns,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
+            // Publish-then-look, against the cutter's clear-then-look in
+            // `seal_task`: of a producer that appends while a cut is under
+            // way and the cutter that clears the stamp over those rows, at
+            // least one sees the other, so the rows end up stamped.
+            fence(Ordering::SeqCst);
+            self.stamp_pending(input, Instant::now());
             self.cut_ready(sink)?;
         }
         Ok(())
+    }
+
+    /// Stamps `input`'s pending rows as waiting since `now` unless an older
+    /// stamp already stands for them. Only the first caller after a cut wins
+    /// the CAS, and with it the duty to arm the early-cut deadline — once
+    /// per task, not per ingest.
+    fn stamp_pending(&self, input: &StreamIngest, now: Instant) {
+        let ns = (now.saturating_duration_since(self.anchor).as_nanos() as u64).saturating_add(1);
+        // pairs-with: first_pending — a worker that reads the stamp also
+        // sees the append it was placed after, so the cut it then attempts
+        // finds the rows the stamp stands for.
+        // relaxed-ok: the failure load is discarded — a stamp already there
+        // stands for these rows too.
+        let stamped =
+            input
+                .first_pending_ns
+                .compare_exchange(0, ns, Ordering::Release, Ordering::Relaxed);
+        if let (Ok(_), Some(queue)) = (stamped, &self.early_cut) {
+            queue.arm_early_cut(now + EARLY_CUT_AGE);
+        }
     }
 
     /// Cuts tasks while the φ threshold is met, handing them to `sink`.
@@ -352,19 +422,43 @@ impl Dispatcher {
         Ok(cut_any)
     }
 
-    /// Flushes any remaining pending data into a final (possibly undersized)
-    /// task. Returns `None` if nothing is pending.
+    /// Flushes any remaining pending data into a (possibly undersized) task.
+    /// Returns `None` if nothing is pending.
     pub fn flush(&self) -> Result<Option<QueryTask>> {
-        let mut state = self.cutter.lock();
+        self.flush_locked(&mut self.cutter.lock())
+    }
+
+    /// [`Dispatcher::flush`] for a caller that must not wait: returns `None`
+    /// when another thread holds the cutter lock, too. The cutter runs the
+    /// task sink inline, so a producer can sit on that lock for as long as
+    /// backpressure lasts — waiting for credits only workers return. A
+    /// worker therefore never blocks here (and whoever holds the lock is
+    /// cutting these rows anyway, or has a backlog that puts φ in charge).
+    pub fn try_flush(&self) -> Result<Option<QueryTask>> {
+        match self.cutter.try_lock() {
+            Some(mut state) => self.flush_locked(&mut state),
+            None => Ok(None),
+        }
+    }
+
+    fn flush_locked(&self, state: &mut CutterState) -> Result<Option<QueryTask>> {
         if self.pending_bytes() == 0 {
             return Ok(None);
         }
-        Ok(Some(self.cut_task(&mut state)?))
+        self.cut_task(state).map(Some)
     }
 
     /// Cuts one query task from the pending regions of all inputs. Must be
     /// called with the cutter lock held.
     fn cut_task(&self, state: &mut CutterState) -> Result<QueryTask> {
+        let batches = self.take_pending()?;
+        Ok(self.seal_task(state, batches))
+    }
+
+    /// First half of a cut: copies every input's pending region (up to a
+    /// snapshot of its publish pointer) out of the ring and advances the
+    /// cursors past it. Cutter lock held.
+    fn take_pending(&self) -> Result<Vec<StreamBatch>> {
         let mut batches = Vec::with_capacity(self.streams.len());
         let schemas = self.plan.input_schemas();
         for (idx, input) in self.streams.iter().enumerate() {
@@ -410,6 +504,12 @@ impl Dispatcher {
             input.release_and_notify(new_lookback_start);
             batches.push(batch);
         }
+        Ok(batches)
+    }
+
+    /// Second half of a cut: numbers the task, commits it to `tasks_cut`
+    /// and hands the arrival stamps over to the next task. Cutter lock held.
+    fn seal_task(&self, state: &mut CutterState, batches: Vec<StreamBatch>) -> QueryTask {
         // relaxed-ok: engine-wide task-id allocation only needs uniqueness,
         // which the atomic RMW provides at any ordering.
         let id = self.global_task_ids.fetch_add(1, Ordering::Relaxed);
@@ -433,7 +533,20 @@ impl Dispatcher {
             .min()
             .map(|ns| self.anchor + Duration::from_nanos(ns))
             .unwrap_or(created);
-        Ok(QueryTask {
+        // A producer that appended after `take_pending` snapshotted its
+        // stream's head found the old stamp still in place, so it stamped
+        // and armed nothing — and the swap above has just cleared the stamp
+        // over its rows. They open the next task: their wait starts here.
+        // Clear-then-look, against the producer's publish-then-look in
+        // `ingest_with`; without the pair such rows could sit unstamped,
+        // which no worker would ever act on.
+        fence(Ordering::SeqCst);
+        for input in &self.streams {
+            if input.pending_bytes() > 0 {
+                self.stamp_pending(input, created);
+            }
+        }
+        QueryTask {
             id,
             query_id: self.query_id,
             seq,
@@ -441,7 +554,7 @@ impl Dispatcher {
             batches,
             created,
             ingest_ack,
-        })
+        }
     }
 }
 
@@ -547,6 +660,81 @@ mod tests {
         let t = d.flush().unwrap().unwrap();
         assert_eq!(t.rows(), 10);
         assert!(d.flush().unwrap().is_none());
+    }
+
+    #[test]
+    fn first_pending_row_arms_the_early_cut_once_per_task() {
+        let queue = Arc::new(TaskQueue::with_queries(1));
+        let d = dispatcher(1 << 20).arming_early_cuts(queue.clone());
+        assert!(d.oldest_pending_age().is_none());
+        let before = Instant::now();
+        d.ingest(0, &rows(10, 0)).unwrap();
+        let age = d.oldest_pending_age().unwrap();
+        assert!(age <= before.elapsed());
+        let armed = queue.take_early_cut().unwrap();
+        assert!(armed >= before + EARLY_CUT_AGE);
+        // Rows joining a stamped task neither re-stamp nor re-arm.
+        d.ingest(0, &rows(10, 10)).unwrap();
+        assert!(d.oldest_pending_age().unwrap() >= age);
+        assert!(queue.take_early_cut().is_none());
+        // The cut clears the stamp; the next row starts a new wait.
+        assert_eq!(d.flush().unwrap().unwrap().rows(), 20);
+        assert!(d.oldest_pending_age().is_none());
+        d.ingest(0, &rows(1, 20)).unwrap();
+        assert!(queue.take_early_cut().is_some());
+    }
+
+    #[test]
+    fn rows_appended_during_a_cut_are_stamped_for_the_next_task() {
+        let queue = Arc::new(TaskQueue::with_queries(1));
+        let d = dispatcher(1 << 20).arming_early_cuts(queue.clone());
+        d.ingest(0, &rows(10, 0)).unwrap();
+        assert!(queue.take_early_cut().is_some());
+        // A cut snapshots the head and copies the ten rows out...
+        let mut state = d.cutter.lock();
+        let batches = d.take_pending().unwrap();
+        // ...while a producer appends four more. The first task's stamp is
+        // still in place, so the producer neither stamps nor arms...
+        assert!(d.ingest(0, &rows(4, 10)).unwrap().is_empty());
+        assert!(queue.take_early_cut().is_none());
+        // ...and the cut, clearing that stamp, must not leave the four
+        // without one: nothing but an explicit flush would ever cut them.
+        let task = d.seal_task(&mut state, batches);
+        drop(state);
+        assert_eq!(task.rows(), 10);
+        assert_eq!(d.pending_bytes(), 4 * 16);
+        assert!(d.oldest_pending_age().is_some());
+        assert!(queue.take_early_cut().is_some());
+        assert_eq!(d.try_flush().unwrap().unwrap().rows(), 4);
+        assert!(d.oldest_pending_age().is_none());
+    }
+
+    #[test]
+    fn try_flush_never_waits_behind_a_producer_stuck_in_its_sink() {
+        // The cutter runs the sink inline: a producer waiting for a credit
+        // holds the cutter lock meanwhile. A worker that blocked on it —
+        // holding the credit that producer waits for — would deadlock.
+        let d = Arc::new(dispatcher(64 * 16));
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let producer = {
+            let d = d.clone();
+            std::thread::spawn(move || {
+                d.ingest_with(0, &rows(64, 0), &mut |_task| {
+                    entered_tx.send(()).unwrap();
+                    released.recv().unwrap();
+                    Ok(())
+                })
+            })
+        };
+        entered.recv().unwrap();
+        // Sub-φ rows arrive meanwhile (no cut, so no lock needed)...
+        assert!(d.ingest(0, &rows(10, 64)).unwrap().is_empty());
+        // ...and the non-blocking flush gives up rather than wait.
+        assert!(d.try_flush().unwrap().is_none());
+        release.send(()).unwrap();
+        producer.join().unwrap().unwrap();
+        assert_eq!(d.try_flush().unwrap().unwrap().rows(), 10);
     }
 
     #[test]

@@ -67,7 +67,7 @@ const PHASE_STOPPED: u8 = 2;
 /// [`QueryHandle::remove`] applies the same pattern per query through its
 /// [`QueryGate`].
 #[derive(Debug)]
-struct Lifecycle {
+pub(crate) struct Lifecycle {
     phase: AtomicU8,
     in_flight_ingests: AtomicU64,
 }
@@ -84,7 +84,7 @@ impl Lifecycle {
         self.phase.load(Ordering::SeqCst)
     }
 
-    fn is_running(&self) -> bool {
+    pub(crate) fn is_running(&self) -> bool {
         self.phase() == PHASE_RUNNING
     }
 
@@ -154,7 +154,7 @@ struct EngineCore {
     sharing: SharedWindowRegistry,
     stats: EngineStats,
     device: Arc<GpuDevice>,
-    lifecycle: Lifecycle,
+    lifecycle: Arc<Lifecycle>,
     /// Serializes the two wind-down paths — engine stop and per-query
     /// removal — so a removal can never retire a queue shard out from under
     /// stop's final flush (and vice versa).
@@ -263,7 +263,7 @@ impl Saber {
                 sharing: SharedWindowRegistry::new(),
                 stats: EngineStats::default(),
                 device,
-                lifecycle: Lifecycle::new(),
+                lifecycle: Arc::new(Lifecycle::new()),
                 wind_down: Mutex::new(()),
                 durability,
                 recorder: Arc::new(FlightRecorder::new(256)),
@@ -357,12 +357,7 @@ impl Saber {
     /// plan (one set of input rings, one task-queue shard, one scheduler
     /// row).
     pub fn num_physical_plans(&self) -> usize {
-        self.core
-            .registry
-            .active()
-            .iter()
-            .filter(|s| !s.is_follower())
-            .count()
+        self.core.registry.physical_plans().len()
     }
 
     /// Sharing info for a live query: the id of the physical plan
@@ -679,13 +674,16 @@ impl Saber {
             stats.clone(),
             core.recorder.clone(),
         ));
-        let dispatcher = Arc::new(Dispatcher::new(
-            plan,
-            core.config.query_task_size,
-            core.config.input_buffer_capacity,
-            core.task_ids.clone(),
-            true,
-        ));
+        let dispatcher = Arc::new(
+            Dispatcher::new(
+                plan,
+                core.config.query_task_size,
+                core.config.input_buffer_capacity,
+                core.task_ids.clone(),
+                true,
+            )
+            .arming_early_cuts(core.queue.clone()),
+        );
         core.queue.register_query_at(id);
         let state = Arc::new(QueryState {
             id,
@@ -963,6 +961,7 @@ impl Saber {
             matrix: self.core.matrix.clone(),
             registry: self.core.registry.clone(),
             flow: self.core.flow.clone(),
+            lifecycle: self.core.lifecycle.clone(),
         }
     }
 
@@ -1013,28 +1012,15 @@ impl Saber {
     }
 
     /// Flushes partially filled stream batches of every live query into
-    /// final (undersized) tasks.
+    /// (undersized) tasks. Idle workers do the same for rows that have
+    /// waited [`EARLY_CUT_AGE`](crate::dispatcher::EARLY_CUT_AGE), so this
+    /// is not needed for liveness — it makes the cut point deterministic.
     pub fn flush(&self) -> Result<()> {
-        for state in self.core.registry.active() {
-            // Followers share their anchor's dispatcher; the anchor slot
-            // (live until the plan's last detach) carries the flush.
-            if state.is_follower() {
+        // Followers share their anchor's dispatcher; the anchor slot (live
+        // until the plan's last detach) carries the flush.
+        for state in self.core.registry.physical_plans() {
+            if !state.accepts_cuts() {
                 continue;
-            }
-            if !state.gate.is_accepting() {
-                // Queries mid-removal flush (and drain) themselves;
-                // skipping them here avoids racing the removal's shard
-                // retirement. The exception is an *invisible* shared
-                // anchor: its removal is long done, its followers are the
-                // live consumers, and nobody else can cut its pending rows.
-                let anchored_plan_running = !state.is_visible()
-                    && state
-                        .shared
-                        .as_ref()
-                        .is_some_and(|m| m.plan.num_members() > 0);
-                if !anchored_plan_running {
-                    continue;
-                }
             }
             if let Some(task) = state.dispatcher.flush()? {
                 submit_task(&state.stats, &self.core.flow, &self.core.queue, task);
@@ -1049,12 +1035,8 @@ impl Saber {
     /// concurrently, and a removal that observes the `Stopped` phase skips
     /// its own flush — if stop skipped them too, rows accepted just before
     /// the removal began would be stranded in the ring and silently lost.
-    /// (Followers are skipped: their anchor's slot owns the dispatcher.)
     fn flush_all(&self) -> Result<()> {
-        for state in self.core.registry.active() {
-            if state.is_follower() {
-                continue;
-            }
+        for state in self.core.registry.physical_plans() {
             if let Some(task) = state.dispatcher.flush()? {
                 submit_task(&state.stats, &self.core.flow, &self.core.queue, task);
             }
@@ -1723,10 +1705,20 @@ fn ingest_into(core: &EngineCore, state: &QueryState, stream: usize, bytes: &[u8
 /// Admits one cut task into the queue, blocking on the credit gate while the
 /// queue is saturated.
 fn submit_task(stats: &QueryStats, flow: &FlowControl, queue: &TaskQueue, task: QueryTask) {
-    // relaxed-ok: monitoring counter, read only for stats display.
-    stats.tasks_created.fetch_add(1, Ordering::Relaxed);
     let waited = flow.acquire();
     stats.record_backpressure(waited);
+    admit_task(stats, flow, queue, task);
+}
+
+/// Pushes a cut task whose credit the caller already holds.
+pub(crate) fn admit_task(
+    stats: &QueryStats,
+    flow: &FlowControl,
+    queue: &TaskQueue,
+    task: QueryTask,
+) {
+    // relaxed-ok: monitoring counter, read only for stats display.
+    stats.tasks_created.fetch_add(1, Ordering::Relaxed);
     if !queue.push(task) {
         // The query's shard was retired while this submission was in flight
         // — possible only when an ingest outlived an unclean (timed-out)
@@ -2126,16 +2118,133 @@ mod tests {
         let query = engine.add_query(q).unwrap();
         engine.start().unwrap();
         let handle = query.ingest_handle(StreamId(0)).unwrap();
-        // Far less than a task's worth of data: without a flush no task is
-        // ever cut, so nothing can have been emitted.
+        // Far less than a task's worth of data: the flush cuts it now
+        // (whether or not an idle worker already took some of it), so once
+        // the engine has drained every row is out.
         handle.ingest(&data(8, 0)).unwrap();
-        assert_eq!(query.tuples_emitted(), 0);
         handle.flush().unwrap();
         assert!(engine.drain(Duration::from_secs(10)));
         assert_eq!(query.tuples_emitted(), 8);
         engine.stop().unwrap();
         // Stopped engines invalidate flush exactly like ingest.
         assert!(handle.flush().is_err());
+    }
+
+    #[test]
+    fn idle_worker_cuts_aged_rows_without_a_flush() {
+        // Default φ (1 MB) and 8 rows: no producer will ever fill the task,
+        // and nobody flushes. The idle worker must cut it on its own.
+        let mut engine = Saber::with_config(EngineConfig {
+            worker_threads: 1,
+            execution_mode: ExecutionMode::CpuOnly,
+            ..EngineConfig::default()
+        })
+        .unwrap();
+        let q = QueryBuilder::new("proj", schema())
+            .count_window(4, 4)
+            .project(vec![(Expr::column(0), "timestamp")])
+            .build()
+            .unwrap();
+        let query = engine.add_query(q).unwrap();
+        engine.start().unwrap();
+        query.ingest(StreamId(0), &data(8, 0)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while query.tuples_emitted() < 8 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            assert_eq!(query.wait_for_window(left), WindowWait::Ready);
+            let _ = query.take_rows();
+        }
+        assert_eq!(query.tuples_emitted(), 8);
+        let stats = query.stats().snapshot();
+        assert!(stats.tasks_cut_early >= 1);
+        assert_eq!(stats.tasks_cut_early, stats.tasks_created);
+        engine.stop().unwrap();
+    }
+
+    #[test]
+    fn a_backlogged_plan_is_cut_at_the_task_size_only() {
+        // Saturation: one worker that the test lets finish one task at a
+        // time, and only while another task is queued behind it — so every
+        // time the worker looks for work its shard is non-empty. Pending
+        // sub-φ rows age well past τ meanwhile; none may be cut early.
+        const TASK: usize = 16 * 1024;
+        const ROWS_PER_TASK: usize = TASK / 16;
+        let mut engine = Saber::with_config(EngineConfig {
+            worker_threads: 1,
+            query_task_size: TASK,
+            execution_mode: ExecutionMode::CpuOnly,
+            max_queued_tasks: 4,
+            ..EngineConfig::default()
+        })
+        .unwrap();
+        let query = engine.add_query_with_options(projection(), false).unwrap();
+        // The "slow query": the worker blocks in the sink callback until
+        // the test hands it a permit.
+        let (entered_tx, entered) = std::sync::mpsc::channel::<()>();
+        let (permit, permits) = std::sync::mpsc::channel::<()>();
+        let permits = std::sync::Mutex::new(permits);
+        query.sink().subscribe(move |_| {
+            let _ = entered_tx.send(());
+            let _ = permits.lock().unwrap().recv();
+        });
+        engine.start().unwrap();
+        // Two full tasks, each cut at φ by its own ingest call with nothing
+        // left pending. The worker takes the first and blocks.
+        for _ in 0..2 {
+            query.ingest(StreamId(0), &data(ROWS_PER_TASK, 0)).unwrap();
+        }
+        let producer = {
+            let handle = query.ingest_handle(StreamId(0)).unwrap();
+            std::thread::spawn(move || {
+                let batch = data(ROWS_PER_TASK / 4, 0);
+                let mut sent = 0;
+                loop {
+                    match handle.ingest(&batch) {
+                        Ok(()) => sent += ROWS_PER_TASK / 4,
+                        Err(_) => return sent,
+                    }
+                }
+            })
+        };
+        let long = Duration::from_secs(30);
+        let mut released = 0u64;
+        while released < 12 {
+            entered.recv_timeout(long).unwrap();
+            // Release the worker only with a task queued behind the one it
+            // holds, and only after the pending rows have aged.
+            let deadline = Instant::now() + long;
+            while query.queued_tasks() == 0 {
+                assert!(
+                    Instant::now() < deadline,
+                    "producer never refilled the queue"
+                );
+                std::thread::yield_now();
+            }
+            std::thread::sleep(2 * crate::dispatcher::EARLY_CUT_AGE);
+            permit.send(()).unwrap();
+            released += 1;
+        }
+        entered.recv_timeout(long).unwrap();
+        let stats = query.stats().snapshot();
+        assert_eq!(stats.tasks_cut_early, 0);
+        // Every released task was a full φ: batches are φ/4 and a cut takes
+        // whatever is pending once that reaches φ.
+        assert_eq!(
+            query.tuples_emitted(),
+            (released + 1) * ROWS_PER_TASK as u64
+        );
+        let (waits, _) = engine.backpressure_stats();
+        assert!(waits > 0, "the producer should have hit the credit gate");
+        // A closed permit channel turns the callback into a pass-through;
+        // stop() then rejects the producer and drains what it was given.
+        drop(permit);
+        engine.stop().unwrap();
+        let sent = producer.join().unwrap();
+        assert_eq!(
+            query.tuples_emitted(),
+            (2 * ROWS_PER_TASK + sent) as u64,
+            "every accepted row is processed"
+        );
     }
 
     fn sql_catalog() -> saber_sql::Catalog {

@@ -90,6 +90,22 @@ impl FlowControl {
         waited
     }
 
+    /// Takes one credit only if one is free right now; never blocks. This is
+    /// the only acquisition a *worker* may make: credits are returned by
+    /// workers alone, so a worker blocking in [`FlowControl::acquire`] could
+    /// wait on itself forever.
+    pub fn try_acquire(&self) -> bool {
+        let mut outstanding = self.outstanding.lock();
+        if *outstanding >= self.capacity {
+            return false;
+        }
+        *outstanding += 1;
+        drop(outstanding);
+        // relaxed-ok: monitoring counter, read only by wait_stats displays.
+        self.acquisitions.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
     /// Returns one credit and wakes blocked producers/drainers.
     pub fn release(&self) {
         let mut outstanding = self.outstanding.lock();
@@ -158,8 +174,13 @@ mod tests {
             assert_eq!(flow.acquire(), Duration::ZERO);
         }
         assert_eq!(flow.outstanding(), 3);
+        // A saturated gate refuses the non-blocking form instead of waiting.
+        assert!(!flow.try_acquire());
         flow.release();
         assert_eq!(flow.outstanding(), 2);
+        assert!(flow.try_acquire());
+        assert_eq!(flow.outstanding(), 3);
+        assert_eq!(flow.total_acquisitions(), 4);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!    cuts a [`task::QueryTask`] (window computation is deferred to the
 //!    task itself) and admits it — gated by the [`flow::FlowControl`]
 //!    credit gate, which blocks producers precisely while the queue is
-//!    saturated — into the per-query sharded [`queue::TaskQueue`].
+//!    saturated — into the per-query sharded [`queue::TaskQueue`]. Rows
+//!    that have waited [`dispatcher::EARLY_CUT_AGE`] for that are cut into
+//!    an undersized task by an idle worker instead ([`worker`]).
 //! 2. **Scheduling stage** — idle workers pick tasks through the configured
 //!    [`scheduler::SchedulingPolicyKind`]: HLS (Alg. 1), FCFS or Static.
 //!    HLS scans the O(#queries) sub-queue heads instead of a global list.

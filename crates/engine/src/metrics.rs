@@ -67,6 +67,9 @@ pub struct QueryStats {
     pub bytes_in: AtomicU64,
     /// Query tasks created by the dispatcher.
     pub tasks_created: AtomicU64,
+    /// Of those, tasks an idle worker cut below φ because their oldest row
+    /// had waited `EARLY_CUT_AGE` (counted on the physical plan's query).
+    pub tasks_cut_early: AtomicU64,
     /// Tasks executed on CPU workers.
     pub tasks_cpu: AtomicU64,
     /// Tasks executed on the accelerator.
@@ -91,6 +94,7 @@ impl QueryStats {
             tuples_in: self.tuples_in.load(Ordering::Relaxed),
             bytes_in: self.bytes_in.load(Ordering::Relaxed),
             tasks_created: self.tasks_created.load(Ordering::Relaxed),
+            tasks_cut_early: self.tasks_cut_early.load(Ordering::Relaxed),
             tasks_cpu: self.tasks_cpu.load(Ordering::Relaxed),
             tasks_gpu: self.tasks_gpu.load(Ordering::Relaxed),
             tuples_out: self.tuples_out.load(Ordering::Relaxed),
@@ -162,6 +166,8 @@ pub struct StatsSnapshot {
     pub bytes_in: u64,
     /// Query tasks created by the dispatcher.
     pub tasks_created: u64,
+    /// Of those, undersized tasks cut by an idle worker for aged rows.
+    pub tasks_cut_early: u64,
     /// Tasks executed on CPU workers.
     pub tasks_cpu: u64,
     /// Tasks executed on the accelerator.

@@ -13,7 +13,12 @@
 //! arrival" and HLS walks heads in true queue order.
 //!
 //! The queue also carries the engine's shutdown signal so that parked
-//! workers wake up promptly.
+//! workers wake up promptly, and the *early-cut deadline*: the instant at
+//! which the oldest pending (not yet dispatched) row of any query will have
+//! waited long enough for an idle worker to cut it into an undersized task
+//! (see [`crate::dispatcher::EARLY_CUT_AGE`]). Parked workers sleep no
+//! later than that deadline; nothing is armed while nothing is pending, so
+//! an idle engine wakes only once per 20 ms park slice.
 
 use crate::task::QueryTask;
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -21,6 +26,9 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Longest single park of a worker waiting for a task.
+const PARK_SLICE: Duration = Duration::from_millis(20);
 
 /// Scheduler-visible snapshot of one non-empty sub-queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +81,7 @@ impl Shard {
 /// removed: retired slots keep their index (query ids are never reused) but
 /// are skipped by head snapshots and reject lookups, so scheduler scans stay
 /// O(#live queries) under query churn.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TaskQueue {
     shards: RwLock<Vec<Option<Arc<Shard>>>>,
     /// Global FIFO stamp source.
@@ -88,6 +96,40 @@ pub struct TaskQueue {
     shutdown: AtomicBool,
     enqueued: AtomicU64,
     dequeued: AtomicU64,
+    /// Reference instant of `early_cut_at`.
+    epoch: Instant,
+    /// Earliest armed early-cut deadline in nanoseconds since `epoch`;
+    /// `u64::MAX` while none is armed. Lowered by producers
+    /// ([`TaskQueue::arm_early_cut`]), reset by the worker that acts on it
+    /// ([`TaskQueue::take_early_cut`]), read by parking workers under the
+    /// sleep lock.
+    early_cut_at: AtomicU64,
+    /// Number of times a worker parked in [`TaskQueue::take_with`]; like
+    /// the next one, a slow-path count the unit tests pin the park protocol
+    /// with (no fixed-period poll, one hand-on per queue version).
+    parks: AtomicU64,
+    /// Number of wakes a declining worker handed on to another.
+    wakes_passed_on: AtomicU64,
+}
+
+impl Default for TaskQueue {
+    fn default() -> Self {
+        Self {
+            shards: RwLock::default(),
+            arrivals: AtomicU64::new(0),
+            len: AtomicUsize::new(0),
+            max_depth: AtomicUsize::new(0),
+            sleep: Mutex::new(()),
+            not_empty: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            enqueued: AtomicU64::new(0),
+            dequeued: AtomicU64::new(0),
+            epoch: Instant::now(),
+            early_cut_at: AtomicU64::new(u64::MAX),
+            parks: AtomicU64::new(0),
+            wakes_passed_on: AtomicU64::new(0),
+        }
+    }
 }
 
 impl TaskQueue {
@@ -240,6 +282,47 @@ impl TaskQueue {
         self.dequeued.load(Ordering::Relaxed)
     }
 
+    #[cfg(test)]
+    fn total_parks(&self) -> u64 {
+        self.parks.load(Ordering::Relaxed)
+    }
+
+    #[cfg(test)]
+    fn total_wakes_passed_on(&self) -> u64 {
+        self.wakes_passed_on.load(Ordering::Relaxed)
+    }
+
+    /// Arms the early-cut deadline: no worker parks past `at` from now on.
+    /// Called by the producer that stamps a query's first pending row (once
+    /// per task, not per ingest) and by a worker re-arming what its scan
+    /// left pending. A parked worker is woken only when `at` is earlier
+    /// than the deadline already armed — later ones it will meet anyway.
+    pub fn arm_early_cut(&self, at: Instant) {
+        let ns = at.saturating_duration_since(self.epoch).as_nanos() as u64;
+        // AcqRel: the lowered deadline is read back by `take_with` (under
+        // the sleep lock) and consumed by `take_early_cut`, whose caller
+        // must then see the pending stamp this producer wrote before arming.
+        let armed = self.early_cut_at.fetch_min(ns, Ordering::AcqRel);
+        if ns < armed {
+            // Same discipline as `push`: a worker holds the sleep lock from
+            // reading the deadline until it is parked, so either it read
+            // the new value or this notify finds it waiting.
+            drop(self.sleep.lock());
+            self.not_empty.notify_one();
+        }
+    }
+
+    /// Disarms the early-cut deadline and returns it. The worker that calls
+    /// this owns the follow-up: it scans every query with pending rows and
+    /// re-arms for whatever it does not cut.
+    pub fn take_early_cut(&self) -> Option<Instant> {
+        self.deadline_at(self.early_cut_at.swap(u64::MAX, Ordering::AcqRel))
+    }
+
+    fn deadline_at(&self, ns: u64) -> Option<Instant> {
+        (ns != u64::MAX).then(|| self.epoch + Duration::from_nanos(ns))
+    }
+
     /// Signals shutdown and wakes all parked workers.
     pub fn signal_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
@@ -293,17 +376,22 @@ impl TaskQueue {
     /// `timeout` while nothing selectable is queued. `select` receives the
     /// non-empty sub-queue heads in arrival order and returns the index of
     /// the head to pop (or `None` to decline all currently queued tasks).
+    /// Also returns `None` as soon as an armed early-cut deadline has
+    /// passed, so the calling worker can act on it.
     pub fn take_with<F>(&self, timeout: Duration, mut select: F) -> Option<QueryTask>
     where
         F: FnMut(&[TaskHead]) -> Option<usize>,
     {
         let deadline = Instant::now() + timeout;
         let mut heads = Vec::new();
+        // Queue version at which this call last declined queued tasks.
+        let mut declined_at = None;
         loop {
             // Version check: a push between our snapshot and our wait bumps
             // `enqueued`, which we re-check under the sleep lock below.
             let version = self.enqueued.load(Ordering::Acquire);
             self.snapshot_heads(&mut heads);
+            let mut pass_wake_on = false;
             if !heads.is_empty() {
                 if let Some(idx) = select(&heads) {
                     let head = heads.get(idx)?;
@@ -313,6 +401,12 @@ impl TaskQueue {
                     // Raced with another worker; rescan immediately.
                     continue;
                 }
+                // Declined (HLS leaves these tasks to the other processor).
+                // `push` wakes one worker per task; if this one swallowed
+                // that wake, a worker who would run the task sleeps on. So
+                // hand it on — once per queue version, which is what keeps
+                // two decliners from waking each other forever.
+                pass_wake_on = declined_at.replace(version) != Some(version);
             }
             if self.is_shutdown() {
                 return None;
@@ -325,8 +419,21 @@ impl TaskQueue {
             if self.enqueued.load(Ordering::Acquire) != version {
                 continue; // new task arrived while scanning
             }
+            // Read under the sleep lock (see `arm_early_cut`).
+            let early_cut = self.deadline_at(self.early_cut_at.load(Ordering::Acquire));
+            let until = early_cut.map_or(deadline, |at| at.min(deadline));
+            if until <= now {
+                return None;
+            }
+            if pass_wake_on {
+                // relaxed-ok: a count read by unit tests only.
+                self.wakes_passed_on.fetch_add(1, Ordering::Relaxed);
+                self.not_empty.notify_one();
+            }
+            // relaxed-ok: a count read by unit tests only.
+            self.parks.fetch_add(1, Ordering::Relaxed);
             self.not_empty
-                .wait_for(&mut guard, (deadline - now).min(Duration::from_millis(20)));
+                .wait_for(&mut guard, (until - now).min(PARK_SLICE));
         }
     }
 }
@@ -491,6 +598,66 @@ mod tests {
         assert_eq!(t.unwrap().id, 9);
         // Woken promptly after the push, well before the 5 s timeout.
         assert!(elapsed < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn a_declined_wake_is_handed_on_once_per_queue_version() {
+        let q = TaskQueue::with_queries(1);
+        q.push(task(0, 0));
+        // Three slices of declining the same queued task: the wake its
+        // push spent on this waiter goes to another one, once.
+        assert!(q.take_with(3 * PARK_SLICE, |_| None).is_none());
+        assert_eq!(q.total_wakes_passed_on(), 1);
+        // A new task is a new wake to hand on.
+        q.push(task(1, 0));
+        assert!(q.take_with(PARK_SLICE, |_| None).is_none());
+        assert_eq!(q.total_wakes_passed_on(), 2);
+        // A waiter that takes what is queued has nothing to hand on.
+        assert_eq!(q.take_with(PARK_SLICE, |_| Some(0)).unwrap().id, 0);
+        assert_eq!(q.total_wakes_passed_on(), 2);
+    }
+
+    #[test]
+    fn an_idle_queue_parks_its_waiter_once_per_slice() {
+        // Nothing pending, nothing armed: three slices of waiting are three
+        // parks (a spurious condvar wake may add one), not a poll.
+        let q = TaskQueue::with_queries(1);
+        assert!(q.take_with(3 * PARK_SLICE, |_| Some(0)).is_none());
+        assert!((3..=4).contains(&q.total_parks()), "{}", q.total_parks());
+        // A deadline armed beyond the horizon does not add wakeups either.
+        q.arm_early_cut(Instant::now() + Duration::from_secs(3600));
+        assert!(q.take_with(3 * PARK_SLICE, |_| Some(0)).is_none());
+        assert!((6..=8).contains(&q.total_parks()), "{}", q.total_parks());
+    }
+
+    #[test]
+    fn an_earlier_early_cut_deadline_wakes_a_parked_waiter() {
+        let q = Arc::new(TaskQueue::with_queries(1));
+        let far = Instant::now() + Duration::from_secs(3600);
+        q.arm_early_cut(far);
+        let waiter = {
+            let q = q.clone();
+            std::thread::spawn(move || {
+                let started = Instant::now();
+                let task = q.take_with(Duration::from_secs(60), |_| Some(0));
+                (task, started.elapsed())
+            })
+        };
+        while q.total_parks() == 0 {
+            std::thread::yield_now();
+        }
+        // A later deadline than the armed one is not news; an earlier one
+        // is, and one already due sends the waiter back empty-handed.
+        q.arm_early_cut(far + Duration::from_secs(1));
+        q.arm_early_cut(Instant::now());
+        let (task, elapsed) = waiter.join().unwrap();
+        assert!(task.is_none());
+        assert!(elapsed < Duration::from_secs(30), "{elapsed:?}");
+        // The deadline stays armed until a worker takes it (and with it the
+        // duty to re-arm whatever it leaves pending).
+        assert!(q.take_with(Duration::from_secs(60), |_| Some(0)).is_none());
+        assert!(q.take_early_cut().is_some_and(|at| at < far));
+        assert!(q.take_early_cut().is_none());
     }
 
     #[test]

@@ -71,6 +71,21 @@ impl QueryState {
     pub(crate) fn is_visible(&self) -> bool {
         self.visible.load(Ordering::SeqCst)
     }
+
+    /// True while anyone may cut this query's pending rows into a task.
+    /// A closed gate means a removal is flushing and draining the query
+    /// itself, and a cut racing its shard retirement would be dropped. The
+    /// exception is an *invisible* shared anchor: its removal is long done,
+    /// its followers are the live consumers, and nobody else can cut the
+    /// rows they ingest.
+    pub(crate) fn accepts_cuts(&self) -> bool {
+        self.gate.is_accepting()
+            || (!self.is_visible()
+                && self
+                    .shared
+                    .as_ref()
+                    .is_some_and(|m| m.plan.num_members() > 0))
+    }
 }
 
 /// Per-query ingest gate: the same inc-then-check permit counter that makes
@@ -223,6 +238,20 @@ impl QueryRegistry {
     /// All live query states, in id order.
     pub(crate) fn active(&self) -> Vec<Arc<QueryState>> {
         self.slots.read().iter().flatten().cloned().collect()
+    }
+
+    /// The live states that own physical machinery — private queries and
+    /// shared-plan anchors, one per dispatcher — in id order. Followers
+    /// share their anchor's dispatcher, so whoever walks dispatchers walks
+    /// this: O(#physical plans), not O(#logical queries).
+    pub(crate) fn physical_plans(&self) -> Vec<Arc<QueryState>> {
+        self.slots
+            .read()
+            .iter()
+            .flatten()
+            .filter(|s| !s.is_follower())
+            .cloned()
+            .collect()
     }
 
     /// Total ids ever reserved (live + removed + abandoned registrations).

@@ -50,6 +50,12 @@ impl std::fmt::Debug for Callbacks {
     }
 }
 
+#[derive(Debug, Default)]
+struct Appends {
+    generation: u64,
+    waiters: usize,
+}
+
 #[derive(Debug)]
 struct SinkInner {
     schema: SchemaRef,
@@ -66,9 +72,10 @@ struct SinkInner {
     buffered: AtomicUsize,
     /// Set once: no further windows will be appended.
     closed: AtomicBool,
-    /// Append generation counter; the mutex backs `appended` so wakeups
+    /// Append generation counter and the number of parked
+    /// `wait_for_window` callers; the mutex backs `appended` so wakeups
     /// cannot be lost between a waiter's readiness check and its wait.
-    appends: Mutex<u64>,
+    appends: Mutex<Appends>,
     appended: Condvar,
     callbacks: Mutex<Callbacks>,
     next_subscription: AtomicU64,
@@ -93,7 +100,7 @@ impl QuerySink {
                 bytes: AtomicU64::new(0),
                 buffered: AtomicUsize::new(0),
                 closed: AtomicBool::new(false),
-                appends: Mutex::new(0),
+                appends: Mutex::new(Appends::default()),
                 appended: Condvar::new(),
                 callbacks: Mutex::new(Callbacks::default()),
                 next_subscription: AtomicU64::new(0),
@@ -129,13 +136,18 @@ impl QuerySink {
             // way for display).
             self.inner.buffered.store(buf.len(), Ordering::Release);
         }
-        {
+        let waiters = {
             // Taking the lock (even briefly) orders this append against any
             // waiter that checked readiness and is about to park.
-            let mut generation = self.inner.appends.lock();
-            *generation += 1;
+            let mut appends = self.inner.appends.lock();
+            appends.generation += 1;
+            appends.waiters
+        };
+        // A futex wake is a syscall even with nobody waiting; a shared plan
+        // appends to every follower's sink per window batch.
+        if waiters > 0 {
+            self.inner.appended.notify_all();
         }
-        self.inner.appended.notify_all();
         // Callbacks run on the appending (worker) thread and must be cheap;
         // they may not subscribe/unsubscribe reentrantly.
         let callbacks = self.inner.callbacks.lock();
@@ -158,10 +170,10 @@ impl QuerySink {
         // `Duration::MAX`-style timeouts overflow `Instant` arithmetic;
         // treat them as "no deadline" instead of panicking.
         let deadline = Instant::now().checked_add(timeout);
-        let mut generation = self.inner.appends.lock();
-        let entered_at = *generation;
+        let mut appends = self.inner.appends.lock();
+        let entered_at = appends.generation;
         loop {
-            if self.inner.buffered.load(Ordering::Acquire) > 0 || *generation != entered_at {
+            if self.inner.buffered.load(Ordering::Acquire) > 0 || appends.generation != entered_at {
                 return WindowWait::Ready;
             }
             if self.inner.closed.load(Ordering::SeqCst) {
@@ -173,11 +185,15 @@ impl QuerySink {
                     if now >= deadline {
                         return WindowWait::TimedOut;
                     }
-                    self.inner
-                        .appended
-                        .wait_for(&mut generation, deadline - now);
+                    appends.waiters += 1;
+                    self.inner.appended.wait_for(&mut appends, deadline - now);
+                    appends.waiters -= 1;
                 }
-                None => self.inner.appended.wait(&mut generation),
+                None => {
+                    appends.waiters += 1;
+                    self.inner.appended.wait(&mut appends);
+                    appends.waiters -= 1;
+                }
             }
         }
     }

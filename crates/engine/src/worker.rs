@@ -6,18 +6,26 @@
 //! accelerator worker through the five-stage pipeline of `saber_gpu`),
 //! records the observed throughput in the matrix, and enters the result stage
 //! to reorder and assemble results.
+//!
+//! Workers also make dispatch *work-conserving*: one that finds nothing
+//! runnable cuts the pending rows that have waited
+//! [`EARLY_CUT_AGE`] into undersized tasks (`WorkerContext::cut_aged`)
+//! instead of idling until they add up to φ.
 
+use crate::dispatcher::EARLY_CUT_AGE;
+use crate::engine::{admit_task, Lifecycle};
 use crate::flow::FlowControl;
 use crate::queue::TaskQueue;
-use crate::registry::QueryRegistry;
+use crate::registry::{QueryRegistry, QueryState};
 use crate::scheduler::{Processor, Scheduler};
-use crate::task::TaskStamps;
+use crate::task::{QueryTask, TaskStamps};
 use crate::throughput::ThroughputMatrix;
 use saber_cpu::{CompiledPlan, CpuExecutor, StreamBatch, TaskOutput};
 use saber_gpu::pipeline::{GpuPipeline, PipelineJob, PipelineResult};
 use saber_gpu::GpuDevice;
 use saber_types::{Result, RowBuffer};
 use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -35,6 +43,8 @@ pub struct WorkerContext {
     /// Admission-control gate: every finished task returns its credit here,
     /// waking producers blocked on backpressure.
     pub flow: Arc<FlowControl>,
+    /// The engine's phase: early cuts happen only while it is running.
+    pub(crate) lifecycle: Arc<Lifecycle>,
 }
 
 impl WorkerContext {
@@ -59,6 +69,86 @@ impl WorkerContext {
         // later tasks (and the removal/stop drain loops) are not blocked.
         let _ = state.runtime.submit(seq, output, stamps);
         self.flow.release();
+    }
+
+    /// Picks the next task for `processor`, parking for up to `timeout`;
+    /// a worker that comes back empty-handed cuts aged pending rows before
+    /// its caller parks it again.
+    fn next_task(&self, processor: Processor, timeout: Duration) -> Option<QueryTask> {
+        let task = self.scheduler.next_task(&self.queue, processor, timeout);
+        if task.is_none() {
+            self.cut_aged();
+        }
+        task
+    }
+
+    /// The work-conserving cut. Called by a worker with nothing runnable —
+    /// the early-cut deadline passed or its park slice ran out — it cuts
+    /// every physical plan whose oldest pending row has waited
+    /// [`EARLY_CUT_AGE`] and re-arms the deadline for the rest. One walk
+    /// over the physical plans; followers share their anchor's dispatcher.
+    ///
+    /// Loss-freeness is `flush()`'s: the cut commits `tasks_cut` under the
+    /// cutter lock and is pushed through [`TaskQueue::push`], so removal and
+    /// stop drains see it like any other. They own the *final* cut, though:
+    /// a stopped engine or a query mid-removal is left to them.
+    fn cut_aged(&self) {
+        // Disarm first: a producer arming during the walk lowers the fresh
+        // slot, and everything this walk leaves pending is re-armed below.
+        self.queue.take_early_cut();
+        if !self.lifecycle.is_running() {
+            return;
+        }
+        let now = Instant::now();
+        for state in self.registry.physical_plans() {
+            let Some(age) = state.dispatcher.oldest_pending_age() else {
+                continue;
+            };
+            if !state.accepts_cuts() {
+                continue;
+            }
+            if age < EARLY_CUT_AGE {
+                self.queue.arm_early_cut(now + (EARLY_CUT_AGE - age));
+            } else if state.dispatcher.pending_bytes() > 0 && !self.try_cut(&state) {
+                // A backlog or a busy cutter is in the way: look again once
+                // it had time to clear (the φ cut stays in charge meanwhile).
+                self.queue.arm_early_cut(now + EARLY_CUT_AGE);
+            }
+        }
+    }
+
+    /// Cuts `state`'s pending rows into a task unless a backlog says the
+    /// plan is not starved: tasks still queued in its shard, or no free
+    /// credit. Nothing here may block: credits come back only from workers,
+    /// so a worker waiting for one — or for the cutter lock, which a
+    /// producer holds *while* it waits for a credit — could wait on itself.
+    /// Returns false when aged rows are left pending, for the caller to
+    /// look at again: no producer will arm a deadline for them any more.
+    fn try_cut(&self, state: &QueryState) -> bool {
+        if self.queue.depth(state.id) > 0 || !self.flow.try_acquire() {
+            return false;
+        }
+        match state.dispatcher.try_flush() {
+            Ok(Some(task)) => {
+                // relaxed-ok: monitoring counter, read only for stats display.
+                state.stats.tasks_cut_early.fetch_add(1, Ordering::Relaxed);
+                admit_task(&state.stats, &self.flow, &self.queue, task);
+                true
+            }
+            // Either another cutter took the rows first, or a producer
+            // holds the cutter lock and they are still there.
+            Ok(None) => {
+                self.flow.release();
+                state.dispatcher.pending_bytes() == 0
+            }
+            // A ring read failed with the rows left pending. A worker has
+            // nobody to report to; the next φ cut or `flush` hits the same
+            // error and hands it to a caller who can act on it.
+            Err(_) => {
+                self.flow.release();
+                false
+            }
+        }
     }
 }
 
@@ -92,10 +182,7 @@ fn run_worker(
     execute: impl Fn(&CompiledPlan, &[StreamBatch]) -> Result<TaskOutput>,
 ) {
     loop {
-        match ctx
-            .scheduler
-            .next_task(&ctx.queue, processor, Duration::from_millis(20))
-        {
+        match ctx.next_task(processor, Duration::from_millis(20)) {
             Some(task) => {
                 let popped = Instant::now();
                 let started = Instant::now();
@@ -160,7 +247,7 @@ fn run_gpu_worker_pipelined(ctx: WorkerContext, device: Arc<GpuDevice>, depth: u
             } else {
                 Duration::from_millis(1)
             };
-            match ctx.scheduler.next_task(&ctx.queue, Processor::Gpu, timeout) {
+            match ctx.next_task(Processor::Gpu, timeout) {
                 Some(task) => {
                     let plan = task.plan.clone();
                     let job = PipelineJob {

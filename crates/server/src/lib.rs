@@ -213,10 +213,20 @@ struct Notifier {
 }
 
 impl Notifier {
-    fn wake(&self) {
+    /// Marks the broadcaster due. Only the wake that finds the flag clear
+    /// notifies (and returns true): the broadcaster clears it under this
+    /// mutex before it drains, so a set flag means a pass that will see the
+    /// caller's rows is already owed — and a futex wake is a syscall even
+    /// with nobody waiting, which a shared plan would pay once per follower
+    /// per window batch.
+    fn wake(&self) -> bool {
         let mut dirty = self.dirty.lock().unwrap_or_else(|p| p.into_inner());
-        *dirty = true;
-        self.cv.notify_all();
+        let notify = !*dirty;
+        if notify {
+            *dirty = true;
+            self.cv.notify_all();
+        }
+        notify
     }
 
     /// Blocks until woken or `timeout` elapses, consuming the wake flag.
@@ -526,7 +536,9 @@ fn register_query_slot(
     // The push hook: every closed window wakes the broadcaster, which
     // blocks on the notifier in between.
     let notifier = notifier.clone();
-    handle.sink().subscribe(move |_rows| notifier.wake());
+    handle.sink().subscribe(move |_rows| {
+        notifier.wake();
+    });
     if st.queries.len() <= id {
         st.queries.resize_with(id + 1, || None);
     }
@@ -782,6 +794,12 @@ fn render_metrics(shared: &Arc<Shared>) -> String {
             "Query tasks cut by the dispatcher for this query.",
             &labels,
             snap.tasks_created as f64,
+        );
+        w.counter(
+            "saber_query_tasks_cut_early_total",
+            "Of those, undersized tasks an idle worker cut for rows that had waited the early-cut age.",
+            &labels,
+            snap.tasks_cut_early as f64,
         );
         w.counter(
             "saber_query_tasks_total",
@@ -1421,6 +1439,11 @@ fn broadcast_loop(shared: Arc<Shared>) {
                     *slot = None;
                     continue;
                 }
+                // Taking swaps a freshly allocated buffer in: not worth it
+                // for a sink that buffered nothing since the last pass.
+                if reg.handle.sink().buffered_rows() == 0 {
+                    continue;
+                }
                 let rows = reg.handle.take_rows();
                 if rows.is_empty() || reg.subscribers.is_empty() {
                     // Windows closed before anyone subscribed are dropped;
@@ -1472,5 +1495,24 @@ fn broadcast_loop(shared: Arc<Shared>) {
         // Block until a sink push, subscription, drop or shutdown wakes us.
         // The bounded wait is a safety net against a lost wake, not a poll.
         shared.notifier.wait(Duration::from_millis(500));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_burst_of_wakes_notifies_once_per_broadcaster_pass() {
+        let notifier = Notifier::default();
+        // 100 followers' hooks firing for one window batch: one notify.
+        let notified = (0..100).filter(|_| notifier.wake()).count();
+        assert_eq!(notified, 1);
+        // The pending flag makes the broadcaster's wait return at once (the
+        // hour is how long a lost wake would hang this test)...
+        notifier.wait(Duration::from_secs(3600));
+        // ...and consuming it re-arms the notification for the next burst.
+        assert!(notifier.wake());
+        assert!(!notifier.wake());
     }
 }

@@ -153,35 +153,137 @@ fn selection_with_aggregation_and_having_matches_reference() {
     assert_eq!(got.len(), expected.len());
 }
 
+/// Where the tasks of one run are cut: at φ = `task_size` bytes, plus —
+/// with a seed — a `flush()` after a pseudo-random third of the ingest
+/// calls. (Idle workers add early cuts of their own, at points no test
+/// controls: that is the point.)
+#[derive(Debug, Clone, Copy)]
+struct CutPoints {
+    task_size: usize,
+    flush_seed: Option<u64>,
+}
+
+/// Feeds `inputs` (one per stream, alternating in `chunk_rows` pieces, as a
+/// source with aligned streams would) through a fresh engine.
+fn run_with_cut_points(
+    query: Query,
+    inputs: &[&saber::types::RowBuffer],
+    chunk_rows: usize,
+    cuts: CutPoints,
+) -> saber::types::RowBuffer {
+    let mut config = test_config(ExecutionMode::Hybrid);
+    config.query_task_size = cuts.task_size;
+    let mut engine = Saber::with_config(config).unwrap();
+    let sink = engine.add_query(query).unwrap();
+    engine.start().unwrap();
+    let chunk_bytes = chunk_rows * inputs[0].schema().row_size();
+    let mut lcg = cuts.flush_seed;
+    for piece in 0..inputs[0].byte_len().div_ceil(chunk_bytes) {
+        for (stream, input) in inputs.iter().enumerate() {
+            let from = (piece * chunk_bytes).min(input.byte_len());
+            let to = (from + chunk_bytes).min(input.byte_len());
+            engine
+                .ingest(QueryId(0), StreamId(stream), &input.bytes()[from..to])
+                .unwrap();
+            if let Some(state) = lcg.as_mut() {
+                *state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                if (*state >> 33) % 3 == 0 {
+                    engine.flush().unwrap();
+                }
+            }
+        }
+    }
+    engine.stop().unwrap();
+    sink.take_rows()
+}
+
 #[test]
 fn results_are_identical_across_task_sizes() {
     // The paper's claim behind Fig. 13: the query task size is a physical
-    // parameter and must not change query results.
+    // parameter and must not change query results. Neither may *where* a
+    // task was cut: idle workers cut aged rows below φ wherever the wait
+    // happens to end, so what a client sees cannot depend on it.
     let schema = synthetic::schema();
-    let data = synthetic::generate(&schema, 64 * 1024, 23);
-    let query = || {
-        QueryBuilder::new("agg", schema.clone())
-            .count_window(1024, 256)
-            .aggregate(AggregateFunction::Sum, 1)
+    let row = schema.row_size();
+    let cut_points = [row, 7 * row, 8 * 1024, 64 * 1024, 512 * 1024, 1 << 20]
+        .map(|task_size| CutPoints {
+            task_size,
+            flush_seed: None,
+        })
+        .into_iter()
+        .chain([CutPoints {
+            task_size: 1 << 20,
+            flush_seed: Some(23),
+        }]);
+
+    let data = synthetic::generate(&schema, 16 * 1024, 23);
+    let select = || {
+        QueryBuilder::new("sel", schema.clone())
+            .count_window(1024, 1024)
+            .select(Expr::column(1).lt(Expr::literal(0.3)))
             .build()
             .unwrap()
     };
-    let mut outputs = Vec::new();
-    for task_size in [8 * 1024usize, 64 * 1024, 512 * 1024] {
-        let mut config = test_config(ExecutionMode::Hybrid);
-        config.query_task_size = task_size;
-        let mut engine = Saber::with_config(config).unwrap();
-        let sink = engine.add_query(query()).unwrap();
-        engine.start().unwrap();
-        for chunk in data.bytes().chunks(32 * 1024) {
-            engine.ingest(QueryId(0), StreamId(0), chunk).unwrap();
+    // Aggregates whose value does not depend on the order partials merge
+    // in (integer sums are exact in the f64 accumulator), so byte equality
+    // is the right check; float sums are compared within a tolerance above.
+    let group_by = || {
+        QueryBuilder::new("agg", schema.clone())
+            .count_window(1024, 256)
+            .aggregate(AggregateFunction::Count, 1)
+            .aggregate(AggregateFunction::Sum, 3)
+            .aggregate(AggregateFunction::Max, 1)
+            .group_by(vec![2])
+            .build()
+            .unwrap()
+    };
+    for (name, query) in [
+        ("select", &select as &dyn Fn() -> Query),
+        ("sliding group-by", &group_by),
+    ] {
+        let expected = reference::run_single_input(&query(), &data).unwrap();
+        assert!(!expected.is_empty());
+        for cuts in cut_points.clone() {
+            let got = run_with_cut_points(query(), &[&data], 1000, cuts);
+            assert_eq!(got.len(), expected.len(), "{name}, {cuts:?}");
+            assert_eq!(got.bytes(), expected.bytes(), "{name}, {cuts:?}");
         }
-        engine.stop().unwrap();
-        let rows = sink.take_rows();
-        outputs.push(rows.len());
     }
-    assert_eq!(outputs[0], outputs[1]);
-    assert_eq!(outputs[1], outputs[2]);
+
+    // The θ-join has no single-threaded reference and emits a task's pairs
+    // in task order, so its runs are compared with each other, as sorted
+    // rows. Streams are fed half a window at a time: the dispatcher retains
+    // one window of lookback per side, which bounds the skew a join sees.
+    let left = synthetic::generate(&schema, 4 * 1024, 31);
+    let right = synthetic::generate(&schema, 4 * 1024, 37);
+    let window = WindowSpec::count(512, 512);
+    let join = || {
+        QueryBuilder::new("join", schema.clone())
+            .window(window)
+            .theta_join(
+                schema.clone(),
+                window,
+                Expr::column(2)
+                    .rem(Expr::literal(16.0))
+                    .eq(Expr::column(7 + 2).rem(Expr::literal(16.0))),
+            )
+            .build()
+            .unwrap()
+    };
+    let mut runs = cut_points.map(|cuts| {
+        let got = run_with_cut_points(join(), &[&left, &right], 256, cuts);
+        let mut rows: Vec<Vec<u8>> = got.iter().map(|t| t.bytes().to_vec()).collect();
+        rows.sort_unstable();
+        (cuts, rows)
+    });
+    let (_, first) = runs.next().unwrap();
+    assert!(!first.is_empty(), "join emitted nothing");
+    for (cuts, rows) in runs {
+        assert_eq!(rows.len(), first.len(), "join, {cuts:?}");
+        assert!(rows == first, "join rows differ, {cuts:?}");
+    }
 }
 
 #[test]

@@ -187,6 +187,63 @@ fn query_registered_after_ingest_produces_windows_without_restart() {
     assert_eq!(report.queries[1].tuples_out, 2);
 }
 
+/// A quiet stream still delivers: two windows' worth of rows, far short of a
+/// task (φ is the default 1 MB), reach the subscriber with nobody sending
+/// `FLUSH` — the idle worker cuts them once they have waited the early-cut
+/// age.
+#[test]
+fn subscriber_receives_windows_of_a_quiet_stream_without_flush() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            engine: EngineConfig {
+                worker_threads: 1,
+                execution_mode: ExecutionMode::CpuOnly,
+                ..EngineConfig::default()
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let mut client = Client::connect(addr);
+    assert_eq!(
+        client.send("CREATE STREAM S (timestamp TIMESTAMP, v INT, k INT)"),
+        "OK stream S"
+    );
+    assert_eq!(
+        client.send("QUERY SELECT timestamp, COUNT(*) AS n FROM S [ROWS 4]"),
+        "OK query 0"
+    );
+    let mut sub = Client::connect(addr);
+    assert_eq!(sub.send("SUBSCRIBE 0"), "OK subscribed 0");
+    let rows: Vec<String> = (0..8).map(|i| format!("{i},1,0")).collect();
+    assert_eq!(
+        client.send(&format!("INSERT 0 0 CSV {}", rows.join(";"))),
+        "OK rows 8"
+    );
+    // Keepalive `NOP`s would keep a plain read loop alive forever if the
+    // windows never came, so the wait has its own (generous) deadline.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut windows = Vec::new();
+    while windows.len() < 2 {
+        assert!(Instant::now() < deadline, "no windows without FLUSH");
+        let line = sub.read_line();
+        if line != "NOP" {
+            windows.push(line);
+        }
+    }
+    for line in &windows {
+        assert!(
+            line.starts_with("ROW ") && line.ends_with(",4"),
+            "{windows:?}"
+        );
+    }
+    let report = server.shutdown().expect("clean shutdown");
+    assert_eq!(report.queries[0].tuples_in, 8);
+    assert_eq!(report.queries[0].tuples_out, 2);
+}
+
 /// Plan sharing over the wire: two TCP clients register the *same* CQL text
 /// (modulo attribute renaming) and get distinct logical query ids backed by
 /// one physical plan instance — observable through `STATS`. Data inserted
