@@ -8,9 +8,9 @@
 //! tuple takes the global lock, is deserialised into a `Vec<Value>`, and the
 //! window state is updated tuple-at-a-time with no incremental computation.
 
-use parking_lot::Mutex;
 use saber_query::aggregate::{AggState, AggregateFunction};
 use saber_query::{OperatorDef, Query};
+use saber_types::sync::Mutex;
 use saber_types::{Result, RowBuffer, SaberError, Value};
 use std::collections::{BTreeMap, VecDeque};
 

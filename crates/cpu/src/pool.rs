@@ -6,8 +6,8 @@
 //! check out [`RowBuffer`]s, fill them, and the result stage returns them to
 //! the pool once the output has been consumed.
 
-use parking_lot::Mutex;
 use saber_types::schema::SchemaRef;
+use saber_types::sync::Mutex;
 use saber_types::RowBuffer;
 use std::sync::Arc;
 

@@ -37,10 +37,10 @@
 use crate::circular::CircularBuffer;
 use crate::queue::TaskQueue;
 use crate::task::QueryTask;
-use parking_lot::{Condvar, Mutex};
 use saber_cpu::exec::StreamBatch;
 use saber_cpu::plan::CompiledPlan;
 use saber_query::WindowSpec;
+use saber_types::sync::{Condvar, Mutex};
 use saber_types::{Result, RowBuffer, SaberError};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -31,10 +31,10 @@
 
 use crate::engine::Saber;
 use crate::ids::{QueryId, StreamId};
-use parking_lot::{Condvar, Mutex};
 use saber_sql::SharedCatalog;
 use saber_store::{Snapshot, SnapshotQuery, Store, WalRecord};
 use saber_types::schema::SchemaRef;
+use saber_types::sync::{Condvar, Mutex};
 use saber_types::{Result, SaberError, Schema};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

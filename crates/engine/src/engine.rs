@@ -31,13 +31,13 @@ use crate::sink::{QuerySink, WindowWait};
 use crate::task::QueryTask;
 use crate::throughput::ThroughputMatrix;
 use crate::worker::{run_cpu_worker, run_gpu_worker, WorkerContext};
-use parking_lot::Mutex;
 use saber_cpu::plan::CompiledPlan;
 use saber_gpu::{DeviceConfig, GpuDevice};
 use saber_obs::{FlightRecord, FlightRecorder};
 use saber_query::Query;
 use saber_sql::SharedCatalog;
 use saber_store::{has_existing_state, Store, WalRecord};
+use saber_types::sync::Mutex;
 use saber_types::{Result, RowBuffer, SaberError};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -2182,10 +2182,10 @@ mod tests {
         // the test hands it a permit.
         let (entered_tx, entered) = std::sync::mpsc::channel::<()>();
         let (permit, permits) = std::sync::mpsc::channel::<()>();
-        let permits = std::sync::Mutex::new(permits);
+        let permits = Mutex::new(permits);
         query.sink().subscribe(move |_| {
             let _ = entered_tx.send(());
-            let _ = permits.lock().unwrap().recv();
+            let _ = permits.lock().recv();
         });
         engine.start().unwrap();
         // Two full tasks, each cut at φ by its own ingest call with nothing
@@ -2382,7 +2382,8 @@ mod tests {
 
     #[test]
     fn backpressure_blocks_instead_of_polling_and_is_observable() {
-        // One slow worker and a tiny credit gate: producers must block.
+        // One worker, held in the sink callback until the test releases it,
+        // and a tiny credit gate: the producer must block.
         let config = EngineConfig {
             worker_threads: 1,
             query_task_size: 4 * 1024,
@@ -2403,12 +2404,30 @@ mod tests {
             .build()
             .unwrap();
         let query = engine.add_query_with_options(q, false).unwrap();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let released = Mutex::new(released);
+        query.sink().subscribe(move |_| {
+            // Blocks until the test drops `release`, then passes through.
+            let _ = released.lock().recv();
+        });
         engine.start().unwrap();
-        for chunk in 0..64 {
-            engine
-                .ingest(query.id(), StreamId(0), &data(4096, chunk * 4096))
-                .unwrap();
+        let producer = {
+            let handle = query.ingest_handle(StreamId(0)).unwrap();
+            std::thread::spawn(move || {
+                for chunk in 0..64 {
+                    handle.ingest(&data(4096, chunk * 4096)).unwrap();
+                }
+            })
+        };
+        // The worker holds its task and credit; the producer fills the
+        // queue and then blocks, which `backpressure_stats` shows at once.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while engine.backpressure_stats().0 == 0 {
+            assert!(Instant::now() < deadline, "the producer never blocked");
+            std::thread::sleep(Duration::from_millis(1));
         }
+        drop(release);
+        producer.join().unwrap();
         engine.stop().unwrap();
         assert_eq!(engine.in_flight_tasks(), 0);
         assert!(engine.max_queued_tasks_observed() <= 2);

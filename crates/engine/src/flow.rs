@@ -19,7 +19,7 @@
 //!
 //! saber-lint: hot-path
 
-use parking_lot::{Condvar, Mutex};
+use saber_types::sync::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -74,6 +74,10 @@ impl FlowControl {
             *outstanding += 1;
             return Duration::ZERO;
         }
+        // Counted when the wait begins, so a producer blocked right now is
+        // already visible in `wait_stats`.
+        // relaxed-ok: monitoring counter, read only by wait_stats displays.
+        self.waits.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
         while *outstanding >= self.capacity && !self.is_shutdown() {
             self.released
@@ -82,11 +86,9 @@ impl FlowControl {
         *outstanding += 1;
         drop(outstanding);
         let waited = started.elapsed();
-        // relaxed-ok: monitoring counters, read only by wait_stats displays.
+        // relaxed-ok: monitoring counter, read only by wait_stats displays.
         self.wait_nanos
             .fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
-        // relaxed-ok: monitoring counter, read only by wait_stats displays.
-        self.waits.fetch_add(1, Ordering::Relaxed);
         waited
     }
 

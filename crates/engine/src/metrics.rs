@@ -11,8 +11,8 @@
 //! Release/Acquire publish protocol of [`crate::circular::CircularBuffer`].
 
 use crate::scheduler::Processor;
-use parking_lot::RwLock;
 use saber_obs::{Histogram, HistogramSnapshot, STAGE_NAMES, TRACE_STAGES};
+use saber_types::sync::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;

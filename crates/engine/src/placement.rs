@@ -28,9 +28,9 @@ use crate::ids::QueryId;
 use crate::metrics::QueryStats;
 use crate::scheduler::Processor;
 use crate::throughput::ThroughputMatrix;
-use parking_lot::RwLock;
 use saber_cpu::CompiledPlan;
 use saber_gpu::costmodel::{CostModel, ModeledComparison};
+use saber_types::sync::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 

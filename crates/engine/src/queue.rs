@@ -21,7 +21,7 @@
 //! an idle engine wakes only once per 20 ms park slice.
 
 use crate::task::QueryTask;
-use parking_lot::{Condvar, Mutex, RwLock};
+use saber_types::sync::{Condvar, Mutex, RwLock};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -22,7 +22,7 @@ use crate::metrics::QueryStats;
 use crate::result::ResultStage;
 use crate::sharing::SharedMembership;
 use crate::sink::QuerySink;
-use parking_lot::RwLock;
+use saber_types::sync::RwLock;
 use saber_types::{Result, SaberError};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -13,10 +13,10 @@
 use crate::metrics::QueryStats;
 use crate::sink::QuerySink;
 use crate::task::TaskStamps;
-use parking_lot::Mutex;
 use saber_cpu::plan::CompiledPlan;
 use saber_cpu::{AggregationAssembler, TaskOutput};
 use saber_obs::{FlightRecorder, TRACE_STAGES};
+use saber_types::sync::Mutex;
 use saber_types::{Result, RowBuffer};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -13,7 +13,7 @@
 use crate::queue::{TaskHead, TaskQueue};
 use crate::task::QueryTask;
 use crate::throughput::ThroughputMatrix;
-use parking_lot::Mutex;
+use saber_types::sync::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;

@@ -41,8 +41,8 @@
 //! proves shared runs byte-identical to unshared runs differentially.
 
 use crate::registry::QueryState;
-use parking_lot::Mutex;
 use saber_query::PlanFingerprint;
+use saber_types::sync::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -116,9 +116,7 @@ impl SharedWindowRegistry {
 
     /// The map lock. Attach and detach linearize through this: member-list
     /// mutation and entry insertion/removal happen under it.
-    pub(crate) fn lock(
-        &self,
-    ) -> parking_lot::MutexGuard<'_, HashMap<PlanFingerprint, Arc<SharedPlan>>> {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, HashMap<PlanFingerprint, Arc<SharedPlan>>> {
         self.map.lock()
     }
 

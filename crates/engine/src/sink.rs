@@ -15,8 +15,8 @@
 //! wake with [`WindowWait::Closed`] once the buffered rows are drained, so
 //! no consumer is left blocking on a stream that will never produce again.
 
-use parking_lot::{Condvar, Mutex};
 use saber_types::schema::SchemaRef;
+use saber_types::sync::{Condvar, Mutex};
 use saber_types::RowBuffer;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -12,7 +12,7 @@
 //! (including data-movement overheads), mirroring the paper's definition.
 
 use crate::scheduler::Processor;
-use parking_lot::RwLock;
+use saber_types::sync::RwLock;
 use std::collections::HashMap;
 use std::time::Duration;
 

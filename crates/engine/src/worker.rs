@@ -237,7 +237,7 @@ fn complete(
 
 fn run_gpu_worker_pipelined(ctx: WorkerContext, device: Arc<GpuDevice>, depth: usize) {
     let pipeline = GpuPipeline::new(device, 1);
-    let completions = pipeline.completions().clone();
+    let completions = pipeline.completions();
     let mut in_flight: HashMap<u64, InFlightTask> = HashMap::new();
     loop {
         // Fill the pipeline up to the configured depth.

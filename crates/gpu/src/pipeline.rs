@@ -16,11 +16,11 @@
 //! them ordered.
 
 use crate::device::{progress_of, GpuDevice};
-use crossbeam::channel::{bounded, Receiver, Sender};
 use saber_cpu::exec::StreamBatch;
 use saber_cpu::plan::CompiledPlan;
 use saber_cpu::TaskOutput;
 use saber_types::{Result, SaberError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -56,7 +56,7 @@ struct StageMsg {
 
 /// The five-stage accelerator pipeline.
 pub struct GpuPipeline {
-    submit_tx: Option<Sender<StageMsg>>,
+    submit_tx: Option<SyncSender<StageMsg>>,
     completions_rx: Receiver<PipelineResult>,
     threads: Vec<JoinHandle<()>>,
     in_flight_limit: usize,
@@ -68,12 +68,12 @@ impl GpuPipeline {
     /// one-task-per-stage interleaving).
     pub fn new(device: Arc<GpuDevice>, stage_capacity: usize) -> Self {
         let cap = stage_capacity.max(1);
-        let (submit_tx, copyin_rx) = bounded::<StageMsg>(cap);
-        let (copyin_tx, movein_rx) = bounded::<StageMsg>(cap);
-        let (movein_tx, execute_rx) = bounded::<StageMsg>(cap);
-        let (execute_tx, moveout_rx) = bounded::<StageMsg>(cap);
-        let (moveout_tx, copyout_rx) = bounded::<StageMsg>(cap);
-        let (completion_tx, completions_rx) = bounded::<PipelineResult>(cap * 8);
+        let (submit_tx, copyin_rx) = sync_channel::<StageMsg>(cap);
+        let (copyin_tx, movein_rx) = sync_channel::<StageMsg>(cap);
+        let (movein_tx, execute_rx) = sync_channel::<StageMsg>(cap);
+        let (execute_tx, moveout_rx) = sync_channel::<StageMsg>(cap);
+        let (moveout_tx, copyout_rx) = sync_channel::<StageMsg>(cap);
+        let (completion_tx, completions_rx) = sync_channel::<PipelineResult>(cap * 8);
 
         let mut threads = Vec::new();
 
@@ -258,15 +258,14 @@ pub fn run_pipelined(
     let n = jobs.len();
     let pipeline = GpuPipeline::new(device, stage_capacity);
     let mut results = Vec::with_capacity(n);
-    let completions = pipeline.completions().clone();
     for job in jobs {
         pipeline.submit(job).expect("pipeline accepts jobs");
-        while let Ok(r) = completions.try_recv() {
+        while let Ok(r) = pipeline.completions().try_recv() {
             results.push(r);
         }
     }
     while results.len() < n {
-        match completions.recv() {
+        match pipeline.completions().recv() {
             Ok(r) => results.push(r),
             Err(_) => break,
         }

@@ -2,9 +2,9 @@
 //!
 //! The file is a sequence of `[[level]]` tables, outermost lock class first.
 //! Each level names the lock class, gives a one-line rationale, and lists its
-//! member locks as `"<file-suffix>:<name>"` strings, where `<name>` is either
-//! the receiver identifier of a zero-argument `.lock()` / `.read()` /
-//! `.write()` call, or the name of a `lock_*` helper method:
+//! member locks as `"<file-suffix>:<name>"` strings, where `<name>` is the
+//! receiver identifier of a zero-argument `.lock()` / `.read()` / `.write()`
+//! call:
 //!
 //! ```toml
 //! [[level]]
@@ -23,8 +23,7 @@ pub struct LockRef {
     /// Suffix matched against the workspace-relative path, e.g.
     /// `engine/src/queue.rs`.
     pub file_suffix: String,
-    /// Receiver identifier (for `.lock()`-style calls) or helper method name
-    /// (for `lock_*()` calls).
+    /// Receiver identifier of the `.lock()` / `.read()` / `.write()` call.
     pub name: String,
 }
 

@@ -9,7 +9,7 @@
 //!
 //! The analyzer walks every `crates/*/src/**/*.rs`, lexes each file into a
 //! spanned Rust token stream (comments included — the suppression
-//! annotations live there) and enforces five rules, reporting violations as
+//! annotations live there) and enforces six rules, reporting violations as
 //! compiler-style caret diagnostics:
 //!
 //! | rule | requirement |
@@ -17,6 +17,7 @@
 //! | `unsafe-audit` | `unsafe` needs a preceding `// SAFETY:` comment |
 //! | `atomics-protocol` | Relaxed writes need `// relaxed-ok:`; Release stores need `// pairs-with: <fn>` |
 //! | `lock-order` | double-acquisition must follow `crates/lint/lock-order.toml` |
+//! | `sync-vocabulary` | `std::sync` locks only inside `saber_types::sync` |
 //! | `condvar-loop` | condvar waits must sit in a `while`/`loop` |
 //! | `hot-path-no-panic` | marked modules reject unwrap/expect/panic!/indexing |
 //!

@@ -5,10 +5,11 @@
 //! structurally:
 //!
 //! * an acquisition is a zero-argument `.lock()` / `.read()` / `.write()`
-//!   call (the receiver identifier names the lock) or a zero-argument
-//!   `.lock_*()` helper call (the method itself names the lock);
-//! * a `let`-bound guard lives until its enclosing block closes or an
-//!   explicit `drop(name)`;
+//!   call; the receiver identifier names the lock. Every crate locks through
+//!   `saber_types::sync`, whose calls return the guard itself (the
+//!   `sync-vocabulary` rule keeps `std` locks and their `.unwrap()` out);
+//! * `let [mut] name = recv.lock();` binds a guard that lives until its
+//!   enclosing block closes or an explicit `drop(name)`;
 //! * an unbound temporary lives until the end of its statement;
 //! * closure bodies are barriers — guards held outside are invisible inside,
 //!   since the closure usually runs on another thread or later.
@@ -142,13 +143,8 @@ fn walk_body(fa: &FileAnalysis<'_>, ctx: &Ctx, open: usize, close: usize, out: &
         }
         // Acquisition?
         if let Some(lock_name) = acquisition_name(fa, ci, close) {
-            // Anchor diagnostics on the token naming the lock: the receiver
-            // of `.lock()`/`.read()`/`.write()`, or the `lock_*` helper.
-            let anchor = if fa.code_text(ci) == lock_name {
-                fa.code_tok(ci).span
-            } else {
-                fa.code_tok(ci - 2).span
-            };
+            // Anchor diagnostics on the receiver naming the lock.
+            let anchor = fa.code_tok(ci - 2).span;
             if let Some((rank, class)) = ctx.lock_order.rank_of(&fa.rel_path, &lock_name) {
                 let suppressed = matches!(
                     fa.annotation(ci, "lock-order-ok:"),
@@ -220,9 +216,8 @@ fn walk_body(fa: &FileAnalysis<'_>, ctx: &Ctx, open: usize, close: usize, out: &
     }
 }
 
-/// If the code token at `ci` is a lock-acquiring method call, returns the
-/// lock's name: the receiver ident for `.lock()/.read()/.write()`, or the
-/// method name itself for `.lock_*()` helpers. All must be zero-argument.
+/// If the code token at `ci` is a zero-argument `.lock()` / `.read()` /
+/// `.write()` call on an identifier, returns that receiver: the lock's name.
 fn acquisition_name(fa: &FileAnalysis<'_>, ci: usize, close: usize) -> Option<String> {
     let t = fa.code_tok(ci);
     if t.kind != TokKind::Ident {
@@ -238,16 +233,10 @@ fn acquisition_name(fa: &FileAnalysis<'_>, ci: usize, close: usize) -> Option<St
         return None;
     }
     let method = t.text(fa.src);
-    if method == "lock" || method == "read" || method == "write" {
-        if fa.code_tok(ci - 2).kind == TokKind::Ident {
-            return Some(fa.code_text(ci - 2).to_string());
-        }
+    if !matches!(method, "lock" | "read" | "write") || fa.code_tok(ci - 2).kind != TokKind::Ident {
         return None;
     }
-    if method.starts_with("lock_") {
-        return Some(method.to_string());
-    }
-    None
+    Some(fa.code_text(ci - 2).to_string())
 }
 
 /// Determines the binding of the statement starting at `stmt_start` that
@@ -256,10 +245,7 @@ fn acquisition_name(fa: &FileAnalysis<'_>, ci: usize, close: usize) -> Option<St
 ///
 /// A `let` only captures the guard when the lock call is the *whole*
 /// right-hand side — `let r = x.lock().field.len();` binds the length, with
-/// the guard living as a statement temporary. Poison-handling adapters
-/// (`unwrap` / `expect` / `unwrap_or_else`), which return the guard, are
-/// looked through: `let g = x.lock().unwrap_or_else(|p| p.into_inner());`
-/// still binds `g` to the guard.
+/// the guard living as a statement temporary.
 fn binding_of(fa: &FileAnalysis<'_>, stmt_start: usize, ci: usize) -> (Option<String>, bool) {
     if fa.code_text(stmt_start) != "let" {
         return (None, true);
@@ -276,38 +262,11 @@ fn binding_of(fa: &FileAnalysis<'_>, stmt_start: usize, ci: usize) -> (Option<St
     if !(fa.code_tok(j + 1).is_punct(b'=') || fa.code_tok(j + 1).is_punct(b':')) {
         return (None, true);
     }
-    // The acquisition is `ci ( )`; walk the method chain after it through
-    // guard-preserving adapters and see whether the statement ends there.
-    let mut k = ci + 3;
-    loop {
-        if fa.code_tok(k).is_punct(b';') {
-            return (Some(name.to_string()), false);
-        }
-        if !fa.code_tok(k).is_punct(b'.') {
-            return (None, true);
-        }
-        let method = fa.code_text(k + 1);
-        if !(method == "unwrap" || method == "expect" || method == "unwrap_or_else") {
-            return (None, true);
-        }
-        // Skip the adapter's balanced argument list.
-        let mut m = k + 2;
-        if !fa.code_tok(m).is_punct(b'(') {
-            return (None, true);
-        }
-        let mut depth = 0isize;
-        while m < fa.code.len() {
-            let t = fa.code_tok(m);
-            if t.is_punct(b'(') || t.is_punct(b'[') || t.is_punct(b'{') {
-                depth += 1;
-            } else if t.is_punct(b')') || t.is_punct(b']') || t.is_punct(b'}') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            m += 1;
-        }
-        k = m + 1;
+    // The acquisition is `ci ( )`; the guard is bound only if the
+    // statement ends right after it.
+    if fa.code_tok(ci + 3).is_punct(b';') {
+        (Some(name.to_string()), false)
+    } else {
+        (None, true)
     }
 }

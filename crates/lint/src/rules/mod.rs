@@ -1,4 +1,4 @@
-//! The five concurrency-invariant rules.
+//! The six concurrency-invariant rules.
 //!
 //! Every rule consumes a [`FileAnalysis`] plus the workspace-wide [`Ctx`]
 //! (declared lock hierarchy, set of known function names) and appends
@@ -14,6 +14,7 @@ pub mod atomics;
 pub mod condvar;
 pub mod hot_path;
 pub mod lock_order;
+pub mod sync_vocabulary;
 pub mod unsafe_audit;
 
 /// Workspace-wide context shared by all rules.
@@ -81,12 +82,29 @@ rank number (outer levels). Acquiring out of order — or re-acquiring a lock
 of the same level — is a finding, because two threads doing it in opposite
 orders deadlock.
 
-Guard lifetimes are tracked structurally: a `let`-bound guard lives until
-its block ends or `drop(guard)`; an unbound temporary lives until the end of
-its statement. Closure bodies are analysis barriers (guards held outside are
+An acquisition is a zero-argument `.lock()` / `.read()` / `.write()` call;
+the receiver identifier names the lock. Guard lifetimes are tracked
+structurally: `let g = recv.lock();` binds a guard that lives until its
+block ends or `drop(g)`; any other use is a temporary that lives until the
+end of its statement. Closure bodies are analysis barriers (guards held outside are
 not considered inside).
 
 Suppress a deliberate exception with `// lock-order-ok: <why>`.
+",
+    },
+    RuleInfo {
+        id: "sync-vocabulary",
+        summary: "`std::sync::{Mutex, RwLock, Condvar}` only inside saber_types::sync",
+        explain: "\
+The workspace locks with one set of types: the non-poisoning `Mutex`,
+`Condvar` and `RwLock` of `saber_types::sync`, whose `lock()` / `read()` /
+`write()` return the guard directly. Naming the `std::sync` versions
+anywhere else (a path or a `use` group; test code is exempt) is a finding:
+they bring back hand-written poison handling, and `lock-order` would track
+a `let g = m.lock().unwrap();` guard as a statement temporary, missing any
+acquisition nested under it.
+
+There is no suppression; `crates/types/src/sync.rs` is the one exception.
 ",
     },
     RuleInfo {
@@ -134,6 +152,7 @@ pub fn check_file(fa: &FileAnalysis<'_>, ctx: &Ctx, out: &mut Vec<Finding>) {
     unsafe_audit::check(fa, out);
     atomics::check(fa, ctx, out);
     lock_order::check(fa, ctx, out);
+    sync_vocabulary::check(fa, out);
     condvar::check(fa, out);
     hot_path::check(fa, out);
 }

@@ -179,6 +179,49 @@ fn transfer(&self) {
     assert!(hits[0].message.contains("inner"));
 }
 
+// ------------------------------------------------------- sync-vocabulary
+
+#[test]
+fn sync_vocabulary_passes_workspace_locks_and_other_std_sync_items() {
+    let src = "\
+use saber_types::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+
+fn make() -> Arc<Mutex<u64>> {
+    Arc::new(Mutex::new(0))
+}
+
+#[cfg(test)]
+mod tests {
+    fn poisoning_std_lock_in_a_test() {
+        let m = std::sync::Mutex::new(0);
+    }
+}
+";
+    assert!(of(&check(src, &[]), "sync-vocabulary").is_empty());
+}
+
+#[test]
+fn sync_vocabulary_flags_std_locks_at_their_exact_span() {
+    let src = "\
+use std::sync::{Arc, Mutex};
+
+fn make() -> std::sync::RwLock<u64> {
+    std::sync::RwLock::new(0)
+}
+";
+    let findings = check(src, &[]);
+    let hits = of(&findings, "sync-vocabulary");
+    assert_eq!(hits.len(), 3);
+    // The first hit anchors on `Mutex` inside the `use` group.
+    assert_eq!(hits[0].line, 1);
+    assert_eq!(hits[0].column, "use std::sync::{Arc, ".len() + 1);
+    assert_eq!(hits[0].span.end - hits[0].span.start, "Mutex".len());
+    assert!(hits[0].message.contains("std::sync::Mutex"));
+    assert_eq!(hits[2].line, 4);
+}
+
 // ---------------------------------------------------------- condvar-loop
 
 #[test]

@@ -22,8 +22,9 @@
 //! * [`client`] — a small blocking binary-protocol client for the REPL,
 //!   tests and benches.
 //!
-//! The crate is std-only and engine-agnostic: `saber_server` layers the
-//! SQL command surface on top via [`server::App`].
+//! The crate is engine-agnostic (its one workspace dependency is
+//! `saber_types`, for the lock types): `saber_server` layers the SQL
+//! command surface on top via [`server::App`].
 
 #![deny(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]

@@ -42,13 +42,14 @@
 use crate::os::{Event, Events, Poller};
 use crate::quota::TokenBucket;
 use crate::wire::{self, Decoded, ErrCode, Frame};
+use saber_types::sync::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -203,24 +204,6 @@ struct ConnShared {
     net: Arc<NetShared>,
 }
 
-/// Named lock helpers: the concurrency audit (`saber_lint`'s `lock-order`
-/// rule, `crates/lint/lock-order.toml`) tracks acquisitions by these method
-/// names, and poisoning is recovered in one place — a panicking handler
-/// thread must not wedge the server core.
-impl ConnShared {
-    fn lock_pending(&self) -> MutexGuard<'_, VecDeque<(Request, usize)>> {
-        self.pending.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn lock_outbox(&self) -> MutexGuard<'_, Vec<u8>> {
-        self.outbox.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn lock_bucket(&self) -> MutexGuard<'_, TokenBucket> {
-        self.bucket.lock().unwrap_or_else(|p| p.into_inner())
-    }
-}
-
 /// A cloneable handle to one live connection. Cheap to clone (an `Arc`);
 /// stays valid after the connection closes (operations become no-ops).
 #[derive(Clone)]
@@ -275,7 +258,7 @@ impl ConnHandle {
             return;
         }
         {
-            let mut outbox = self.shared.lock_outbox();
+            let mut outbox = self.shared.outbox.lock();
             outbox.extend_from_slice(bytes);
         }
         NetCounters::add(&self.shared.net.counters.outbox_bytes, bytes.len() as u64);
@@ -288,7 +271,7 @@ impl ConnHandle {
             return;
         }
         {
-            let mut outbox = self.shared.lock_outbox();
+            let mut outbox = self.shared.outbox.lock();
             outbox.reserve(line.len() + 1);
             outbox.extend_from_slice(line.as_bytes());
             outbox.push(b'\n');
@@ -306,7 +289,7 @@ impl ConnHandle {
             return;
         }
         let encoded = {
-            let mut outbox = self.shared.lock_outbox();
+            let mut outbox = self.shared.outbox.lock();
             let before = outbox.len();
             frame.encode_into(&mut outbox);
             outbox.len() - before
@@ -362,7 +345,7 @@ impl ConnHandle {
     /// bucket is in debt the loop pauses reads from this connection.
     pub fn charge_rows(&self, rows: u64) {
         let now = Instant::now();
-        self.shared.lock_bucket().charge(rows, now);
+        self.shared.bucket.lock().charge(rows, now);
         // The loop re-evaluates the throttle state on its next pass over
         // the connection; nudge it in case the socket stays quiet.
         self.shared.net.mark_dirty(&self.shared);
@@ -537,21 +520,9 @@ struct NetShared {
 }
 
 impl NetShared {
-    fn lock_dirty(&self) -> MutexGuard<'_, Vec<u64>> {
-        self.dirty.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn lock_ready(&self) -> MutexGuard<'_, VecDeque<Arc<ConnShared>>> {
-        self.ready.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn lock_outstanding(&self) -> MutexGuard<'_, usize> {
-        self.outstanding.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     fn mark_dirty(&self, conn: &Arc<ConnShared>) {
         if !conn.dirty.swap(true, Ordering::SeqCst) {
-            let mut dirty = self.lock_dirty();
+            let mut dirty = self.dirty.lock();
             dirty.push(conn.id);
         }
         self.waker.wake();
@@ -562,15 +533,15 @@ impl NetShared {
         NetCounters::add(&self.counters.inflight_bytes, cost as u64);
         conn.inflight.fetch_add(cost, Ordering::SeqCst);
         {
-            let mut pending = conn.lock_pending();
+            let mut pending = conn.pending.lock();
             pending.push_back((request, cost));
         }
         {
-            let mut outstanding = self.lock_outstanding();
+            let mut outstanding = self.outstanding.lock();
             *outstanding += 1;
         }
         if !conn.scheduled.swap(true, Ordering::SeqCst) {
-            let mut ready = self.lock_ready();
+            let mut ready = self.ready.lock();
             ready.push_back(conn.clone());
             drop(ready);
             self.ready_cv.notify_one();
@@ -582,7 +553,7 @@ impl NetShared {
         let cap = self.config.max_inflight_bytes;
         let before = conn.inflight.fetch_sub(cost, Ordering::SeqCst);
         {
-            let mut outstanding = self.lock_outstanding();
+            let mut outstanding = self.outstanding.lock();
             *outstanding -= 1;
             if *outstanding == 0 {
                 self.outstanding_cv.notify_all();
@@ -599,7 +570,7 @@ impl NetShared {
     fn worker_loop(self: &Arc<Self>, app: &Arc<dyn App>) {
         loop {
             let conn = {
-                let mut ready = self.lock_ready();
+                let mut ready = self.ready.lock();
                 loop {
                     if let Some(conn) = ready.pop_front() {
                         break conn;
@@ -607,7 +578,7 @@ impl NetShared {
                     if self.workers_stop.load(Ordering::SeqCst) {
                         return;
                     }
-                    ready = self.ready_cv.wait(ready).unwrap_or_else(|p| p.into_inner());
+                    self.ready_cv.wait(&mut ready);
                 }
             };
             let handle = ConnHandle {
@@ -615,7 +586,7 @@ impl NetShared {
             };
             loop {
                 let next = {
-                    let mut pending = conn.lock_pending();
+                    let mut pending = conn.pending.lock();
                     pending.pop_front()
                 };
                 match next {
@@ -628,7 +599,7 @@ impl NetShared {
                         // Re-claim if a request slipped in between the empty
                         // pop and the flag clear — otherwise it would wait
                         // for the *next* enqueue to reschedule the conn.
-                        let raced = !conn.lock_pending().is_empty()
+                        let raced = !conn.pending.lock().is_empty()
                             && !conn.scheduled.swap(true, Ordering::SeqCst);
                         if !raced {
                             break;
@@ -676,7 +647,7 @@ impl Conn {
     }
 
     fn pending_write_bytes(&self) -> usize {
-        self.wbuf.len() - self.wpos + self.shared.lock_outbox().len()
+        self.wbuf.len() - self.wpos + self.shared.outbox.lock().len()
     }
 }
 
@@ -788,13 +759,9 @@ impl NetServer {
     /// by the application (so, with reads stopped, no command is in
     /// flight). Call after [`NetServer::begin_shutdown`].
     pub fn quiesce(&self) {
-        let mut outstanding = self.shared.lock_outstanding();
+        let mut outstanding = self.shared.outstanding.lock();
         while *outstanding != 0 {
-            outstanding = self
-                .shared
-                .outstanding_cv
-                .wait(outstanding)
-                .unwrap_or_else(|p| p.into_inner());
+            self.shared.outstanding_cv.wait(&mut outstanding);
         }
     }
 
@@ -1045,7 +1012,7 @@ impl EventLoop {
     fn service_dirty(&mut self) {
         loop {
             let ids: Vec<u64> = {
-                let mut dirty = self.shared.lock_dirty();
+                let mut dirty = self.shared.dirty.lock();
                 std::mem::take(&mut *dirty)
             };
             if ids.is_empty() {
@@ -1170,7 +1137,7 @@ impl EventLoop {
             }
             conn.paused_inflight = false;
             let now = Instant::now();
-            if let Some(wait) = conn.shared.lock_bucket().throttle_for(now) {
+            if let Some(wait) = conn.shared.bucket.lock().throttle_for(now) {
                 let until = now + wait;
                 // Count the scheduled pause once per throttle episode: the
                 // loop re-enters here while already throttled (dirty marks,
@@ -1526,7 +1493,7 @@ impl EventLoop {
             return;
         }
         {
-            let mut outbox = conn.shared.lock_outbox();
+            let mut outbox = conn.shared.outbox.lock();
             if !outbox.is_empty() {
                 if conn.wpos == conn.wbuf.len() {
                     conn.wbuf.clear();
@@ -1572,7 +1539,7 @@ impl EventLoop {
         if conn.wpos == conn.wbuf.len() {
             conn.wbuf.clear();
             conn.wpos = 0;
-            if close == CLOSE_AFTER_FLUSH && conn.shared.lock_outbox().is_empty() {
+            if close == CLOSE_AFTER_FLUSH && conn.shared.outbox.lock().is_empty() {
                 // Everything the application wanted delivered is in the
                 // kernel's hands; shut the write side down so the peer sees
                 // a clean EOF after the final bytes.
@@ -1597,7 +1564,7 @@ impl EventLoop {
         if !conn.read_eof && reading_globally && !paused {
             want |= Events::IN | Events::RDHUP;
         }
-        if conn.wpos < conn.wbuf.len() || !conn.shared.lock_outbox().is_empty() {
+        if conn.wpos < conn.wbuf.len() || !conn.shared.outbox.lock().is_empty() {
             want |= Events::OUT;
         }
         if want != conn.interest

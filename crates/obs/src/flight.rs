@@ -8,15 +8,16 @@
 //!
 //! ## Seqlock slots
 //!
-//! Each slot carries a version counter: a writer claims a slot index from
-//! the `head` ticket, bumps the version to odd (write in progress), stores
-//! the fields, then publishes the even successor version with `Release`.
-//! Readers load the version with `Acquire`, copy the fields, fence, and
-//! re-check the version — a torn read (version odd, or changed between the
-//! two loads) is discarded, never surfaced. Two writers lapping the whole
-//! ring onto one slot can interleave; the version re-check discards that
-//! slot too. All fields are plain atomics, so the worst outcome of any race
-//! is a dropped trace row — never undefined behaviour.
+//! Each slot carries a version counter: a writer picks a slot index from
+//! the `head` ticket, claims the slot by moving its version from even to
+//! odd with a `compare_exchange`, stores the fields, then publishes the even
+//! successor version with `Release`. A writer that finds the slot already
+//! claimed (another writer lapped the ring onto it) drops its trace, so one
+//! slot never has two writers. Readers load the version with `Acquire`, copy
+//! the fields, fence, and re-check the version — a torn read (version odd,
+//! or changed between the two loads) is discarded, never surfaced. All
+//! fields are plain atomics, so the worst outcome of any race is a dropped
+//! trace row — never undefined behaviour.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -102,16 +103,27 @@ impl FlightRecorder {
         self.head.load(Ordering::Relaxed)
     }
 
-    /// Records one completed task's trace. Lock-free, allocation-free.
+    /// Records one completed task's trace. Lock-free, allocation-free; the
+    /// trace is dropped if another writer holds the slot.
     pub fn record(&self, query: u64, seq: u64, stages: [u64; TRACE_STAGES]) {
         let at_ns = self.anchor.elapsed().as_nanos() as u64;
         // relaxed-ok: the ticket only picks a slot; readers validate the
         // slot's own version, not the head.
         let idx = (self.head.fetch_add(1, Ordering::Relaxed) & self.mask) as usize;
         let slot = &self.slots[idx];
-        // relaxed-ok: seqlock begin-write marker (odd); the Release fence
-        // below orders it before the field stores for readers.
-        let v0 = slot.version.fetch_add(1, Ordering::Relaxed);
+        let v0 = slot.version.load(Ordering::Relaxed);
+        // Claim: even -> odd. Acquire orders this write after the previous
+        // writer's; the Release fence below orders the odd version before
+        // the field stores for readers.
+        if v0 % 2 == 1
+            || slot
+                .version
+                // relaxed-ok: a failed claim writes nothing.
+                .compare_exchange(v0, v0 + 1, Ordering::Acquire, Ordering::Relaxed)
+                .is_err()
+        {
+            return;
+        }
         fence(Ordering::Release);
         // relaxed-ok: seqlock payload; published by the version store below.
         slot.query.store(query, Ordering::Relaxed);
@@ -128,8 +140,8 @@ impl FlightRecorder {
         slot.version.store(v0.wrapping_add(2), Ordering::Release);
     }
 
-    /// Dumps every readable trace, most recent first. Slots mid-write (or
-    /// torn by a lapping writer) are skipped.
+    /// Dumps every readable trace, most recent first. Slots written during
+    /// the read are skipped.
     pub fn dump(&self) -> Vec<FlightRecord> {
         let mut records = Vec::with_capacity(self.slots.len());
         for slot in self.slots.iter() {
@@ -145,7 +157,7 @@ impl FlightRecorder {
             };
             fence(Ordering::Acquire);
             if slot.version.load(Ordering::Relaxed) != v1 {
-                continue; // torn by a concurrent writer
+                continue; // rewritten while we read it
             }
             records.push(record);
         }
@@ -221,6 +233,23 @@ mod tests {
         let r = FlightRecorder::new(16);
         assert!(r.dump().is_empty());
         assert!(r.dump_text().contains("0 of 16 slots"));
+    }
+
+    #[test]
+    fn a_write_onto_a_claimed_slot_is_dropped() {
+        let r = FlightRecorder::new(8);
+        // A writer holds slot 0 (odd version) when the next ticket lands on
+        // it: the trace is dropped and the slot left to its holder.
+        r.slots[0].version.store(1, Ordering::Relaxed);
+        r.record(7, 7, [7; TRACE_STAGES]);
+        assert_eq!(r.recorded(), 1);
+        assert_eq!(r.slots[0].version.load(Ordering::Relaxed), 1);
+        assert_eq!(r.slots[0].query.load(Ordering::Relaxed), 0);
+        assert!(r.slots[0]
+            .stages
+            .iter()
+            .all(|s| s.load(Ordering::Relaxed) == 0));
+        assert!(r.dump().is_empty());
     }
 
     #[test]

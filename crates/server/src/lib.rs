@@ -73,11 +73,12 @@ use saber_net::{App, ConnHandle, NetConfig, NetMetricsHandle, NetServer, Request
 use saber_obs::PromWriter;
 use saber_sql::SharedCatalog;
 use saber_types::schema::SchemaRef;
+use saber_types::sync::{Condvar, Mutex};
 use saber_types::{Result, RowBuffer, SaberError, Schema};
 use std::collections::HashSet;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -220,7 +221,7 @@ impl Notifier {
     /// with nobody waiting, which a shared plan would pay once per follower
     /// per window batch.
     fn wake(&self) -> bool {
-        let mut dirty = self.dirty.lock().unwrap_or_else(|p| p.into_inner());
+        let mut dirty = self.dirty.lock();
         let notify = !*dirty;
         if notify {
             *dirty = true;
@@ -231,16 +232,12 @@ impl Notifier {
 
     /// Blocks until woken or `timeout` elapses, consuming the wake flag.
     fn wait(&self, timeout: Duration) {
-        let mut dirty = self.dirty.lock().unwrap_or_else(|p| p.into_inner());
+        let mut dirty = self.dirty.lock();
         if !*dirty {
             // condvar-ok: bounded-latency wait — a spurious or timed-out
             // wake only costs one idle broadcast pass; the dirty flag is
             // consumed under the lock either way.
-            let (guard, _) = self
-                .cv
-                .wait_timeout(dirty, timeout)
-                .unwrap_or_else(|p| p.into_inner());
-            dirty = guard;
+            self.cv.wait_for(&mut dirty, timeout);
         }
         *dirty = false;
     }
@@ -268,18 +265,6 @@ struct Shared {
 }
 
 impl Shared {
-    /// Locks the state, recovering from poisoning: a panicking handler
-    /// thread must not take the whole server down.
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Locks the push-connection set (same poisoning policy). Declared in
-    /// `crates/lint/lock-order.toml`; never held across another acquisition.
-    fn lock_push(&self) -> MutexGuard<'_, HashSet<u64>> {
-        self.push_conns.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     /// Renders the structured "unknown query" error: the offending id plus
     /// the ids that *are* live, so a client can recover without a round
     /// trip through `QUERIES`.
@@ -377,7 +362,7 @@ impl Server {
         // Rebuild the protocol-level slots of recovered queries so INSERT,
         // SUBSCRIBE, STATS and DROP address them under their original ids.
         if let Some(report) = recovered {
-            let mut st = shared.lock();
+            let mut st = shared.state.lock();
             for rq in &report.queries {
                 let Some(handle) = st.engine.query(rq.id) else {
                     continue;
@@ -473,7 +458,7 @@ impl Server {
             net.quiesce();
         }
         // Stop the engine — reject-then-drain makes this deterministic.
-        let stop_result = self.shared.lock().engine.stop();
+        let stop_result = self.shared.state.lock().engine.stop();
         // Engine results are final; let the broadcaster flush them and
         // append END to every subscriber's outbox.
         self.shared.finish_broadcast.store(true, Ordering::SeqCst);
@@ -487,7 +472,7 @@ impl Server {
             net.shutdown(Duration::from_secs(5));
         }
         let report = {
-            let st = self.shared.lock();
+            let st = self.shared.state.lock();
             ShutdownReport {
                 queries: (0..st.engine.registered_queries())
                     .map(|i| {
@@ -615,7 +600,7 @@ struct SaberApp {
 impl App for SaberApp {
     fn on_request(&self, conn: &ConnHandle, request: Request) {
         // Push connections ignore further input (the subscriber contract).
-        if self.shared.lock_push().contains(&conn.id()) {
+        if self.shared.push_conns.lock().contains(&conn.id()) {
             return;
         }
         // Both protocols decode to one `Command`; a request that does not
@@ -635,8 +620,8 @@ impl App for SaberApp {
         if self.shared.shutting_down.load(Ordering::SeqCst) {
             return; // the shutdown path owns subscriber state now
         }
-        self.shared.lock_push().remove(&conn.id());
-        let mut st = self.shared.lock();
+        self.shared.push_conns.lock().remove(&conn.id());
+        let mut st = self.shared.state.lock();
         for reg in st.queries.iter_mut().flatten() {
             reg.subscribers.retain(|s| s.conn.id() != conn.id());
         }
@@ -651,7 +636,10 @@ impl App for SaberApp {
 fn handle_http(shared: &Arc<Shared>, conn: &ConnHandle, path: &str) {
     let (status, body) = match path {
         "/metrics" => ("200 OK", render_metrics(shared)),
-        "/traces" => ("200 OK", shared.lock().engine.flight_recorder().dump_text()),
+        "/traces" => (
+            "200 OK",
+            shared.state.lock().engine.flight_recorder().dump_text(),
+        ),
         _ => (
             "404 Not Found",
             "not found (try /metrics or /traces)\n".to_string(),
@@ -687,7 +675,7 @@ fn render_metrics(shared: &Arc<Shared>) -> String {
     // Sample under the state lock — the one every `INSERT` takes to resolve
     // its target — only what needs it; snapshotting and formatting six
     // 976-bucket histograms per live query happens after it is released.
-    let st = shared.lock();
+    let st = shared.state.lock();
     let stats = st.engine.stats();
     let tuples_in = stats.total_tuples_in();
     let bytes_in = stats.total_bytes_in();
@@ -994,11 +982,11 @@ fn subscribe(shared: &Arc<Shared>, conn: &ConnHandle, query: usize, encoding: En
     // Mark the connection push-only *before* the ack goes out: once the
     // client holds an `OK subscribed`, anything further it sends is ignored
     // rather than interpreted.
-    shared.lock_push().insert(conn.id());
+    shared.push_conns.lock().insert(conn.id());
     let id = shared.next_subscriber_id.fetch_add(1, Ordering::SeqCst);
     let ready = Arc::new(AtomicBool::new(false));
     {
-        let mut st = shared.lock();
+        let mut st = shared.state.lock();
         match st.queries.get_mut(query) {
             Some(Some(reg)) if !reg.dropped => {
                 reg.subscribers.push(Subscriber {
@@ -1011,7 +999,7 @@ fn subscribe(shared: &Arc<Shared>, conn: &ConnHandle, query: usize, encoding: En
             _ => {
                 let unknown = shared.unknown_query(&st, query);
                 drop(st);
-                shared.lock_push().remove(&conn.id());
+                shared.push_conns.lock().remove(&conn.id());
                 send(conn, unknown);
                 return;
             }
@@ -1060,7 +1048,7 @@ fn create_stream(shared: &Shared, name: String, schema: Schema) -> Response {
     // `shared.catalog` is the same handle, so compilation sees the stream
     // either way.
     let durable = {
-        let st = shared.lock();
+        let st = shared.state.lock();
         match st.engine.shared_catalog() {
             Some(_) => match st.engine.create_stream(&name, schema.clone()) {
                 Ok(()) => true,
@@ -1091,7 +1079,7 @@ fn register_query(shared: &Shared, sql: String) -> Response {
         .map(|i| query.input_schema(i).clone())
         .collect();
     let clean_sql = sql.trim().trim_end_matches(';').to_string();
-    let mut st = shared.lock();
+    let mut st = shared.state.lock();
     // Registration works on the running engine: queries join the live set
     // immediately, whatever traffic is already flowing. The SQL text rides
     // along so a durable engine can log the registration and restore it on
@@ -1117,7 +1105,7 @@ fn flush(shared: &Shared) -> Response {
     // admits tasks through the credit gate, which can block under
     // backpressure and must not stall other clients.
     let handles: Vec<QueryHandle> = {
-        let st = shared.lock();
+        let st = shared.state.lock();
         st.queries
             .iter()
             .flatten()
@@ -1154,7 +1142,7 @@ fn list_streams(shared: &Shared) -> Response {
 
 /// `QUERIES`: lists the live queries with their SQL.
 fn list_queries(shared: &Shared) -> Response {
-    let st = shared.lock();
+    let st = shared.state.lock();
     let live: Vec<(usize, &QueryReg)> = st
         .queries
         .iter()
@@ -1174,7 +1162,7 @@ fn list_queries(shared: &Shared) -> Response {
 /// `STATS`: the engine-wide summary — uptime, totals across every query
 /// (live and dropped — ids are never reused), plan count, connections.
 fn engine_stats(shared: &Shared) -> Response {
-    let st = shared.lock();
+    let st = shared.state.lock();
     let live = st
         .queries
         .iter()
@@ -1200,7 +1188,7 @@ fn engine_stats(shared: &Shared) -> Response {
 
 /// `STATS <query>`: one query's counters.
 fn query_stats(shared: &Shared, query: usize) -> Response {
-    let st = shared.lock();
+    let st = shared.state.lock();
     let subscribers = match st.queries.get(query) {
         Some(Some(reg)) if !reg.dropped => reg.subscribers.len(),
         _ => return shared.unknown_query(&st, query),
@@ -1255,7 +1243,7 @@ fn resolve_insert(
     query: usize,
     stream: usize,
 ) -> std::result::Result<(SchemaRef, IngestHandle), Response> {
-    let st = shared.lock();
+    let st = shared.state.lock();
     let Some(Some(reg)) = st.queries.get(query) else {
         return Err(shared.unknown_query(&st, query));
     };
@@ -1311,7 +1299,7 @@ fn insert(
 /// plus `END` to the query's subscribers and clears the slot.
 fn drop_query(shared: &Shared, query: usize) -> Response {
     let handle = {
-        let st = shared.lock();
+        let st = shared.state.lock();
         match st.queries.get(query) {
             Some(Some(reg)) if !reg.dropped => reg.handle.clone(),
             _ => return shared.unknown_query(&st, query),
@@ -1329,7 +1317,7 @@ fn drop_query(shared: &Shared, query: usize) -> Response {
     // the error, or its subscribers would never receive `END` and the dead
     // query would haunt `QUERIES` forever.
     let deregistered = {
-        let mut st = shared.lock();
+        let mut st = shared.state.lock();
         if st.engine.query(QueryId(query)).is_none() {
             if let Some(Some(reg)) = st.queries.get_mut(query) {
                 reg.dropped = true;
@@ -1410,7 +1398,7 @@ fn broadcast_loop(shared: Arc<Shared>) {
         let finish = shared.finish_broadcast.load(Ordering::SeqCst);
         let mut finished_queries: Vec<(RowBuffer, Vec<Subscriber>)> = Vec::new();
         let batches: Vec<(RowBuffer, Vec<FanoutTarget>)> = {
-            let mut st = shared.lock();
+            let mut st = shared.state.lock();
             let mut out = Vec::new();
             for slot in st.queries.iter_mut() {
                 let Some(reg) = slot else { continue };
@@ -1480,7 +1468,7 @@ fn broadcast_loop(shared: Arc<Shared>) {
         }
         if finish {
             let subscribers: Vec<Subscriber> = {
-                let mut st = shared.lock();
+                let mut st = shared.state.lock();
                 st.queries
                     .iter_mut()
                     .flatten()

@@ -13,8 +13,9 @@ use crate::error::ParseError;
 use crate::planner::Catalog;
 use saber_query::Query;
 use saber_types::schema::SchemaRef;
+use saber_types::sync::RwLock;
 use saber_types::{SaberError, Schema};
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::Arc;
 
 /// A cloneable, thread-safe catalog handle. Clones share the same
 /// underlying stream set.
@@ -55,27 +56,20 @@ impl SharedCatalog {
         }
     }
 
-    fn read(&self) -> RwLockReadGuard<'_, Catalog> {
-        self.inner.read().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn write(&self) -> RwLockWriteGuard<'_, Catalog> {
-        self.inner.write().unwrap_or_else(|p| p.into_inner())
-    }
-
     /// Registers (or replaces) a stream.
     pub fn register(&self, name: impl Into<String>, schema: SchemaRef) {
-        self.write().register(name, schema);
+        self.inner.write().register(name, schema);
     }
 
     /// Looks up a stream schema by name.
     pub fn get(&self, name: &str) -> Option<SchemaRef> {
-        self.read().get(name).cloned()
+        self.inner.read().get(name).cloned()
     }
 
     /// The registered `(name, schema)` pairs, in registration order.
     pub fn streams(&self) -> Vec<(String, SchemaRef)> {
-        self.read()
+        self.inner
+            .read()
             .streams()
             .map(|(n, s)| (n.to_string(), s.clone()))
             .collect()
@@ -85,24 +79,24 @@ impl SharedCatalog {
     /// [`crate::compile`]). The catalog lock is held only for the duration
     /// of the compilation.
     pub fn compile(&self, sql: &str) -> Result<Query, ParseError> {
-        crate::compile(sql, &self.read())
+        crate::compile(sql, &self.inner.read())
     }
 
     /// Like [`SharedCatalog::compile`], but names the query explicitly.
     pub fn compile_named(&self, sql: &str, name: &str) -> Result<Query, ParseError> {
-        crate::compile_named(sql, name, &self.read())
+        crate::compile_named(sql, name, &self.inner.read())
     }
 
     /// A point-in-time copy of the underlying catalog.
     pub fn snapshot(&self) -> Catalog {
-        self.read().clone()
+        self.inner.read().clone()
     }
 
     /// Replaces the catalog contents with `catalog` (all clones observe the
     /// new stream set). Used by crash recovery to restore a catalog loaded
     /// from a snapshot into the handle an engine already holds.
     pub fn restore(&self, catalog: Catalog) {
-        *self.write() = catalog;
+        *self.inner.write() = catalog;
     }
 
     /// Serialises the stream set (names and schema layouts) into a compact,
@@ -122,7 +116,7 @@ impl SharedCatalog {
     /// assert!(restored.get("S").is_some());
     /// ```
     pub fn serialize(&self) -> Vec<u8> {
-        let catalog = self.read();
+        let catalog = self.inner.read();
         let mut out = vec![1u8]; // catalog format version
         let streams: Vec<_> = catalog.streams().collect();
         out.extend_from_slice(&(streams.len() as u32).to_le_bytes());

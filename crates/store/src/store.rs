@@ -5,6 +5,7 @@ use crate::lockfile::DirLock;
 use crate::record::WalRecord;
 use crate::snapshot::{self, Snapshot};
 use crate::wal::{list_segments, Wal};
+use saber_types::sync::Mutex;
 use saber_types::{Result, SaberError};
 use std::path::Path;
 
@@ -50,7 +51,7 @@ pub struct Store {
     config: DurabilityConfig,
     wal: Wal,
     torn_tail_bytes: u64,
-    last_checkpoint: std::sync::Mutex<Option<u64>>,
+    last_checkpoint: Mutex<Option<u64>>,
     /// Exclusive data-directory lock, held until the store is dropped so a
     /// second process cannot open the same `--data-dir`.
     _lock: DirLock,
@@ -80,7 +81,7 @@ impl Store {
             config: config.clone(),
             wal,
             torn_tail_bytes: info.torn_tail_bytes,
-            last_checkpoint: std::sync::Mutex::new(latest.map(|s| s.next_wal_seq)),
+            last_checkpoint: Mutex::new(latest.map(|s| s.next_wal_seq)),
             _lock: lock,
         })
     }
@@ -129,10 +130,7 @@ impl Store {
     pub fn checkpoint(&self, snapshot: &Snapshot) -> Result<usize> {
         self.wal.sync()?;
         snapshot::write(&self.config.dir, snapshot, self.config.snapshots_kept)?;
-        *self
-            .last_checkpoint
-            .lock()
-            .unwrap_or_else(|p| p.into_inner()) = Some(snapshot.next_wal_seq);
+        *self.last_checkpoint.lock() = Some(snapshot.next_wal_seq);
         self.wal.prune(snapshot.prune_horizon())
     }
 
@@ -153,10 +151,7 @@ impl Store {
         StoreStats {
             wal_bytes: self.wal.wal_bytes(),
             wal_segments: self.wal.num_segments(),
-            last_checkpoint: *self
-                .last_checkpoint
-                .lock()
-                .unwrap_or_else(|p| p.into_inner()),
+            last_checkpoint: *self.last_checkpoint.lock(),
         }
     }
 }

@@ -14,13 +14,14 @@
 
 use crate::config::{DurabilityConfig, FsyncPolicy};
 use crate::record::{read_frame, Frame, WalRecord};
+use saber_types::sync::{Condvar, Mutex};
 use saber_types::{Result, SaberError};
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -104,17 +105,9 @@ struct WalInner {
 }
 
 impl WalInner {
-    fn lock_pending(&self) -> MutexGuard<'_, Pending> {
-        self.pending.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn lock_progress(&self) -> MutexGuard<'_, Progress> {
-        self.progress.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     fn poison(&self, message: String) {
-        self.lock_pending().poisoned = Some(message.clone());
-        self.lock_progress().error = Some(message);
+        self.pending.lock().poisoned = Some(message.clone());
+        self.progress.lock().error = Some(message);
         self.work_cv.notify_all();
         self.space_cv.notify_all();
         self.progress_cv.notify_all();
@@ -248,7 +241,7 @@ impl Wal {
 
     fn append_encoded(&self, encode: impl FnOnce(u64, &mut Vec<u8>) -> usize) -> Result<u64> {
         let inner = &*self.inner;
-        let mut pending = inner.lock_pending();
+        let mut pending = inner.pending.lock();
         loop {
             if let Some(message) = &pending.poisoned {
                 return Err(SaberError::Store(message.clone()));
@@ -262,10 +255,7 @@ impl Wal {
                 break;
             }
             inner.work_cv.notify_all();
-            pending = inner
-                .space_cv
-                .wait(pending)
-                .unwrap_or_else(|p| p.into_inner());
+            inner.space_cv.wait(&mut pending);
         }
         let seq = pending.next_seq;
         pending.next_seq += 1;
@@ -282,7 +272,7 @@ impl Wal {
     pub(crate) fn sync(&self) -> Result<()> {
         let inner = &*self.inner;
         let target = {
-            let mut pending = inner.lock_pending();
+            let mut pending = inner.pending.lock();
             if let Some(message) = &pending.poisoned {
                 return Err(SaberError::Store(message.clone()));
             }
@@ -290,22 +280,19 @@ impl Wal {
             pending.next_seq
         };
         inner.work_cv.notify_all();
-        let mut progress = inner.lock_progress();
+        let mut progress = inner.progress.lock();
         while progress.synced_seq < target {
             if let Some(message) = &progress.error {
                 return Err(SaberError::Store(message.clone()));
             }
-            progress = inner
-                .progress_cv
-                .wait(progress)
-                .unwrap_or_else(|p| p.into_inner());
+            inner.progress_cv.wait(&mut progress);
         }
         Ok(())
     }
 
     /// The sequence number the next appended record will receive.
     pub(crate) fn next_seq(&self) -> u64 {
-        self.inner.lock_pending().next_seq
+        self.inner.pending.lock().next_seq
     }
 
     /// Total framed bytes appended over this log's lifetime.
@@ -422,7 +409,7 @@ pub(crate) struct ReplayedRange {
 
 impl Drop for Wal {
     fn drop(&mut self) {
-        self.inner.lock_pending().shutdown = true;
+        self.inner.pending.lock().shutdown = true;
         self.inner.work_cv.notify_all();
         if let Some(flusher) = self.flusher.take() {
             let _ = flusher.join();
@@ -480,17 +467,15 @@ fn flusher_loop(inner: Arc<WalInner>, active: Option<(u64, PathBuf, u64)>) {
     let mut spare: VecDeque<Vec<u8>> = VecDeque::new();
     loop {
         let (mut batch, batch_first_seq, batch_end_seq, sync_requested, shutdown) = {
-            let mut pending = inner.lock_pending();
+            let mut pending = inner.pending.lock();
             // Pace the group commit: accumulate appends for one flush
             // interval (appends do not wake the flusher — that is the whole
             // point), but wake early for sync requests, backpressure and
             // shutdown, which notify `work_cv`.
             if !pending.shutdown && !pending.sync_requested {
-                let (guard, _) = inner
+                inner
                     .work_cv
-                    .wait_timeout(pending, inner.config.flush_interval)
-                    .unwrap_or_else(|p| p.into_inner());
-                pending = guard;
+                    .wait_for(&mut pending, inner.config.flush_interval);
             }
             let mut batch = spare.pop_front().unwrap_or_default();
             batch.clear();
@@ -580,7 +565,7 @@ fn flusher_loop(inner: Arc<WalInner>, active: Option<(u64, PathBuf, u64)>) {
             None => {
                 let durable = segment.as_ref().map(|s| !s.unsynced).unwrap_or(true);
                 if durable {
-                    let mut progress = inner.lock_progress();
+                    let mut progress = inner.progress.lock();
                     if batch_end_seq > progress.synced_seq {
                         progress.synced_seq = batch_end_seq;
                     }
@@ -589,7 +574,7 @@ fn flusher_loop(inner: Arc<WalInner>, active: Option<(u64, PathBuf, u64)>) {
                 }
             }
         }
-        if shutdown && inner.lock_pending().buf.is_empty() {
+        if shutdown && inner.pending.lock().buf.is_empty() {
             return;
         }
     }

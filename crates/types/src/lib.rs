@@ -18,6 +18,8 @@
 //!   range, the operand format of the vectorized operator kernels,
 //! * [`cpu_features`] — process-wide runtime SIMD capability detection
 //!   shared by every vectorized code path,
+//! * [`sync`] — the non-poisoning `Mutex` / `Condvar` / `RwLock` every
+//!   crate locks with,
 //! * [`SaberError`] — the crate-wide error type.
 
 #![deny(missing_docs)]
@@ -28,6 +30,7 @@ pub mod columnar;
 pub mod cpu_features;
 pub mod error;
 pub mod schema;
+pub mod sync;
 pub mod tuple;
 pub mod value;
 
