@@ -13,10 +13,11 @@
 
 use crate::exec::{StreamBatch, TaskOutput};
 use crate::kernels;
-use crate::plan::{CompiledPlan, EquiJoinKeys, PartitionJoinPlan, ThetaJoinPlan};
-use saber_query::WindowSpec;
+use crate::plan::{CompiledPlan, PartitionJoinPlan, ThetaJoinPlan};
+use saber_query::{Expr, WindowSpec};
 use saber_types::{ColumnarBatch, Result, RowBuffer, SaberError, TupleRef};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// True if the two tuples fall into at least one common window under the
 /// given window specification (count-based windows compare stream positions,
@@ -50,21 +51,25 @@ pub fn execute_theta(
 
     // New-left × all-right, then all-old-left × new-right: every matching
     // pair in which at least one side is new is produced exactly once.
-    if let (true, Some(keys)) = (plan.kernel().is_columnar(), join.equi.as_ref()) {
-        join_side_equi(plan, join, keys, left, right, false, &mut out)?;
-        join_side_equi(plan, join, keys, right, left, true, &mut out)?;
-    } else {
-        join_side(plan, join, left, right, false, &mut out)?;
-        join_side(plan, join, right, left, true, &mut out)?;
-    }
+    join_side(plan, join, left, right, false, &mut out);
+    join_side(plan, join, right, left, true, &mut out);
     Ok(TaskOutput::Rows(out))
 }
 
 /// Matches the *new* rows of `probe` against rows of `build`. When `swapped`
 /// is false, `probe` is the left input; when true it is the right input (and
 /// only *old* build rows are considered, to avoid emitting new×new pairs
-/// twice). Public so the accelerator's join kernel can reuse the exact same
-/// matching semantics per work group.
+/// twice). Public so each accelerator work group runs it on its probe rows.
+///
+/// With an equi-key decomposition
+/// ([`EquiJoinKeys`](crate::plan::EquiJoinKeys)) both sides' key
+/// expressions are evaluated column-wise once, and each probe key is matched
+/// against the build key column with a SIMD equality sweep
+/// ([`kernels::scan_eq`]); without one, every build row in range is a
+/// candidate. Candidates arrive in ascending build order and go through the
+/// window check, the predicate — only its residual conjuncts after a key
+/// match, since IEEE `f64` key equality is what the predicate's `Eq`
+/// computes — the post-filter and emission.
 pub fn join_side(
     plan: &CompiledPlan,
     join: &ThetaJoinPlan,
@@ -72,7 +77,8 @@ pub fn join_side(
     build: &StreamBatch,
     swapped: bool,
     out: &mut RowBuffer,
-) -> Result<()> {
+) {
+    let simd = plan.kernel().simd();
     let window = if swapped {
         &join.left_window
     } else {
@@ -84,105 +90,40 @@ pub fn join_side(
     } else {
         build.rows.len()
     };
-    for i in probe.lookback_rows..probe.rows.len() {
-        let probe_row = probe.rows.row(i);
-        let probe_pos = probe.start_index + (i - probe.lookback_rows) as u64;
-        let probe_ts = probe_row.timestamp();
-        for j in 0..build_limit {
-            let build_row = build.rows.row(j);
-            let build_pos = if j >= build.lookback_rows {
-                build.start_index + (j - build.lookback_rows) as u64
-            } else {
-                build
-                    .start_index
-                    .saturating_sub((build.lookback_rows - j) as u64)
-            };
-            let build_ts = build_row.timestamp();
-            if !within_window(window, probe_pos, probe_ts, build_pos, build_ts) {
-                continue;
-            }
-            let (l, r) = if swapped {
-                (&build_row, &probe_row)
-            } else {
-                (&probe_row, &build_row)
-            };
-            if !join.predicate.eval_join_bool(l, r, split) {
-                continue;
-            }
-            if let Some(filter) = &join.post_filter {
-                if !filter.eval_join_bool(l, r, split) {
-                    continue;
-                }
-            }
-            emit_pair(plan, join, l, r, out)?;
-        }
-    }
-    Ok(())
-}
-
-/// The vectorized form of [`join_side`] for equi-decomposable predicates.
-///
-/// Both sides' key expressions are evaluated column-wise once, and each
-/// probe key is matched against the build key column with a SIMD equality
-/// sweep ([`kernels::scan_eq`]) instead of evaluating the full predicate per
-/// pair. Candidates come back in ascending build order and go through the
-/// same window check, residual-conjunct check, post-filter and emission as
-/// the row path — probing keys by IEEE `f64` equality is exactly what the
-/// row path's `Eq` comparison computes, so the output bytes are identical.
-fn join_side_equi(
-    plan: &CompiledPlan,
-    join: &ThetaJoinPlan,
-    keys: &EquiJoinKeys,
-    probe: &StreamBatch,
-    build: &StreamBatch,
-    swapped: bool,
-    out: &mut RowBuffer,
-) -> Result<()> {
-    let simd = plan.kernel().simd();
-    let window = if swapped {
-        &join.left_window
-    } else {
-        &join.right_window
-    };
-    let split = join.left_width;
-    let build_limit = if swapped {
-        build.lookback_rows
-    } else {
-        build.rows.len()
-    };
     let probe_range = probe.lookback_rows..probe.rows.len();
     if probe_range.is_empty() || build_limit == 0 {
-        return Ok(());
+        return;
     }
 
     // The probe side keys with `left_key` exactly when it plays the left
     // role (i.e. not swapped); both expressions are over their own input's
     // schema.
-    let (probe_key_expr, build_key_expr) = if swapped {
-        (&keys.right_key, &keys.left_key)
-    } else {
-        (&keys.left_key, &keys.right_key)
+    let (keys, check) = match &join.equi {
+        Some(equi) => {
+            let (probe_key, build_key) = if swapped {
+                (&equi.right_key, &equi.left_key)
+            } else {
+                (&equi.left_key, &equi.right_key)
+            };
+            let probe_keys = key_column(probe_key, probe, probe_range.clone(), simd);
+            let build_keys = key_column(build_key, build, 0..build_limit, simd);
+            (Some((probe_keys, build_keys)), equi.residual.as_ref())
+        }
+        None => (None, Some(&join.predicate)),
     };
-    let probe_columns = ColumnarBatch::gather(
-        &probe.rows,
-        probe_range.clone(),
-        &kernels::referenced_columns([probe_key_expr]),
-    );
-    let probe_keys = kernels::eval(probe_key_expr, &probe_columns, simd);
-    let build_columns = ColumnarBatch::gather(
-        &build.rows,
-        0..build_limit,
-        &kernels::referenced_columns([build_key_expr]),
-    );
-    let build_keys = kernels::eval(build_key_expr, &build_columns, simd);
+    let mut candidates: Vec<u32> = match keys {
+        Some(_) => Vec::new(),
+        None => (0..build_limit as u32).collect(),
+    };
 
-    let mut candidates: Vec<u32> = Vec::new();
     for (idx, i) in probe_range.enumerate() {
         let probe_row = probe.rows.row(i);
         let probe_pos = probe.start_index + idx as u64;
         let probe_ts = probe_row.timestamp();
-        candidates.clear();
-        kernels::scan_eq(&build_keys, probe_keys[idx], simd, &mut candidates);
+        if let Some((probe_keys, build_keys)) = &keys {
+            candidates.clear();
+            kernels::scan_eq(build_keys, probe_keys[idx], simd, &mut candidates);
+        }
         for &j in &candidates {
             let j = j as usize;
             let build_row = build.rows.row(j);
@@ -207,51 +148,44 @@ fn join_side_equi(
             } else {
                 (&probe_row, &build_row)
             };
-            if let Some(residual) = &keys.residual {
-                if !residual.eval_join_bool(l, r, split) {
-                    continue;
-                }
+            if check.is_some_and(|c| !c.eval_join_bool(l, r, split))
+                || join
+                    .post_filter
+                    .as_ref()
+                    .is_some_and(|f| !f.eval_join_bool(l, r, split))
+            {
+                continue;
             }
-            if let Some(filter) = &join.post_filter {
-                if !filter.eval_join_bool(l, r, split) {
-                    continue;
-                }
-            }
-            emit_pair(plan, join, l, r, out)?;
+            emit_pair(join, l, r, out);
         }
     }
-    Ok(())
 }
 
-fn emit_pair(
-    plan: &CompiledPlan,
-    join: &ThetaJoinPlan,
-    l: &TupleRef<'_>,
-    r: &TupleRef<'_>,
-    out: &mut RowBuffer,
-) -> Result<()> {
+/// One join key per row of `range`, evaluated column-wise.
+fn key_column(expr: &Expr, batch: &StreamBatch, range: Range<usize>, simd: bool) -> Vec<f64> {
+    let columns = ColumnarBatch::gather(&batch.rows, range, &kernels::referenced_columns([expr]));
+    kernels::eval(expr, &columns, simd)
+}
+
+fn emit_pair(join: &ThetaJoinPlan, l: &TupleRef<'_>, r: &TupleRef<'_>, out: &mut RowBuffer) {
+    let mut row = out.push_uninit();
     match &join.post_projection {
         None => {
-            // Concatenate the two rows byte-for-byte.
-            let mut row = out.push_uninit();
-            let left_schema = l.schema();
-            for c in 0..left_schema.len() {
+            // Concatenate the two rows.
+            let left_width = l.schema().len();
+            for c in 0..left_width {
                 row.set_numeric(c, l.get_numeric(c));
             }
-            let right_schema = r.schema();
-            for c in 0..right_schema.len() {
-                row.set_numeric(left_schema.len() + c, r.get_numeric(c));
+            for c in 0..r.schema().len() {
+                row.set_numeric(left_width + c, r.get_numeric(c));
             }
         }
         Some(exprs) => {
-            let mut row = out.push_uninit();
             for (col, (expr, _ty)) in exprs.iter().enumerate() {
                 row.set_numeric(col, expr.eval_join(l, r, join.left_width));
             }
         }
     }
-    let _ = plan;
-    Ok(())
 }
 
 /// Evaluates a partition join: the right stream is reduced to its most recent
@@ -493,48 +427,46 @@ mod tests {
     }
 
     #[test]
-    fn equi_fast_path_matches_row_kernel_bytes() {
+    fn equi_probe_matches_the_undecomposable_predicate_on_both_kernels() {
         use crate::kernels::KernelKind;
         // Equality plus a residual inequality, with lookback rows on the
         // right side so both probe directions and old-row positions are
-        // exercised.
-        let q = QueryBuilder::new("join", schema())
-            .count_window(8, 8)
-            .theta_join(
-                schema(),
-                WindowSpec::count(8, 8),
-                Expr::column(1)
-                    .eq(Expr::column(3 + 1))
-                    .and(Expr::column(2).le(Expr::column(3 + 2))),
-            )
-            .build()
-            .unwrap();
-        let plan = CompiledPlan::compile(&q).unwrap();
-        let join = match plan.kind() {
-            PlanKind::ThetaJoin(j) => j.clone(),
-            _ => unreachable!(),
-        };
-        assert!(join.equi.is_some());
+        // exercised. `(l.key - r.key) == 0` selects the same pairs, but
+        // `split_equi` cannot decompose it, so it runs on every candidate.
+        let residual = Expr::column(2).le(Expr::column(3 + 2));
+        let equi = Expr::column(1).eq(Expr::column(3 + 1));
+        let pure = Expr::column(1)
+            .sub(Expr::column(3 + 1))
+            .eq(Expr::literal(0.0));
         let left = batch(&[1, 2, 2, 3, 9], 2);
         let mut right = batch(&[2, 1, 2, 9, 2, 1, 7], 2);
         right.lookback_rows = 2;
-        let outputs: Vec<Vec<u8>> = [
-            KernelKind::Row,
-            KernelKind::ColumnarScalar,
-            KernelKind::ColumnarSimd,
-        ]
-        .into_iter()
-        .map(|k| {
-            let plan = plan.clone().with_kernel(k);
-            match execute_theta(&plan, &join, &[left.clone(), right.clone()]).unwrap() {
-                TaskOutput::Rows(r) => r.bytes().to_vec(),
-                _ => unreachable!(),
-            }
-        })
-        .collect();
+        let outputs: Vec<Vec<u8>> = [equi, pure]
+            .into_iter()
+            .flat_map(|key| {
+                let q = QueryBuilder::new("join", schema())
+                    .count_window(8, 8)
+                    .theta_join(schema(), WindowSpec::count(8, 8), key.and(residual.clone()))
+                    .build()
+                    .unwrap();
+                let plan = CompiledPlan::compile(&q).unwrap();
+                let join = match plan.kind() {
+                    PlanKind::ThetaJoin(j) => j.clone(),
+                    _ => unreachable!(),
+                };
+                [KernelKind::Scalar, KernelKind::Simd].map(|k| {
+                    let plan = plan.clone().with_kernel(k);
+                    match execute_theta(&plan, &join, &[left.clone(), right.clone()]).unwrap() {
+                        TaskOutput::Rows(r) => r.bytes().to_vec(),
+                        _ => unreachable!(),
+                    }
+                })
+            })
+            .collect();
         assert!(!outputs[0].is_empty());
-        assert_eq!(outputs[0], outputs[1], "row vs columnar-scalar");
-        assert_eq!(outputs[1], outputs[2], "columnar-scalar vs columnar-simd");
+        for other in &outputs[1..] {
+            assert_eq!(&outputs[0], other);
+        }
     }
 
     #[test]

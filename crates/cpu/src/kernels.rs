@@ -1,10 +1,10 @@
 //! Batch-columnar operator kernels: portable scalar and AVX2 variants.
 //!
-//! The row-at-a-time operator loops interpret the expression tree once per
-//! tuple. The columnar kernels instead evaluate each expression node over a
-//! whole gathered column ([`saber_types::ColumnarBatch`]), which turns the
-//! per-tuple interpreter dispatch into tight per-column loops that the AVX2
-//! variants process four `f64` lanes at a time.
+//! Every operator evaluates each expression node over a whole gathered
+//! column ([`saber_types::ColumnarBatch`]) rather than interpreting the
+//! expression tree once per tuple, which turns the evaluation into tight
+//! per-column loops that the AVX2 variants process four `f64` lanes at a
+//! time.
 //!
 //! **The scalar variants are the source of truth.** Every AVX2 kernel is
 //! required to produce *bit-identical* results to its scalar counterpart
@@ -20,8 +20,8 @@
 //!   so the scalar fallback reproduces the SIMD summation order exactly;
 //! * `Mod` has no vector instruction and stays a scalar loop in both.
 //!
-//! Which variant runs is a per-plan decision ([`KernelKind`], chosen in
-//! [`crate::plan::CompiledPlan::compile`]) based on
+//! Which variant runs is a platform property ([`KernelKind::best`], read
+//! once per plan in [`crate::plan::CompiledPlan::compile`]) based on
 //! [`saber_types::cpu_features`] — which honours `SABER_FORCE_SCALAR=1`, the
 //! switch CI uses to keep the portable path exercised.
 //!
@@ -30,51 +30,35 @@
 use saber_query::{BinaryOp, CompareOp, Expr};
 use saber_types::{cpu_features, ColumnarBatch};
 
-/// How a compiled plan's batch operator function is evaluated.
+/// Which variant of the columnar kernels a compiled plan runs with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// The row-at-a-time interpreter (any plan shape; the reference).
-    Row,
-    /// Batch-columnar evaluation with portable scalar kernels.
-    ColumnarScalar,
-    /// Batch-columnar evaluation with AVX2 kernels (4 × `f64` lanes).
-    ColumnarSimd,
+    /// Portable scalar kernels (the reference the AVX2 variant must match).
+    Scalar,
+    /// AVX2 kernels (4 × `f64` lanes).
+    Simd,
 }
 
 impl KernelKind {
-    /// The best columnar kernel available on this machine (scalar when AVX2
-    /// is absent or `SABER_FORCE_SCALAR=1` is set).
-    pub fn best_columnar() -> Self {
+    /// The best variant this machine runs (scalar when AVX2 is absent or
+    /// `SABER_FORCE_SCALAR=1` is set).
+    pub fn best() -> Self {
         if cpu_features::has_avx2() {
-            KernelKind::ColumnarSimd
+            KernelKind::Simd
         } else {
-            KernelKind::ColumnarScalar
+            KernelKind::Scalar
         }
-    }
-
-    /// True for the batch-columnar variants.
-    pub fn is_columnar(self) -> bool {
-        !matches!(self, KernelKind::Row)
     }
 
     /// True when the AVX2 kernels should be used.
     pub fn simd(self) -> bool {
-        matches!(self, KernelKind::ColumnarSimd)
-    }
-
-    /// Kernel label for reports and benchmarks.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelKind::Row => "row",
-            KernelKind::ColumnarScalar => "columnar-scalar",
-            KernelKind::ColumnarSimd => "columnar-simd",
-        }
+        matches!(self, KernelKind::Simd)
     }
 }
 
 /// True when the AVX2 code path may actually be taken: requested *and*
-/// supported (a plan forced to [`KernelKind::ColumnarSimd`] on non-AVX2
-/// hardware silently degrades to the scalar kernels rather than faulting).
+/// supported (a plan pinned to [`KernelKind::Simd`] on non-AVX2 hardware
+/// silently degrades to the scalar kernels rather than faulting).
 #[inline]
 fn use_avx2(simd: bool) -> bool {
     simd && cpu_features::has_avx2()
@@ -191,7 +175,7 @@ pub fn apply_compare(op: CompareOp, a: &mut [f64], b: &[f64], simd: bool) {
 
 /// `a[i] = (a[i] != 0.0 && b[i] != 0.0) as 1.0/0.0`.
 ///
-/// The row interpreter short-circuits `&&`, but expressions are pure, so
+/// [`Expr::eval_bool`] short-circuits `&&`, but expressions are pure, so
 /// evaluating both operands over the column is semantics-preserving.
 pub fn apply_and(a: &mut [f64], b: &[f64], simd: bool) {
     debug_assert_eq!(a.len(), b.len());
@@ -805,7 +789,7 @@ mod tests {
             scan_eq(&keys, 9.0, simd, &mut out);
             assert!(out.is_empty());
         }
-        // NaN keys never match (IEEE equality), same as the row interpreter.
+        // NaN keys never match (IEEE equality), same as `Expr::eval`.
         let mut out = Vec::new();
         scan_eq(&[f64::NAN, 1.0], f64::NAN, true, &mut out);
         assert!(out.is_empty());

@@ -16,11 +16,8 @@
 //! the simulated accelerator kernels (`saber-gpu`), which guarantees that the
 //! two processors compute identical results for a given task.
 //!
-//! Compilation also picks the *kernel* each plan runs with
-//! ([`KernelKind`]): plan shapes the batch-columnar kernels support
-//! (stateless scans, ungrouped additive aggregation, equi-decomposable
-//! θ-joins) default to the best columnar variant the hardware offers, and
-//! everything else keeps the row-at-a-time interpreter.
+//! Every plan shape runs on the batch-columnar kernels; compilation records
+//! which variant ([`KernelKind`]) — the best the hardware offers.
 
 use crate::kernels::KernelKind;
 use saber_query::aggregate::AggregateFunction;
@@ -106,9 +103,9 @@ impl AggregationPlan {
 /// The vectorized probe evaluates both key expressions column-wise and scans
 /// the build side's key column with a SIMD equality sweep; the remaining
 /// conjuncts (if any) run as a per-candidate residual check. Candidate
-/// selection uses IEEE `f64` equality — exactly what the row interpreter's
-/// `Eq` comparison computes — so the fast path produces the identical pair
-/// set.
+/// selection uses IEEE `f64` equality — exactly what the predicate's `Eq`
+/// comparison computes — so the probe produces the pair set the whole
+/// predicate would.
 #[derive(Debug, Clone)]
 pub struct EquiJoinKeys {
     /// Key expression over the *left* input schema.
@@ -285,11 +282,6 @@ impl CompiledPlan {
         } else {
             Self::compile_unary(query)?
         };
-        let kernel = if Self::supports_columnar(&kind) {
-            KernelKind::best_columnar()
-        } else {
-            KernelKind::Row
-        };
 
         Ok(Self {
             query_id: query.id,
@@ -300,21 +292,8 @@ impl CompiledPlan {
             output_schema: query.output_schema.clone(),
             stream_function: query.stream_function,
             pipeline_cost: query.pipeline_cost(),
-            kernel,
+            kernel: KernelKind::best(),
         })
-    }
-
-    /// Whether the batch-columnar kernels implement this plan shape:
-    /// stateless scans, ungrouped all-additive aggregation, and θ-joins
-    /// with an equi-key decomposition. Grouped or distinct aggregation and
-    /// partition joins stay on the row interpreter.
-    fn supports_columnar(kind: &PlanKind) -> bool {
-        match kind {
-            PlanKind::Stateless(_) => true,
-            PlanKind::Aggregation(a) => a.group_exprs.is_empty() && a.all_additive(),
-            PlanKind::ThetaJoin(j) => j.equi.is_some(),
-            PlanKind::PartitionJoin(_) => false,
-        }
     }
 
     fn compile_unary(query: &Query) -> Result<PlanKind> {
@@ -537,15 +516,9 @@ impl CompiledPlan {
     }
 
     /// Overrides the kernel (benchmarks and differential tests pin specific
-    /// variants). Requests for a columnar kernel on a plan shape the
-    /// columnar kernels do not implement are clamped back to
-    /// [`KernelKind::Row`], so forcing is always safe.
+    /// variants).
     pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
-        self.kernel = if kernel.is_columnar() && !Self::supports_columnar(&self.kind) {
-            KernelKind::Row
-        } else {
-            kernel
-        };
+        self.kernel = kernel;
         self
     }
 
@@ -757,67 +730,51 @@ mod tests {
     }
 
     #[test]
-    fn kernel_selection_matches_plan_shape() {
-        let best = KernelKind::best_columnar();
-
-        let sel = QueryBuilder::new("sel", schema())
-            .count_window(8, 8)
-            .select(Expr::column(1).gt(Expr::literal(0.0)))
-            .build()
-            .unwrap();
-        let plan = CompiledPlan::compile(&sel).unwrap();
-        assert_eq!(plan.kernel(), best, "stateless plans vectorize");
-
-        let agg = QueryBuilder::new("agg", schema())
-            .time_window(60, 1)
-            .aggregate(AggregateFunction::Sum, 1)
-            .build()
-            .unwrap();
-        let plan = CompiledPlan::compile(&agg).unwrap();
-        assert_eq!(plan.kernel(), best, "ungrouped additive agg vectorizes");
-
-        let grouped = QueryBuilder::new("grp", schema())
-            .time_window(60, 1)
-            .aggregate(AggregateFunction::Sum, 1)
-            .group_by(vec![2])
-            .build()
-            .unwrap();
-        let plan = CompiledPlan::compile(&grouped).unwrap();
-        assert_eq!(plan.kernel(), KernelKind::Row, "grouped agg stays row");
-        // Forcing columnar on an unsupported shape clamps back to Row.
-        let plan = plan.with_kernel(KernelKind::ColumnarSimd);
-        assert_eq!(plan.kernel(), KernelKind::Row);
-
-        let join = QueryBuilder::new("join", schema())
-            .count_window(128, 64)
-            .theta_join(
-                schema(),
-                WindowSpec::count(256, 256),
-                Expr::column(2).eq(Expr::column(4 + 2)),
-            )
-            .build()
-            .unwrap();
-        let plan = CompiledPlan::compile(&join).unwrap();
-        match plan.kind() {
-            PlanKind::ThetaJoin(j) => assert!(j.equi.is_some()),
-            _ => panic!("expected join plan"),
+    fn every_plan_shape_gets_the_platform_kernel_and_pins_stick() {
+        let window = WindowSpec::count(128, 64);
+        let unary = || QueryBuilder::new("q", schema()).window(window);
+        let join = |predicate: Expr| {
+            unary()
+                .theta_join(schema(), WindowSpec::count(256, 256), predicate)
+                .build()
+                .unwrap()
+        };
+        let shapes = [
+            unary()
+                .select(Expr::column(1).gt(Expr::literal(0.0)))
+                .build()
+                .unwrap(),
+            unary()
+                .aggregate(AggregateFunction::Sum, 1)
+                .build()
+                .unwrap(),
+            unary()
+                .aggregate(AggregateFunction::Sum, 1)
+                .group_by(vec![2])
+                .build()
+                .unwrap(),
+            unary()
+                .aggregate(AggregateFunction::CountDistinct, 2)
+                .build()
+                .unwrap(),
+            join(Expr::column(2).eq(Expr::column(4 + 2))),
+            join(Expr::column(1).lt(Expr::column(4 + 1))),
+            unary()
+                .partition_join(
+                    schema(),
+                    WindowSpec::count(1, 1),
+                    PartitionJoinSpec::new(2, 2),
+                )
+                .build()
+                .unwrap(),
+        ];
+        for query in &shapes {
+            let plan = CompiledPlan::compile(query).unwrap();
+            assert_eq!(plan.kernel(), KernelKind::best(), "{:?}", plan.kind());
+            for pin in [KernelKind::Scalar, KernelKind::Simd] {
+                assert_eq!(plan.clone().with_kernel(pin).kernel(), pin);
+            }
         }
-        assert_eq!(plan.kernel(), best, "equi join vectorizes");
-        // Pinning a supported variant sticks.
-        let plan = plan.with_kernel(KernelKind::ColumnarScalar);
-        assert_eq!(plan.kernel(), KernelKind::ColumnarScalar);
-
-        let theta = QueryBuilder::new("theta", schema())
-            .count_window(128, 64)
-            .theta_join(
-                schema(),
-                WindowSpec::count(256, 256),
-                Expr::column(1).lt(Expr::column(4 + 1)),
-            )
-            .build()
-            .unwrap();
-        let plan = CompiledPlan::compile(&theta).unwrap();
-        assert_eq!(plan.kernel(), KernelKind::Row, "pure θ stays row");
     }
 
     #[test]

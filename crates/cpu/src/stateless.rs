@@ -7,14 +7,13 @@
 //! projection is the identity, selected rows are forwarded byte-for-byte
 //! (direct byte forwarding, §5.1).
 //!
-//! Two kernels implement the scan. The row kernel interprets the
-//! expressions once per tuple. The columnar kernel gathers the referenced
-//! attributes into dense columns ([`ColumnarBatch`]), evaluates the filter
-//! and projection expressions column-wise (vectorized with AVX2 when the
-//! plan's [`KernelKind`](crate::KernelKind) says so), and then forwards
-//! surviving rows —
-//! run-coalesced byte copies for identity projections. Both produce
-//! byte-identical output; `tests/simd_differential.rs` holds them to that.
+//! The scan gathers the referenced attributes into dense columns
+//! ([`ColumnarBatch`]), evaluates the filter and projection expressions
+//! column-wise (vectorized with AVX2 when the plan's
+//! [`KernelKind`](crate::KernelKind) says so), and then forwards surviving
+//! rows — run-coalesced byte copies for identity projections. The scalar and
+//! AVX2 variants produce byte-identical output; `tests/simd_differential.rs`
+//! holds them to that.
 
 use crate::exec::{StreamBatch, TaskOutput};
 use crate::kernels;
@@ -27,42 +26,7 @@ pub fn execute(
     stateless: &StatelessPlan,
     batch: &StreamBatch,
 ) -> Result<TaskOutput> {
-    let kernel = plan.kernel();
-    if kernel.is_columnar() {
-        return execute_columnar(plan, stateless, batch, kernel.simd());
-    }
-    let mut out = RowBuffer::with_capacity(plan.output_schema().clone(), batch.new_rows());
-    let rows = &batch.rows;
-    for i in batch.lookback_rows..rows.len() {
-        let tuple = rows.row(i);
-        if let Some(filter) = &stateless.filter {
-            if !filter.eval_bool(&tuple) {
-                continue;
-            }
-        }
-        match &stateless.projection {
-            None => {
-                // Identity projection: forward the raw bytes.
-                out.push_bytes(tuple.bytes())?;
-            }
-            Some(exprs) => {
-                let mut row = out.push_uninit();
-                for (col, (expr, _ty)) in exprs.iter().enumerate() {
-                    row.set_numeric(col, expr.eval(&tuple));
-                }
-            }
-        }
-    }
-    Ok(TaskOutput::Rows(out))
-}
-
-/// The batch-columnar form of the stateless scan.
-fn execute_columnar(
-    plan: &CompiledPlan,
-    stateless: &StatelessPlan,
-    batch: &StreamBatch,
-    simd: bool,
-) -> Result<TaskOutput> {
+    let simd = plan.kernel().simd();
     let rows = &batch.rows;
     let range = batch.lookback_rows..rows.len();
     let mut out = RowBuffer::with_capacity(plan.output_schema().clone(), range.len());
@@ -253,10 +217,10 @@ mod tests {
     }
 
     #[test]
-    fn all_kernels_produce_identical_bytes() {
+    fn kernels_agree_with_each_other_and_the_reference_interpreter() {
         use crate::kernels::KernelKind;
         // Selection + arithmetic projection, with an unaligned row count and
-        // lookback rows, across all three kernels.
+        // lookback rows, on both kernel variants.
         let q = QueryBuilder::new("k", schema())
             .count_window(16, 16)
             .project(vec![
@@ -276,23 +240,23 @@ mod tests {
         };
         let mut b = batch(37);
         b.lookback_rows = 5;
-        let outputs: Vec<Vec<u8>> = [
-            KernelKind::Row,
-            KernelKind::ColumnarScalar,
-            KernelKind::ColumnarSimd,
-        ]
-        .into_iter()
-        .map(|k| {
-            let plan = plan.clone().with_kernel(k);
-            match execute(&plan, &stateless, &b).unwrap() {
-                TaskOutput::Rows(r) => r.bytes().to_vec(),
-                _ => unreachable!(),
-            }
-        })
-        .collect();
+        let outputs: Vec<Vec<u8>> = [KernelKind::Scalar, KernelKind::Simd]
+            .into_iter()
+            .map(|k| {
+                let plan = plan.clone().with_kernel(k);
+                match execute(&plan, &stateless, &b).unwrap() {
+                    TaskOutput::Rows(r) => r.bytes().to_vec(),
+                    _ => unreachable!(),
+                }
+            })
+            .collect();
         assert!(!outputs[0].is_empty());
-        assert_eq!(outputs[0], outputs[1], "row vs columnar-scalar");
-        assert_eq!(outputs[1], outputs[2], "columnar-scalar vs columnar-simd");
+        assert_eq!(outputs[0], outputs[1], "scalar vs simd");
+        let lookback_bytes = 5 * schema().row_size();
+        let new_rows =
+            RowBuffer::from_bytes(schema(), b.rows.bytes()[lookback_bytes..].to_vec()).unwrap();
+        let reference = saber_workloads::reference::run_single_input(&q, &new_rows).unwrap();
+        assert_eq!(outputs[0], reference.bytes(), "scalar vs reference");
     }
 
     #[test]

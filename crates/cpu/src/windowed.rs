@@ -12,6 +12,11 @@
 //! the paper: every input tuple is folded into exactly one pane state, and
 //! overlapping windows reuse the pane states instead of re-aggregating the
 //! raw tuples.
+//!
+//! One columnar function serves every plan shape: the filter, the aggregate
+//! inputs and the group keys are gathered and evaluated once per task, then
+//! folded into panes in one of two ways chosen by the plan's shape (see
+//! [`execute`]).
 
 use crate::exec::{PanePartial, StreamBatch, TaskOutput};
 use crate::hashtable::GroupTable;
@@ -19,7 +24,8 @@ use crate::kernels;
 use crate::plan::{AggregationPlan, CompiledPlan};
 use saber_query::aggregate::AggregateFunction;
 use saber_query::Expr;
-use saber_types::{columnar, ColumnarBatch, Result, TupleRef};
+use saber_types::{columnar, ColumnarBatch, Result, RowBuffer};
+use std::ops::Range;
 
 /// Computes the pane a position belongs to.
 #[inline]
@@ -27,161 +33,104 @@ pub fn pane_of(position: u64, pane_length: u64) -> u64 {
     position / pane_length.max(1)
 }
 
-/// Extracts the group key parts of a tuple under the plan's group
-/// expressions. Column references use the exact raw key (bit pattern for
-/// floats); computed expressions fall back to the numeric value's bits.
-#[inline]
-fn group_keys(tuple: &TupleRef<'_>, group_exprs: &[Expr], out: &mut Vec<i64>) {
-    out.clear();
-    for e in group_exprs {
-        let key = match e {
-            Expr::Column(c) => tuple.get_key(*c),
-            other => other.eval(tuple).to_bits() as i64,
-        };
-        out.push(key);
+/// One aggregate's input over the task's rows, evaluated once per task.
+enum Input {
+    /// COUNT: every surviving row counts once.
+    Count,
+    /// COUNT DISTINCT: one raw key per row.
+    Keys(Vec<i64>),
+    /// Every other function: one value per row (`0.0` without an input).
+    Values(Vec<f64>),
+}
+
+/// True for expressions whose key is read raw rather than evaluated.
+fn is_column(expr: &&Expr) -> bool {
+    matches!(expr, Expr::Column(_))
+}
+
+/// One 64-bit key per row of `range`: a column's raw key (bit pattern for
+/// floats, as `TupleRef::get_key` reads it), or a computed expression's
+/// value bits.
+fn keys_of(
+    expr: &Expr,
+    rows: &RowBuffer,
+    range: Range<usize>,
+    columns: &ColumnarBatch,
+    simd: bool,
+) -> Vec<i64> {
+    match expr {
+        Expr::Column(c) => {
+            let mut keys = Vec::new();
+            columnar::gather_keys(rows, range, *c, &mut keys);
+            keys
+        }
+        computed => kernels::eval(computed, columns, simd)
+            .into_iter()
+            .map(|v| v.to_bits() as i64)
+            .collect(),
     }
 }
 
 /// Evaluates the aggregation batch operator function over one stream batch,
 /// producing per-pane window-fragment partials.
+///
+/// Ungrouped all-additive plans reduce each contiguous equal-pane *run*
+/// with the vectorized masked reductions; every other shape — GROUP-BY,
+/// COUNT DISTINCT — folds the surviving rows into the pane's
+/// [`GroupTable`] in row order.
 pub fn execute(
     plan: &CompiledPlan,
     agg: &AggregationPlan,
     batch: &StreamBatch,
 ) -> Result<TaskOutput> {
-    if plan.kernel().is_columnar() {
-        return execute_columnar(agg, batch, plan.kernel().simd());
-    }
-    let functions = agg.functions();
-    let rows = &batch.rows;
-    let count_based = agg.window.is_count_based();
-    let pane_length = agg.pane_length.max(1);
-
-    let mut panes: Vec<PanePartial> = Vec::new();
-    let mut keys: Vec<i64> = Vec::with_capacity(agg.group_exprs.len());
-
-    for i in batch.lookback_rows..rows.len() {
-        let tuple = rows.row(i);
-        if let Some(filter) = &agg.filter {
-            if !filter.eval_bool(&tuple) {
-                continue;
-            }
-        }
-        // Deferred window computation: the pane (and therefore every window)
-        // this tuple belongs to is derived here, inside the parallel task,
-        // from the batch's absolute position.
-        let position = if count_based {
-            batch.start_index + (i - batch.lookback_rows) as u64
-        } else {
-            tuple.timestamp().max(0) as u64
-        };
-        let pane = pane_of(position, pane_length);
-
-        // Rows arrive in position order, so the pane sequence is
-        // non-decreasing; reuse the last pane partial when possible.
-        let need_new = match panes.last() {
-            Some(last) => last.pane != pane,
-            None => true,
-        };
-        if need_new {
-            panes.push(PanePartial {
-                pane,
-                table: GroupTable::new(&functions),
-            });
-        }
-        let table = &mut panes.last_mut().unwrap().table;
-
-        group_keys(&tuple, &agg.group_exprs, &mut keys);
-        let states = table.entry(&keys);
-        for (slot, (function, input)) in states.iter_mut().zip(agg.aggregates.iter()) {
-            match function {
-                AggregateFunction::Count => slot.update(1.0),
-                AggregateFunction::CountDistinct => {
-                    let key = match input {
-                        Some(Expr::Column(c)) => tuple.get_key(*c),
-                        Some(e) => e.eval(&tuple).to_bits() as i64,
-                        None => 0,
-                    };
-                    slot.update_distinct(key);
-                }
-                _ => {
-                    let v = input.as_ref().map(|e| e.eval(&tuple)).unwrap_or(0.0);
-                    slot.update(v);
-                }
-            }
-        }
-    }
-
-    // Progress: every position strictly below this value has been observed by
-    // this or an earlier task, so windows ending at or before it can be
-    // finalised by the result stage.
-    let progress = if count_based {
-        batch.end_index()
-    } else {
-        batch.end_timestamp().max(0) as u64
-    };
-
-    Ok(TaskOutput::Fragments { panes, progress })
-}
-
-/// The batch-columnar form of ungrouped all-additive aggregation (the plan
-/// shapes [`crate::plan::CompiledPlan::kernel`] selects a columnar kernel
-/// for).
-///
-/// The batch is processed as contiguous equal-pane *runs*: each run's
-/// masked sum / count / min / max are computed with the vectorized
-/// reductions and folded into that pane's single `AggState` per aggregate.
-/// Counts, minima and maxima are exact matches of the row path (they are
-/// order-independent under the strict update rule); the sum uses the fixed
-/// lane-split association and therefore matches the row path's sequential
-/// sum only up to float re-association — while staying *bit-identical*
-/// between the scalar and SIMD kernel variants.
-///
-/// Fully filtered-out runs produce no partial, and a surviving run whose
-/// pane equals the previous partial's pane merges into it — replicating the
-/// row path, where filtering happens before pane bookkeeping and so never
-/// splits a pane's partial.
-fn execute_columnar(agg: &AggregationPlan, batch: &StreamBatch, simd: bool) -> Result<TaskOutput> {
-    let functions = agg.functions();
     let rows = &batch.rows;
     let range = batch.lookback_rows..rows.len();
     let count_based = agg.window.is_count_based();
-    let pane_length = agg.pane_length.max(1);
 
-    let mut panes: Vec<PanePartial> = Vec::new();
-
-    if !range.is_empty() {
+    let panes = if range.is_empty() {
+        Vec::new()
+    } else {
+        let simd = plan.kernel().simd();
+        let n = range.len();
+        // Numeric columns for the filter, the aggregate inputs and computed
+        // keys; plain-column keys are gathered raw by `keys_of`.
         let wanted = kernels::referenced_columns(
             agg.filter
                 .iter()
-                .chain(agg.aggregates.iter().filter_map(|(_, e)| e.as_ref())),
+                .chain(agg.group_exprs.iter().filter(|e| !is_column(e)))
+                .chain(agg.aggregates.iter().filter_map(|(f, e)| match f {
+                    AggregateFunction::Count => None,
+                    AggregateFunction::CountDistinct => e.as_ref().filter(|e| !is_column(e)),
+                    _ => e.as_ref(),
+                })),
         );
         let columns = ColumnarBatch::gather(rows, range.clone(), &wanted);
-        let n = columns.rows();
         let mask = agg
             .filter
             .as_ref()
             .map(|f| kernels::eval(f, &columns, simd));
-        // One evaluated input column per non-COUNT aggregate (a missing
-        // input contributes 0.0 per row, like the row path).
-        let inputs: Vec<Option<Vec<f64>>> = agg
+        let inputs: Vec<Input> = agg
             .aggregates
             .iter()
-            .map(|(f, input)| match f {
-                AggregateFunction::Count => None,
-                _ => Some(
-                    input
-                        .as_ref()
-                        .map(|e| kernels::eval(e, &columns, simd))
-                        .unwrap_or_else(|| vec![0.0; n]),
-                ),
+            .map(|(f, input)| match (f, input) {
+                (AggregateFunction::Count, _) => Input::Count,
+                (AggregateFunction::CountDistinct, Some(e)) => {
+                    Input::Keys(keys_of(e, rows, range.clone(), &columns, simd))
+                }
+                (AggregateFunction::CountDistinct, None) => Input::Keys(vec![0; n]),
+                (_, Some(e)) => Input::Values(kernels::eval(e, &columns, simd)),
+                (_, None) => Input::Values(vec![0.0; n]),
             })
             .collect();
 
+        // Deferred window computation: the pane (and therefore every window)
+        // a row belongs to is derived here, inside the parallel task, from
+        // the batch's absolute position.
         let mut timestamps = Vec::new();
         if !count_based {
-            columnar::gather_timestamps(rows, range, &mut timestamps);
+            columnar::gather_timestamps(rows, range.clone(), &mut timestamps);
         }
+        let pane_length = agg.pane_length.max(1);
         let pane_at = |r: usize| -> u64 {
             let position = if count_based {
                 batch.start_index + r as u64
@@ -191,53 +140,22 @@ fn execute_columnar(agg: &AggregationPlan, batch: &StreamBatch, simd: bool) -> R
             pane_of(position, pane_length)
         };
 
-        let mut run = 0;
-        while run < n {
-            let pane = pane_at(run);
-            let mut end = run + 1;
-            while end < n && pane_at(end) == pane {
-                end += 1;
-            }
-            let run_mask = mask.as_ref().map(|m| &m[run..end]);
-            let survivors = run_mask.map_or((end - run) as u64, kernels::count_truthy);
-            if survivors > 0 {
-                let merge = panes.last().is_some_and(|last| last.pane == pane);
-                if !merge {
-                    panes.push(PanePartial {
-                        pane,
-                        table: GroupTable::new(&functions),
-                    });
-                }
-                let table = &mut panes.last_mut().unwrap().table;
-                let states = table.entry(&[]);
-                for (slot, input) in states.iter_mut().zip(inputs.iter()) {
-                    let (sum, count, min, max) = match input {
-                        // COUNT folds `update(1.0)` once per survivor.
-                        None => (survivors as f64, survivors, 1.0, 1.0),
-                        Some(values) => {
-                            let v = &values[run..end];
-                            (
-                                kernels::sum_masked(v, run_mask, simd),
-                                survivors,
-                                kernels::min_masked(v, run_mask, simd),
-                                kernels::max_masked(v, run_mask, simd),
-                            )
-                        }
-                    };
-                    slot.sum += sum;
-                    slot.count += count;
-                    if min < slot.min {
-                        slot.min = min;
-                    }
-                    if max > slot.max {
-                        slot.max = max;
-                    }
-                }
-            }
-            run = end;
+        let functions = agg.functions();
+        if agg.group_exprs.is_empty() && agg.all_additive() {
+            fold_runs(&functions, mask.as_deref(), &inputs, n, pane_at, simd)
+        } else {
+            let keys: Vec<Vec<i64>> = agg
+                .group_exprs
+                .iter()
+                .map(|e| keys_of(e, rows, range.clone(), &columns, simd))
+                .collect();
+            fold_rows(&functions, mask.as_deref(), &keys, &inputs, n, pane_at)
         }
-    }
+    };
 
+    // Progress: every position strictly below this value has been observed by
+    // this or an earlier task, so windows ending at or before it can be
+    // finalised by the result stage.
     let progress = if count_based {
         batch.end_index()
     } else {
@@ -246,12 +164,121 @@ fn execute_columnar(agg: &AggregationPlan, batch: &StreamBatch, simd: bool) -> R
     Ok(TaskOutput::Fragments { panes, progress })
 }
 
+/// Returns the partial of `pane`, opening one after the last if the pane
+/// changed. Rows arrive in position order, so the pane sequence is
+/// non-decreasing and a pane never splits into two partials.
+fn partial_for<'a>(
+    panes: &'a mut Vec<PanePartial>,
+    pane: u64,
+    functions: &[AggregateFunction],
+) -> &'a mut GroupTable {
+    if panes.last().is_none_or(|last| last.pane != pane) {
+        panes.push(PanePartial {
+            pane,
+            table: GroupTable::new(functions),
+        });
+    }
+    let last = panes.len() - 1;
+    &mut panes[last].table
+}
+
+/// The general fold: every surviving row updates its group's states in row
+/// order, so each state accumulates exactly as a tuple-at-a-time loop would
+/// (sums keep their sequential association).
+fn fold_rows(
+    functions: &[AggregateFunction],
+    mask: Option<&[f64]>,
+    keys: &[Vec<i64>],
+    inputs: &[Input],
+    n: usize,
+    pane_at: impl Fn(usize) -> u64,
+) -> Vec<PanePartial> {
+    let mut panes = Vec::new();
+    let mut key: Vec<i64> = Vec::with_capacity(keys.len());
+    for r in 0..n {
+        if mask.is_some_and(|m| m[r] == 0.0) {
+            continue;
+        }
+        key.clear();
+        key.extend(keys.iter().map(|column| column[r]));
+        let table = partial_for(&mut panes, pane_at(r), functions);
+        for (slot, input) in table.entry(&key).iter_mut().zip(inputs) {
+            match input {
+                Input::Count => slot.update(1.0),
+                Input::Keys(k) => slot.update_distinct(k[r]),
+                Input::Values(v) => slot.update(v[r]),
+            }
+        }
+    }
+    panes
+}
+
+/// The ungrouped all-additive fold: each contiguous equal-pane run's masked
+/// sum / count / min / max are computed with the vectorized reductions and
+/// folded into that pane's single state per aggregate.
+///
+/// Counts, minima and maxima equal a row-order fold's (they are
+/// order-independent under the strict update rule); the sum uses the fixed
+/// lane-split association, and so matches a sequential sum only up to float
+/// re-association — while staying *bit-identical* between the scalar and
+/// SIMD kernel variants. A fully filtered-out run produces no partial.
+fn fold_runs(
+    functions: &[AggregateFunction],
+    mask: Option<&[f64]>,
+    inputs: &[Input],
+    n: usize,
+    pane_at: impl Fn(usize) -> u64,
+    simd: bool,
+) -> Vec<PanePartial> {
+    let mut panes = Vec::new();
+    let mut run = 0;
+    while run < n {
+        let pane = pane_at(run);
+        let mut end = run + 1;
+        while end < n && pane_at(end) == pane {
+            end += 1;
+        }
+        let run_mask = mask.map(|m| &m[run..end]);
+        let survivors = run_mask.map_or((end - run) as u64, kernels::count_truthy);
+        if survivors > 0 {
+            let table = partial_for(&mut panes, pane, functions);
+            for (slot, input) in table.entry(&[]).iter_mut().zip(inputs) {
+                let (sum, min, max) = match input {
+                    // COUNT folds `update(1.0)` once per survivor (COUNT
+                    // DISTINCT is not additive and never reaches this fold).
+                    Input::Count | Input::Keys(_) => (survivors as f64, 1.0, 1.0),
+                    Input::Values(values) => {
+                        let v = &values[run..end];
+                        (
+                            kernels::sum_masked(v, run_mask, simd),
+                            kernels::min_masked(v, run_mask, simd),
+                            kernels::max_masked(v, run_mask, simd),
+                        )
+                    }
+                };
+                slot.sum += sum;
+                slot.count += survivors;
+                if min < slot.min {
+                    slot.min = min;
+                }
+                if max > slot.max {
+                    slot.max = max;
+                }
+            }
+        }
+        run = end;
+    }
+    panes
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::KernelKind;
     use crate::plan::PlanKind;
+    use crate::AggregationAssembler;
     use saber_query::{AggregateFunction, Expr, QueryBuilder, WindowSpec};
-    use saber_types::{DataType, RowBuffer, Schema, Value};
+    use saber_types::{DataType, Schema, Value};
 
     fn schema() -> saber_types::schema::SchemaRef {
         Schema::from_pairs(&[
@@ -430,65 +457,111 @@ mod tests {
         }
     }
 
-    #[test]
-    fn columnar_kernels_match_row_path_structure_and_values() {
-        use crate::kernels::KernelKind;
-        // Filtered, unaligned, ungrouped additive aggregation over all four
-        // additive functions; compare all three kernels.
-        let q = QueryBuilder::new("k", schema())
-            .count_window(8, 8)
-            .select(Expr::column(2).ne(Expr::literal(2.0)))
-            .aggregate(AggregateFunction::Sum, 1)
-            .aggregate(AggregateFunction::Min, 0)
-            .aggregate(AggregateFunction::Max, 0)
-            .aggregate_count()
-            .build()
-            .unwrap();
-        let plan = CompiledPlan::compile(&q).unwrap();
-        let agg = match plan.kind() {
-            PlanKind::Aggregation(a) => a.clone(),
-            _ => unreachable!(),
+    /// A filtered tumbling-window query with varied values, run once per
+    /// kernel variant, and its assembled windows.
+    fn shapes() -> Vec<saber_query::Query> {
+        let base = || {
+            QueryBuilder::new("k", schema())
+                .count_window(8, 8)
+                .select(Expr::column(2).ne(Expr::literal(2.0)))
         };
-        let b = batch(29, 3);
-        let run = |kernel: KernelKind| -> Vec<PanePartial> {
-            let plan = plan.clone().with_kernel(kernel);
-            match execute(&plan, &agg, &b).unwrap() {
+        vec![
+            // Ungrouped additive: the run reductions.
+            base()
+                .aggregate(AggregateFunction::Sum, 1)
+                .aggregate(AggregateFunction::Min, 0)
+                .aggregate(AggregateFunction::Max, 0)
+                .aggregate_count()
+                .build()
+                .unwrap(),
+            // Grouped, and COUNT DISTINCT over a computed key: the row fold.
+            base()
+                .aggregate(AggregateFunction::Sum, 1)
+                .aggregate(AggregateFunction::Avg, 1)
+                .group_by(vec![2])
+                .build()
+                .unwrap(),
+            base()
+                .project(vec![
+                    (Expr::column(0), "timestamp"),
+                    (Expr::column(0).rem(Expr::literal(3.0)), "bucket"),
+                ])
+                .aggregate(AggregateFunction::CountDistinct, 1)
+                .build()
+                .unwrap(),
+        ]
+    }
+
+    fn varied(n: usize, start: u64) -> StreamBatch {
+        let mut rows = RowBuffer::new(schema());
+        for i in 0..n {
+            let abs = start + i as u64;
+            rows.push_values(&[
+                Value::Timestamp(abs as i64),
+                Value::Float((abs as f32 * 0.37).sin()),
+                Value::Int((abs % 5) as i32),
+            ])
+            .unwrap();
+        }
+        StreamBatch::new(rows, start, start as i64)
+    }
+
+    #[test]
+    fn scalar_and_simd_kernels_agree_bit_for_bit() {
+        for q in shapes() {
+            let plan = CompiledPlan::compile(&q).unwrap();
+            let agg = match plan.kind() {
+                PlanKind::Aggregation(a) => a.clone(),
+                _ => unreachable!(),
+            };
+            let b = varied(29, 3);
+            let run =
+                |kernel: KernelKind| match execute(&plan.clone().with_kernel(kernel), &agg, &b) {
+                    Ok(TaskOutput::Fragments { panes, progress }) => {
+                        assert_eq!(progress, 32);
+                        panes
+                            .iter()
+                            .map(|p| (p.pane, p.table.sorted_groups()))
+                            .collect::<Vec<_>>()
+                    }
+                    _ => unreachable!(),
+                };
+            let scalar = run(KernelKind::Scalar);
+            assert!(!scalar.is_empty());
+            assert_eq!(scalar, run(KernelKind::Simd), "{}", q.name);
+        }
+    }
+
+    #[test]
+    fn assembled_windows_match_the_reference_interpreter() {
+        // Tumbling windows: each pane is one window, so the fold's partials
+        // are the windows the reference computes.
+        let input = varied(64, 0);
+        for (i, q) in shapes().into_iter().enumerate() {
+            let plan = CompiledPlan::compile(&q).unwrap();
+            let agg = match plan.kind() {
+                PlanKind::Aggregation(a) => a.clone(),
+                _ => unreachable!(),
+            };
+            let mut assembler = AggregationAssembler::new(&plan).unwrap();
+            let mut out = RowBuffer::new(plan.output_schema().clone());
+            match execute(&plan, &agg, &input).unwrap() {
                 TaskOutput::Fragments { panes, progress } => {
-                    assert_eq!(progress, 32);
-                    panes
+                    assembler.accept(panes, progress, &mut out).unwrap();
                 }
                 _ => unreachable!(),
             }
-        };
-        let row = run(KernelKind::Row);
-        let scalar = run(KernelKind::ColumnarScalar);
-        let simd = run(KernelKind::ColumnarSimd);
-        assert!(!row.is_empty());
-        assert_eq!(row.len(), scalar.len());
-        for (a, b) in row.iter().zip(scalar.iter()) {
-            assert_eq!(a.pane, b.pane);
-            let sa = a.table.get(&[]).unwrap();
-            let sb = b.table.get(&[]).unwrap();
-            for (x, y) in sa.iter().zip(sb.iter()) {
-                // Counts and extrema are exact; sums agree up to float
-                // re-association.
-                assert_eq!(x.count, y.count);
-                assert_eq!(x.min.to_bits(), y.min.to_bits());
-                assert_eq!(x.max.to_bits(), y.max.to_bits());
-                assert!((x.sum - y.sum).abs() < 1e-9);
-            }
-        }
-        // The two columnar variants must agree bit-for-bit, sums included.
-        assert_eq!(scalar.len(), simd.len());
-        for (a, b) in scalar.iter().zip(simd.iter()) {
-            assert_eq!(a.pane, b.pane);
-            let sa = a.table.get(&[]).unwrap();
-            let sb = b.table.get(&[]).unwrap();
-            for (x, y) in sa.iter().zip(sb.iter()) {
-                assert_eq!(x.count, y.count);
-                assert_eq!(x.sum.to_bits(), y.sum.to_bits());
-                assert_eq!(x.min.to_bits(), y.min.to_bits());
-                assert_eq!(x.max.to_bits(), y.max.to_bits());
+            let reference = saber_workloads::reference::run_single_input(&q, &input.rows).unwrap();
+            assert_eq!(out.len(), reference.len());
+            if i == 0 {
+                // The run reductions re-associate the sum.
+                for (a, b) in out.iter().zip(reference.iter()) {
+                    assert_eq!(a.timestamp(), b.timestamp());
+                    assert!((a.get_f32(1) - b.get_f32(1)).abs() < 1e-5);
+                    assert_eq!(&a.bytes()[12..], &b.bytes()[12..]);
+                }
+            } else {
+                assert_eq!(out.bytes(), reference.bytes(), "{}", q.name);
             }
         }
     }

@@ -1,16 +1,22 @@
 //! Differential tests for the batch-columnar operator kernels.
 //!
-//! The scalar fallback is the correctness source of truth: for every
-//! operator shape (selection/projection, equi-join probe, windowed
-//! aggregation) and across random batch contents, selectivities and
-//! unaligned batch lengths, the vectorized kernel must produce output
-//! **byte-identical** to the columnar-scalar kernel. The columnar kernels
-//! are additionally held to the row-interpreter's output: byte-identical
-//! for stateless and join pipelines, and exact counts/min/max (with sums
-//! compared under re-association tolerance) for aggregation — the columnar
-//! path sums in fixed 4-lane order, the row path in index order, so sum
-//! bits may legitimately differ between *those two* while remaining
-//! bit-identical between the scalar and SIMD columnar variants.
+//! Three checks, each over random batch contents, selectivities and
+//! unaligned batch lengths:
+//!
+//! * **scalar ≡ SIMD, bit for bit.** For every operator shape — selection
+//!   and projection, equi and pure θ-joins, ungrouped, grouped and COUNT
+//!   DISTINCT aggregation — the AVX2 kernel must produce output identical to
+//!   the scalar fallback, aggregate sums included (both reduce in the same
+//!   fixed 4-lane order).
+//! * **Against the independent reference interpreter**
+//!   (`saber_workloads::reference`). Stateless output must be
+//!   byte-identical; aggregations run on tumbling windows, so each pane is
+//!   one window, and their assembled windows must equal the reference's —
+//!   exactly for grouped and distinct shapes, which fold rows in order, and
+//!   with sums within re-association tolerance for ungrouped run reductions.
+//! * **Equi probe ≡ pure θ.** An equi-join must emit the bytes of the same
+//!   join written as `(l.key - r.key) == 0`, which has no equi-key
+//!   decomposition and so runs the predicate on every candidate pair.
 //!
 //! Run normally this covers whatever the host CPU supports (AVX2 on the CI
 //! matrix); under `SABER_FORCE_SCALAR=1` the SIMD variant degrades to the
@@ -18,8 +24,11 @@
 //! byte-identical too.
 
 use proptest::prelude::*;
-use saber_cpu::{CompiledPlan, CpuExecutor, KernelKind, StreamBatch, TaskOutput};
-use saber_query::{AggregateFunction, Expr, QueryBuilder, WindowSpec};
+use saber_cpu::{
+    AggregationAssembler, CompiledPlan, CpuExecutor, KernelKind, PanePartial, StreamBatch,
+    TaskOutput,
+};
+use saber_query::{AggregateFunction, Expr, Query, QueryBuilder, WindowSpec};
 use saber_types::{DataType, RowBuffer, Schema, Value};
 
 fn schema() -> saber_types::schema::SchemaRef {
@@ -58,19 +67,11 @@ fn batch(seed: u64, rows: usize, key_range: i32, lookback: usize) -> StreamBatch
     StreamBatch::with_lookback(rows_buf, lookback as u64, 0, lookback)
 }
 
-/// Runs `plan` over `batches` once per kernel and returns the three raw
-/// outputs in `[Row, ColumnarScalar, ColumnarSimd]` order.
-fn run_all_kernels(plan: &CompiledPlan, batches: &[StreamBatch]) -> [TaskOutput; 3] {
+/// Runs `plan` over `batches` once per kernel variant: `[Scalar, Simd]`.
+fn run_both(plan: &CompiledPlan, batches: &[StreamBatch]) -> [TaskOutput; 2] {
     let exec = CpuExecutor::new();
-    [
-        KernelKind::Row,
-        KernelKind::ColumnarScalar,
-        KernelKind::ColumnarSimd,
-    ]
-    .map(|k| {
-        let plan = plan.clone().with_kernel(k);
-        exec.execute(&plan, batches).unwrap()
-    })
+    [KernelKind::Scalar, KernelKind::Simd]
+        .map(|k| exec.execute(&plan.clone().with_kernel(k), batches).unwrap())
 }
 
 fn rows_of(out: &TaskOutput) -> &RowBuffer {
@@ -80,11 +81,67 @@ fn rows_of(out: &TaskOutput) -> &RowBuffer {
     }
 }
 
+/// Per-pane sorted groups with every state field as exact bits.
+type PaneBits = Vec<(
+    u64,
+    Vec<(Vec<i64>, Vec<(u64, u64, u64, u64, Option<Vec<i64>>)>)>,
+)>;
+
+fn pane_bits(panes: &[PanePartial]) -> PaneBits {
+    panes
+        .iter()
+        .map(|p| {
+            let groups = p.table.sorted_groups().into_iter().map(|(keys, states)| {
+                let states = states.into_iter().map(|s| {
+                    let (sum, min, max) = (s.sum.to_bits(), s.min.to_bits(), s.max.to_bits());
+                    (sum, s.count, min, max, s.distinct)
+                });
+                (keys, states.collect())
+            });
+            (p.pane, groups.collect())
+        })
+        .collect()
+}
+
+fn fragments_of(out: TaskOutput) -> (Vec<PanePartial>, u64) {
+    match out {
+        TaskOutput::Fragments { panes, progress } => (panes, progress),
+        TaskOutput::Rows(_) => panic!("expected fragments"),
+    }
+}
+
+/// Aggregation shapes over a tumbling window: 0 ungrouped additive (the run
+/// reductions), 1 grouped, 2 COUNT DISTINCT (the row fold).
+fn aggregation(shape: u8, window: u64, filtered: bool) -> Query {
+    let mut q = QueryBuilder::new("agg", schema()).count_window(window, window);
+    if filtered {
+        q = q.select(Expr::column(1).gt(Expr::literal(0.3)));
+    }
+    match shape {
+        0 => q
+            .aggregate(AggregateFunction::Sum, 2)
+            .aggregate(AggregateFunction::Min, 2)
+            .aggregate(AggregateFunction::Max, 1)
+            .aggregate_count(),
+        1 => q
+            .aggregate(AggregateFunction::Sum, 2)
+            .aggregate(AggregateFunction::Avg, 1)
+            .aggregate(AggregateFunction::Max, 2)
+            .aggregate_count()
+            .group_by(vec![3]),
+        _ => q
+            .aggregate(AggregateFunction::CountDistinct, 3)
+            .aggregate(AggregateFunction::Sum, 1),
+    }
+    .build()
+    .unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn stateless_kernels_are_byte_identical(
+    fn stateless_kernels_match_each_other_and_the_reference(
         seed in 0u64..u64::MAX,
         rows in 0usize..300,
         lookback in 0usize..8,
@@ -105,118 +162,82 @@ proptest! {
                 (Expr::column(2).div(Expr::column(1)), "ratio"),
             ]);
         }
-        let plan = CompiledPlan::compile(&q.build().unwrap()).unwrap();
+        let q = q.build().unwrap();
+        let plan = CompiledPlan::compile(&q).unwrap();
         let b = batch(seed, rows, 10, lookback);
-        let [row, scalar, simd] = run_all_kernels(&plan, &[b]);
-        prop_assert_eq!(rows_of(&row).bytes(), rows_of(&scalar).bytes());
+        let [scalar, simd] = run_both(&plan, std::slice::from_ref(&b));
         prop_assert_eq!(rows_of(&scalar).bytes(), rows_of(&simd).bytes());
+        let row_size = schema().row_size();
+        let new_rows =
+            RowBuffer::from_bytes(schema(), b.rows.bytes()[lookback * row_size..].to_vec()).unwrap();
+        let reference = saber_workloads::reference::run_single_input(&q, &new_rows).unwrap();
+        prop_assert_eq!(rows_of(&scalar).bytes(), reference.bytes());
     }
 
     #[test]
-    fn equi_join_kernels_are_byte_identical(
+    fn join_kernels_agree_and_the_equi_probe_matches_pure_theta(
         seed in 0u64..u64::MAX,
         left_rows in 0usize..120,
         right_rows in 0usize..120,
         key_range in 1i32..12,
         lookback in 0usize..6,
     ) {
-        let left_lookback = lookback.min(left_rows);
-        let right_lookback = lookback.min(right_rows);
-        // Equi-join on the Int key column (columns 3 and 7 of the combined
-        // row) plus a non-equi residual, so both the `scan_eq` probe and
-        // the residual evaluation are exercised.
-        let predicate = Expr::column(3)
-            .eq(Expr::column(7))
-            .and(Expr::column(1).le(Expr::column(5)));
-        let q = QueryBuilder::new("join", schema())
-            .count_window(32, 32)
-            .theta_join(schema(), WindowSpec::count(32, 32), predicate)
-            .build()
-            .unwrap();
-        let plan = CompiledPlan::compile(&q).unwrap();
-        prop_assert!(plan.kernel().is_columnar());
         let batches = [
-            batch(seed, left_rows, key_range, left_lookback),
-            batch(seed ^ 0x9e3779b97f4a7c15, right_rows, key_range, right_lookback),
+            batch(seed, left_rows, key_range, lookback.min(left_rows)),
+            batch(seed ^ 0x9e3779b97f4a7c15, right_rows, key_range, lookback.min(right_rows)),
         ];
-        let [row, scalar, simd] = run_all_kernels(&plan, &batches);
-        prop_assert_eq!(rows_of(&row).bytes(), rows_of(&scalar).bytes());
-        prop_assert_eq!(rows_of(&scalar).bytes(), rows_of(&simd).bytes());
+        // The Int key columns are 3 and 7 of the combined row; the residual
+        // is a non-equi conjunct, so the probe's residual check runs too.
+        let residual = Expr::column(1).le(Expr::column(5));
+        let equi = Expr::column(3).eq(Expr::column(7));
+        let pure = Expr::column(3).sub(Expr::column(7)).eq(Expr::literal(0.0));
+        let mut outputs = Vec::new();
+        for key in [equi, pure] {
+            let q = QueryBuilder::new("join", schema())
+                .count_window(32, 32)
+                .theta_join(schema(), WindowSpec::count(32, 32), key.and(residual.clone()))
+                .build()
+                .unwrap();
+            let [scalar, simd] = run_both(&CompiledPlan::compile(&q).unwrap(), &batches);
+            prop_assert_eq!(rows_of(&scalar).bytes(), rows_of(&simd).bytes());
+            outputs.push(rows_of(&scalar).bytes().to_vec());
+        }
+        prop_assert_eq!(&outputs[0], &outputs[1], "equi probe vs (l.key - r.key) == 0");
     }
 
     #[test]
-    fn aggregation_kernels_match_scalar_reference(
+    fn aggregation_kernels_match_each_other_and_the_reference(
         seed in 0u64..u64::MAX,
         rows in 0usize..300,
         window in 1u64..40,
+        key_range in 1i32..40,
+        shape in 0u8..3,
         filtered in 0u8..2,
     ) {
-        let mut q = QueryBuilder::new("agg", schema())
-            .count_window(window, window)
-            .aggregate(AggregateFunction::Sum, 2)
-            .aggregate(AggregateFunction::Min, 2)
-            .aggregate(AggregateFunction::Max, 1)
-            .aggregate_count();
-        if filtered == 1 {
-            q = q.select(Expr::column(1).gt(Expr::literal(0.3)));
-        }
-        let plan = CompiledPlan::compile(&q.build().unwrap()).unwrap();
-        prop_assert!(plan.kernel().is_columnar());
-        let b = batch(seed, rows, 10, 0);
-        let [row, scalar, simd] = run_all_kernels(&plan, &[b]);
-        let fragments = |out: &TaskOutput| match out {
-            TaskOutput::Fragments { panes, progress } => (
-                panes
-                    .iter()
-                    .map(|p| (p.pane, p.table.sorted_groups()))
-                    .collect::<Vec<_>>(),
-                *progress,
-            ),
-            TaskOutput::Rows(_) => panic!("expected fragments"),
-        };
-        let (row_panes, row_progress) = fragments(&row);
-        let (scalar_panes, scalar_progress) = fragments(&scalar);
-        let (simd_panes, simd_progress) = fragments(&simd);
-
-        // Columnar-scalar vs columnar-SIMD: bit-identical, sums included
-        // (both reduce in the same fixed 4-lane order).
+        let q = aggregation(shape, window, filtered == 1);
+        let plan = CompiledPlan::compile(&q).unwrap();
+        let b = batch(seed, rows, key_range, 0);
+        let [scalar, simd] = run_both(&plan, std::slice::from_ref(&b));
+        let (scalar_panes, scalar_progress) = fragments_of(scalar);
+        let (simd_panes, simd_progress) = fragments_of(simd);
         prop_assert_eq!(scalar_progress, simd_progress);
-        prop_assert_eq!(scalar_panes.len(), simd_panes.len());
-        for (s, v) in scalar_panes.iter().zip(&simd_panes) {
-            prop_assert_eq!(s.0, v.0);
-            prop_assert_eq!(s.1.len(), v.1.len());
-            for ((sk, ss), (vk, vs)) in s.1.iter().zip(&v.1) {
-                prop_assert_eq!(sk, vk);
-                for (a, b) in ss.iter().zip(vs) {
-                    prop_assert_eq!(a.sum.to_bits(), b.sum.to_bits());
-                    prop_assert_eq!(a.count, b.count);
-                    prop_assert_eq!(a.min.to_bits(), b.min.to_bits());
-                    prop_assert_eq!(a.max.to_bits(), b.max.to_bits());
-                }
-            }
-        }
+        prop_assert_eq!(pane_bits(&scalar_panes), pane_bits(&simd_panes));
 
-        // Row vs columnar: identical structure, exact counts/min/max; sums
-        // agree up to floating-point re-association.
-        prop_assert_eq!(row_progress, scalar_progress);
-        prop_assert_eq!(row_panes.len(), scalar_panes.len());
-        for (r, s) in row_panes.iter().zip(&scalar_panes) {
-            prop_assert_eq!(r.0, s.0);
-            prop_assert_eq!(r.1.len(), s.1.len());
-            for ((rk, rs), (sk, ss)) in r.1.iter().zip(&s.1) {
-                prop_assert_eq!(rk, sk);
-                for (a, b) in rs.iter().zip(ss) {
-                    prop_assert_eq!(a.count, b.count);
-                    prop_assert_eq!(a.min.to_bits(), b.min.to_bits());
-                    prop_assert_eq!(a.max.to_bits(), b.max.to_bits());
-                    let tol = 1e-9 * (1.0 + a.sum.abs());
-                    prop_assert!(
-                        (a.sum - b.sum).abs() <= tol,
-                        "sum diverged beyond re-association tolerance: {} vs {}",
-                        a.sum,
-                        b.sum
-                    );
-                }
+        let mut assembler = AggregationAssembler::new(&plan).unwrap();
+        let mut out = RowBuffer::new(plan.output_schema().clone());
+        assembler.accept(scalar_panes, scalar_progress, &mut out).unwrap();
+        let reference = saber_workloads::reference::run_single_input(&q, &b.rows).unwrap();
+        if shape != 0 {
+            prop_assert_eq!(out.bytes(), reference.bytes());
+        } else {
+            // Timestamp, then SUM: within re-association tolerance; MIN,
+            // MAX and COUNT: exact.
+            prop_assert_eq!(out.len(), reference.len());
+            for (a, r) in out.iter().zip(reference.iter()) {
+                prop_assert_eq!(a.timestamp(), r.timestamp());
+                let (sa, sr) = (a.get_f32(1) as f64, r.get_f32(1) as f64);
+                prop_assert!((sa - sr).abs() <= 1e-6 * (1.0 + sr.abs()), "sum {sa} vs {sr}");
+                prop_assert_eq!(&a.bytes()[12..], &r.bytes()[12..]);
             }
         }
     }

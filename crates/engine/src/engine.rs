@@ -2162,6 +2162,36 @@ mod tests {
     }
 
     #[test]
+    fn failed_tasks_are_counted_and_still_finish() {
+        // A device smaller than one task refuses every `movein`, with and
+        // without the pipeline.
+        for depth in [1, 4] {
+            let mut engine = Saber::with_config(EngineConfig {
+                execution_mode: ExecutionMode::GpuOnly,
+                device: DeviceConfig {
+                    global_memory_bytes: 64,
+                    ..DeviceConfig::unpaced()
+                },
+                gpu_pipeline_depth: depth,
+                ..EngineConfig::default()
+            })
+            .unwrap();
+            let query = engine.add_query(projection()).unwrap();
+            engine.start().unwrap();
+            for batch in 0..3 {
+                query.ingest(StreamId(0), &data(8, batch * 8)).unwrap();
+                query.flush().unwrap();
+            }
+            engine.stop().unwrap();
+            let stats = query.stats().snapshot();
+            assert!(stats.tasks_created >= 3, "depth {depth}");
+            assert_eq!(stats.exec_errors, stats.tasks_created, "depth {depth}");
+            assert_eq!(stats.tasks_gpu, stats.tasks_created, "depth {depth}");
+            assert_eq!(query.tuples_emitted(), 0);
+        }
+    }
+
+    #[test]
     fn a_backlogged_plan_is_cut_at_the_task_size_only() {
         // Saturation: one worker that the test lets finish one task at a
         // time, and only while another task is queued behind it — so every

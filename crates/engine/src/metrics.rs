@@ -70,6 +70,8 @@ pub struct QueryStats {
     /// Of those, tasks an idle worker cut below φ because their oldest row
     /// had waited `EARLY_CUT_AGE` (counted on the physical plan's query).
     pub tasks_cut_early: AtomicU64,
+    /// Tasks whose execution failed (each still finishes, with no output).
+    pub exec_errors: AtomicU64,
     /// Tasks executed on CPU workers.
     pub tasks_cpu: AtomicU64,
     /// Tasks executed on the accelerator.
@@ -95,6 +97,7 @@ impl QueryStats {
             bytes_in: self.bytes_in.load(Ordering::Relaxed),
             tasks_created: self.tasks_created.load(Ordering::Relaxed),
             tasks_cut_early: self.tasks_cut_early.load(Ordering::Relaxed),
+            exec_errors: self.exec_errors.load(Ordering::Relaxed),
             tasks_cpu: self.tasks_cpu.load(Ordering::Relaxed),
             tasks_gpu: self.tasks_gpu.load(Ordering::Relaxed),
             tuples_out: self.tuples_out.load(Ordering::Relaxed),
@@ -168,6 +171,8 @@ pub struct StatsSnapshot {
     pub tasks_created: u64,
     /// Of those, undersized tasks cut by an idle worker for aged rows.
     pub tasks_cut_early: u64,
+    /// Tasks whose execution failed.
+    pub exec_errors: u64,
     /// Tasks executed on CPU workers.
     pub tasks_cpu: u64,
     /// Tasks executed on the accelerator.

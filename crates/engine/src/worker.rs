@@ -48,12 +48,17 @@ pub struct WorkerContext {
 }
 
 impl WorkerContext {
+    /// Enters `output` into the result stage of query `task_query`. A task
+    /// whose execution failed still takes its place in the query's sequence
+    /// (and any drain waiting on it keeps moving): it finishes with an empty
+    /// output of `plan`'s schema, and the query counts the error.
     fn finish(
         &self,
         task_query: usize,
         seq: u64,
         stamps: TaskStamps,
-        output: TaskOutput,
+        output: Result<TaskOutput>,
+        plan: &CompiledPlan,
         processor: Processor,
     ) {
         let Some(state) = self.registry.get(task_query) else {
@@ -64,6 +69,11 @@ impl WorkerContext {
             return;
         };
         state.stats.record_task(processor);
+        let output = output.unwrap_or_else(|_| {
+            // relaxed-ok: monitoring counter, read only for stats display.
+            state.stats.exec_errors.fetch_add(1, Ordering::Relaxed);
+            TaskOutput::Rows(RowBuffer::new(plan.output_schema().clone()))
+        });
         // A result-stage error is unrecoverable for the affected window, but
         // the stage keeps its release sequence advancing internally, so
         // later tasks (and the removal/stop drain loops) are not blocked.
@@ -186,8 +196,7 @@ fn run_worker(
             Some(task) => {
                 let popped = Instant::now();
                 let started = Instant::now();
-                let output =
-                    execute(&task.plan, &task.batches).unwrap_or_else(|_| empty_output(&task.plan));
+                let output = execute(&task.plan, &task.batches);
                 ctx.matrix
                     .record(task.query_id, processor, started.elapsed());
                 let stamps = TaskStamps {
@@ -196,7 +205,14 @@ fn run_worker(
                     popped,
                     started,
                 };
-                ctx.finish(task.query_id, task.seq, stamps, output, processor);
+                ctx.finish(
+                    task.query_id,
+                    task.seq,
+                    stamps,
+                    output,
+                    &task.plan,
+                    processor,
+                );
             }
             None => {
                 if ctx.queue.is_shutdown() && ctx.queue.is_empty() {
@@ -205,12 +221,6 @@ fn run_worker(
             }
         }
     }
-}
-
-/// The stand-in result of a task whose execution failed: the query's
-/// sequence (and any drain waiting on it) keeps moving.
-fn empty_output(plan: &CompiledPlan) -> TaskOutput {
-    TaskOutput::Rows(RowBuffer::new(plan.output_schema().clone()))
 }
 
 struct InFlightTask {
@@ -230,8 +240,14 @@ fn complete(
     if let Some(meta) = in_flight.remove(&result.task_id) {
         let duration = meta.submitted.elapsed();
         ctx.matrix.record(meta.query_id, Processor::Gpu, duration);
-        let output = result.output.unwrap_or_else(|_| empty_output(&result.plan));
-        ctx.finish(meta.query_id, meta.seq, meta.stamps, output, Processor::Gpu);
+        ctx.finish(
+            meta.query_id,
+            meta.seq,
+            meta.stamps,
+            result.output,
+            &result.plan,
+            Processor::Gpu,
+        );
     }
 }
 
@@ -270,16 +286,15 @@ fn run_gpu_worker_pipelined(ctx: WorkerContext, device: Arc<GpuDevice>, depth: u
                             submitted,
                         },
                     );
-                    if pipeline.submit(job).is_err() {
-                        // Pipeline shut down unexpectedly: finish the task
-                        // with an empty result so the query's sequence (and
-                        // any drain waiting on it) keeps moving.
+                    if let Err(e) = pipeline.submit(job) {
+                        // Pipeline shut down unexpectedly: the task fails.
                         if let Some(meta) = in_flight.remove(&task.id) {
                             ctx.finish(
                                 meta.query_id,
                                 meta.seq,
                                 meta.stamps,
-                                empty_output(&plan),
+                                Err(e),
+                                &plan,
                                 Processor::Gpu,
                             );
                         }

@@ -39,9 +39,10 @@ impl ProcessorModel {
     }
 
     /// The paper's CPU: 2 × Intel Xeon E5-2640 v3 (16 cores @ 2.6 GHz,
-    /// ~59 GB/s per socket). One modeled operation per cycle per core:
-    /// operator functions are interpreted expression trees, so the effective
-    /// per-tuple operation cost is far from peak ILP.
+    /// ~59 GB/s per socket). One modeled operation per cycle per core: the
+    /// columnar kernels evaluate each expression node as its own pass over
+    /// the gathered columns, so the effective per-tuple operation cost stays
+    /// far from peak ILP.
     pub fn xeon_e5_2640() -> Self {
         Self {
             lanes: 16.0,
@@ -155,7 +156,7 @@ mod tests {
     #[test]
     fn compute_heavy_operators_prefer_the_gpu() {
         // ~1500 ops per tuple (PROJ6* with 100 arithmetic expressions per
-        // attribute, interpreted): the accelerator's parallelism should win.
+        // attribute): the accelerator's parallelism should win.
         let model = CostModel::default();
         let cmp = model.compare(32 * 1024, 32, 1500);
         assert!(cmp.speedup() > 2.0, "speedup {}", cmp.speedup());

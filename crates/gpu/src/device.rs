@@ -10,7 +10,7 @@
 //! task (the non-pipelined baseline); [`crate::pipeline::GpuPipeline`]
 //! overlaps them across consecutive tasks.
 
-use crate::kernels::{merge_group_results, run_work_group, GroupResult};
+use crate::kernels::{merge_work_group, run_work_group};
 use crate::memory::DeviceMemory;
 use crate::pcie::{PcieBus, PcieConfig};
 use saber_cpu::exec::StreamBatch;
@@ -27,11 +27,9 @@ pub struct DeviceConfig {
     /// Human-readable device name (reports only).
     pub name: String,
     /// Number of host threads that emulate the device's streaming
-    /// multiprocessors (intra-task parallelism of the `execute` stage).
+    /// multiprocessors: a task's rows split into this many work groups (the
+    /// intra-task parallelism of the `execute` stage).
     pub executor_threads: usize,
-    /// Number of tuples processed by one work group (flag-vector /
-    /// compaction granularity inside kernels).
-    pub work_group_size: usize,
     /// Device global memory capacity in bytes.
     pub global_memory_bytes: u64,
     /// PCIe bus model.
@@ -43,7 +41,6 @@ impl Default for DeviceConfig {
         Self {
             name: "sim-accelerator".to_string(),
             executor_threads: 4,
-            work_group_size: 256,
             global_memory_bytes: 2 << 30,
             pcie: PcieConfig::default(),
         }
@@ -151,47 +148,37 @@ impl GpuDevice {
         }
         let started = Instant::now();
         let probe_rows = batches[0].new_rows();
-        let threads = self.config.executor_threads.max(1);
-        let chunk = probe_rows.div_ceil(threads).max(1);
-
-        let mut results: Vec<Option<Result<GroupResult>>> = Vec::new();
-        if probe_rows == 0 {
-            results.push(Some(run_work_group(
-                plan,
-                batches,
-                0..0,
-                self.config.work_group_size,
-                true,
-            )));
-        } else {
-            let ranges: Vec<std::ops::Range<usize>> = (0..probe_rows)
-                .step_by(chunk)
-                .map(|s| s..(s + chunk).min(probe_rows))
+        let chunk = probe_rows
+            .div_ceil(self.config.executor_threads.max(1))
+            .max(1);
+        // One work group per executor thread; a task without new rows still
+        // runs one (empty) group, which yields the task's progress.
+        let ranges = (0..probe_rows.max(1))
+            .step_by(chunk)
+            .map(|s| s..(s + chunk).min(probe_rows));
+        let groups: Vec<Result<TaskOutput>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = ranges
+                .enumerate()
+                .map(|(idx, range)| {
+                    scope.spawn(move || run_work_group(plan, batches, range, idx == 0))
+                })
                 .collect();
-            results.resize_with(ranges.len(), || None);
-            let wg = self.config.work_group_size;
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (idx, range) in ranges.iter().enumerate() {
-                    let range = range.clone();
-                    handles.push((
-                        idx,
-                        scope.spawn(move || run_work_group(plan, batches, range, wg, idx == 0)),
-                    ));
-                }
-                for (idx, handle) in handles {
-                    results[idx] = Some(handle.join().unwrap_or_else(|_| {
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join().unwrap_or_else(|_| {
                         Err(SaberError::Device("kernel thread panicked".into()))
-                    }));
-                }
-            });
+                    })
+                })
+                .collect()
+        });
+        let mut groups = groups.into_iter();
+        let mut output = groups
+            .next()
+            .expect("a task runs at least one work group")?;
+        for group in groups {
+            merge_work_group(&mut output, group?)?;
         }
-        let mut groups = Vec::with_capacity(results.len());
-        for r in results {
-            groups.push(r.expect("all work groups executed")?);
-        }
-        let progress = progress_of(plan, &batches[0]);
-        let output = merge_group_results(plan, groups, progress)?;
 
         // relaxed-ok: simulation-accounting counter, read only for reports.
         self.stats
@@ -246,11 +233,12 @@ impl GpuDevice {
         self.movein(input_bytes)?;
         let movement_before_kernel = movement_started.elapsed();
 
-        let output = self.execute_kernels(plan, batches)?;
+        let output = self.execute_kernels(plan, batches);
 
         let after_kernel = Instant::now();
-        let out_bytes = output.byte_len();
+        let out_bytes = output.as_ref().map_or(0, TaskOutput::byte_len);
         self.moveout(out_bytes, input_bytes);
+        let output = output?;
         self.copyout(&output);
         let movement_after_kernel = after_kernel.elapsed();
 
@@ -270,20 +258,6 @@ impl GpuDevice {
             Ordering::Relaxed,
         );
         Ok(output)
-    }
-}
-
-/// Stream progress reached by a task (mirrors the CPU path's definition).
-pub fn progress_of(plan: &CompiledPlan, batch: &StreamBatch) -> u64 {
-    let count_based = plan
-        .windows()
-        .first()
-        .map(|w| w.is_count_based())
-        .unwrap_or(true);
-    if count_based {
-        batch.end_index()
-    } else {
-        batch.end_timestamp().max(0) as u64
     }
 }
 

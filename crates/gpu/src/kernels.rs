@@ -1,254 +1,118 @@
 //! Data-parallel operator kernels (paper §5.4).
 //!
-//! Kernels are written in the OpenCL style of the paper: the rows of a query
-//! task are divided into *work groups*; each work group produces its result
-//! independently (into its own output region), and the per-group results are
-//! concatenated/merged in group order. Specifically:
+//! The rows of a query task are divided into *work groups*; each work group
+//! runs the CPU's batch operator function on its own row range, producing
+//! its result independently, and the per-group results are concatenated or
+//! merged in group order. The accelerator therefore computes exactly what a
+//! CPU worker computes — one operator implementation serves both processors,
+//! as in the paper (§3) — and what it models is data movement and
+//! work-group parallelism, not a second copy of operator semantics:
 //!
-//! * **selection / projection** — each work group evaluates the predicate
-//!   into a binary flag vector, runs a prefix sum over the flags to obtain
-//!   contiguous output addresses, and writes the selected (projected) rows to
-//!   those addresses (flag + scan + compact, §5.4),
-//! * **aggregation** — each work group reduces its rows into per-pane
-//!   partial states (the same pane partials the CPU path produces, so the
-//!   result stage assembles CPU- and GPGPU-produced fragments
-//!   interchangeably),
-//! * **θ-join** — work groups partition the left (probe) side; each group
-//!   matches its probe rows against the build side using the same matching
-//!   semantics as the CPU implementation; a first counting pass followed by
-//!   compaction mirrors the two-step count/compact strategy of the paper.
+//! * **selection / projection** — each group scans its rows with
+//!   [`saber_cpu::stateless::execute`],
+//! * **aggregation** — each group reduces its rows into pane partials with
+//!   [`saber_cpu::windowed::execute`] (the partials the CPU produces, so the
+//!   result stage assembles CPU- and accelerator-produced fragments
+//!   interchangeably; a pane split between two groups is merged back),
+//! * **θ-join** — groups partition the left (probe) side and match it with
+//!   [`saber_cpu::join::join_side`]; group 0 also runs the reverse direction
+//!   (new right rows against old left rows),
+//! * **partition join** — group 0 runs the whole task (the partition table
+//!   is small and shared).
 
-use crate::prefix_sum::exclusive_scan;
-use saber_cpu::exec::{PanePartial, StreamBatch};
-use saber_cpu::plan::{
-    AggregationPlan, CompiledPlan, PartitionJoinPlan, PlanKind, StatelessPlan, ThetaJoinPlan,
-};
-use saber_cpu::TaskOutput;
+use saber_cpu::exec::StreamBatch;
+use saber_cpu::plan::{CompiledPlan, PlanKind};
+use saber_cpu::{join, stateless, windowed, TaskOutput};
 use saber_types::{Result, RowBuffer, SaberError};
 use std::ops::Range;
 
-/// The result of one work group.
-#[derive(Debug)]
-pub enum GroupResult {
-    /// Output rows produced by the group (stateless and join kernels).
-    Rows(RowBuffer),
-    /// Per-pane partial aggregation states produced by the group.
-    Panes(Vec<PanePartial>),
-}
-
-/// Runs the kernel of `plan` over the work-group row range `range` of the
-/// task's batches. `range` addresses the *new* rows of the first (probe)
-/// batch.
+/// Runs the operator function of `plan` over the work-group row range
+/// `range` of the task's batches. `range` addresses the *new* rows of the
+/// first (probe) batch.
 pub fn run_work_group(
     plan: &CompiledPlan,
     batches: &[StreamBatch],
     range: Range<usize>,
-    work_group_size: usize,
     first_group: bool,
-) -> Result<GroupResult> {
-    match plan.kind() {
-        PlanKind::Stateless(s) => stateless_kernel(plan, s, &batches[0], range, work_group_size),
-        PlanKind::Aggregation(a) => aggregation_kernel(plan, a, &batches[0], range),
-        PlanKind::ThetaJoin(j) => theta_join_kernel(plan, j, batches, range, first_group),
-        PlanKind::PartitionJoin(p) => partition_join_kernel(plan, p, batches, range, first_group),
-    }
-}
-
-/// Merges per-group results (in group order) into one task output.
-pub fn merge_group_results(
-    plan: &CompiledPlan,
-    groups: Vec<GroupResult>,
-    progress: u64,
 ) -> Result<TaskOutput> {
-    if plan.produces_fragments() {
-        let mut panes: Vec<PanePartial> = Vec::new();
-        for group in groups {
-            let GroupResult::Panes(group_panes) = group else {
-                return Err(SaberError::Device("mixed kernel result kinds".into()));
+    match plan.kind() {
+        PlanKind::Stateless(s) => {
+            stateless::execute(plan, s, &work_group_rows(&batches[0], range)?)
+        }
+        PlanKind::Aggregation(a) => {
+            windowed::execute(plan, a, &work_group_rows(&batches[0], range)?)
+        }
+        PlanKind::ThetaJoin(j) => {
+            let [left, right] = batches else {
+                return Err(SaberError::Device("join kernel expects two batches".into()));
             };
-            for partial in group_panes {
-                match panes.last_mut() {
-                    Some(last) if last.pane == partial.pane => last.table.merge(&partial.table),
-                    _ => panes.push(partial),
-                }
+            let mut out = RowBuffer::new(plan.output_schema().clone());
+            join::join_side(
+                plan,
+                j,
+                &work_group_rows(left, range)?,
+                right,
+                false,
+                &mut out,
+            );
+            if first_group {
+                join::join_side(plan, j, right, left, true, &mut out);
             }
+            Ok(TaskOutput::Rows(out))
         }
-        Ok(TaskOutput::Fragments { panes, progress })
-    } else {
-        let mut out = RowBuffer::new(plan.output_schema().clone());
-        for group in groups {
-            let GroupResult::Rows(rows) = group else {
-                return Err(SaberError::Device("mixed kernel result kinds".into()));
-            };
-            out.extend_from_bytes(rows.bytes())?;
-        }
-        Ok(TaskOutput::Rows(out))
+        PlanKind::PartitionJoin(p) if first_group => join::execute_partition(plan, p, batches),
+        PlanKind::PartitionJoin(_) => Ok(TaskOutput::Rows(RowBuffer::new(
+            plan.output_schema().clone(),
+        ))),
     }
 }
 
-/// Selection/projection kernel: flag vector → prefix sum → compaction.
-fn stateless_kernel(
-    plan: &CompiledPlan,
-    stateless: &StatelessPlan,
-    batch: &StreamBatch,
-    range: Range<usize>,
-    work_group_size: usize,
-) -> Result<GroupResult> {
+/// Copies the work group's rows into its local memory (the paper stages a
+/// window fragment's tuples in the group's cache memory): a batch of the new
+/// rows `range` of `batch`, positioned where they sit in the stream.
+fn work_group_rows(batch: &StreamBatch, range: Range<usize>) -> Result<StreamBatch> {
     let rows = &batch.rows;
-    let base = batch.lookback_rows;
-    let mut out = RowBuffer::with_capacity(plan.output_schema().clone(), range.len());
-
-    let mut flags: Vec<u32> = Vec::with_capacity(work_group_size);
-    let mut offsets: Vec<u32> = Vec::with_capacity(work_group_size);
-
-    let mut start = range.start;
-    while start < range.end {
-        let end = (start + work_group_size).min(range.end);
-        // Phase 1: every "thread" of the work group evaluates the predicate
-        // for its tuple and records a match flag.
-        flags.clear();
-        for i in start..end {
-            let tuple = rows.row(base + i);
-            let keep = match &stateless.filter {
-                Some(f) => f.eval_bool(&tuple),
-                None => true,
-            };
-            flags.push(keep as u32);
-        }
-        // Phase 2: prefix sum gives each selected tuple its output slot.
-        let selected = exclusive_scan(&flags, &mut offsets) as usize;
-        // Phase 3: compaction into contiguous output memory.
-        let first_out = out.len();
-        for _ in 0..selected {
-            out.push_uninit();
-        }
-        for (k, i) in (start..end).enumerate() {
-            if flags[k] == 0 {
-                continue;
-            }
-            let tuple = rows.row(base + i);
-            let slot = first_out + offsets[k] as usize;
-            let schema = out.schema().clone();
-            let row_size = schema.row_size();
-            let dst_start = slot * row_size;
-            match &stateless.projection {
-                None => {
-                    let src = tuple.bytes().to_vec();
-                    out.bytes_mut()[dst_start..dst_start + row_size].copy_from_slice(&src);
-                }
-                Some(exprs) => {
-                    let values: Vec<f64> = exprs.iter().map(|(e, _)| e.eval(&tuple)).collect();
-                    let bytes = out.bytes_mut();
-                    let mut row = saber_types::TupleMut::new(
-                        &schema,
-                        &mut bytes[dst_start..dst_start + row_size],
-                    );
-                    for (col, v) in values.iter().enumerate() {
-                        row.set_numeric(col, *v);
-                    }
-                }
-            }
-        }
-        start = end;
-    }
-    Ok(GroupResult::Rows(out))
-}
-
-/// Aggregation kernel: each work group reduces its row range into pane
-/// partials by invoking the shared batch operator function on a sub-batch.
-fn aggregation_kernel(
-    plan: &CompiledPlan,
-    agg: &AggregationPlan,
-    batch: &StreamBatch,
-    range: Range<usize>,
-) -> Result<GroupResult> {
-    // Copy the group's rows into the work group's local memory (the paper
-    // stages tuples of a window fragment in the group's cache memory).
-    let rows = &batch.rows;
-    let base = batch.lookback_rows;
     let row_size = rows.schema().row_size();
-    let start_byte = (base + range.start) * row_size;
-    let end_byte = (base + range.end) * row_size;
+    let base = batch.lookback_rows;
     let local = RowBuffer::from_bytes(
         rows.schema().clone(),
-        rows.bytes()[start_byte..end_byte].to_vec(),
+        rows.bytes()[(base + range.start) * row_size..(base + range.end) * row_size].to_vec(),
     )?;
     let first_ts = if local.is_empty() {
         batch.start_timestamp
     } else {
         local.row(0).timestamp()
     };
-    let sub = StreamBatch::new(local, batch.start_index + range.start as u64, first_ts);
-    match saber_cpu::windowed::execute(plan, agg, &sub)? {
-        TaskOutput::Fragments { panes, .. } => Ok(GroupResult::Panes(panes)),
-        _ => Err(SaberError::Device(
-            "aggregation kernel produced rows".into(),
-        )),
-    }
+    Ok(StreamBatch::new(
+        local,
+        batch.start_index + range.start as u64,
+        first_ts,
+    ))
 }
 
-/// θ-join kernel: the group's probe (left) rows are matched against the full
-/// build (right) side; group 0 additionally handles the reverse direction
-/// (new right rows against old left rows).
-fn theta_join_kernel(
-    plan: &CompiledPlan,
-    join: &ThetaJoinPlan,
-    batches: &[StreamBatch],
-    range: Range<usize>,
-    first_group: bool,
-) -> Result<GroupResult> {
-    if batches.len() != 2 {
-        return Err(SaberError::Device("join kernel expects two batches".into()));
-    }
-    let left = &batches[0];
-    let right = &batches[1];
-    let mut out = RowBuffer::new(plan.output_schema().clone());
-
-    // Build a sub-batch containing only the group's probe rows.
-    let rows = &left.rows;
-    let base = left.lookback_rows;
-    let row_size = rows.schema().row_size();
-    let start_byte = (base + range.start) * row_size;
-    let end_byte = (base + range.end) * row_size;
-    let local = RowBuffer::from_bytes(
-        rows.schema().clone(),
-        rows.bytes()[start_byte..end_byte].to_vec(),
-    )?;
-    let first_ts = if local.is_empty() {
-        left.start_timestamp
-    } else {
-        local.row(0).timestamp()
-    };
-    let probe = StreamBatch::new(local, left.start_index + range.start as u64, first_ts);
-    saber_cpu::join::join_side(plan, join, &probe, right, false, &mut out)?;
-    if first_group {
-        // Reverse direction once per task.
-        saber_cpu::join::join_side(plan, join, right, left, true, &mut out)?;
-    }
-    Ok(GroupResult::Rows(out))
-}
-
-/// Partition-join kernel: executed by the first work group only (the
-/// partition table is small and shared).
-fn partition_join_kernel(
-    plan: &CompiledPlan,
-    pj: &PartitionJoinPlan,
-    batches: &[StreamBatch],
-    range: Range<usize>,
-    first_group: bool,
-) -> Result<GroupResult> {
-    if !first_group {
-        // Other groups contribute nothing; the first group handles the task.
-        let _ = range;
-        return Ok(GroupResult::Rows(RowBuffer::new(
-            plan.output_schema().clone(),
-        )));
-    }
-    match saber_cpu::join::execute_partition(plan, pj, batches)? {
-        TaskOutput::Rows(rows) => Ok(GroupResult::Rows(rows)),
-        _ => Err(SaberError::Device(
-            "partition join produced fragments".into(),
-        )),
+/// Appends work group `next`'s output to `merged`, the output of the groups
+/// before it: rows concatenate in group order, a pane split between the two
+/// groups merges into one partial, and the progress is the later group's.
+pub fn merge_work_group(merged: &mut TaskOutput, next: TaskOutput) -> Result<()> {
+    match (merged, next) {
+        (TaskOutput::Rows(rows), TaskOutput::Rows(more)) => rows.extend_from_bytes(more.bytes()),
+        (
+            TaskOutput::Fragments { panes, progress },
+            TaskOutput::Fragments {
+                panes: more,
+                progress: later,
+            },
+        ) => {
+            for partial in more {
+                match panes.last_mut() {
+                    Some(last) if last.pane == partial.pane => last.table.merge(&partial.table),
+                    _ => panes.push(partial),
+                }
+            }
+            *progress = later;
+            Ok(())
+        }
+        _ => Err(SaberError::Device("mixed kernel result kinds".into())),
     }
 }
 
@@ -281,8 +145,25 @@ mod tests {
         StreamBatch::new(rows, 0, 0)
     }
 
+    /// Runs `plan` as work groups over `splits` and merges them.
+    fn run_groups(
+        plan: &CompiledPlan,
+        batches: &[StreamBatch],
+        splits: &[Range<usize>],
+    ) -> TaskOutput {
+        let mut groups = splits
+            .iter()
+            .enumerate()
+            .map(|(i, r)| run_work_group(plan, batches, r.clone(), i == 0).unwrap());
+        let mut merged = groups.next().unwrap();
+        for g in groups {
+            merge_work_group(&mut merged, g).unwrap();
+        }
+        merged
+    }
+
     #[test]
-    fn selection_kernel_matches_cpu_result() {
+    fn selection_groups_match_cpu_result() {
         let q = QueryBuilder::new("sel", schema())
             .count_window(64, 64)
             .select(Expr::column(2).lt(Expr::literal(2.0)))
@@ -290,56 +171,22 @@ mod tests {
             .unwrap();
         let plan = CompiledPlan::compile(&q).unwrap();
         let b = batch(1000);
-
         let cpu_out = saber_cpu::CpuExecutor::new()
             .execute(&plan, std::slice::from_ref(&b))
             .unwrap();
-
-        // Run the kernel across several work groups and merge.
-        let mut groups = Vec::new();
-        let mut start = 0;
-        while start < b.new_rows() {
-            let end = (start + 300).min(b.new_rows());
-            groups.push(
-                run_work_group(&plan, std::slice::from_ref(&b), start..end, 64, start == 0)
-                    .unwrap(),
-            );
-            start = end;
-        }
-        let gpu_out = merge_group_results(&plan, groups, b.end_index()).unwrap();
+        let gpu_out = run_groups(
+            &plan,
+            std::slice::from_ref(&b),
+            &[0..300, 300..600, 600..900, 900..1000],
+        );
         match (cpu_out, gpu_out) {
-            (TaskOutput::Rows(c), TaskOutput::Rows(g)) => {
-                assert_eq!(c.len(), g.len());
-                assert_eq!(c.bytes(), g.bytes());
-            }
+            (TaskOutput::Rows(c), TaskOutput::Rows(g)) => assert_eq!(c.bytes(), g.bytes()),
             _ => panic!("expected row outputs"),
         }
     }
 
     #[test]
-    fn projection_kernel_computes_expressions() {
-        let q = QueryBuilder::new("proj", schema())
-            .count_window(64, 64)
-            .project(vec![
-                (Expr::column(0), "timestamp"),
-                (Expr::column(1).mul(Expr::literal(2.0)), "v2"),
-            ])
-            .build()
-            .unwrap();
-        let plan = CompiledPlan::compile(&q).unwrap();
-        let b = batch(100);
-        let out = run_work_group(&plan, std::slice::from_ref(&b), 0..100, 32, true).unwrap();
-        match out {
-            GroupResult::Rows(rows) => {
-                assert_eq!(rows.len(), 100);
-                assert_eq!(rows.row(10).get_f32(1), 20.0);
-            }
-            _ => panic!(),
-        }
-    }
-
-    #[test]
-    fn aggregation_kernel_produces_pane_partials() {
+    fn aggregation_groups_merge_a_split_pane() {
         let q = QueryBuilder::new("agg", schema())
             .count_window(8, 8)
             .aggregate(AggregateFunction::Sum, 1)
@@ -347,10 +194,7 @@ mod tests {
             .unwrap();
         let plan = CompiledPlan::compile(&q).unwrap();
         let b = batch(32);
-        let g0 = run_work_group(&plan, std::slice::from_ref(&b), 0..20, 64, true).unwrap();
-        let g1 = run_work_group(&plan, std::slice::from_ref(&b), 20..32, 64, false).unwrap();
-        let merged = merge_group_results(&plan, vec![g0, g1], 32).unwrap();
-        match merged {
+        match run_groups(&plan, std::slice::from_ref(&b), &[0..20, 20..32]) {
             TaskOutput::Fragments { panes, progress } => {
                 assert_eq!(progress, 32);
                 assert_eq!(panes.len(), 4);
@@ -364,7 +208,7 @@ mod tests {
     }
 
     #[test]
-    fn join_kernel_matches_cpu_join() {
+    fn join_groups_match_cpu_join() {
         let q = QueryBuilder::new("join", schema())
             .count_window(16, 16)
             .theta_join(
@@ -375,16 +219,11 @@ mod tests {
             .build()
             .unwrap();
         let plan = CompiledPlan::compile(&q).unwrap();
-        let left = batch(16);
-        let right = batch(16);
-        let batches = vec![left, right];
-
+        let batches = vec![batch(16), batch(16)];
         let cpu_out = saber_cpu::CpuExecutor::new()
             .execute(&plan, &batches)
             .unwrap();
-        let g0 = run_work_group(&plan, &batches, 0..8, 32, true).unwrap();
-        let g1 = run_work_group(&plan, &batches, 8..16, 32, false).unwrap();
-        let gpu_out = merge_group_results(&plan, vec![g0, g1], 16).unwrap();
+        let gpu_out = run_groups(&plan, &batches, &[0..8, 8..16]);
         assert_eq!(cpu_out.row_count(), gpu_out.row_count());
     }
 }

@@ -7,16 +7,16 @@
 //! PCIe 3.0 ×16 bus. No such device is available here, so this crate builds
 //! the closest synthetic equivalent that exercises the same code paths:
 //!
-//! * a [`device::DeviceConfig`] describing the accelerator (streaming
-//!   multiprocessors, work-group width, its own executor thread pool),
+//! * a [`device::DeviceConfig`] describing the accelerator (its streaming
+//!   multiprocessors as an executor thread pool, its memory, its bus),
 //! * explicit [`memory`] regions (pinned host memory and device global
 //!   memory) through which every task's data must move,
 //! * a [`pcie::PcieBus`] model that paces `movein`/`moveout` transfers by a
 //!   configurable DMA latency and bandwidth,
-//! * data-parallel [`kernels`] written in the OpenCL style of the paper
-//!   (work groups, selection via flag vectors + prefix-sum compaction,
-//!   aggregation via per-work-group reduction into pane partials, two-phase
-//!   count/compact joins),
+//! * data-parallel [`kernels`]: a task's rows split into work groups, each
+//!   running the CPU's own operator function (`saber_cpu`) on its range —
+//!   one operator implementation for both processors, as in the paper (§3),
+//!   so the device models data movement and parallelism, not semantics,
 //! * the five-stage [`pipeline`] (`copyin → movein → execute → moveout →
 //!   copyout`) that overlaps data movement with kernel execution (Fig. 6),
 //! * and an analytical [`costmodel`] of the paper-scale device used for
@@ -37,7 +37,6 @@ pub mod kernels;
 pub mod memory;
 pub mod pcie;
 pub mod pipeline;
-pub mod prefix_sum;
 
 pub use device::{DeviceConfig, GpuDevice, GpuStats};
 pub use pcie::PcieBus;

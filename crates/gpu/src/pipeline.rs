@@ -15,7 +15,7 @@
 //! submits from multiple threads; a single GPU worker (as in SABER) keeps
 //! them ordered.
 
-use crate::device::{progress_of, GpuDevice};
+use crate::device::GpuDevice;
 use saber_cpu::exec::StreamBatch;
 use saber_cpu::plan::CompiledPlan;
 use saber_cpu::TaskOutput;
@@ -51,6 +51,9 @@ struct StageMsg {
     job: PipelineJob,
     submitted: Instant,
     pinned_bytes: usize,
+    /// Device memory `movein` allocated (0 when it was refused), which
+    /// `moveout` frees.
+    device_bytes: usize,
     output: Option<Result<TaskOutput>>,
 }
 
@@ -103,8 +106,9 @@ impl GpuPipeline {
                     .name("gpu-movein".into())
                     .spawn(move || {
                         for mut msg in movein_rx.iter() {
-                            if let Err(e) = device.movein(msg.pinned_bytes) {
-                                msg.output = Some(Err(e));
+                            match device.movein(msg.pinned_bytes) {
+                                Ok(_) => msg.device_bytes = msg.pinned_bytes,
+                                Err(e) => msg.output = Some(Err(e)),
                             }
                             if movein_tx.send(msg).is_err() {
                                 break;
@@ -148,7 +152,7 @@ impl GpuPipeline {
                                 .and_then(|o| o.as_ref().ok())
                                 .map(|o| o.byte_len())
                                 .unwrap_or(0);
-                            device.moveout(out_bytes, msg.pinned_bytes);
+                            device.moveout(out_bytes, msg.device_bytes);
                             if moveout_tx.send(msg).is_err() {
                                 break;
                             }
@@ -210,6 +214,7 @@ impl GpuPipeline {
         let msg = StageMsg {
             submitted: Instant::now(),
             pinned_bytes: 0,
+            device_bytes: 0,
             output: None,
             job,
         };
@@ -290,11 +295,6 @@ pub fn run_sequential(device: &GpuDevice, jobs: Vec<PipelineJob>) -> Vec<Pipelin
         .collect()
 }
 
-/// Progress helper re-exported for engine use.
-pub fn job_progress(plan: &CompiledPlan, batches: &[StreamBatch]) -> u64 {
-    batches.first().map(|b| progress_of(plan, b)).unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,6 +368,19 @@ mod tests {
                 y.output.as_ref().unwrap().row_count()
             );
         }
+    }
+
+    #[test]
+    fn a_refused_movein_frees_no_device_memory() {
+        let device = Arc::new(GpuDevice::new(DeviceConfig {
+            global_memory_bytes: 64,
+            ..DeviceConfig::unpaced()
+        }));
+        let (_plan, js) = jobs(2, 256);
+        let results = run_pipelined(device.clone(), js, 1);
+        assert_eq!(results.len(), 2);
+        assert!(results.iter().all(|r| r.output.is_err()));
+        assert_eq!(device.memory().allocated(), 0);
     }
 
     #[test]

@@ -790,6 +790,12 @@ fn render_metrics(shared: &Arc<Shared>) -> String {
             snap.tasks_cut_early as f64,
         );
         w.counter(
+            "saber_query_exec_errors_total",
+            "Tasks whose execution failed; each finished with no output.",
+            &labels,
+            snap.exec_errors as f64,
+        );
+        w.counter(
             "saber_query_tasks_total",
             "Tasks executed, by processor.",
             &[("query", q.as_str()), ("processor", "cpu")],

@@ -74,13 +74,6 @@ impl RowBuffer {
         &self.bytes
     }
 
-    /// Mutable access to the raw bytes of all rows (used by kernels that
-    /// write rows to computed output addresses, e.g. after a prefix-sum
-    /// compaction).
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.bytes
-    }
-
     /// Consumes the buffer and returns the raw bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.bytes

@@ -1,16 +1,15 @@
 //! Columnar batch views over the row-oriented stream layout.
 //!
 //! Stream batches arrive as fixed-width rows (§5.1's byte-serialised tuple
-//! format). Row-at-a-time operator loops pay a per-tuple interpretation cost
-//! for every attribute access; the columnar kernels instead *gather* each
-//! referenced attribute once per task into a dense `f64` (or `i64`) column
-//! and then operate column-wise, which is what the SIMD kernels in
-//! `saber-cpu` vectorize.
+//! format). Rather than decoding attributes tuple by tuple, the operators in
+//! `saber-cpu` *gather* each referenced attribute once per task into a dense
+//! `f64` (or `i64`) column and then operate column-wise, which is what their
+//! SIMD kernels vectorize.
 //!
 //! Gathering uses exactly the numeric coercions of
 //! [`TupleRef::get_numeric`](crate::TupleRef::get_numeric) and
 //! [`TupleRef::get_key`](crate::TupleRef::get_key), so a columnar evaluation
-//! of an expression sees bit-identical inputs to the row interpreter.
+//! of an expression sees bit-identical inputs to `Expr::eval` on a tuple.
 
 use crate::buffer::RowBuffer;
 use crate::schema::DataType;

@@ -7,6 +7,7 @@ use saber::cpu::plan::{CompiledPlan, PlanKind};
 use saber::cpu::{AggregationAssembler, CpuExecutor, TaskOutput};
 use saber::gpu::device::{DeviceConfig, GpuDevice};
 use saber::prelude::*;
+use saber::query::PartitionJoinSpec;
 use saber::types::RowBuffer;
 use saber::workloads::synthetic;
 
@@ -108,22 +109,71 @@ proptest! {
         }
     }
 
-    /// CPU operators and accelerator kernels must compute identical results
-    /// for the same task (the scheduler may run any task on either).
+    /// CPU operators and the accelerator's work groups must compute
+    /// identical results for the same task (the scheduler may run any task
+    /// on either), for every plan shape and however the work groups split
+    /// the rows — panes included.
     #[test]
-    fn cpu_and_gpu_kernels_agree(rows in 16usize..800, predicates in 1usize..8, seed in 0u64..1000) {
+    fn cpu_and_gpu_kernels_agree(
+        rows in 16usize..800,
+        shape in 0usize..7,
+        threads in 0usize..3,
+        seed in 0u64..1000,
+    ) {
         let schema = synthetic::schema();
-        let data = synthetic::generate(&schema, rows, seed);
-        let query = synthetic::select(predicates, WindowSpec::count(64, 64));
+        let window = WindowSpec::count(64, 32);
+        let unary = || QueryBuilder::new("q", schema.clone()).window(window);
+        let join = |predicate: Expr| unary().theta_join(schema.clone(), window, predicate).build();
+        let query = match shape {
+            0 => synthetic::select(3, window),
+            1 => synthetic::proj(3, 2, window),
+            2 => unary()
+                .project(vec![
+                    (Expr::column(0), "timestamp"),
+                    (Expr::column(2).rem(Expr::literal(16.0)), "g"),
+                    (Expr::column(1), "v"),
+                ])
+                .aggregate(AggregateFunction::Sum, 2)
+                .aggregate_count()
+                .aggregate(AggregateFunction::Avg, 2)
+                .group_by(vec![1])
+                .build()
+                .unwrap(),
+            3 => unary().aggregate(AggregateFunction::CountDistinct, 3).build().unwrap(),
+            // Equi (`a2 % 64 == a2' % 64`) and pure θ.
+            4 => join(Expr::column(2).rem(Expr::literal(64.0)).eq(Expr::column(9).rem(Expr::literal(64.0)))).unwrap(),
+            5 => join(Expr::column(2).sub(Expr::column(9)).rem(Expr::literal(64.0)).eq(Expr::literal(0.0))).unwrap(),
+            _ => unary()
+                .partition_join(schema.clone(), WindowSpec::count(1, 1), PartitionJoinSpec::new(2, 2))
+                .build()
+                .unwrap(),
+        };
         let plan = CompiledPlan::compile(&query).unwrap();
-        let batch = StreamBatch::new(data, 0, 0);
-        let cpu = CpuExecutor::new().execute(&plan, std::slice::from_ref(&batch)).unwrap();
-        let device = GpuDevice::new(DeviceConfig::unpaced());
-        let gpu = device.execute(&plan, std::slice::from_ref(&batch)).unwrap();
+        // Joins probe every build row; keep their tasks small.
+        let rows = if shape >= 4 { rows / 4 + 4 } else { rows };
+        let mut batches = vec![StreamBatch::new(synthetic::generate(&schema, rows, seed), 0, 0)];
+        if plan.num_inputs() == 2 {
+            let lookback = rows / 4;
+            let right = synthetic::generate(&schema, rows, seed + 1);
+            batches.push(StreamBatch::with_lookback(right, lookback as u64, 0, lookback));
+        }
+        let cpu = CpuExecutor::new().execute(&plan, &batches).unwrap();
+        let device = GpuDevice::new(DeviceConfig {
+            executor_threads: [1, 3, 4][threads],
+            ..DeviceConfig::unpaced()
+        });
+        let gpu = device.execute(&plan, &batches).unwrap();
         match (cpu, gpu) {
-            (TaskOutput::Rows(c), TaskOutput::Rows(g)) => {
-                prop_assert_eq!(c.len(), g.len());
-                prop_assert_eq!(c.bytes(), g.bytes());
+            (TaskOutput::Rows(c), TaskOutput::Rows(g)) => prop_assert_eq!(c.bytes(), g.bytes()),
+            (
+                TaskOutput::Fragments { panes: c, progress: cp },
+                TaskOutput::Fragments { panes: g, progress: gp },
+            ) => {
+                prop_assert_eq!(cp, gp);
+                let sorted = |panes: Vec<saber::cpu::PanePartial>| {
+                    panes.into_iter().map(|p| (p.pane, p.table.sorted_groups())).collect::<Vec<_>>()
+                };
+                prop_assert_eq!(sorted(c), sorted(g));
             }
             _ => prop_assert!(false, "unexpected output kinds"),
         }
