@@ -46,8 +46,6 @@ fn engine_config(queries: usize, durable_dir: Option<&PathBuf>) -> EngineConfig 
         device: DeviceConfig::unpaced(),
         input_buffer_capacity: 16 << 20,
         max_queued_tasks: 128.max(queries * 16),
-        gpu_pipeline_depth: 1,
-        throughput_smoothing: 0.25,
         // Default group-commit interval and fsync policy: this is the
         // configuration whose overhead the durable column reports.
         // `SABER_ABL_DURABLE_FSYNC=never` switches the fsync policy off to
@@ -60,7 +58,6 @@ fn engine_config(queries: usize, durable_dir: Option<&PathBuf>) -> EngineConfig 
             }
             config
         }),
-        sharing: true,
     }
 }
 

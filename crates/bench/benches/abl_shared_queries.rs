@@ -27,15 +27,19 @@
 //! meaningful column — it isolates the marginal cost of a duplicate from
 //! hardware parallelism. Run on a multi-core machine for absolute rates.
 //!
-//! `SABER_NO_SHARING=1` runs the same schedule with sharing forced off
-//! (every duplicate gets private rings and private tasks). That mode is
-//! the O(N) baseline the sharing layer removes; the 1000-duplicate point
-//! is skipped there because 1000 private plans neither fit the queue
-//! budget nor finish in reasonable time on one core.
+//! Every point also runs the O(N) baseline the sharing layer removes: the
+//! same projection built N times with `QueryBuilder` and no `.source(…)`.
+//! Such queries carry no fingerprint and never share, so every duplicate
+//! gets private rings and private tasks. The 1000-duplicate baseline is
+//! skipped because 1000 private plans neither fit the queue budget nor
+//! finish in reasonable time on one core.
 
 use saber_bench::{bench_workers, fmt, Report};
-use saber_engine::{EngineConfig, ExecutionMode, Saber, SchedulingPolicyKind, StreamId};
+use saber_engine::{
+    EngineConfig, ExecutionMode, QueryHandle, Saber, SchedulingPolicyKind, StreamId,
+};
 use saber_gpu::device::DeviceConfig;
+use saber_query::{Expr, QueryBuilder};
 use saber_workloads::synthetic;
 use std::collections::HashSet;
 use std::time::Instant;
@@ -58,10 +62,7 @@ fn engine_config() -> EngineConfig {
         // the no-sharing baseline allocates one per duplicate.
         input_buffer_capacity: 4 << 20,
         max_queued_tasks: 256,
-        gpu_pipeline_depth: 1,
-        throughput_smoothing: 0.25,
         durability: None,
-        sharing: true,
     }
 }
 
@@ -73,32 +74,44 @@ struct RunStats {
     logical_rows: u64,
 }
 
-fn run(duplicates: usize) -> RunStats {
+/// Registers one duplicate: the SQL statement (`shared`), or the same
+/// projection built without a source name, which never shares.
+fn register(engine: &Saber, shared: bool) -> QueryHandle {
     let schema = synthetic::schema();
-    let catalog = saber_sql::Catalog::new().with_stream("S", schema.clone());
+    if shared {
+        let catalog = saber_sql::Catalog::new().with_stream("S", schema);
+        return engine
+            .add_query_sql_with_options(SQL, &catalog, false)
+            .unwrap();
+    }
+    let query = QueryBuilder::new("proj", schema)
+        .count_window(1024, 1024)
+        .project(vec![
+            (Expr::column(0), "timestamp"),
+            (Expr::column(1), "a1"),
+        ])
+        .build()
+        .unwrap();
+    engine.add_query_with_options(query, false).unwrap()
+}
+
+fn run(duplicates: usize, shared: bool) -> RunStats {
+    let schema = synthetic::schema();
     let mut engine = Saber::with_config(engine_config()).unwrap();
 
     let t0 = Instant::now();
-    let anchor = engine
-        .add_query_sql_with_options(SQL, &catalog, false)
-        .unwrap();
+    let anchor = register(&engine, shared);
     let register_anchor = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
-    let followers: Vec<_> = (1..duplicates)
-        .map(|_| {
-            engine
-                .add_query_sql_with_options(SQL, &catalog, false)
-                .unwrap()
-        })
-        .collect();
+    let followers: Vec<_> = (1..duplicates).map(|_| register(&engine, shared)).collect();
     let register_marginal =
         (duplicates > 1).then(|| t1.elapsed().as_secs_f64() / (duplicates - 1) as f64);
     let physical_plans = engine.num_physical_plans();
     engine.start().unwrap();
 
     // One ingest handle per *physical* plan: with sharing that is a single
-    // handle no matter how many duplicates exist; with sharing off every
-    // duplicate is its own plan and gets its own copy of the data.
+    // handle no matter how many duplicates exist; without, every duplicate
+    // is its own plan and gets its own copy of the data.
     let mut seen = HashSet::new();
     let handles: Vec<_> = std::iter::once(&anchor)
         .chain(followers.iter())
@@ -140,20 +153,11 @@ fn run(duplicates: usize) -> RunStats {
 }
 
 fn main() {
-    let sharing = {
-        // Probe the effective mode (the env override lives in the engine).
-        let catalog = saber_sql::Catalog::new().with_stream("S", synthetic::schema());
-        let engine = Saber::with_config(engine_config()).unwrap();
-        let q = engine.add_query_sql(SQL, &catalog).unwrap();
-        engine.sharing_info(q.id()).is_some()
-    };
     let mut report = Report::new(
         "abl_shared_queries",
-        &format!(
-            "Ablation — N duplicate queries, one physical plan (sharing {})",
-            if sharing { "ON" } else { "OFF: O(N) baseline" }
-        ),
+        "Ablation — N duplicate queries: one shared physical plan vs. N private ones",
         &[
+            "plans",
             "duplicates",
             "physical_plans",
             "register_anchor_ms",
@@ -164,30 +168,33 @@ fn main() {
         ],
     );
 
-    let mut base_wall = 0.0;
-    for duplicates in [1usize, 10, 100, 1000] {
-        if !sharing && duplicates == 1000 {
-            eprintln!(
-                "abl_shared_queries: skipping 1000 duplicates with sharing off \
-                 (1000 private plans exceed the single-core time budget)"
-            );
-            continue;
+    for shared in [true, false] {
+        let mut base_wall = 0.0;
+        for duplicates in [1usize, 10, 100, 1000] {
+            if !shared && duplicates == 1000 {
+                eprintln!(
+                    "abl_shared_queries: skipping 1000 private duplicates \
+                     (1000 private plans exceed the single-core time budget)"
+                );
+                continue;
+            }
+            let stats = run(duplicates, shared);
+            if duplicates == 1 {
+                base_wall = stats.wall;
+            }
+            report.add_row(vec![
+                if shared { "shared" } else { "private" }.to_string(),
+                duplicates.to_string(),
+                stats.physical_plans.to_string(),
+                fmt(stats.register_anchor * 1e3),
+                stats
+                    .register_marginal
+                    .map_or_else(|| "-".into(), |m| fmt(m * 1e6)),
+                fmt(stats.wall),
+                fmt(stats.wall / base_wall),
+                fmt(stats.logical_rows as f64 / stats.wall / 1e6),
+            ]);
         }
-        let stats = run(duplicates);
-        if duplicates == 1 {
-            base_wall = stats.wall;
-        }
-        report.add_row(vec![
-            duplicates.to_string(),
-            stats.physical_plans.to_string(),
-            fmt(stats.register_anchor * 1e3),
-            stats
-                .register_marginal
-                .map_or_else(|| "-".into(), |m| fmt(m * 1e6)),
-            fmt(stats.wall),
-            fmt(stats.wall / base_wall),
-            fmt(stats.logical_rows as f64 / stats.wall / 1e6),
-        ]);
     }
     report.finish();
 }

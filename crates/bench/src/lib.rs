@@ -57,10 +57,7 @@ pub fn engine_config(mode: ExecutionMode, task_size: usize) -> EngineConfig {
         device: DeviceConfig::default(),
         input_buffer_capacity: (task_size * 8).max(32 << 20),
         max_queued_tasks: 128,
-        gpu_pipeline_depth: 4,
-        throughput_smoothing: 0.25,
         durability: None,
-        sharing: true,
     }
 }
 

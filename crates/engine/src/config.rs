@@ -38,11 +38,6 @@ pub struct EngineConfig {
     pub input_buffer_capacity: usize,
     /// Maximum number of queued tasks before ingest applies backpressure.
     pub max_queued_tasks: usize,
-    /// Number of in-flight tasks the accelerator pipeline keeps (1 disables
-    /// pipelined data movement).
-    pub gpu_pipeline_depth: usize,
-    /// Exponential moving average factor for the throughput matrix in (0, 1].
-    pub throughput_smoothing: f64,
     /// Durability: when set, acknowledged ingests and catalog mutations are
     /// group-committed to a write-ahead log in the given directory and the
     /// engine checkpoints catalog snapshots (see `docs/persistence.md`).
@@ -50,14 +45,6 @@ pub struct EngineConfig {
     /// over a directory with *existing* state must be built through
     /// [`Saber::recover`], not [`Saber::with_config`].
     pub durability: Option<DurabilityConfig>,
-    /// Physical plan sharing: queries whose canonical fingerprints match
-    /// (same sources, windows and operator tree modulo attribute renaming)
-    /// execute as one physical plan — one set of input rings, one task-queue
-    /// shard, one scheduler row — with results demultiplexed into every
-    /// subscriber's sink. On by default; the `SABER_NO_SHARING=1`
-    /// environment variable forces it off at engine construction (the
-    /// differential-testing escape hatch).
-    pub sharing: bool,
 }
 
 impl Default for EngineConfig {
@@ -74,10 +61,7 @@ impl Default for EngineConfig {
             device: DeviceConfig::default(),
             input_buffer_capacity: 64 << 20,
             max_queued_tasks: 256,
-            gpu_pipeline_depth: 4,
-            throughput_smoothing: 0.25,
             durability: None,
-            sharing: true,
         }
     }
 }
@@ -103,11 +87,6 @@ impl EngineConfig {
         if self.max_queued_tasks == 0 {
             return Err(SaberError::Config(
                 "max queued tasks must be positive".into(),
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.throughput_smoothing) || self.throughput_smoothing == 0.0 {
-            return Err(SaberError::Config(
-                "throughput smoothing must be in (0, 1]".into(),
             ));
         }
         if let Some(durability) = &self.durability {
@@ -181,12 +160,6 @@ impl SaberBuilder {
         self
     }
 
-    /// Sets the accelerator pipeline depth (1 = no pipelining).
-    pub fn gpu_pipeline_depth(mut self, depth: usize) -> Self {
-        self.config.gpu_pipeline_depth = depth.max(1);
-        self
-    }
-
     /// Sets the maximum number of queued tasks before ingest blocks.
     pub fn max_queued_tasks(mut self, n: usize) -> Self {
         self.config.max_queued_tasks = n;
@@ -200,13 +173,6 @@ impl SaberBuilder {
     /// the directory already holds state from a previous run.
     pub fn durability(mut self, durability: DurabilityConfig) -> Self {
         self.config.durability = Some(durability);
-        self
-    }
-
-    /// Enables or disables physical plan sharing for fingerprint-identical
-    /// queries (on by default; `SABER_NO_SHARING=1` also forces it off).
-    pub fn sharing(mut self, enabled: bool) -> Self {
-        self.config.sharing = enabled;
         self
     }
 
@@ -260,11 +226,6 @@ mod tests {
         c.input_buffer_capacity = 64 << 20;
         c.max_queued_tasks = 0;
         assert!(c.validate().is_err());
-        c.max_queued_tasks = 4;
-        c.throughput_smoothing = 0.0;
-        assert!(c.validate().is_err());
-        c.throughput_smoothing = 1.5;
-        assert!(c.validate().is_err());
     }
 
     #[test]
@@ -290,14 +251,12 @@ mod tests {
             .worker_threads(3)
             .query_task_size(128 * 1024)
             .execution_mode(ExecutionMode::CpuOnly)
-            .max_queued_tasks(16)
-            .gpu_pipeline_depth(0);
+            .max_queued_tasks(16);
         let c = b.peek_config();
         assert_eq!(c.worker_threads, 3);
         assert_eq!(c.query_task_size, 128 * 1024);
         assert_eq!(c.execution_mode, ExecutionMode::CpuOnly);
         assert_eq!(c.max_queued_tasks, 16);
-        assert_eq!(c.gpu_pipeline_depth, 1);
     }
 
     #[test]

@@ -21,11 +21,11 @@
 //! segments wholly below the minimum live cut.
 //!
 //! **Recovery** ([`Saber::recover`]) rebuilds a crashed engine from its
-//! directory: load the newest readable snapshot, restore the catalog,
-//! re-register the snapshot's queries under their original ids, then scan
-//! the log — applying catalog records past the snapshot position and ingest
-//! records for live queries — through the normal ingest path with logging
-//! disabled. The result is an engine serving the same `QueryId`s whose
+//! directory: load the newest readable snapshot, restore the catalog, then
+//! scan the log with logging disabled — re-registering every retained query
+//! at its `AddQuery` record under its original id, applying removals, and
+//! re-ingesting the ingest records of live queries through the normal
+//! ingest path. The result is an engine serving the same `QueryId`s whose
 //! sinks hold result windows byte-identical to an uninterrupted run over
 //! the durable prefix of the input.
 
@@ -43,7 +43,8 @@ use std::sync::Arc;
 /// Per-query durability metadata: what a checkpoint needs to restore it.
 pub(crate) struct QueryMeta {
     pub(crate) sql: String,
-    /// WAL seq of the query's `AddQuery` record — where its replay starts.
+    /// WAL seq of the first `AddQuery` record of the query's physical plan
+    /// — where its replay starts, and how far back the WAL is retained.
     pub(crate) replay_from: u64,
 }
 
@@ -202,11 +203,11 @@ pub(crate) fn checkpoint_engine(
 impl Saber {
     /// Rebuilds an engine from a durability directory written by a previous
     /// run (a crash or a clean shutdown — recovery does not distinguish):
-    /// restores the catalog and the query set from the newest snapshot,
-    /// replays the un-checkpointed WAL suffix through the normal ingest
-    /// path, and returns the engine **already started**, serving the same
-    /// [`QueryId`]s with result windows byte-identical to an uninterrupted
-    /// run over the durable input prefix.
+    /// restores the catalog from the newest snapshot, replays the retained
+    /// WAL — query registrations and removals at their records, ingests
+    /// through the normal ingest path — and returns the engine **already
+    /// started**, serving the same [`QueryId`]s with result windows
+    /// byte-identical to an uninterrupted run over the durable input prefix.
     ///
     /// `config.durability` must be set; its `dir` may also be empty or
     /// nonexistent (trivial recovery — this is how a persistent server
@@ -224,24 +225,20 @@ impl Saber {
         engine.start()?;
         let mut snap_seq = 0u64;
         let mut snapshot_wal_seq = None;
-        if let Some(snap) = &snapshot {
+        let mut listed = HashMap::new();
+        if let Some(snap) = snapshot {
             let restored = SharedCatalog::deserialize(&snap.catalog)?;
             durability.catalog.restore(restored.snapshot());
-            let mut queries = snap.queries.clone();
-            queries.sort_by_key(|q| q.id);
-            for q in &queries {
-                engine.restore_query(q.id as usize, &q.sql, q.replay_from)?;
-            }
             engine.reserve_query_ids_through(snap.next_query_id as usize);
             snap_seq = snap.next_wal_seq;
             snapshot_wal_seq = Some(snap.next_wal_seq);
+            listed = snap.queries.into_iter().map(|q| (q.id, q)).collect();
         }
         let mut replayed_rows = 0u64;
         let scan = durability.store.replay(&mut |seq, record| {
             match record {
-                // Catalog records below the snapshot position are already
-                // reflected in it; only ingest records reach further back
-                // (each query replays from its own cut position).
+                // Stream records below the snapshot position are already
+                // reflected in its catalog.
                 WalRecord::CreateStream { name, schema } => {
                     if seq >= snap_seq {
                         durability
@@ -249,13 +246,21 @@ impl Saber {
                             .register(name, Schema::decode_layout(&schema)?.into_ref());
                     }
                 }
+                // Queries register at their records, below the snapshot
+                // position too: a follower attaches exactly where it did
+                // live, to a plan rebuilt from its first registration.
                 WalRecord::AddQuery { id, sql } => {
-                    if seq >= snap_seq {
-                        engine.restore_query(id as usize, &sql, seq)?;
+                    let replayed = engine.replay_add_query(id as usize, &sql, seq);
+                    match listed.remove(&id) {
+                        // Removed before the snapshot: replayed only for the
+                        // followers it may have carried, and skipped if the
+                        // snapshot's catalog no longer compiles it.
+                        None if seq < snap_seq => {}
+                        _ => replayed?,
                     }
                 }
                 WalRecord::RemoveQuery { id } => {
-                    if seq >= snap_seq && engine.query(QueryId(id as usize)).is_some() {
+                    if engine.query(QueryId(id as usize)).is_some() {
                         engine.remove_query(QueryId(id as usize))?;
                     }
                 }
@@ -275,6 +280,14 @@ impl Saber {
             }
             Ok(())
         })?;
+        // A live query whose `AddQuery` record the log no longer holds (a
+        // tail lost below the snapshot position) is restored from the
+        // snapshot, with nothing left to replay.
+        let mut unreplayed: Vec<_> = listed.into_values().collect();
+        unreplayed.sort_by_key(|q| q.id);
+        for q in unreplayed {
+            engine.replay_add_query(q.id as usize, &q.sql, q.replay_from)?;
+        }
         durability
             .replayed_rows
             .store(replayed_rows, Ordering::SeqCst);

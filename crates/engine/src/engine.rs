@@ -23,23 +23,24 @@ use crate::ids::{QueryId, StreamId};
 use crate::metrics::{EngineStats, QueryStats};
 use crate::placement::{PlacementDecision, PlacementMap};
 use crate::queue::TaskQueue;
-use crate::registry::{QueryGate, QueryRegistry, QueryState};
+use crate::registry::{Gate, QueryRegistry, QueryState, GATE_CLOSED, GATE_CREATED, GATE_OPEN};
 use crate::result::ResultStage;
 use crate::scheduler::Scheduler;
 use crate::sharing::{SharedMembership, SharedPlan, SharedWindowRegistry};
 use crate::sink::{QuerySink, WindowWait};
 use crate::task::QueryTask;
-use crate::throughput::ThroughputMatrix;
+use crate::throughput::{ThroughputMatrix, SMOOTHING};
 use crate::worker::{run_cpu_worker, run_gpu_worker, WorkerContext};
 use saber_cpu::plan::CompiledPlan;
 use saber_gpu::{DeviceConfig, GpuDevice};
 use saber_obs::{FlightRecord, FlightRecorder};
-use saber_query::Query;
+use saber_query::{PlanFingerprint, Query};
 use saber_sql::SharedCatalog;
 use saber_store::{has_existing_state, Store, WalRecord};
 use saber_types::sync::Mutex;
 use saber_types::{Result, RowBuffer, SaberError};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -49,95 +50,9 @@ use std::time::{Duration, Instant};
 const STOP_DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// How long [`QueryHandle::remove`] waits for the query's in-flight ingests
-/// and task backlog to drain before deregistering it uncleanly.
+/// and task backlog to drain before deregistering it uncleanly. Recovery
+/// gives a plan the same budget to drain before a follower attaches.
 const REMOVE_DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// Engine lifecycle phases. The engine moves strictly forward:
-/// `Created → Running → Stopped`; a stopped engine cannot be restarted.
-const PHASE_CREATED: u8 = 0;
-const PHASE_RUNNING: u8 = 1;
-const PHASE_STOPPED: u8 = 2;
-
-/// Shared lifecycle state: the phase plus a count of ingest calls currently
-/// past the phase check. Together they make [`Saber::stop`] loss-free: stop
-/// first flips the phase to `Stopped` (so every *new* ingest is rejected with
-/// a [`SaberError::State`]), then waits for the in-flight count to reach
-/// zero (so every ingest that was *already accepted* has finished appending)
-/// before flushing — no accepted row can land after the final flush.
-/// [`QueryHandle::remove`] applies the same pattern per query through its
-/// [`QueryGate`].
-#[derive(Debug)]
-pub(crate) struct Lifecycle {
-    phase: AtomicU8,
-    in_flight_ingests: AtomicU64,
-}
-
-impl Lifecycle {
-    fn new() -> Self {
-        Self {
-            phase: AtomicU8::new(PHASE_CREATED),
-            in_flight_ingests: AtomicU64::new(0),
-        }
-    }
-
-    fn phase(&self) -> u8 {
-        self.phase.load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn is_running(&self) -> bool {
-        self.phase() == PHASE_RUNNING
-    }
-
-    /// Registers an ingest as in-flight iff the engine is running.
-    ///
-    /// The increment happens *before* the phase check (both `SeqCst`), which
-    /// pairs with the store-then-read order in [`Saber::stop`]: if the check
-    /// here observes `Running`, stop's subsequent wait must observe the
-    /// increment, so the append this permit covers completes before flush.
-    fn begin_ingest(&self) -> Result<IngestPermit<'_>> {
-        self.in_flight_ingests.fetch_add(1, Ordering::SeqCst);
-        match self.phase() {
-            PHASE_RUNNING => Ok(IngestPermit { lifecycle: self }),
-            phase => {
-                self.in_flight_ingests.fetch_sub(1, Ordering::SeqCst);
-                Err(SaberError::State(match phase {
-                    PHASE_CREATED => "engine is not running (call start() first)".to_string(),
-                    _ => "engine is stopped; this ingest handle is no longer valid".to_string(),
-                }))
-            }
-        }
-    }
-
-    /// Blocks until every in-flight ingest has completed, or until `timeout`
-    /// elapses (returning false). New ingests are already rejected after the
-    /// phase flip and in-flight ones only block on the credit gate, which
-    /// the still-running workers keep draining — so in a healthy engine this
-    /// returns true quickly; the timeout exists so a leaked credit (e.g. a
-    /// panicked worker) degrades into an unclean stop instead of a hang.
-    fn wait_ingests_drained(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while self.in_flight_ingests.load(Ordering::SeqCst) > 0 {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_micros(50));
-        }
-        true
-    }
-}
-
-/// RAII guard for one in-flight ingest (see [`Lifecycle::begin_ingest`]).
-struct IngestPermit<'a> {
-    lifecycle: &'a Lifecycle,
-}
-
-impl Drop for IngestPermit<'_> {
-    fn drop(&mut self) {
-        self.lifecycle
-            .in_flight_ingests
-            .fetch_sub(1, Ordering::SeqCst);
-    }
-}
 
 /// Everything shared between the [`Saber`] façade, its worker threads and
 /// the handles ([`QueryHandle`], [`IngestHandle`]) it gives out.
@@ -154,7 +69,8 @@ struct EngineCore {
     sharing: SharedWindowRegistry,
     stats: EngineStats,
     device: Arc<GpuDevice>,
-    lifecycle: Arc<Lifecycle>,
+    /// The engine's admission gate: open between `start()` and `stop()`.
+    lifecycle: Arc<Gate>,
     /// Serializes the two wind-down paths — engine stop and per-query
     /// removal — so a removal can never retire a queue shard out from under
     /// stop's final flush (and vice versa).
@@ -221,21 +137,12 @@ impl Saber {
     /// (recovery builds the store first so it can read the snapshot before
     /// the engine exists).
     pub(crate) fn with_durability(
-        mut config: EngineConfig,
+        config: EngineConfig,
         durability: Option<Arc<Durability>>,
     ) -> Result<Self> {
         config.validate()?;
-        // The differential-testing escape hatch: `SABER_NO_SHARING=1` (any
-        // value but "0"/empty) forces every query onto a private physical
-        // plan, regardless of the configured default.
-        if std::env::var("SABER_NO_SHARING")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false)
-        {
-            config.sharing = false;
-        }
         let matrix = Arc::new(ThroughputMatrix::new(
-            config.throughput_smoothing,
+            SMOOTHING,
             config.effective_cpu_workers(),
         ));
         let mut scheduler = Scheduler::new(config.scheduling.clone(), matrix.clone());
@@ -263,7 +170,7 @@ impl Saber {
                 sharing: SharedWindowRegistry::new(),
                 stats: EngineStats::default(),
                 device,
-                lifecycle: Arc::new(Lifecycle::new()),
+                lifecycle: Arc::new(Gate::new(GATE_CREATED)),
                 wind_down: Mutex::new(()),
                 durability,
                 recorder: Arc::new(FlightRecorder::new(256)),
@@ -363,15 +270,17 @@ impl Saber {
     /// Sharing info for a live query: the id of the physical plan
     /// executing it and the number of logical queries currently attached
     /// to that plan. `None` for unknown/removed ids and for queries
-    /// running a private (unshared) plan.
+    /// running a private plan (one without a fingerprint).
     pub fn sharing_info(&self, query: QueryId) -> Option<(QueryId, usize)> {
         let state = self
             .core
             .registry
             .get(query.index())
             .filter(|s| s.is_visible())?;
-        let shared = state.shared.as_ref()?;
-        Some((QueryId(shared.plan.phys_id), shared.plan.num_members()))
+        let plan = &state.shared.plan;
+        plan.fingerprint
+            .is_some()
+            .then(|| (QueryId(plan.phys_id), plan.num_members()))
     }
 
     /// Number of queries ever registered, including removed ones. Query ids
@@ -432,7 +341,7 @@ impl Saber {
     /// Registers a query; when `retain_output` is false the sink only counts
     /// emitted tuples (benchmarks over unbounded output).
     pub fn add_query_with_options(&self, query: Query, retain_output: bool) -> Result<QueryHandle> {
-        self.add_query_inner(query, retain_output, None)
+        self.register(query, retain_output, None, None)
     }
 
     /// Like [`Saber::add_query`], but records `sql` as the query's source
@@ -442,98 +351,100 @@ impl Saber {
     /// this for you; use it directly when you compile SQL yourself, e.g.
     /// for better error rendering.)
     pub fn add_query_with_sql(&self, query: Query, sql: &str) -> Result<QueryHandle> {
-        self.add_query_inner(query, true, Some(sql))
+        self.register(query, true, Some(sql), None)
     }
 
-    fn add_query_inner(
+    /// The one registration path, for live registration and recovery
+    /// alike. `replayed` is `Some((id, seq))` when recovery re-applies the
+    /// `AddQuery` record at WAL position `seq` under its original id
+    /// (logging is off); a live registration reserves a fresh id and logs
+    /// the record instead.
+    ///
+    /// Every query joins a physical plan. A fingerprint that maps to a live
+    /// plan attaches as a follower without compiling anything (the O(1)
+    /// marginal cost of a duplicate query). Otherwise the plan is compiled
+    /// before any shared lock is taken — registering on a loaded engine
+    /// never stalls concurrent ingest or task completion — and the map is
+    /// checked again under its lock, because a concurrent registration of
+    /// the same shape may have won meanwhile. A query without a fingerprint
+    /// anchors a private one-member plan that never enters the map. The map
+    /// lock spans lookup, attach and install, so a plan cannot die under an
+    /// attach: [`detach`] removes a plan's entry under the same lock.
+    fn register(
         &self,
         query: Query,
         retain_output: bool,
         sql: Option<&str>,
+        replayed: Option<(usize, u64)>,
     ) -> Result<QueryHandle> {
-        if self.core.lifecycle.phase() == PHASE_STOPPED {
-            return Err(SaberError::State(
-                "cannot add queries to a stopped engine".into(),
-            ));
-        }
         let core = &self.core;
-        // Plan sharing (when enabled): only fingerprintable queries — every
-        // input carries a resolved source name, which is how the SQL
-        // planner builds them — ever share; programmatic queries without
-        // sources always get a private physical plan.
-        let fingerprint = if core.config.sharing {
-            query.fingerprint()
-        } else {
-            None
-        };
-        // Fast path: a live plan with this fingerprint exists — attach to
-        // it without compiling anything (the O(1) marginal cost of a
-        // duplicate query). The map lock spans lookup + attach, so the plan
-        // cannot die under us: detach removes the map entry under the same
-        // lock *before* tearing a plan down.
-        if let Some(fp) = &fingerprint {
-            let map = core.sharing.lock();
-            if let Some(shared) = map.get(fp).cloned() {
-                let id = core.registry.reserve_id();
-                let logged = self.log_add_query(id, sql)?;
-                return match self.attach_follower(id, &shared, retain_output) {
-                    Ok(handle) => Ok(handle),
-                    Err(e) => {
-                        if logged {
-                            self.retract_add_query(id);
-                        }
-                        Err(e)
-                    }
-                };
-            }
+        if core.lifecycle.state() == GATE_CLOSED {
+            return Err(stopped_engine_error());
         }
-        // The expensive steps — plan compilation and the input-ring
-        // allocations inside the dispatcher — run before any shared lock is
-        // taken, so registering a query on a loaded engine never stalls
-        // concurrent ingest or task completion (both read-lock the
-        // registry). The id is reserved first (and burnt if this
-        // registration is abandoned; ids are never reused by design).
-        let plan = CompiledPlan::compile(&query)?;
-        let id = core.registry.reserve_id();
+        let fingerprint = query.fingerprint();
+        let live_plan = |map: &HashMap<PlanFingerprint, Arc<SharedPlan>>| {
+            fingerprint.as_ref().and_then(|fp| map.get(fp).cloned())
+        };
+        let mut map = core.sharing.lock();
+        let mut compiled = None;
+        if live_plan(&map).is_none() {
+            drop(map);
+            compiled = Some(CompiledPlan::compile(&query)?);
+            map = core.sharing.lock();
+        }
+        // Ids are never reused: one reserved here stays burnt if the
+        // registration is abandoned.
+        let id = match replayed {
+            Some((id, _)) => {
+                core.registry.reserve_through(id + 1);
+                id
+            }
+            None => core.registry.reserve_id(),
+        };
+        // From here `compiled` is `Some` exactly when `plan` is new: the map
+        // lock is still held if the first lookup found a plan, and a plan
+        // that won a race while we compiled makes ours moot.
+        let (plan, compiled) = match live_plan(&map) {
+            Some(plan) => (plan, None),
+            None => (Arc::new(SharedPlan::new(fingerprint, id)), compiled),
+        };
         // Log the registration *before* the query becomes reachable through
         // the registry: a concurrent ingest into the fresh id can otherwise
         // log its `Ingest` record ahead of the `AddQuery` record, and replay
         // (which applies records in sequence order) would drop that
-        // acknowledged batch. Metadata insert and WAL append happen under
-        // one lock so a concurrent checkpoint sees either both or neither.
-        let logged = self.log_add_query(id, sql)?;
-        let result = if let Some(fp) = fingerprint {
-            let mut map = core.sharing.lock();
-            if let Some(shared) = map.get(&fp).cloned() {
-                // Lost a race with a concurrent registration of the same
-                // shape: attach to its plan, discarding ours.
-                self.attach_follower(id, &shared, retain_output)
-            } else {
-                let shared = Arc::new(SharedPlan::new(fp.clone(), id));
-                let membership = SharedMembership {
-                    plan: shared.clone(),
-                    anchor: None,
-                    subscription: None,
-                };
-                match self.install_plan(id, plan, retain_output, Some(membership)) {
-                    Ok(handle) => {
-                        map.insert(fp, shared);
-                        Ok(handle)
-                    }
-                    Err(e) => Err(e),
+        // acknowledged batch.
+        let recorded = self.record_add_query(id, sql, &plan, replayed.map(|(_, seq)| seq))?;
+        let state = match compiled {
+            Some(compiled) => {
+                if let Some(fp) = &plan.fingerprint {
+                    map.insert(fp.clone(), plan.clone());
                 }
+                Ok(self.install_plan(id, compiled, retain_output, &plan))
             }
-        } else {
-            self.install_plan(id, plan, retain_output, None)
+            None => self.attach_follower(id, &plan, retain_output, replayed.is_some()),
         };
-        match result {
-            Ok(handle) => Ok(handle),
+        // A stop that raced this registration has already closed the other
+        // sinks and will not see this query; fail the registration cleanly
+        // instead of leaving a zombie.
+        let state = match state {
+            Ok(state) if core.lifecycle.state() == GATE_CLOSED => {
+                detach(core, &mut map, &state);
+                state.sink.close();
+                Err(stopped_engine_error())
+            }
+            state => state,
+        };
+        drop(map);
+        match state {
+            Ok(state) => Ok(QueryHandle {
+                id: QueryId(id),
+                core: core.clone(),
+                state,
+            }),
             Err(e) => {
-                // Installation failed (e.g. it lost the race with stop):
-                // retract the logged registration so recovery does not
-                // resurrect a query the caller never received. The id stays
-                // burnt either way.
-                if logged {
+                // Retract the recorded registration so recovery does not
+                // resurrect a query the caller never received.
+                if recorded {
                     self.retract_add_query(id);
                 }
                 Err(e)
@@ -541,61 +452,74 @@ impl Saber {
         }
     }
 
-    /// Appends the `AddQuery` record and inserts the durability metadata of
-    /// a registration (see [`Saber::add_query_inner`] for the ordering
-    /// rationale). Returns whether a record was written — and must be
-    /// retracted if installation subsequently fails.
-    fn log_add_query(&self, id: usize, sql: Option<&str>) -> Result<bool> {
+    /// Records the durability metadata of a registration of SQL text — on a
+    /// live engine together with its `AddQuery` record, under one lock so a
+    /// concurrent checkpoint sees both or neither; during recovery with
+    /// the replayed record's `seq`. The metadata's `replay_from` is the
+    /// plan's first `AddQuery` position (see [`crate::sharing`]). Returns
+    /// whether anything was recorded, to be retracted if installation
+    /// fails.
+    fn record_add_query(
+        &self,
+        id: usize,
+        sql: Option<&str>,
+        plan: &SharedPlan,
+        replayed_seq: Option<u64>,
+    ) -> Result<bool> {
         let (Some(durability), Some(sql)) = (self.core.durability.as_ref(), sql) else {
             return Ok(false);
         };
-        if !durability.logging() {
-            return Ok(false);
-        }
         let mut meta = durability.meta.lock();
-        let seq = durability.store.append(&WalRecord::AddQuery {
-            id: id as u64,
-            sql: sql.to_string(),
-        })?;
+        let seq = match replayed_seq {
+            Some(seq) => seq,
+            None if durability.logging() => durability.store.append(&WalRecord::AddQuery {
+                id: id as u64,
+                sql: sql.to_string(),
+            })?,
+            None => return Ok(false),
+        };
         meta.insert(
             id,
             QueryMeta {
                 sql: sql.to_string(),
-                replay_from: seq,
+                replay_from: plan.replay_from(seq),
             },
         );
         Ok(true)
     }
 
-    /// Retracts a logged registration whose installation failed, so recovery
-    /// does not resurrect a query the caller never received.
+    /// Retracts a recorded registration whose installation failed, so
+    /// recovery does not resurrect a query the caller never received.
     fn retract_add_query(&self, id: usize) {
         let durability = self
             .core
             .durability
             .as_ref()
-            .expect("logged implies durable");
+            .expect("recorded implies durable");
         let mut meta = durability.meta.lock();
-        if meta.remove(&id).is_some() {
+        if meta.remove(&id).is_some() && durability.logging() {
             let _ = durability
                 .store
                 .append(&WalRecord::RemoveQuery { id: id as u64 });
         }
     }
 
-    /// Attaches query `id` as a follower on an existing shared plan: no
-    /// compilation, no input rings, no queue shard, no scheduler row — just
-    /// a registry slot, a stats block and a demux subscription forwarding
-    /// every result batch from the anchor's sink into this query's own.
-    /// The forwarded stream is ordered (the result stage appends under its
-    /// reassembly lock) and complete from this moment on. Caller holds the
-    /// sharing-map lock, so the plan cannot be torn down concurrently.
+    /// Attaches query `id` as a follower on a live plan: no compilation, no
+    /// input rings, no queue shard, no scheduler row — just a registry slot,
+    /// a stats block and a demux subscription forwarding every result batch
+    /// from the anchor's sink into this query's own. The forwarded stream
+    /// is ordered (the result stage appends under its reassembly lock) and
+    /// complete from this moment on. A `replayed` attach first drains the
+    /// plan, so the follower starts exactly at its `AddQuery` record. The
+    /// caller holds the sharing-map lock, so the plan cannot be torn down
+    /// concurrently.
     fn attach_follower(
         &self,
         id: usize,
         plan: &Arc<SharedPlan>,
         retain_output: bool,
-    ) -> Result<QueryHandle> {
+        replayed: bool,
+    ) -> Result<Arc<QueryState>> {
         let core = &self.core;
         let anchor = core.registry.get(plan.phys_id).ok_or_else(|| {
             SaberError::State(format!(
@@ -603,6 +527,12 @@ impl Saber {
                 plan.phys_id
             ))
         })?;
+        if replayed && !drain_plan(core, &anchor, Instant::now() + REMOVE_DRAIN_TIMEOUT)? {
+            return Err(SaberError::State(format!(
+                "recovery: plan {} did not drain before query {id} attached",
+                plan.phys_id
+            )));
+        }
         let stats = core.stats.register_query_at(id);
         let sink = QuerySink::new(anchor.sink.schema().clone(), retain_output);
         let subscription = {
@@ -622,61 +552,45 @@ impl Saber {
             runtime: anchor.runtime.clone(),
             stats,
             sink,
-            gate: QueryGate::new(),
-            shared: Some(SharedMembership {
+            gate: Gate::new(GATE_OPEN),
+            shared: SharedMembership {
                 plan: plan.clone(),
                 anchor: Some(anchor.clone()),
                 subscription: Some(subscription),
-            }),
+            },
             visible: AtomicBool::new(true),
         });
         core.registry.insert(state.clone());
-        // Same stop-race discipline as install_plan: a stop that raced this
-        // attach has already closed the other sinks and will not see it.
-        if core.lifecycle.phase() == PHASE_STOPPED {
-            core.registry.clear(id);
-            anchor.sink.unsubscribe(subscription);
-            state.sink.close();
-            return Err(SaberError::State(
-                "cannot add queries to a stopped engine".into(),
-            ));
-        }
         plan.members.lock().push(id);
-        Ok(QueryHandle {
-            id: QueryId(id),
-            core: self.core.clone(),
-            state,
-        })
+        Ok(state)
     }
 
-    /// Installs a compiled plan under an already reserved `id` — the shared
-    /// tail of normal registration and recovery's restore-at-fixed-id path.
-    /// `shared` is the anchor membership when this plan heads a shared
-    /// group (the caller inserts the fingerprint-map entry on success),
-    /// `None` for a private plan.
+    /// Installs a compiled plan as the anchor of `plan` under the already
+    /// reserved `id`: placement, sink, result stage, dispatcher and input
+    /// rings, task-queue shard and registry slot.
     fn install_plan(
         &self,
         id: usize,
-        mut plan: CompiledPlan,
+        mut compiled: CompiledPlan,
         retain_output: bool,
-        shared: Option<SharedMembership>,
-    ) -> Result<QueryHandle> {
+        plan: &Arc<SharedPlan>,
+    ) -> Arc<QueryState> {
         let core = &self.core;
-        plan.set_query_id(id);
+        compiled.set_query_id(id);
         core.placement
-            .register(id, &plan, core.config.query_task_size);
-        let plan = Arc::new(plan);
-        let sink = QuerySink::new(plan.output_schema().clone(), retain_output);
+            .register(id, &compiled, core.config.query_task_size);
+        let compiled = Arc::new(compiled);
+        let sink = QuerySink::new(compiled.output_schema().clone(), retain_output);
         let stats = core.stats.register_query_at(id);
         let runtime = Arc::new(ResultStage::new(
-            &plan,
+            &compiled,
             sink.clone(),
             stats.clone(),
             core.recorder.clone(),
         ));
         let dispatcher = Arc::new(
             Dispatcher::new(
-                plan,
+                compiled,
                 core.config.query_task_size,
                 core.config.input_buffer_capacity,
                 core.task_ids.clone(),
@@ -691,21 +605,15 @@ impl Saber {
             runtime,
             stats,
             sink,
-            gate: QueryGate::new(),
-            shared,
+            gate: Gate::new(GATE_OPEN),
+            shared: SharedMembership {
+                plan: plan.clone(),
+                anchor: None,
+                subscription: None,
+            },
             visible: AtomicBool::new(true),
         });
         core.registry.insert(state.clone());
-        // A stop that raced this registration has already closed the other
-        // sinks and will not see this query; fail the registration cleanly
-        // instead of leaving a zombie.
-        if self.core.lifecycle.phase() == PHASE_STOPPED {
-            self.core.registry.clear(state.id);
-            state.sink.close();
-            return Err(SaberError::State(
-                "cannot add queries to a stopped engine".into(),
-            ));
-        }
         if let Some(durability) = &core.durability {
             // Checkpoint-on-window-close: every appended result batch marks
             // the catalog snapshot cadence as due.
@@ -719,27 +627,18 @@ impl Saber {
                     .store(true, std::sync::atomic::Ordering::Relaxed);
             });
         }
-        Ok(QueryHandle {
-            id: QueryId(state.id),
-            core: self.core.clone(),
-            state,
-        })
+        state
     }
 
-    /// Re-registers a recovered query under its original id, compiling its
-    /// SQL against the restored durable catalog. Skips silently if the id
-    /// is already live (a query present in both the snapshot and a
-    /// replayed `AddQuery` record). Recovery only — logging is off.
-    pub(crate) fn restore_query(&self, id: usize, sql: &str, replay_from: u64) -> Result<()> {
-        let core = &self.core;
-        let durability = core
+    /// Re-registers a query at its replayed `AddQuery` record (WAL position
+    /// `seq`) under its original id, compiling its SQL against the durable
+    /// catalog. Recovery only — logging is off.
+    pub(crate) fn replay_add_query(&self, id: usize, sql: &str, seq: u64) -> Result<()> {
+        let durability = self
+            .core
             .durability
             .as_ref()
-            .expect("restore_query requires a durable engine")
-            .clone();
-        if core.registry.get(id).is_some() {
-            return Ok(());
-        }
+            .expect("replay requires a durable engine");
         let query = durability.catalog.compile(sql).map_err(|e| {
             SaberError::Store(format!(
                 "recovery: query {id} failed to recompile (line {} col {}: {}); its stream \
@@ -749,43 +648,8 @@ impl Saber {
                 e.message()
             ))
         })?;
-        core.registry.reserve_through(id + 1);
-        // Recovery routes through the same sharing decision as live
-        // registration, in WAL sequence order — so the restored engine
-        // reproduces the original anchor/follower topology (and therefore
-        // the same per-member result streams) under the original ids.
-        let fingerprint = if core.config.sharing {
-            query.fingerprint()
-        } else {
-            None
-        };
-        if let Some(fp) = fingerprint {
-            let mut map = core.sharing.lock();
-            if let Some(shared) = map.get(&fp).cloned() {
-                self.attach_follower(id, &shared, true)?;
-            } else {
-                let plan = CompiledPlan::compile(&query)?;
-                let shared = Arc::new(SharedPlan::new(fp.clone(), id));
-                let membership = SharedMembership {
-                    plan: shared.clone(),
-                    anchor: None,
-                    subscription: None,
-                };
-                self.install_plan(id, plan, true, Some(membership))?;
-                map.insert(fp, shared);
-            }
-        } else {
-            let plan = CompiledPlan::compile(&query)?;
-            self.install_plan(id, plan, true, None)?;
-        }
-        durability.meta.lock().insert(
-            id,
-            QueryMeta {
-                sql: sql.to_string(),
-                replay_from,
-            },
-        );
-        Ok(())
+        self.register(query, true, Some(sql), Some((id, seq)))
+            .map(|_| ())
     }
 
     /// Registers a query written in the SABER SQL dialect (see
@@ -846,7 +710,7 @@ impl Saber {
         retain_output: bool,
     ) -> Result<QueryHandle> {
         let query = saber_sql::compile(sql, catalog)?;
-        self.add_query_inner(query, retain_output, Some(sql))
+        self.register(query, retain_output, Some(sql), None)
     }
 
     /// Removes a live query, draining it loss-free first (see
@@ -864,11 +728,11 @@ impl Saber {
     /// restarted (its task queue and credit gate have been shut down); build
     /// a fresh engine instead.
     pub fn start(&mut self) -> Result<()> {
-        match self.core.lifecycle.phase() {
-            PHASE_RUNNING => {
+        match self.core.lifecycle.state() {
+            GATE_OPEN => {
                 return Err(SaberError::State("engine already running".into()));
             }
-            PHASE_STOPPED => {
+            GATE_CLOSED => {
                 return Err(SaberError::State(
                     "engine is stopped and cannot be restarted".into(),
                 ));
@@ -888,11 +752,10 @@ impl Saber {
         if self.core.config.gpu_enabled() {
             let ctx = self.worker_context();
             let device = self.core.device.clone();
-            let depth = self.core.config.gpu_pipeline_depth;
             self.workers.push(
                 std::thread::Builder::new()
                     .name("saber-gpgpu".to_string())
-                    .spawn(move || run_gpu_worker(ctx, device, depth))
+                    .spawn(move || run_gpu_worker(ctx, device))
                     .map_err(|e| SaberError::State(format!("failed to spawn GPU worker: {e}")))?,
             );
         }
@@ -908,10 +771,7 @@ impl Saber {
         {
             self.start_checkpoint_worker()?;
         }
-        self.core
-            .lifecycle
-            .phase
-            .store(PHASE_RUNNING, Ordering::SeqCst);
+        self.core.lifecycle.open();
         Ok(())
     }
 
@@ -965,10 +825,6 @@ impl Saber {
         }
     }
 
-    fn is_running(&self) -> bool {
-        self.core.lifecycle.is_running()
-    }
-
     /// Ingests whole rows into input `stream` of query `query`. The buffer
     /// copy is lock-free; backpressure blocks on the credit gate until
     /// workers free queue slots. After [`Saber::stop`] begins (or the query
@@ -976,13 +832,13 @@ impl Saber {
     /// instead of silently dropping rows.
     pub fn ingest(&self, query: QueryId, stream: StreamId, bytes: &[u8]) -> Result<()> {
         let core = &self.core;
-        let _permit = core.lifecycle.begin_ingest()?;
         let state = core
             .registry
             .get(query.index())
             .ok_or_else(|| unknown_query_error(core, query.index()))?;
-        let _query_permit = state.gate.begin_ingest(state.id)?;
-        ingest_into(core, &state, stream.index(), bytes)
+        admitted(core, &state, || {
+            ingest_into(core, &state, stream.index(), bytes)
+        })
     }
 
     /// Returns a cheap cloneable producer handle bound to input `stream` of
@@ -995,20 +851,12 @@ impl Saber {
             .registry
             .get(query.index())
             .ok_or_else(|| unknown_query_error(core, query.index()))?;
-        if state.dispatcher.stream(stream.index()).is_none() {
-            return Err(SaberError::Query(format!(
-                "query {} has no input stream {}",
-                query.index(),
-                stream.index()
-            )));
+        QueryHandle {
+            id: query,
+            core: core.clone(),
+            state,
         }
-        Ok(IngestHandle {
-            inner: Arc::new(HandleInner {
-                core: self.core.clone(),
-                state,
-                stream: stream.index(),
-            }),
-        })
+        .ingest_handle(stream)
     }
 
     /// Flushes partially filled stream batches of every live query into
@@ -1019,11 +867,8 @@ impl Saber {
         // Followers share their anchor's dispatcher; the anchor slot (live
         // until the plan's last detach) carries the flush.
         for state in self.core.registry.physical_plans() {
-            if !state.accepts_cuts() {
-                continue;
-            }
-            if let Some(task) = state.dispatcher.flush()? {
-                submit_task(&state.stats, &self.core.flow, &self.core.queue, task);
+            if state.accepts_cuts() {
+                flush_plan(&self.core, &state)?;
             }
         }
         Ok(())
@@ -1037,9 +882,7 @@ impl Saber {
     /// the removal began would be stranded in the ring and silently lost.
     fn flush_all(&self) -> Result<()> {
         for state in self.core.registry.physical_plans() {
-            if let Some(task) = state.dispatcher.flush()? {
-                submit_task(&state.stats, &self.core.flow, &self.core.queue, task);
-            }
+            flush_plan(&self.core, &state)?;
         }
         Ok(())
     }
@@ -1073,18 +916,7 @@ impl Saber {
     /// delay stop by up to its own drain timeout, so the worst-case bound is
     /// `STOP_DRAIN_TIMEOUT + REMOVE_DRAIN_TIMEOUT`.
     pub fn stop(&mut self) -> Result<()> {
-        if self
-            .core
-            .lifecycle
-            .phase
-            .compare_exchange(
-                PHASE_RUNNING,
-                PHASE_STOPPED,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            )
-            .is_err()
-        {
+        if !self.core.lifecycle.close() {
             // Never started, or already stopped: nothing to wind down.
             return Ok(());
         }
@@ -1092,7 +924,7 @@ impl Saber {
         // drain); waiting out a concurrent removal's wind-down mutex is the
         // only thing that can extend it (see the doc comment).
         let deadline = Instant::now() + STOP_DRAIN_TIMEOUT;
-        let ingests_drained = self.core.lifecycle.wait_ingests_drained(STOP_DRAIN_TIMEOUT);
+        let ingests_drained = self.core.lifecycle.wait_drained(deadline);
         if !ingests_drained {
             // Something is wedged (e.g. a leaked credit): unblock the
             // stranded producers instead of hanging; the stop is unclean.
@@ -1145,7 +977,7 @@ impl Saber {
             return Err(SaberError::State(format!(
                 "stop() timed out after {STOP_DRAIN_TIMEOUT:?} with {} in-flight ingest(s) \
                  and {} in-flight task(s); workers were shut down anyway (unclean stop)",
-                self.core.lifecycle.in_flight_ingests.load(Ordering::SeqCst),
+                self.core.lifecycle.in_flight(),
                 self.core.flow.outstanding()
             )));
         }
@@ -1204,7 +1036,7 @@ impl Saber {
 
 impl Drop for Saber {
     fn drop(&mut self) {
-        if self.is_running() {
+        if self.core.lifecycle.is_open() {
             let _ = self.stop();
         }
     }
@@ -1231,24 +1063,23 @@ fn unknown_query_error(core: &EngineCore, id: usize) -> SaberError {
     }
 }
 
+/// The error of a registration refused by a stopped engine.
+fn stopped_engine_error() -> SaberError {
+    SaberError::State("cannot add queries to a stopped engine".into())
+}
+
 /// Removes one query loss-free: close its ingest gate, wait out in-flight
-/// ingests, flush its pending rows, drain its task backlog, then deregister
-/// it everywhere (queue shard, scheduler counters, throughput matrix row,
-/// registry slot) and close its sink.
-///
-/// For members of a shared physical plan the drain is the same — every row
-/// this query acknowledged reaches its sink before the sink closes — but
-/// deregistration is refcounted: only the **last** member's detach retires
-/// the physical machinery. A follower detach just unhooks its demux
-/// subscription; an anchor removed while followers remain turns logically
-/// invisible and keeps carrying the plan under its id.
+/// ingests, flush its pending rows, drain its task backlog, then [`detach`]
+/// it from its physical plan and close its sink. Every row the query
+/// acknowledged reaches its sink before the sink closes, whether the query
+/// is a private plan, an anchor or a follower.
 fn remove_query_inner(core: &Arc<EngineCore>, id: usize) -> Result<()> {
     let state = core
         .registry
         .get(id)
         .filter(|s| s.is_visible())
         .ok_or_else(|| unknown_query_error(core, id))?;
-    if !state.gate.begin_remove() {
+    if !state.gate.close() {
         return Err(SaberError::State(format!(
             "query {id} is already being removed"
         )));
@@ -1256,113 +1087,25 @@ fn remove_query_inner(core: &Arc<EngineCore>, id: usize) -> Result<()> {
     let deadline = Instant::now() + REMOVE_DRAIN_TIMEOUT;
     // Phase 1 (permit-counter pattern): every ingest that was accepted
     // before the gate closed finishes appending before we flush.
-    let mut clean = state.gate.wait_ingests_drained(deadline);
+    let mut clean = state.gate.wait_drained(deadline);
     // Serialize the drain + retire with engine stop (see EngineCore).
     let wind_down = core.wind_down.lock();
     // Phase 2 runs whenever the queue still accepts tasks — which, under
     // the wind-down mutex, is stable and implies workers will drain them.
-    // That includes a `Stopped` *phase* whose stop() call is still parked
-    // on the mutex behind us (its phase flips before the critical section):
-    // skipping the flush on phase alone would strand pending rows, because
-    // stop's own flush cannot run until after we retire the shard. When the
-    // queue has already shut down, stop's flush_all (which covers
+    // That includes a closed engine gate whose stop() call is still parked
+    // on the mutex behind us (the gate closes before the critical section):
+    // skipping the flush on the gate alone would strand pending rows,
+    // because stop's own flush cannot run until after we retire the shard.
+    // When the queue has already shut down, stop's flush_all (which covers
     // gate-closed queries precisely for this hand-off) has flushed and
     // drained everything, so there is nothing left to do here. An engine
     // that never started has nothing pending (ingest requires Running).
     if clean && !core.queue.is_shutdown() {
-        // Flush the final (undersized) task, then wait until every task
-        // ever cut for this query has passed through the result stage.
-        // `tasks_cut` is committed under the cutter lock, so our flush
-        // observes every concurrent cut that could still submit a task.
-        // The target is snapshotted *after* the flush: on a shared plan,
-        // surviving members keep cutting tasks concurrently, so re-reading
-        // `tasks_cut` in the loop might never converge — and everything cut
-        // up to our flush is what this query's loss-freeness requires.
-        if let Some(task) = state.dispatcher.flush()? {
-            submit_task(&state.stats, &core.flow, &core.queue, task);
-        }
-        let target = state.dispatcher.tasks_cut();
-        while state.runtime.completed_tasks() < target {
-            if Instant::now() >= deadline {
-                clean = false;
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(50));
-        }
+        clean = drain_plan(core, &state, deadline)?;
     }
     // Phase 3: deregister. On the clean path the shard is empty; orphans
-    // only exist after a timeout, and their flow credits must be returned so
-    // admission control stays balanced.
-    let mut orphans = Vec::new();
-    match state.shared.as_ref() {
-        None => {
-            orphans = core.queue.retire_query(id);
-            for _ in &orphans {
-                core.flow.release();
-            }
-            core.scheduler.forget_query(id);
-            core.matrix.forget_query(id);
-            core.placement.forget(id);
-            core.registry.clear(id);
-        }
-        Some(membership) => {
-            let plan = &membership.plan;
-            // Atomically with the member list emptying, drop the
-            // fingerprint entry: a concurrent attach (which holds the same
-            // map lock) either joins a plan with live members or creates a
-            // fresh anchor — never a dying plan.
-            let last = {
-                let mut map = core.sharing.lock();
-                let mut members = plan.members.lock();
-                members.retain(|&m| m != id);
-                let last = members.is_empty();
-                if last {
-                    map.remove(&plan.fingerprint);
-                }
-                last
-            };
-            if last {
-                // The plan dies with its last member: retire the physical
-                // machinery under the anchor's id.
-                let phys = plan.phys_id;
-                orphans = core.queue.retire_query(phys);
-                for _ in &orphans {
-                    core.flow.release();
-                }
-                core.scheduler.forget_query(phys);
-                core.matrix.forget_query(phys);
-                core.placement.forget(phys);
-                if phys != id {
-                    // The anchor was removed earlier and kept invisible to
-                    // carry the plan; its slot goes with it.
-                    core.registry.clear(phys);
-                }
-                core.registry.clear(id);
-            } else if membership.is_anchor() {
-                // Followers remain: the physical machinery must keep
-                // running under this id. The query turns logically
-                // invisible — excluded from listings, ingest rejected (its
-                // gate is closed), its sink closed below — but the slot
-                // stays occupied so workers can resolve task completions
-                // and the followers' demux subscriptions keep streaming.
-                // Rows buffered before the removal stay drainable; future
-                // windows stop accumulating in a sink nobody will drain.
-                state.visible.store(false, Ordering::SeqCst);
-                state.sink.stop_retaining();
-            } else {
-                // A follower detaches cheaply: unhook its demux
-                // subscription (after the drain above, so every window its
-                // acknowledged rows produced has reached its sink) and
-                // clear its slot. The physical plan is untouched.
-                if let (Some(anchor), Some(subscription)) =
-                    (membership.anchor.as_ref(), membership.subscription)
-                {
-                    anchor.sink.unsubscribe(subscription);
-                }
-                core.registry.clear(id);
-            }
-        }
-    }
+    // only exist after a timeout.
+    let orphans = detach(core, &mut core.sharing.lock(), &state);
     drop(wind_down);
     state.sink.close();
     // Drop the durability metadata — unconditionally, so a removal applied
@@ -1382,12 +1125,93 @@ fn remove_query_inner(core: &Arc<EngineCore>, id: usize) -> Result<()> {
     if !clean {
         return Err(SaberError::State(format!(
             "removal of query {id} timed out after {REMOVE_DRAIN_TIMEOUT:?} \
-             with {} orphaned task(s); the query was deregistered anyway \
-             (unclean removal)",
-            orphans.len()
+             with {orphans} orphaned task(s); the query was deregistered anyway \
+             (unclean removal)"
         )));
     }
     Ok(())
+}
+
+/// Flushes the pending rows of `state`'s physical plan into a final
+/// (undersized) task, then waits until every task cut for the plan so far
+/// has passed through the result stage, or `deadline` passes (returning
+/// false). `tasks_cut` is committed under the cutter lock, so the flush
+/// observes every concurrent cut that could still submit a task. The target
+/// is snapshotted *after* the flush: other members of a shared plan keep
+/// cutting tasks concurrently, so re-reading `tasks_cut` in the loop might
+/// never converge — and everything cut up to the flush is what the caller
+/// needs. Removal drains a query this way before deregistering it; recovery
+/// drains a plan before a replayed follower attaches.
+fn drain_plan(core: &EngineCore, state: &QueryState, deadline: Instant) -> Result<bool> {
+    flush_plan(core, state)?;
+    let target = state.dispatcher.tasks_cut();
+    while state.runtime.completed_tasks() < target {
+        if Instant::now() >= deadline {
+            return Ok(false);
+        }
+        std::thread::sleep(Duration::from_micros(50));
+    }
+    Ok(true)
+}
+
+/// Detaches `state` from its physical plan — the one deregistration path
+/// of every query. The caller holds the sharing-map lock (`map`): a
+/// concurrent attach either joins a plan with live members or creates a
+/// fresh one, never a dying plan. Returns the number of tasks orphaned by
+/// retiring the plan's queue shard (their flow credits are returned here so
+/// admission control stays balanced); a clean drain leaves none.
+fn detach(
+    core: &EngineCore,
+    map: &mut HashMap<PlanFingerprint, Arc<SharedPlan>>,
+    state: &QueryState,
+) -> usize {
+    let plan = &state.shared.plan;
+    let last = {
+        let mut members = plan.members.lock();
+        members.retain(|&m| m != state.id);
+        members.is_empty()
+    };
+    if last {
+        // The plan dies with its last member: retire the physical machinery
+        // under the anchor's id. An anchor removed earlier stayed
+        // (invisibly) in its slot to carry the plan; that slot goes too.
+        if let Some(fp) = &plan.fingerprint {
+            map.remove(fp);
+        }
+        let phys = plan.phys_id;
+        let orphans = core.queue.retire_query(phys);
+        for _ in &orphans {
+            core.flow.release();
+        }
+        core.scheduler.forget_query(phys);
+        core.matrix.forget_query(phys);
+        core.placement.forget(phys);
+        core.registry.clear(phys);
+        core.registry.clear(state.id);
+        return orphans.len();
+    }
+    match (&state.shared.anchor, state.shared.subscription) {
+        // A follower detaches cheaply: unhook its demux subscription (after
+        // any drain, so every window its acknowledged rows produced has
+        // reached its sink) and clear its slot.
+        (Some(anchor), Some(subscription)) => {
+            anchor.sink.unsubscribe(subscription);
+            core.registry.clear(state.id);
+        }
+        // An anchor with followers left: the physical machinery keeps
+        // running under its id. The query turns logically invisible —
+        // excluded from listings, ingest rejected (its gate is closed), its
+        // sink closed by the caller — but the slot stays occupied so workers
+        // can resolve task completions and the followers' demux
+        // subscriptions keep streaming. Rows buffered before the removal
+        // stay drainable; future windows stop accumulating in a sink nobody
+        // will drain.
+        _ => {
+            state.visible.store(false, Ordering::SeqCst);
+            state.sink.stop_retaining();
+        }
+    }
+    0
 }
 
 /// Handle to one registered query, returned by [`Saber::add_query`] and
@@ -1477,9 +1301,9 @@ impl QueryHandle {
     /// Ingests whole rows into input `stream` of this query (the engine
     /// must be running).
     pub fn ingest(&self, stream: StreamId, bytes: &[u8]) -> Result<()> {
-        let _permit = self.core.lifecycle.begin_ingest()?;
-        let _query_permit = self.state.gate.begin_ingest(self.state.id)?;
-        ingest_into(&self.core, &self.state, stream.index(), bytes)
+        admitted(&self.core, &self.state, || {
+            ingest_into(&self.core, &self.state, stream.index(), bytes)
+        })
     }
 
     /// Row size in bytes of input `stream` (recovery uses this to count
@@ -1510,23 +1334,17 @@ impl QueryHandle {
             )));
         }
         Ok(IngestHandle {
-            inner: Arc::new(HandleInner {
-                core: self.core.clone(),
-                state: self.state.clone(),
-                stream: stream.index(),
-            }),
+            query: self.clone(),
+            stream,
         })
     }
 
     /// Cuts this query's partially filled stream batches into a final
     /// (undersized) task, like [`Saber::flush`] scoped to this query.
     pub fn flush(&self) -> Result<()> {
-        let _permit = self.core.lifecycle.begin_ingest()?;
-        let _query_permit = self.state.gate.begin_ingest(self.state.id)?;
-        if let Some(task) = self.state.dispatcher.flush()? {
-            submit_task(&self.state.stats, &self.core.flow, &self.core.queue, task);
-        }
-        Ok(())
+        admitted(&self.core, &self.state, || {
+            flush_plan(&self.core, &self.state)
+        })
     }
 
     /// Number of tasks currently queued for this query (the backlog of its
@@ -1538,7 +1356,7 @@ impl QueryHandle {
     /// True once the query has been removed (or removal has begun): further
     /// ingests are rejected.
     pub fn is_removed(&self) -> bool {
-        !self.state.gate.is_accepting()
+        !self.state.gate.is_open()
     }
 
     /// Removes the query from the engine, **loss-free**: new ingests are
@@ -1556,12 +1374,6 @@ impl QueryHandle {
     pub fn remove(&self) -> Result<()> {
         remove_query_inner(&self.core, self.state.id)
     }
-}
-
-struct HandleInner {
-    core: Arc<EngineCore>,
-    state: Arc<QueryState>,
-    stream: usize,
 }
 
 /// A cloneable, thread-safe producer handle bound to one input stream of one
@@ -1610,18 +1422,19 @@ struct HandleInner {
 /// ```
 #[derive(Clone)]
 pub struct IngestHandle {
-    inner: Arc<HandleInner>,
+    query: QueryHandle,
+    stream: StreamId,
 }
 
 impl IngestHandle {
     /// The input stream this handle feeds.
     pub fn stream(&self) -> StreamId {
-        StreamId(self.inner.stream)
+        self.stream
     }
 
     /// The query this handle feeds.
     pub fn query_id(&self) -> QueryId {
-        QueryId(self.inner.state.id)
+        self.query.id
     }
 
     /// Ingests whole rows into the bound stream.
@@ -1631,14 +1444,7 @@ impl IngestHandle {
     /// A row is either accepted *and* processed, or rejected with an error,
     /// never accepted and dropped.
     pub fn ingest(&self, bytes: &[u8]) -> Result<()> {
-        let _permit = self.inner.core.lifecycle.begin_ingest()?;
-        let _query_permit = self.inner.state.gate.begin_ingest(self.inner.state.id)?;
-        ingest_into(
-            &self.inner.core,
-            &self.inner.state,
-            self.inner.stream,
-            bytes,
-        )
+        self.query.ingest(self.stream, bytes)
     }
 
     /// Cuts this query's partially filled stream batches into a final
@@ -1648,21 +1454,40 @@ impl IngestHandle {
     /// credit gate like any other. Invalidated by [`Saber::stop`] and query
     /// removal exactly like [`IngestHandle::ingest`].
     pub fn flush(&self) -> Result<()> {
-        let _permit = self.inner.core.lifecycle.begin_ingest()?;
-        let _query_permit = self.inner.state.gate.begin_ingest(self.inner.state.id)?;
-        if let Some(task) = self.inner.state.dispatcher.flush()? {
-            submit_task(
-                &self.inner.state.stats,
-                &self.inner.core.flow,
-                &self.inner.core.queue,
-                task,
-            );
-        }
-        Ok(())
+        self.query.flush()
     }
 }
 
-/// Shared ingest path of [`Saber::ingest`] and [`IngestHandle::ingest`]:
+/// The one admission path of every ingest and flush call: runs `op` while
+/// holding the engine's permit and then the query's. [`Saber::stop`] and
+/// [`QueryHandle::remove`] close their gate and wait the permits out, so
+/// every call they admitted finishes before their final flush.
+fn admitted<T>(core: &EngineCore, state: &QueryState, op: impl FnOnce() -> Result<T>) -> Result<T> {
+    let _engine = core.lifecycle.enter(|gate| {
+        SaberError::State(match gate {
+            GATE_CREATED => "engine is not running (call start() first)".to_string(),
+            _ => "engine is stopped; this ingest handle is no longer valid".to_string(),
+        })
+    })?;
+    let _query = state.gate.enter(|_| {
+        SaberError::State(format!(
+            "query {} has been removed; this handle is no longer valid",
+            state.id
+        ))
+    })?;
+    op()
+}
+
+/// Cuts the pending rows of `state`'s physical plan into a task and admits
+/// it, blocking on the credit gate while the queue is saturated.
+fn flush_plan(core: &EngineCore, state: &QueryState) -> Result<()> {
+    if let Some(task) = state.dispatcher.flush()? {
+        submit_task(&state.stats, &core.flow, &core.queue, task);
+    }
+    Ok(())
+}
+
+/// The ingest path of every admitted ingest call:
 /// lock-free append + cut, then credit-gated admission of the cut tasks —
 /// and, on a durable engine, a group-committed WAL append before the ack.
 fn ingest_into(core: &EngineCore, state: &QueryState, stream: usize, bytes: &[u8]) -> Result<()> {
@@ -1769,10 +1594,7 @@ mod tests {
             device: DeviceConfig::unpaced(),
             input_buffer_capacity: 8 << 20,
             max_queued_tasks: 64,
-            gpu_pipeline_depth: 2,
-            throughput_smoothing: 0.25,
             durability: None,
-            sharing: true,
         };
         Saber::with_config(config).unwrap()
     }
@@ -2163,32 +1985,28 @@ mod tests {
 
     #[test]
     fn failed_tasks_are_counted_and_still_finish() {
-        // A device smaller than one task refuses every `movein`, with and
-        // without the pipeline.
-        for depth in [1, 4] {
-            let mut engine = Saber::with_config(EngineConfig {
-                execution_mode: ExecutionMode::GpuOnly,
-                device: DeviceConfig {
-                    global_memory_bytes: 64,
-                    ..DeviceConfig::unpaced()
-                },
-                gpu_pipeline_depth: depth,
-                ..EngineConfig::default()
-            })
-            .unwrap();
-            let query = engine.add_query(projection()).unwrap();
-            engine.start().unwrap();
-            for batch in 0..3 {
-                query.ingest(StreamId(0), &data(8, batch * 8)).unwrap();
-                query.flush().unwrap();
-            }
-            engine.stop().unwrap();
-            let stats = query.stats().snapshot();
-            assert!(stats.tasks_created >= 3, "depth {depth}");
-            assert_eq!(stats.exec_errors, stats.tasks_created, "depth {depth}");
-            assert_eq!(stats.tasks_gpu, stats.tasks_created, "depth {depth}");
-            assert_eq!(query.tuples_emitted(), 0);
+        // A device smaller than one task refuses every `movein`.
+        let mut engine = Saber::with_config(EngineConfig {
+            execution_mode: ExecutionMode::GpuOnly,
+            device: DeviceConfig {
+                global_memory_bytes: 64,
+                ..DeviceConfig::unpaced()
+            },
+            ..EngineConfig::default()
+        })
+        .unwrap();
+        let query = engine.add_query(projection()).unwrap();
+        engine.start().unwrap();
+        for batch in 0..3 {
+            query.ingest(StreamId(0), &data(8, batch * 8)).unwrap();
+            query.flush().unwrap();
         }
+        engine.stop().unwrap();
+        let stats = query.stats().snapshot();
+        assert!(stats.tasks_created >= 3);
+        assert_eq!(stats.exec_errors, stats.tasks_created);
+        assert_eq!(stats.tasks_gpu, stats.tasks_created);
+        assert_eq!(query.tuples_emitted(), 0);
     }
 
     #[test]
@@ -2387,30 +2205,6 @@ mod tests {
     }
 
     #[test]
-    fn sharing_disabled_by_config_gives_private_plans() {
-        let mut config = EngineConfig {
-            worker_threads: 2,
-            query_task_size: 16 * 1024,
-            execution_mode: ExecutionMode::CpuOnly,
-            ..EngineConfig::default()
-        };
-        config.sharing = false;
-        let mut engine = Saber::with_config(config).unwrap();
-        engine.start().unwrap();
-        let catalog = sql_catalog();
-        let sql = "SELECT timestamp FROM S [ROWS 64]";
-        let a = engine.add_query_sql(sql, &catalog).unwrap();
-        let b = engine.add_query_sql(sql, &catalog).unwrap();
-        assert_eq!(engine.num_physical_plans(), 2);
-        assert!(engine.sharing_info(a.id()).is_none());
-        // Each query only sees what it was fed.
-        a.ingest(StreamId(0), &data(128, 0)).unwrap();
-        engine.stop().unwrap();
-        assert_eq!(a.tuples_emitted(), 128);
-        assert_eq!(b.tuples_emitted(), 0);
-    }
-
-    #[test]
     fn backpressure_blocks_instead_of_polling_and_is_observable() {
         // One worker, held in the sink callback until the test releases it,
         // and a tiny credit gate: the producer must block.
@@ -2422,10 +2216,7 @@ mod tests {
             device: DeviceConfig::unpaced(),
             input_buffer_capacity: 8 << 20,
             max_queued_tasks: 2,
-            gpu_pipeline_depth: 1,
-            throughput_smoothing: 0.25,
             durability: None,
-            sharing: true,
         };
         let mut engine = Saber::with_config(config).unwrap();
         let q = QueryBuilder::new("agg", schema())

@@ -9,13 +9,11 @@
 //! resolve a task's query state by id at completion time. Lookups on the
 //! hot paths (ingest, task completion) are a read-lock plus an `Arc` clone.
 //!
-//! Per-query removal reuses the engine's shutdown discipline (the PR-3
-//! permit-counter pattern) at query granularity via the crate-internal
-//! `QueryGate`: close the
-//! gate so new ingests are rejected, wait out the ingests already past the
-//! gate check, flush, then drain the query's task backlog — so every row
-//! whose ingest returned `Ok` is fully processed before the query
-//! disappears.
+//! Engine stop and per-query removal share one admission discipline, the
+//! crate-internal `Gate`: close the gate so new ingests are rejected,
+//! wait out the ingests already past the gate check, flush, then drain the
+//! task backlog — so every row whose ingest returned `Ok` is fully
+//! processed before the engine stops or the query disappears.
 
 use crate::dispatcher::Dispatcher;
 use crate::metrics::QueryStats;
@@ -24,7 +22,7 @@ use crate::sharing::SharedMembership;
 use crate::sink::QuerySink;
 use saber_types::sync::RwLock;
 use saber_types::{Result, SaberError};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -41,10 +39,10 @@ pub(crate) struct QueryState {
     /// The query's output sink.
     pub(crate) sink: QuerySink,
     /// Ingest admission gate (closed when removal begins).
-    pub(crate) gate: QueryGate,
-    /// Membership in a shared physical plan (`None`: this query runs its
-    /// own private plan). See [`crate::sharing`].
-    pub(crate) shared: Option<SharedMembership>,
+    pub(crate) gate: Gate,
+    /// Membership in the physical plan that executes this query — a
+    /// one-member plan for a private query. See [`crate::sharing`].
+    pub(crate) shared: SharedMembership,
     /// False once the query has been logically removed but its slot must
     /// stay occupied because it anchors a shared physical plan with live
     /// followers. Invisible queries are excluded from the public query
@@ -57,13 +55,12 @@ impl QueryState {
     /// machinery — dispatcher, rings, queue shard, scheduler row — belongs
     /// to the anchor).
     pub(crate) fn is_follower(&self) -> bool {
-        self.shared.as_ref().is_some_and(|s| !s.is_anchor())
+        !self.shared.is_anchor()
     }
 
-    /// The id the physical plan runs under: the anchor's id for shared
-    /// queries, the query's own id otherwise.
+    /// The id the physical plan runs under: its anchor's id.
     pub(crate) fn phys_id(&self) -> usize {
-        self.shared.as_ref().map_or(self.id, |s| s.plan.phys_id)
+        self.shared.plan.phys_id
     }
 
     /// True while the query is publicly listed (not an invisible anchor
@@ -79,72 +76,93 @@ impl QueryState {
     /// its followers are the live consumers, and nobody else can cut the
     /// rows they ingest.
     pub(crate) fn accepts_cuts(&self) -> bool {
-        self.gate.is_accepting()
-            || (!self.is_visible()
-                && self
-                    .shared
-                    .as_ref()
-                    .is_some_and(|m| m.plan.num_members() > 0))
+        self.gate.is_open() || (!self.is_visible() && self.shared.plan.num_members() > 0)
     }
 }
 
-/// Per-query ingest gate: the same inc-then-check permit counter that makes
-/// engine shutdown loss-free ([`crate::engine::Saber::stop`]), scoped to one
-/// query so it can be *removed* loss-free while the engine keeps running.
+/// Gate state: not yet open (an engine before `start()`).
+pub(crate) const GATE_CREATED: u8 = 0;
+/// Gate state: admitting (a running engine, a live query).
+pub(crate) const GATE_OPEN: u8 = 1;
+/// Gate state: closed for good (a stopped engine, a query being removed).
+pub(crate) const GATE_CLOSED: u8 = 2;
+
+/// The admission gate of the engine and of every query: an inc-then-check
+/// permit counter that makes [`crate::engine::Saber::stop`] and query
+/// removal loss-free. The gate moves strictly forward
+/// (`CREATED → OPEN → CLOSED`); closing it rejects every *new* permit, and
+/// [`Gate::wait_drained`] then waits out the ones already granted, so no
+/// accepted row can land after the closer's final flush.
 #[derive(Debug)]
-pub(crate) struct QueryGate {
-    /// False once removal has begun: new ingests are rejected.
-    accepting: AtomicBool,
-    /// Ingest calls currently past the gate check.
+pub(crate) struct Gate {
+    state: AtomicU8,
+    /// Calls currently holding a permit.
     in_flight: AtomicU64,
 }
 
-impl QueryGate {
-    pub(crate) fn new() -> Self {
+impl Gate {
+    pub(crate) fn new(state: u8) -> Self {
         Self {
-            accepting: AtomicBool::new(true),
+            state: AtomicU8::new(state),
             in_flight: AtomicU64::new(0),
         }
     }
 
-    /// Registers an ingest as in-flight iff the query still accepts data.
-    ///
-    /// The increment happens *before* the accepting check (both `SeqCst`),
-    /// pairing with removal's store-then-wait order: if the check here
-    /// observes `accepting`, the removal's drain wait must observe the
-    /// increment, so the rows this permit covers are flushed before the
-    /// query is deregistered.
-    pub(crate) fn begin_ingest(&self, query: usize) -> Result<QueryPermit<'_>> {
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        if self.accepting.load(Ordering::SeqCst) {
-            Ok(QueryPermit { gate: self })
-        } else {
-            self.in_flight.fetch_sub(1, Ordering::SeqCst);
-            Err(SaberError::State(format!(
-                "query {query} has been removed; this handle is no longer valid"
-            )))
-        }
+    /// The current state (`GATE_CREATED`, `GATE_OPEN` or `GATE_CLOSED`).
+    pub(crate) fn state(&self) -> u8 {
+        self.state.load(Ordering::SeqCst)
     }
 
-    /// Claims the right to remove the query. Returns false if another
-    /// removal already claimed it (removal is single-shot).
-    pub(crate) fn begin_remove(&self) -> bool {
-        self.accepting
-            .compare_exchange(true, false, Ordering::SeqCst, Ordering::SeqCst)
+    /// True while the gate admits permits.
+    pub(crate) fn is_open(&self) -> bool {
+        self.state() == GATE_OPEN
+    }
+
+    /// Opens a created gate (engine start).
+    pub(crate) fn open(&self) {
+        self.state.store(GATE_OPEN, Ordering::SeqCst);
+    }
+
+    /// Closes an open gate. Returns false if it was not open — never
+    /// opened, or another closer won (closing is single-shot).
+    pub(crate) fn close(&self) -> bool {
+        self.state
+            .compare_exchange(GATE_OPEN, GATE_CLOSED, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
     }
 
-    /// True while the query still accepts ingests.
-    pub(crate) fn is_accepting(&self) -> bool {
-        self.accepting.load(Ordering::SeqCst)
+    /// Grants a permit iff the gate is open; otherwise returns
+    /// `refused(state)`.
+    ///
+    /// The increment happens *before* the state check (both `SeqCst`),
+    /// pairing with the closer's close-then-wait order: if the check here
+    /// observes `OPEN`, the closer's [`Gate::wait_drained`] must observe
+    /// the increment, so the work this permit covers is done before the
+    /// closer's final flush.
+    pub(crate) fn enter(&self, refused: impl FnOnce(u8) -> SaberError) -> Result<Permit<'_>> {
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
+        match self.state() {
+            GATE_OPEN => Ok(Permit { gate: self }),
+            state => {
+                self.in_flight.fetch_sub(1, Ordering::SeqCst);
+                Err(refused(state))
+            }
+        }
     }
 
-    /// Blocks until every in-flight ingest has completed or `deadline`
-    /// passes (returning false). In-flight ingests only block on the credit
-    /// gate, which the still-running workers keep draining, so this returns
-    /// quickly in a healthy engine.
-    pub(crate) fn wait_ingests_drained(&self, deadline: Instant) -> bool {
-        while self.in_flight.load(Ordering::SeqCst) > 0 {
+    /// Number of permits currently held.
+    pub(crate) fn in_flight(&self) -> u64 {
+        self.in_flight.load(Ordering::SeqCst)
+    }
+
+    /// Blocks until every permit has been dropped or `deadline` passes
+    /// (returning false). Permit holders only block on the credit gate,
+    /// which the still-running workers keep draining, so in a healthy
+    /// engine this returns quickly; the deadline exists so a leaked credit
+    /// (e.g. a panicked worker) degrades into an unclean stop or removal
+    /// instead of a hang.
+    pub(crate) fn wait_drained(&self, deadline: Instant) -> bool {
+        while self.in_flight() > 0 {
             if Instant::now() >= deadline {
                 return false;
             }
@@ -154,12 +172,12 @@ impl QueryGate {
     }
 }
 
-/// RAII guard for one in-flight ingest of one query.
-pub(crate) struct QueryPermit<'a> {
-    gate: &'a QueryGate,
+/// RAII guard for one admitted call (see [`Gate::enter`]).
+pub(crate) struct Permit<'a> {
+    gate: &'a Gate,
 }
 
-impl Drop for QueryPermit<'_> {
+impl Drop for Permit<'_> {
     fn drop(&mut self) {
         self.gate.in_flight.fetch_sub(1, Ordering::SeqCst);
     }

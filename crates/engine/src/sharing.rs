@@ -10,6 +10,11 @@
 //! execute as **one physical plan instance**, with results demultiplexed
 //! into every subscriber's [`QuerySink`](crate::sink::QuerySink).
 //!
+//! Every query is a member of a physical plan. A query without a
+//! fingerprint (programmatic queries whose inputs name no source stream) is
+//! the one member of a private plan that never enters the fingerprint map,
+//! so registration, removal and recovery take one path for both kinds.
+//!
 //! # Anchors and followers
 //!
 //! The first query registered for a fingerprint is the **anchor**: its id is
@@ -38,20 +43,29 @@
 //! Ingest through any member feeds the one physical plan; every member
 //! observes the complete result stream regardless of which handle carried
 //! the data. Sharing never changes output bytes — `tests/sharing_equivalence.rs`
-//! proves shared runs byte-identical to unshared runs differentially.
+//! proves every member byte-identical to the same query run alone.
+//!
+//! # Durability
+//!
+//! A plan remembers the WAL position of its first `AddQuery` record, and
+//! every member's recovery cut (`replay_from`) is that position: a follower
+//! replays from its plan's registration, so recovery can rebuild the plan's
+//! state and attach the follower exactly at its own record.
 
 use crate::registry::QueryState;
 use saber_query::PlanFingerprint;
 use saber_types::sync::{Mutex, MutexGuard};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One shared physical plan: the fingerprint it serves, the anchor query id
-/// that owns the physical machinery, and the logical member ids attached to
-/// it (the refcount).
+/// One physical plan: the fingerprint it serves, the anchor query id that
+/// owns the physical machinery, and the logical member ids attached to it
+/// (the refcount).
 pub(crate) struct SharedPlan {
-    /// The canonical fingerprint every member's query normalizes to.
-    pub(crate) fingerprint: PlanFingerprint,
+    /// The canonical fingerprint every member's query normalizes to;
+    /// `None` for a private plan, which never enters the fingerprint map.
+    pub(crate) fingerprint: Option<PlanFingerprint>,
     /// Id of the anchor query: the physical plan's id for the task queue,
     /// scheduler, placement and throughput matrix.
     pub(crate) phys_id: usize,
@@ -59,14 +73,18 @@ pub(crate) struct SharedPlan {
     /// mutex so attach/detach and the empty-check that triggers physical
     /// teardown are atomic.
     pub(crate) members: Mutex<Vec<usize>>,
+    /// WAL seq of the plan's first `AddQuery` record (`u64::MAX` until one
+    /// is logged): every member's recovery cut.
+    first_add: AtomicU64,
 }
 
 impl SharedPlan {
-    pub(crate) fn new(fingerprint: PlanFingerprint, phys_id: usize) -> Self {
+    pub(crate) fn new(fingerprint: Option<PlanFingerprint>, phys_id: usize) -> Self {
         Self {
             fingerprint,
             phys_id,
             members: Mutex::new(vec![phys_id]),
+            first_add: AtomicU64::new(u64::MAX),
         }
     }
 
@@ -74,12 +92,18 @@ impl SharedPlan {
     pub(crate) fn num_members(&self) -> usize {
         self.members.lock().len()
     }
+
+    /// Notes a member's `AddQuery` record at WAL position `seq` and returns
+    /// the member's `replay_from`: the plan's first such record. Called
+    /// under the durability meta lock, which orders catalog records.
+    pub(crate) fn replay_from(&self, seq: u64) -> u64 {
+        self.first_add.fetch_min(seq, Ordering::SeqCst).min(seq)
+    }
 }
 
-/// A query's membership in a shared physical plan. Held by
-/// [`QueryState`](crate::registry::QueryState); `None` there means the query
-/// runs its own private physical plan (sharing disabled, or the query has
-/// no fingerprint — programmatic queries without source names never share).
+/// A query's membership in the physical plan that executes it. Held by
+/// [`QueryState`](crate::registry::QueryState); a private query is the
+/// anchor of its own one-member plan.
 pub(crate) struct SharedMembership {
     /// The plan this query belongs to.
     pub(crate) plan: Arc<SharedPlan>,
@@ -151,7 +175,7 @@ mod tests {
     fn member_list_refcounts_and_entry_removal_is_atomic() {
         let registry = SharedWindowRegistry::new();
         let fp = fingerprint("S");
-        let plan = Arc::new(SharedPlan::new(fp.clone(), 3));
+        let plan = Arc::new(SharedPlan::new(Some(fp.clone()), 3));
         registry.lock().insert(fp.clone(), plan.clone());
         assert_eq!(plan.num_members(), 1);
         plan.members.lock().push(7);
@@ -190,10 +214,10 @@ mod tests {
         assert_ne!(a, b);
         registry
             .lock()
-            .insert(a.clone(), Arc::new(SharedPlan::new(a, 0)));
+            .insert(a.clone(), Arc::new(SharedPlan::new(Some(a), 0)));
         registry
             .lock()
-            .insert(b.clone(), Arc::new(SharedPlan::new(b, 1)));
+            .insert(b.clone(), Arc::new(SharedPlan::new(Some(b), 1)));
         assert_eq!(registry.len(), 2);
     }
 }

@@ -16,6 +16,9 @@ use saber_types::sync::RwLock;
 use std::collections::HashMap;
 use std::time::Duration;
 
+/// The EWMA smoothing factor of the engine's matrix.
+pub(crate) const SMOOTHING: f64 = 0.25;
+
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     /// Smoothed single-executor task rate (tasks per second).

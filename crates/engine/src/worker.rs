@@ -13,14 +13,14 @@
 //! instead of idling until they add up to φ.
 
 use crate::dispatcher::EARLY_CUT_AGE;
-use crate::engine::{admit_task, Lifecycle};
+use crate::engine::admit_task;
 use crate::flow::FlowControl;
 use crate::queue::TaskQueue;
-use crate::registry::{QueryRegistry, QueryState};
+use crate::registry::{Gate, QueryRegistry, QueryState};
 use crate::scheduler::{Processor, Scheduler};
 use crate::task::{QueryTask, TaskStamps};
 use crate::throughput::ThroughputMatrix;
-use saber_cpu::{CompiledPlan, CpuExecutor, StreamBatch, TaskOutput};
+use saber_cpu::{CompiledPlan, CpuExecutor, TaskOutput};
 use saber_gpu::pipeline::{GpuPipeline, PipelineJob, PipelineResult};
 use saber_gpu::GpuDevice;
 use saber_types::{Result, RowBuffer};
@@ -43,8 +43,8 @@ pub struct WorkerContext {
     /// Admission-control gate: every finished task returns its credit here,
     /// waking producers blocked on backpressure.
     pub flow: Arc<FlowControl>,
-    /// The engine's phase: early cuts happen only while it is running.
-    pub(crate) lifecycle: Arc<Lifecycle>,
+    /// The engine's gate: early cuts happen only while it is open.
+    pub(crate) lifecycle: Arc<Gate>,
 }
 
 impl WorkerContext {
@@ -106,7 +106,7 @@ impl WorkerContext {
         // Disarm first: a producer arming during the walk lowers the fresh
         // slot, and everything this walk leaves pending is re-armed below.
         self.queue.take_early_cut();
-        if !self.lifecycle.is_running() {
+        if !self.lifecycle.is_open() {
             return;
         }
         let now = Instant::now();
@@ -162,43 +162,22 @@ impl WorkerContext {
     }
 }
 
-/// The CPU worker loop: one instance runs per CPU worker thread.
+/// Tasks the accelerator worker keeps in flight through the five-stage
+/// pipeline, so data movement overlaps kernel execution (paper §5.2).
+const GPU_PIPELINE_DEPTH: usize = 4;
+
+/// The CPU worker loop: pick a CPU task, execute it, record the observed
+/// throughput and enter the result stage.
 pub fn run_cpu_worker(ctx: WorkerContext) {
     let executor = CpuExecutor::new();
-    run_worker(&ctx, Processor::Cpu, |plan, batches| {
-        executor.execute(plan, batches)
-    });
-}
-
-/// The accelerator worker loop: drives the device, optionally keeping
-/// several tasks in flight through the five-stage pipeline so data movement
-/// overlaps kernel execution.
-pub fn run_gpu_worker(ctx: WorkerContext, device: Arc<GpuDevice>, pipeline_depth: usize) {
-    if pipeline_depth <= 1 {
-        run_worker(&ctx, Processor::Gpu, |plan, batches| {
-            device.execute(plan, batches)
-        });
-    } else {
-        run_gpu_worker_pipelined(ctx, device, pipeline_depth);
-    }
-}
-
-/// The one-task-at-a-time loop shared by CPU workers and the unpipelined
-/// accelerator worker: pick a task for `processor`, run `execute` on it,
-/// record the observed throughput and enter the result stage.
-fn run_worker(
-    ctx: &WorkerContext,
-    processor: Processor,
-    execute: impl Fn(&CompiledPlan, &[StreamBatch]) -> Result<TaskOutput>,
-) {
     loop {
-        match ctx.next_task(processor, Duration::from_millis(20)) {
+        match ctx.next_task(Processor::Cpu, Duration::from_millis(20)) {
             Some(task) => {
                 let popped = Instant::now();
                 let started = Instant::now();
-                let output = execute(&task.plan, &task.batches);
+                let output = executor.execute(&task.plan, &task.batches);
                 ctx.matrix
-                    .record(task.query_id, processor, started.elapsed());
+                    .record(task.query_id, Processor::Cpu, started.elapsed());
                 let stamps = TaskStamps {
                     ingest_ack: task.ingest_ack,
                     created: task.created,
@@ -211,7 +190,7 @@ fn run_worker(
                     stamps,
                     output,
                     &task.plan,
-                    processor,
+                    Processor::Cpu,
                 );
             }
             None => {
@@ -251,13 +230,15 @@ fn complete(
     }
 }
 
-fn run_gpu_worker_pipelined(ctx: WorkerContext, device: Arc<GpuDevice>, depth: usize) {
+/// The accelerator worker loop: keeps up to `GPU_PIPELINE_DEPTH` tasks in
+/// flight through the device's five-stage pipeline.
+pub fn run_gpu_worker(ctx: WorkerContext, device: Arc<GpuDevice>) {
     let pipeline = GpuPipeline::new(device, 1);
     let completions = pipeline.completions();
     let mut in_flight: HashMap<u64, InFlightTask> = HashMap::new();
     loop {
-        // Fill the pipeline up to the configured depth.
-        while in_flight.len() < depth {
+        // Fill the pipeline.
+        while in_flight.len() < GPU_PIPELINE_DEPTH {
             let timeout = if in_flight.is_empty() {
                 Duration::from_millis(20)
             } else {

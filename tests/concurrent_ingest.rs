@@ -19,10 +19,7 @@ fn config(mode: ExecutionMode, max_queued: usize) -> EngineConfig {
         device: DeviceConfig::unpaced(),
         input_buffer_capacity: 4 << 20,
         max_queued_tasks: max_queued,
-        gpu_pipeline_depth: 2,
-        throughput_smoothing: 0.25,
         durability: None,
-        sharing: true,
     }
 }
 

@@ -21,10 +21,7 @@ fn config() -> EngineConfig {
         device: DeviceConfig::unpaced(),
         input_buffer_capacity: 4 << 20,
         max_queued_tasks: 64,
-        gpu_pipeline_depth: 2,
-        throughput_smoothing: 0.25,
         durability: None,
-        sharing: true,
     }
 }
 

@@ -16,10 +16,7 @@ fn test_config(mode: ExecutionMode) -> EngineConfig {
         device: DeviceConfig::unpaced(),
         input_buffer_capacity: 16 << 20,
         max_queued_tasks: 64,
-        gpu_pipeline_depth: 2,
-        throughput_smoothing: 0.25,
         durability: None,
-        sharing: true,
     }
 }
 

@@ -339,7 +339,6 @@ fn corrupt_or_half_written_snapshots_fall_back() {
 /// member's windows are byte-identical to an uninterrupted unshared run.
 #[test]
 fn shared_queries_recover_with_same_ids_and_byte_identical_windows() {
-    let sharing = std::env::var("SABER_NO_SHARING").map_or(true, |v| v.is_empty() || v == "0");
     let variant = "SELECT ts AS t, k AS kk FROM S [ROWS 64]"; // fingerprint == SQL
     let solo = "SELECT ts FROM S [ROWS 32]";
     let dir = TempDir::new("shared");
@@ -352,22 +351,13 @@ fn shared_queries_recover_with_same_ids_and_byte_identical_windows() {
         let doomed = engine.add_query_sql(variant, &catalog).unwrap(); // id 1
         let keeper = engine.add_query_sql(SQL, &catalog).unwrap(); // id 2
         let private = engine.add_query_sql(solo, &catalog).unwrap(); // id 3
-        if sharing {
-            assert_eq!(engine.sharing_info(keeper.id()), Some((anchor.id(), 3)));
-            assert_eq!(engine.num_physical_plans(), 2);
-        }
+        assert_eq!(engine.sharing_info(keeper.id()), Some((anchor.id(), 3)));
+        assert_eq!(engine.num_physical_plans(), 2);
         let mut batches = Vec::new();
         let mut solo_batches = Vec::new();
         for i in 0..6 {
             let batch = rows(64, (i * 64) as i64);
             anchor.ingest(StreamId(0), &batch).unwrap();
-            if !sharing {
-                // Without sharing every member is its own physical plan
-                // and must be fed individually to observe the same stream
-                // (the ingest-once-per-physical-plan contract).
-                doomed.ingest(StreamId(0), &batch).unwrap();
-                keeper.ingest(StreamId(0), &batch).unwrap();
-            }
             batches.push(batch);
             let batch = rows(64, (1000 + i * 64) as i64);
             private.ingest(StreamId(0), &batch).unwrap();
@@ -380,9 +370,6 @@ fn shared_queries_recover_with_same_ids_and_byte_identical_windows() {
         for i in 6..8 {
             let batch = rows(64, (i * 64) as i64);
             keeper.ingest(StreamId(0), &batch).unwrap();
-            if !sharing {
-                anchor.ingest(StreamId(0), &batch).unwrap();
-            }
             batches.push(batch);
             std::thread::sleep(Duration::from_millis(2));
         }
@@ -395,17 +382,15 @@ fn shared_queries_recover_with_same_ids_and_byte_identical_windows() {
     let ids: Vec<usize> = report.queries.iter().map(|q| q.id.0).collect();
     assert_eq!(ids, vec![0, 2, 3]);
     assert!(engine.query(QueryId(1)).is_none());
-    if sharing {
-        // The survivors share one physical plan again; the solo query is
-        // private. 2 physical plans, 3 logical queries.
-        assert_eq!(engine.num_physical_plans(), 2);
-        assert_eq!(
-            engine.sharing_info(QueryId(2)),
-            Some((QueryId(0), 2)),
-            "replay did not re-attach the follower"
-        );
-        assert_eq!(engine.sharing_info(QueryId(3)), Some((QueryId(3), 1)));
-    }
+    // The survivors share one physical plan again; the solo query is
+    // private. 2 physical plans, 3 logical queries.
+    assert_eq!(engine.num_physical_plans(), 2);
+    assert_eq!(
+        engine.sharing_info(QueryId(2)),
+        Some((QueryId(0), 2)),
+        "replay did not re-attach the follower"
+    );
+    assert_eq!(engine.sharing_info(QueryId(3)), Some((QueryId(3), 1)));
     let anchor = engine.query(QueryId(0)).unwrap();
     let keeper = engine.query(QueryId(2)).unwrap();
     let private = engine.query(QueryId(3)).unwrap();
@@ -427,6 +412,97 @@ fn shared_queries_recover_with_same_ids_and_byte_identical_windows() {
         private.take_rows().into_bytes(),
         reference_windows(solo, &solo_refs),
         "private query diverged"
+    );
+}
+
+/// Polls until `handle` has emitted `expected` tuples.
+fn wait_emitted(handle: &QueryHandle, expected: u64) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while handle.tuples_emitted() < expected {
+        assert!(Instant::now() < deadline, "windows never closed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A follower that attached mid-stream recovers with exactly the suffix it
+/// saw live, although the final snapshot lists it beside its anchor: replay
+/// attaches it at its `AddQuery` record, not before the first ingest.
+#[test]
+fn follower_attached_mid_stream_recovers_its_live_suffix() {
+    let dir = TempDir::new("late-follower");
+    let batches: Vec<Vec<u8>> = (0..8).map(|i| rows(64, i * 64)).collect();
+    {
+        let mut engine = Saber::with_config(durable_engine_config(&dir.path, false)).unwrap();
+        engine.start().unwrap();
+        engine.create_stream("S", schema()).unwrap();
+        let catalog = engine.shared_catalog().unwrap().snapshot();
+        let anchor = engine.add_query_sql(SQL, &catalog).unwrap();
+        for batch in &batches[..4] {
+            anchor.ingest(StreamId(0), batch).unwrap();
+        }
+        anchor.flush().unwrap();
+        wait_emitted(&anchor, 256);
+        let follower = engine.add_query_sql(SQL, &catalog).unwrap();
+        assert_eq!(engine.sharing_info(follower.id()), Some((anchor.id(), 2)));
+        for batch in &batches[4..] {
+            anchor.ingest(StreamId(0), batch).unwrap();
+        }
+        engine.stop().unwrap();
+        assert_eq!(anchor.tuples_emitted(), 512);
+        assert_eq!(follower.tuples_emitted(), 256);
+    }
+    let (mut engine, report) = Saber::recover(durable_engine_config(&dir.path, false)).unwrap();
+    assert!(report.snapshot_wal_seq.is_some(), "stop() checkpoints");
+    let anchor = engine.query(QueryId(0)).unwrap();
+    let follower = engine.query(QueryId(1)).unwrap();
+    engine.stop().unwrap();
+    assert_eq!(anchor.tuples_emitted(), 512);
+    assert_eq!(follower.tuples_emitted(), 256);
+    let all: Vec<&[u8]> = batches.iter().map(|b| b.as_slice()).collect();
+    assert_eq!(
+        anchor.take_rows().into_bytes(),
+        reference_windows(SQL, &all)
+    );
+    assert_eq!(
+        follower.take_rows().into_bytes(),
+        reference_windows(SQL, &all[4..])
+    );
+}
+
+/// A follower whose anchor was removed recovers the whole stream it saw
+/// live: the rows ingested through the anchor before the removal replay
+/// into the follower too.
+#[test]
+fn follower_outliving_its_anchor_recovers_the_whole_stream() {
+    let dir = TempDir::new("orphan-follower");
+    let batches: Vec<Vec<u8>> = (0..8).map(|i| rows(64, i * 64)).collect();
+    {
+        let mut engine = Saber::with_config(durable_engine_config(&dir.path, false)).unwrap();
+        engine.start().unwrap();
+        engine.create_stream("S", schema()).unwrap();
+        let catalog = engine.shared_catalog().unwrap().snapshot();
+        let anchor = engine.add_query_sql(SQL, &catalog).unwrap();
+        let follower = engine.add_query_sql(SQL, &catalog).unwrap();
+        for batch in &batches[..4] {
+            anchor.ingest(StreamId(0), batch).unwrap();
+        }
+        anchor.remove().unwrap();
+        for batch in &batches[4..] {
+            follower.ingest(StreamId(0), batch).unwrap();
+        }
+        engine.stop().unwrap();
+        assert_eq!(follower.tuples_emitted(), 512);
+    }
+    let (mut engine, report) = Saber::recover(durable_engine_config(&dir.path, false)).unwrap();
+    let ids: Vec<usize> = report.queries.iter().map(|q| q.id.0).collect();
+    assert_eq!(ids, vec![1]);
+    let follower = engine.query(QueryId(1)).unwrap();
+    engine.stop().unwrap();
+    assert_eq!(follower.tuples_emitted(), 512);
+    let all: Vec<&[u8]> = batches.iter().map(|b| b.as_slice()).collect();
+    assert_eq!(
+        follower.take_rows().into_bytes(),
+        reference_windows(SQL, &all)
     );
 }
 

@@ -251,7 +251,6 @@ fn subscriber_receives_windows_of_a_quiet_stream_without_flush() {
 /// client leaves the other's stream flowing.
 #[test]
 fn two_clients_same_query_share_one_physical_instance() {
-    let sharing = std::env::var("SABER_NO_SHARING").map_or(true, |v| v.is_empty() || v == "0");
     let server = Server::bind(
         "127.0.0.1:0",
         ServerConfig {
@@ -270,7 +269,7 @@ fn two_clients_same_query_share_one_physical_instance() {
     let shape = "SELECT timestamp, COUNT(*) AS n FROM S [ROWS 512]";
     assert_eq!(alice.send(&format!("QUERY {shape}")), "OK query 0");
     // Same shape from a second client, with renamed output attributes: a
-    // new logical id, but (with sharing on) the same physical plan.
+    // new logical id, but the same physical plan.
     let mut bob = Client::connect(addr);
     assert_eq!(
         bob.send("QUERY SELECT timestamp, COUNT(*) AS cnt FROM S AS src [ROWS 512]"),
@@ -279,31 +278,23 @@ fn two_clients_same_query_share_one_physical_instance() {
 
     let stats0 = alice.send("STATS 0");
     let stats1 = bob.send("STATS 1");
-    if sharing {
-        // One physical instance carries both logical queries.
-        assert!(
-            stats0.contains(" physical=0 members=2") && stats0.contains(" physical_queries=1"),
-            "unexpected STATS: {stats0}"
-        );
-        assert!(
-            stats1.contains(" physical=0 members=2") && stats1.contains(" physical_queries=1"),
-            "unexpected STATS: {stats1}"
-        );
-    } else {
-        assert!(stats0.contains(" physical_queries=2"), "{stats0}");
-    }
+    // One physical instance carries both logical queries.
+    assert!(
+        stats0.contains(" physical=0 members=2") && stats0.contains(" physical_queries=1"),
+        "unexpected STATS: {stats0}"
+    );
+    assert!(
+        stats1.contains(" physical=0 members=2") && stats1.contains(" physical_queries=1"),
+        "unexpected STATS: {stats1}"
+    );
 
     // Bob subscribes to his own id; rows inserted under *either* logical id
     // must reach him (the demultiplexer fans one physical stream out).
     let mut sub = Client::connect(addr);
     assert_eq!(sub.send("SUBSCRIBE 1"), "OK subscribed 1");
     let rows = producer_rows(0);
-    let insert_target = if sharing { 0 } else { 1 };
     assert_eq!(
-        alice.send(&format!(
-            "INSERT {insert_target} 0 B64 {}",
-            b64_encode(rows.bytes())
-        )),
+        alice.send(&format!("INSERT 0 0 B64 {}", b64_encode(rows.bytes()))),
         format!("OK rows {ROWS_PER_PRODUCER}")
     );
     for w in 0..2 {
@@ -318,12 +309,10 @@ fn two_clients_same_query_share_one_physical_instance() {
     // streaming off the same physical plan.
     assert_eq!(alice.send("DROP QUERY 0"), "OK dropped 0");
     let stats1 = bob.send("STATS 1");
-    if sharing {
-        assert!(
-            stats1.contains(" physical=0 members=1") && stats1.contains(" physical_queries=1"),
-            "post-drop STATS: {stats1}"
-        );
-    }
+    assert!(
+        stats1.contains(" physical=0 members=1") && stats1.contains(" physical_queries=1"),
+        "post-drop STATS: {stats1}"
+    );
     assert_eq!(
         bob.send(&format!("INSERT 1 0 B64 {}", b64_encode(rows.bytes()))),
         format!("OK rows {ROWS_PER_PRODUCER}")

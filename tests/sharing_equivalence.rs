@@ -3,18 +3,16 @@
 //! The sharing layer (`saber::engine`'s shared-plan registry) collapses
 //! fingerprint-identical queries onto one physical plan instance and
 //! demultiplexes results into every subscriber's sink. Sharing must be
-//! *invisible* in the output: these tests run the same logical query set on
-//! two engines — one with sharing enabled, one with it force-disabled — and
-//! require every logical query's output to be **byte-identical** across the
-//! two, under random query clusters, mid-stream attach, mid-stream anchor
-//! removal and concurrent producers.
+//! *invisible* in the output: these tests run a logical query set on one
+//! engine, where it shares, and every query of the set alone on an engine
+//! of its own, where nothing can share. Every logical query's output must
+//! be **byte-identical** across the two, matched by (cluster, member)
+//! position, under random query clusters, mid-stream attach, mid-stream
+//! anchor removal and concurrent producers.
 //!
-//! Ingest contract: data is ingested once per *physical* plan (deduplicated
-//! through [`Saber::sharing_info`]), so the same logical rows reach every
-//! member on both engines regardless of which engine actually shares. This
-//! keeps the suite meaningful under `SABER_NO_SHARING=1` too (CI runs a
-//! forced-no-sharing job): both engines then run private plans and the
-//! differential still must hold.
+//! Ingest contract: on the sharing engine data is ingested once per
+//! *physical* plan (deduplicated through [`Saber::sharing_info`]); each
+//! query run alone is fed the same rows directly.
 //!
 //! The random clusters reuse the PR-2 roundtrip generator idiom (seeded
 //! xorshift64*, streams `s0`–`s2`) restricted to shapes the compiler
@@ -42,25 +40,53 @@ fn catalog() -> Catalog {
     catalog
 }
 
-fn engine(sharing: bool) -> Saber {
+fn engine(worker_threads: usize) -> Saber {
     // Small input rings: the default 64 MiB ring per physical plan is far
     // more than these short streams need, and zeroing it dominates
     // registration time on the 1-core CI box.
     let config = saber::engine::EngineConfig {
-        worker_threads: 2,
+        worker_threads,
         query_task_size: WINDOW_ROWS * TUPLE,
         execution_mode: ExecutionMode::CpuOnly,
         input_buffer_capacity: 1 << 20,
-        sharing,
         ..saber::engine::EngineConfig::default()
     };
     Saber::with_config(config).unwrap()
 }
 
-/// True unless the forced-no-sharing escape hatch is active for this
-/// process (the CI job that runs the whole suite with sharing disabled).
-fn sharing_active() -> bool {
-    std::env::var("SABER_NO_SHARING").map_or(true, |v| v.is_empty() || v == "0")
+/// Runs `sql` alone on a fresh single-worker engine — one query cannot
+/// share — over `data` in `chunk_rows` ingests, and returns its output.
+fn run_alone(catalog: &Catalog, sql: &str, data: &[&RowBuffer], chunk_rows: usize) -> Vec<u8> {
+    let mut engine = engine(1);
+    engine.start().unwrap();
+    let handle = engine.add_query_sql(sql, catalog).unwrap();
+    assert_eq!(engine.num_physical_plans(), 1);
+    for rows in data {
+        for chunk in rows.bytes().chunks(chunk_rows * TUPLE) {
+            handle.ingest(StreamId(0), chunk).unwrap();
+        }
+    }
+    engine.stop().unwrap();
+    handle.take_rows().into_bytes()
+}
+
+/// [`run_alone`] for every member of every cluster, each fed its cluster's
+/// stream: the reference outputs, by (cluster, member) position.
+fn run_each_alone(
+    catalog: &Catalog,
+    clusters: &[Cluster],
+    data: &[RowBuffer],
+    chunk_rows: usize,
+) -> Vec<Vec<Vec<u8>>> {
+    clusters
+        .iter()
+        .map(|c| {
+            c.members
+                .iter()
+                .map(|sql| run_alone(catalog, sql, &[&data[c.stream]], chunk_rows))
+                .collect()
+        })
+        .collect()
 }
 
 /// Deterministic generator, same xorshift64* core as the PR-2 roundtrip
@@ -280,20 +306,19 @@ fn wait_emitted(handle: &QueryHandle, expected: u64) {
     );
 }
 
-/// The core differential: every logical query produced identical bytes on
-/// the sharing and the no-sharing engine, and members of one cluster agree
-/// with each other.
-fn assert_identical(shared: &[Vec<QueryHandle>], unshared: &[Vec<QueryHandle>], seed: u64) {
+/// The core differential: every logical query on the sharing engine
+/// produced the bytes of the same query run alone, and members of one
+/// cluster agree with each other.
+fn assert_identical(shared: &[Vec<QueryHandle>], alone: &[Vec<Vec<u8>>], seed: u64) {
     let mut produced = 0usize;
-    for (c, (s_members, u_members)) in shared.iter().zip(unshared).enumerate() {
+    for (c, (s_members, a_members)) in shared.iter().zip(alone).enumerate() {
+        assert_eq!(s_members.len(), a_members.len());
         let mut first: Option<Vec<u8>> = None;
-        for (m, (s, u)) in s_members.iter().zip(u_members).enumerate() {
-            assert_eq!(s.id(), u.id(), "registration order diverged (seed {seed})");
+        for (m, (s, a_bytes)) in s_members.iter().zip(a_members).enumerate() {
             let s_bytes = s.take_rows().into_bytes();
-            let u_bytes = u.take_rows().into_bytes();
             assert_eq!(
-                s_bytes, u_bytes,
-                "seed {seed} cluster {c} member {m}: shared and unshared bytes differ"
+                &s_bytes, a_bytes,
+                "seed {seed} cluster {c} member {m}: shared bytes differ from the query alone"
             );
             produced += s_bytes.len();
             match &first {
@@ -313,7 +338,7 @@ proptest! {
 
     /// 32 cases × 8 clusters ≥ 256 random clusters, each with 2–3
     /// fingerprint-identical members: shared output is byte-identical to
-    /// unshared output for every logical query.
+    /// the output of every logical query run alone.
     #[test]
     fn random_query_clusters_share_byte_identically(seed in 0u64..1_000_000) {
         const CLUSTERS: usize = 8;
@@ -341,104 +366,83 @@ proptest! {
             distinct.insert(fingerprints.into_iter().next().unwrap());
         }
 
-        let mut shared = engine(true);
-        let mut unshared = engine(false);
+        let mut shared = engine(2);
         shared.start().unwrap();
-        unshared.start().unwrap();
         let s_handles = register(&shared, &catalog, &clusters);
-        let u_handles = register(&unshared, &catalog, &clusters);
 
         let total: usize = clusters.iter().map(|c| c.members.len()).sum();
         prop_assert_eq!(shared.num_queries(), total);
-        prop_assert_eq!(unshared.num_queries(), total);
-        prop_assert_eq!(unshared.num_physical_plans(), total);
-        if sharing_active() {
-            // One physical plan per distinct fingerprint, not per query.
-            prop_assert_eq!(shared.num_physical_plans(), distinct.len());
-        }
+        // One physical plan per distinct fingerprint, not per query.
+        prop_assert_eq!(shared.num_physical_plans(), distinct.len());
 
         let data: Vec<RowBuffer> = (0..STREAMS)
             .map(|s| synthetic::generate(&synthetic::schema(), 4096, 1000 + s as u64))
             .collect();
         ingest_per_physical(&shared, &s_handles, &clusters, &data, 512);
-        ingest_per_physical(&unshared, &u_handles, &clusters, &data, 512);
         shared.stop().unwrap();
-        unshared.stop().unwrap();
-        assert_identical(&s_handles, &u_handles, seed);
+        assert_identical(&s_handles, &run_each_alone(&catalog, &clusters, &data, 512), seed);
     }
 }
 
 /// Mid-stream attach: a second fingerprint-identical query joins after the
 /// plan quiesced on a window boundary. The joiner must see exactly the
-/// post-attach suffix, byte-identical to a private plan fed the same suffix.
+/// post-attach suffix, byte-identical to the query alone fed that suffix.
 #[test]
 fn mid_stream_attach_sees_byte_identical_suffix() {
     let catalog = catalog();
     let sql = "SELECT timestamp, a1, a4 FROM s0 [ROWS 256]";
-    let mut shared = engine(true);
-    let mut unshared = engine(false);
+    let mut shared = engine(2);
     shared.start().unwrap();
-    unshared.start().unwrap();
     let s0 = shared.add_query_sql(sql, &catalog).unwrap();
-    let u0 = unshared.add_query_sql(sql, &catalog).unwrap();
 
     // Phase A: four exact windows, then quiesce on the boundary.
     const PHASE_ROWS: usize = 4 * WINDOW_ROWS;
     let phase_a = synthetic::generate(&synthetic::schema(), PHASE_ROWS, 21);
     s0.ingest(StreamId(0), phase_a.bytes()).unwrap();
-    u0.ingest(StreamId(0), phase_a.bytes()).unwrap();
     wait_emitted(&s0, PHASE_ROWS as u64);
-    wait_emitted(&u0, PHASE_ROWS as u64);
 
-    // Attach. On the sharing engine this is the O(1) follower path.
+    // Attach: the O(1) follower path.
     let s1 = shared.add_query_sql(sql, &catalog).unwrap();
-    let u1 = unshared.add_query_sql(sql, &catalog).unwrap();
-    if sharing_active() {
-        assert_eq!(shared.sharing_info(s1.id()), Some((s0.id(), 2)));
-        assert_eq!(shared.num_physical_plans(), 1);
-    }
+    assert_eq!(shared.sharing_info(s1.id()), Some((s0.id(), 2)));
+    assert_eq!(shared.num_physical_plans(), 1);
 
-    // Phase B: ingest once per physical plan (both members ride s0's plan
-    // on the sharing engine; the private engine mirrors into both).
+    // Phase B: ingest once per physical plan (both members ride s0's plan).
     let clusters = vec![Cluster {
         stream: 0,
         members: vec![sql.to_string(), sql.to_string()],
     }];
     let phase_b = synthetic::generate(&synthetic::schema(), PHASE_ROWS, 22);
     let s_handles = vec![vec![s0.clone(), s1.clone()]];
-    let u_handles = vec![vec![u0.clone(), u1.clone()]];
     let one = std::slice::from_ref(&phase_b);
     ingest_per_physical(&shared, &s_handles, &clusters, one, WINDOW_ROWS);
-    ingest_per_physical(&unshared, &u_handles, &clusters, one, WINDOW_ROWS);
     shared.stop().unwrap();
-    unshared.stop().unwrap();
 
-    // The elder sees A+B; the joiner sees exactly B. Byte-identical on both.
+    // The elder sees A+B; the joiner sees exactly B.
     assert_eq!(s0.tuples_emitted(), 2 * PHASE_ROWS as u64);
-    assert_eq!(u0.tuples_emitted(), 2 * PHASE_ROWS as u64);
     assert_eq!(s1.tuples_emitted(), PHASE_ROWS as u64);
-    assert_eq!(u1.tuples_emitted(), PHASE_ROWS as u64);
-    assert_eq!(s0.take_rows().into_bytes(), u0.take_rows().into_bytes());
-    assert_eq!(s1.take_rows().into_bytes(), u1.take_rows().into_bytes());
+    assert_eq!(
+        s0.take_rows().into_bytes(),
+        run_alone(&catalog, sql, &[&phase_a, &phase_b], WINDOW_ROWS)
+    );
+    assert_eq!(
+        s1.take_rows().into_bytes(),
+        run_alone(&catalog, sql, &[&phase_b], WINDOW_ROWS)
+    );
 }
 
 /// Mid-stream removal of the *anchor* while a follower stays attached: the
-/// survivor's stream continues byte-identically to a private plan, and the
-/// removed query's output is exactly the pre-removal prefix on both engines
-/// (removal is loss-free, so it doubles as the quiesce point).
+/// survivor's stream continues byte-identically to the query alone, and the
+/// removed query's output is exactly the pre-removal prefix (removal is
+/// loss-free, so it doubles as the quiesce point).
 #[test]
 fn mid_stream_anchor_removal_keeps_survivor_byte_identical() {
     let catalog = catalog();
     let sql = "SELECT timestamp, a3 FROM s1 [ROWS 256] WHERE a5 < 700";
-    let mut shared = engine(true);
-    let mut unshared = engine(false);
+    let mut shared = engine(2);
     shared.start().unwrap();
-    unshared.start().unwrap();
-    // Anchor first, follower second, on both engines.
+    // Anchor first, follower second.
     let s0 = shared.add_query_sql(sql, &catalog).unwrap();
     let s1 = shared.add_query_sql(sql, &catalog).unwrap();
-    let u0 = unshared.add_query_sql(sql, &catalog).unwrap();
-    let u1 = unshared.add_query_sql(sql, &catalog).unwrap();
 
     const PHASE_ROWS: usize = 4 * WINDOW_ROWS;
     let clusters = vec![Cluster {
@@ -448,17 +452,13 @@ fn mid_stream_anchor_removal_keeps_survivor_byte_identical() {
     let phase_a = synthetic::generate(&synthetic::schema(), PHASE_ROWS, 31);
     let one = std::slice::from_ref(&phase_a);
     let s_handles = vec![vec![s0.clone(), s1.clone()]];
-    let u_handles = vec![vec![u0.clone(), u1.clone()]];
     ingest_per_physical(&shared, &s_handles, &clusters, one, WINDOW_ROWS);
-    ingest_per_physical(&unshared, &u_handles, &clusters, one, WINDOW_ROWS);
 
-    // Remove the anchor on both engines. Loss-free removal drains all of
-    // phase A into s0/u0 first, so their outputs freeze at the same
-    // (data-dependent, WHERE-filtered) prefix.
+    // Remove the anchor. Loss-free removal drains all of phase A into s0
+    // first, so its output freezes at the (data-dependent, WHERE-filtered)
+    // prefix.
     s0.remove().unwrap();
-    u0.remove().unwrap();
     let prefix = s0.tuples_emitted();
-    assert_eq!(u0.tuples_emitted(), prefix);
     assert!(prefix > 0, "phase A selected no rows");
     assert_eq!(shared.num_queries(), 1);
     assert_eq!(shared.num_physical_plans(), 1);
@@ -467,13 +467,17 @@ fn mid_stream_anchor_removal_keeps_survivor_byte_identical() {
     let phase_b = synthetic::generate(&synthetic::schema(), PHASE_ROWS, 32);
     for chunk in phase_b.bytes().chunks(WINDOW_ROWS * TUPLE) {
         s1.ingest(StreamId(0), chunk).unwrap();
-        u1.ingest(StreamId(0), chunk).unwrap();
     }
     shared.stop().unwrap();
-    unshared.stop().unwrap();
 
-    assert_eq!(s0.take_rows().into_bytes(), u0.take_rows().into_bytes());
-    assert_eq!(s1.take_rows().into_bytes(), u1.take_rows().into_bytes());
+    assert_eq!(
+        s0.take_rows().into_bytes(),
+        run_alone(&catalog, sql, &[&phase_a], WINDOW_ROWS)
+    );
+    assert_eq!(
+        s1.take_rows().into_bytes(),
+        run_alone(&catalog, sql, &[&phase_a, &phase_b], WINDOW_ROWS)
+    );
     assert!(
         s1.tuples_emitted() >= prefix,
         "survivor lost the phase A prefix"
@@ -482,7 +486,7 @@ fn mid_stream_anchor_removal_keeps_survivor_byte_identical() {
 
 /// Concurrent producers, one per stream, with three clusters pinned to the
 /// three streams: per-query byte streams stay deterministic (ingest order
-/// within a stream is fixed) and identical across sharing modes.
+/// within a stream is fixed) and identical to each query run alone.
 #[test]
 fn concurrent_producers_stay_byte_identical_across_modes() {
     let clusters: Vec<Cluster> = (0..STREAMS)
@@ -495,22 +499,18 @@ fn concurrent_producers_stay_byte_identical_across_modes() {
         })
         .collect();
     let catalog = catalog();
-    let mut shared = engine(true);
-    let mut unshared = engine(false);
+    let mut shared = engine(2);
     shared.start().unwrap();
-    unshared.start().unwrap();
     let s_handles = register(&shared, &catalog, &clusters);
-    let u_handles = register(&unshared, &catalog, &clusters);
 
     let data: Vec<RowBuffer> = (0..STREAMS)
         .map(|s| synthetic::generate(&synthetic::schema(), 16 * 1024, 77 + s as u64))
         .collect();
     // One producer thread per stream; each feeds its cluster's physical
-    // plans on both engines, concurrently with the other streams' threads.
+    // plan, concurrently with the other streams' threads.
     std::thread::scope(|scope| {
         for (i, cluster) in clusters.iter().enumerate() {
-            let (s_members, u_members) = (&s_handles[i], &u_handles[i]);
-            let (shared, unshared, data) = (&shared, &unshared, &data);
+            let (s_members, shared, data) = (&s_handles[i], &shared, &data);
             scope.spawn(move || {
                 let local = Cluster {
                     stream: 0, // indexes the one-element data slice below
@@ -519,11 +519,13 @@ fn concurrent_producers_stay_byte_identical_across_modes() {
                 let one = std::slice::from_ref(&data[cluster.stream]);
                 let local = std::slice::from_ref(&local);
                 ingest_per_physical(shared, std::slice::from_ref(s_members), local, one, 512);
-                ingest_per_physical(unshared, std::slice::from_ref(u_members), local, one, 512);
             });
         }
     });
     shared.stop().unwrap();
-    unshared.stop().unwrap();
-    assert_identical(&s_handles, &u_handles, 0);
+    assert_identical(
+        &s_handles,
+        &run_each_alone(&catalog, &clusters, &data, 512),
+        0,
+    );
 }
