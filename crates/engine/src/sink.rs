@@ -115,7 +115,8 @@ impl QuerySink {
 
     /// Appends output rows (called by the result stage), then notifies
     /// blocked [`QuerySink::wait_for_window`] callers and invokes every
-    /// subscribed callback with the batch.
+    /// subscribed callback with the batch, under the contract documented
+    /// on [`QuerySink::subscribe`].
     pub fn append(&self, rows: &RowBuffer) {
         // relaxed-ok: monitoring counter, read only for stats display.
         self.inner
@@ -130,11 +131,15 @@ impl QuerySink {
         }
         if self.inner.retain.load(Ordering::Acquire) {
             let mut buf = self.inner.rows.lock();
-            let _ = buf.extend_from_bytes(rows.bytes());
-            // pairs-with: wait_for_window — waiters Acquire-load the count
-            // lock-free before parking (buffered_rows() reads it the same
-            // way for display).
-            self.inner.buffered.store(buf.len(), Ordering::Release);
+            // Re-checked under the lock `stop_retaining` switches under, so
+            // no batch is buffered after the switch.
+            if self.inner.retain.load(Ordering::Acquire) {
+                let _ = buf.extend_from_bytes(rows.bytes());
+                // pairs-with: wait_for_window — waiters Acquire-load the
+                // count lock-free before parking (buffered_rows() reads it
+                // the same way for display).
+                self.inner.buffered.store(buf.len(), Ordering::Release);
+            }
         }
         let waiters = {
             // Taking the lock (even briefly) orders this append against any
@@ -148,8 +153,8 @@ impl QuerySink {
         if waiters > 0 {
             self.inner.appended.notify_all();
         }
-        // Callbacks run on the appending (worker) thread and must be cheap;
-        // they may not subscribe/unsubscribe reentrantly.
+        // Callbacks run on the appending (worker) thread under this lock
+        // (see `subscribe` for what they may do).
         let callbacks = self.inner.callbacks.lock();
         for (_, callback) in &callbacks.entries {
             callback(rows);
@@ -202,9 +207,14 @@ impl QuerySink {
     /// with every batch of result rows appended from now on. Returns a
     /// subscription id for [`QuerySink::unsubscribe`].
     ///
-    /// Callbacks run on the engine's hot result path: they should hand the
-    /// batch off (copy, enqueue, signal) rather than do real work, and must
-    /// not call back into this sink's subscribe/unsubscribe.
+    /// Callbacks run on the worker that releases the batch, under the
+    /// result stage's reorder lock and this sink's callback lock, so the
+    /// query's next window waits for them. They may encode the batch and
+    /// enqueue it without blocking (the network server formats each batch
+    /// once per encoding and appends it to its subscribers' outboxes). They
+    /// must not block, must not take a lock declared above `sink-callbacks`
+    /// in `crates/lint/lock-order.toml`, and must not call back into this
+    /// sink's subscribe/unsubscribe.
     pub fn subscribe(&self, callback: impl Fn(&RowBuffer) + Send + Sync + 'static) -> u64 {
         // relaxed-ok: subscription-id allocation only needs uniqueness,
         // which the atomic RMW provides at any ordering.
@@ -241,13 +251,19 @@ impl QuerySink {
     }
 
     /// Stops buffering future appends without discarding rows already
-    /// buffered (they stay drainable via [`QuerySink::take_rows`]). Used
-    /// when a shared physical plan outlives this sink's logical query: the
-    /// plan keeps appending for the surviving subscribers, and this sink
-    /// must not accumulate output nobody will ever drain.
-    pub(crate) fn stop_retaining(&self) {
-        // pairs-with: append — workers Acquire-load the flag before touching
-        // the row buffer, so a cleared flag stops accumulation promptly.
+    /// buffered (they stay drainable via [`QuerySink::take_rows`]); counters,
+    /// waiters and subscribed callbacks see every append as before. The
+    /// engine calls it when a shared physical plan outlives this sink's
+    /// logical query, so the sink does not accumulate output nobody will
+    /// ever drain. A consumer that reads results only through
+    /// [`QuerySink::subscribe`] calls it too, then drains what was already
+    /// buffered with one [`QuerySink::take_rows`]: no batch appended after
+    /// this returns is buffered.
+    pub fn stop_retaining(&self) {
+        let _rows = self.inner.rows.lock();
+        // pairs-with: append — workers Acquire-load the flag before taking
+        // the row lock and again under it, so a batch either lands before
+        // the caller's drain or is not buffered at all.
         self.inner.retain.store(false, Ordering::Release);
     }
 
@@ -325,6 +341,18 @@ mod tests {
         sink.append(&rows(10));
         assert_eq!(sink.tuples_emitted(), 10);
         assert_eq!(sink.take_rows().len(), 0);
+        assert_eq!(sink.buffered_rows(), 0);
+    }
+
+    #[test]
+    fn a_sink_that_stops_retaining_keeps_what_it_buffered_and_nothing_more() {
+        let sink = QuerySink::new(schema(), true);
+        sink.append(&rows(2));
+        sink.stop_retaining();
+        sink.append(&rows(3));
+        assert_eq!(sink.tuples_emitted(), 5);
+        assert_eq!(sink.take_rows().len(), 2);
+        sink.append(&rows(1));
         assert_eq!(sink.buffered_rows(), 0);
     }
 

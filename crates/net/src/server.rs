@@ -19,7 +19,8 @@
 //!   have in flight. Requests of one connection are processed strictly in
 //!   order.
 //! * **Any thread** may push bytes to a connection through its
-//!   [`ConnHandle`] (the result broadcaster does): the bytes land in the
+//!   [`ConnHandle`] (engine workers do, delivering query results from a
+//!   sink callback): the bytes land in the
 //!   connection's outbox and the loop is woken through a wakeup socket
 //!   pair to flush them.
 //!

@@ -30,18 +30,19 @@
 //! `INSERT` acks, which blocks the TCP stream — backpressure propagates to
 //! the client for free).
 //!
-//! Result delivery is **push-driven end to end**: every query's
-//! [`QuerySink`](saber_engine::QuerySink) carries a subscription hook that
-//! wakes the broadcaster the moment the result stage appends a closed
-//! window; the broadcaster encodes each batch at most once per encoding in
-//! use and appends it to the subscribers' outboxes, where the event loop's
-//! write-interest scheduling takes over.
+//! Result delivery rides the result stage: every query's
+//! [`QuerySink`](saber_engine::QuerySink) carries one callback that, on the
+//! worker releasing a batch of closed windows, encodes the batch at most
+//! once per encoding in use and appends it to the query's subscribers'
+//! outboxes, where the event loop's write-interest scheduling takes over.
+//! No result row is buffered in the server, and no thread sits between the
+//! sink and the socket.
 //!
 //! [`Server::shutdown`] is deterministic and loss-free, built on the
 //! engine's reject-then-drain `stop()` semantics: it stops accepting and
 //! reading, quiesces the dispatch pool (so no ingest is in flight), stops
-//! the engine (every acknowledged row is processed), then delivers the
-//! final result windows and an `END` marker to all subscribers.
+//! the engine (every acknowledged row is processed and its windows pushed),
+//! then sends an `END` marker to all subscribers.
 //!
 //! ```no_run
 //! use saber_server::{Server, ServerConfig};
@@ -73,13 +74,12 @@ use saber_net::{App, ConnHandle, NetConfig, NetMetricsHandle, NetServer, Request
 use saber_obs::PromWriter;
 use saber_sql::SharedCatalog;
 use saber_types::schema::SchemaRef;
-use saber_types::sync::{Condvar, Mutex};
+use saber_types::sync::Mutex;
 use saber_types::{Result, RowBuffer, SaberError, Schema};
 use std::collections::HashSet;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Configuration of a [`Server`].
@@ -174,29 +174,54 @@ enum SubEncoding {
 /// One registered query: its SQL text, engine handle, input schemas (for
 /// decoding `INSERT` payloads), one cached [`IngestHandle`] per input stream
 /// (handles are cheap `Arc` clones, so the hot `INSERT` path neither
-/// re-resolves nor re-allocates), and current subscribers.
+/// re-resolves nor re-allocates), and its subscriber list.
 struct QueryReg {
     sql: String,
     handle: QueryHandle,
     input_schemas: Vec<SchemaRef>,
     ingest: Vec<IngestHandle>,
-    subscribers: Vec<Subscriber>,
-    /// Set once the engine-side removal (`DROP QUERY`) has drained the
-    /// query: the broadcaster delivers the final windows plus `END` to the
-    /// subscribers and then clears the slot.
-    dropped: bool,
+    /// Shared with the sink callback `hook`, which fans every appended
+    /// batch out to it.
+    subscribers: Arc<Mutex<Subscribers>>,
+    /// The sink subscription id of that callback.
+    hook: u64,
+}
+
+impl QueryReg {
+    /// Ends the query's subscriptions once every window it will deliver has
+    /// been appended (after `remove` or the engine's `stop`): marks the list
+    /// closed, sends `END` to each subscriber and closes its connection once
+    /// flushed, then unhooks the sink callback (which holds a clone of the
+    /// sink, so the hook would otherwise keep the sink alive forever).
+    fn end_subscriptions(&self) {
+        {
+            let mut subscribers = self.subscribers.lock();
+            subscribers.closed = true;
+            for sub in subscribers.list.drain(..) {
+                match sub.encoding {
+                    SubEncoding::Binary => sub.conn.send_frame(&Frame::End),
+                    SubEncoding::Text(_) => sub.conn.send_line("END"),
+                }
+                sub.conn.close_after_flush();
+            }
+        }
+        self.handle.sink().unsubscribe(self.hook);
+    }
+}
+
+/// One query's subscribers.
+#[derive(Default)]
+struct Subscribers {
+    /// Set once `END` has gone out: the list stays empty and `SUBSCRIBE`
+    /// answers "unknown query".
+    closed: bool,
+    list: Vec<Subscriber>,
 }
 
 /// A result subscriber: a handle to its connection plus its encoding.
 struct Subscriber {
-    id: u64,
     conn: ConnHandle,
     encoding: SubEncoding,
-    /// False until the `OK subscribed` ack has been enqueued. The
-    /// broadcaster holds a query's drain back while any of its subscribers
-    /// is pending, so no window closed after the ack can be dropped, and no
-    /// `ROW` can precede the ack (both travel the same in-order outbox).
-    ready: Arc<AtomicBool>,
 }
 
 struct State {
@@ -205,55 +230,12 @@ struct State {
     queries: Vec<Option<QueryReg>>,
 }
 
-/// The broadcaster's wake signal: set by sink push-notifications, new
-/// subscriptions, `DROP QUERY` and shutdown. Replaces the old poll loop.
-#[derive(Default)]
-struct Notifier {
-    dirty: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Notifier {
-    /// Marks the broadcaster due. Only the wake that finds the flag clear
-    /// notifies (and returns true): the broadcaster clears it under this
-    /// mutex before it drains, so a set flag means a pass that will see the
-    /// caller's rows is already owed — and a futex wake is a syscall even
-    /// with nobody waiting, which a shared plan would pay once per follower
-    /// per window batch.
-    fn wake(&self) -> bool {
-        let mut dirty = self.dirty.lock();
-        let notify = !*dirty;
-        if notify {
-            *dirty = true;
-            self.cv.notify_all();
-        }
-        notify
-    }
-
-    /// Blocks until woken or `timeout` elapses, consuming the wake flag.
-    fn wait(&self, timeout: Duration) {
-        let mut dirty = self.dirty.lock();
-        if !*dirty {
-            // condvar-ok: bounded-latency wait — a spurious or timed-out
-            // wake only costs one idle broadcast pass; the dirty flag is
-            // consumed under the lock either way.
-            self.cv.wait_for(&mut dirty, timeout);
-        }
-        *dirty = false;
-    }
-}
-
 struct Shared {
     state: Mutex<State>,
     catalog: SharedCatalog,
-    notifier: Arc<Notifier>,
     /// Set first during shutdown: tells disconnect callbacks not to touch
     /// subscriber state the shutdown path owns.
     shutting_down: AtomicBool,
-    /// Set after the engine has stopped: the broadcaster performs one final
-    /// drain, delivers `END` to every subscriber and exits.
-    finish_broadcast: AtomicBool,
-    next_subscriber_id: AtomicU64,
     /// Connections that have become push-only result streams: further input
     /// on them is ignored (the subscriber contract).
     push_conns: Mutex<HashSet<u64>>,
@@ -273,10 +255,7 @@ impl Shared {
             .queries
             .iter()
             .enumerate()
-            .filter_map(|(i, q)| match q {
-                Some(reg) if !reg.dropped => Some(i.to_string()),
-                _ => None,
-            })
+            .filter_map(|(i, q)| q.as_ref().map(|_| i.to_string()))
             .collect();
         let message = if known.is_empty() {
             format!("unknown query {id} (no queries registered; send QUERY first)")
@@ -292,7 +271,6 @@ pub struct Server {
     shared: Arc<Shared>,
     net: Option<NetServer>,
     local_addr: SocketAddr,
-    broadcaster: Option<JoinHandle<()>>,
     shut_down: bool,
 }
 
@@ -351,10 +329,7 @@ impl Server {
                 queries: Vec::new(),
             }),
             catalog: shared_catalog,
-            notifier: Arc::new(Notifier::default()),
             shutting_down: AtomicBool::new(false),
-            finish_broadcast: AtomicBool::new(false),
-            next_subscriber_id: AtomicU64::new(0),
             push_conns: Mutex::new(HashSet::new()),
             started: Instant::now(),
             net_metrics: OnceLock::new(),
@@ -377,13 +352,7 @@ impl Server {
                 let input_schemas: Vec<SchemaRef> = (0..query.num_inputs())
                     .map(|i| query.input_schema(i).clone())
                     .collect();
-                register_query_slot(
-                    &mut st,
-                    &shared.notifier,
-                    rq.sql.clone(),
-                    input_schemas,
-                    handle,
-                )?;
+                register_query_slot(&mut st, rq.sql.clone(), input_schemas, handle)?;
             }
         }
         let net_config = NetConfig {
@@ -405,18 +374,10 @@ impl Server {
             .map_err(|e| SaberError::State(format!("failed to bind server socket: {e}")))?;
         let _ = shared.net_metrics.set(net.metrics_handle());
         let local_addr = net.local_addr();
-        let broadcaster = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("saber-broadcast".into())
-                .spawn(move || broadcast_loop(shared))
-                .map_err(|e| SaberError::State(format!("failed to spawn broadcaster: {e}")))?
-        };
         Ok(Server {
             shared,
             net: Some(net),
             local_addr,
-            broadcaster: Some(broadcaster),
             shut_down: false,
         })
     }
@@ -432,9 +393,10 @@ impl Server {
     /// 2. quiesce the dispatch pool — after this no `INSERT` is in flight,
     ///    and every acknowledged one has reached the engine,
     /// 3. stop the engine (reject-then-drain: all accepted rows are
-    ///    processed),
-    /// 4. deliver the final result windows plus an `END` marker to every
-    ///    subscriber and flush every connection's pending output.
+    ///    processed, and the sink callbacks push every final result window
+    ///    to its subscribers),
+    /// 4. send an `END` marker to every subscriber and flush every
+    ///    connection's pending output.
     ///
     /// Returns the final per-query counters (indexed by query id, covering
     /// dropped queries too); an error (with workers already shut down) if
@@ -457,15 +419,16 @@ impl Server {
             net.begin_shutdown();
             net.quiesce();
         }
-        // Stop the engine — reject-then-drain makes this deterministic.
-        let stop_result = self.shared.state.lock().engine.stop();
-        // Engine results are final; let the broadcaster flush them and
-        // append END to every subscriber's outbox.
-        self.shared.finish_broadcast.store(true, Ordering::SeqCst);
-        self.shared.notifier.wake();
-        if let Some(t) = self.broadcaster.take() {
-            let _ = t.join();
-        }
+        // Stop the engine — reject-then-drain makes this deterministic, and
+        // the sink callbacks have pushed every final window once it returns.
+        let stop_result = {
+            let mut st = self.shared.state.lock();
+            let stopped = st.engine.stop();
+            for reg in st.queries.iter().flatten() {
+                reg.end_subscriptions();
+            }
+            stopped
+        };
         // Flush the outboxes (final windows + END) and close every socket;
         // the listener closes with the event loop.
         if let Some(net) = net {
@@ -503,12 +466,12 @@ impl Drop for Server {
 }
 
 /// Builds one protocol-level [`QueryReg`] slot around an engine handle:
-/// cached ingest handles per input stream, the broadcaster's push hook, and
-/// the slot table entry (indexed by the engine's id — never reused, possibly
-/// sparse). Shared by `QUERY` registration and restart recovery.
+/// cached ingest handles per input stream, the sink callback that pushes
+/// results to subscribers, and the slot table entry (indexed by the
+/// engine's id — never reused, possibly sparse). Shared by `QUERY`
+/// registration and restart recovery.
 fn register_query_slot(
     st: &mut State,
-    notifier: &Arc<Notifier>,
     sql: String,
     input_schemas: Vec<SchemaRef>,
     handle: QueryHandle,
@@ -518,12 +481,22 @@ fn register_query_slot(
         .map(|i| handle.ingest_handle(StreamId(i)))
         .collect();
     let ingest = ingest?;
-    // The push hook: every closed window wakes the broadcaster, which
-    // blocks on the notifier in between.
-    let notifier = notifier.clone();
-    handle.sink().subscribe(move |_rows| {
-        notifier.wake();
-    });
+    // Results leave through the callback only: the sink keeps no rows, and
+    // whatever recovery replay or registration already buffered goes.
+    let sink = handle.sink().clone();
+    sink.stop_retaining();
+    drop(sink.take_rows());
+    let subscribers = Arc::new(Mutex::new(Subscribers::default()));
+    let hook = {
+        let subscribers = subscribers.clone();
+        handle.sink().subscribe(move |rows| {
+            // A dropped anchor keeps appending for its followers; none of
+            // that reaches its own subscribers.
+            if !sink.is_closed() {
+                fanout(rows, &subscribers.lock().list);
+            }
+        })
+    };
     if st.queries.len() <= id {
         st.queries.resize_with(id + 1, || None);
     }
@@ -532,8 +505,8 @@ fn register_query_slot(
         handle,
         input_schemas,
         ingest,
-        subscribers: Vec::new(),
-        dropped: false,
+        subscribers,
+        hook,
     });
     Ok(())
 }
@@ -621,9 +594,10 @@ impl App for SaberApp {
             return; // the shutdown path owns subscriber state now
         }
         self.shared.push_conns.lock().remove(&conn.id());
-        let mut st = self.shared.state.lock();
-        for reg in st.queries.iter_mut().flatten() {
-            reg.subscribers.retain(|s| s.conn.id() != conn.id());
+        let st = self.shared.state.lock();
+        for reg in st.queries.iter().flatten() {
+            let mut subscribers = reg.subscribers.lock();
+            subscribers.list.retain(|s| s.conn.id() != conn.id());
         }
     }
 }
@@ -691,10 +665,10 @@ fn render_metrics(shared: &Arc<Shared>) -> String {
         .iter()
         .enumerate()
         .filter_map(|(id, slot)| {
-            let reg = slot.as_ref().filter(|reg| !reg.dropped)?;
+            let reg = slot.as_ref()?;
             let qstats = st.engine.query_stats(QueryId(id))?;
             let depth = st.engine.queue_depth(QueryId(id));
-            Some((id, qstats, reg.subscribers.len(), depth))
+            Some((id, qstats, reg.subscribers.lock().list.len(), depth))
         })
         .collect();
     let placements = st.engine.placements();
@@ -974,11 +948,10 @@ fn render_metrics(shared: &Arc<Shared>) -> String {
 
 /// Registers the connection as a subscriber of `query`.
 ///
-/// The subscriber is registered *pending* first, then acked, then marked
-/// ready: the broadcaster holds the query's drain back while a pending
-/// subscriber exists, so a window closing between ack and readiness cannot
-/// be dropped — and since only ready subscribers are pushed to (and ack and
-/// rows travel the same in-order outbox), no `ROW` can precede the ack.
+/// The ack is enqueued under the query's subscriber-list lock and the
+/// subscriber pushed before it is released: every window appended after the
+/// ack reaches the subscriber, and since ack and rows travel the same
+/// in-order outbox, no `ROW` can precede the ack.
 fn subscribe(shared: &Arc<Shared>, conn: &ConnHandle, query: usize, encoding: Encoding) {
     let encoding = if conn.is_binary() {
         SubEncoding::Binary
@@ -989,42 +962,43 @@ fn subscribe(shared: &Arc<Shared>, conn: &ConnHandle, query: usize, encoding: En
     // client holds an `OK subscribed`, anything further it sends is ignored
     // rather than interpreted.
     shared.push_conns.lock().insert(conn.id());
-    let id = shared.next_subscriber_id.fetch_add(1, Ordering::SeqCst);
-    let ready = Arc::new(AtomicBool::new(false));
-    {
-        let mut st = shared.state.lock();
-        match st.queries.get_mut(query) {
-            Some(Some(reg)) if !reg.dropped => {
-                reg.subscribers.push(Subscriber {
-                    id,
-                    conn: conn.clone(),
-                    encoding,
-                    ready: ready.clone(),
-                });
-            }
-            _ => {
-                let unknown = shared.unknown_query(&st, query);
-                drop(st);
-                shared.push_conns.lock().remove(&conn.id());
-                send(conn, unknown);
-                return;
-            }
+    let list = {
+        let st = shared.state.lock();
+        st.queries
+            .get(query)
+            .and_then(Option::as_ref)
+            .map(|reg| reg.subscribers.clone())
+    };
+    let subscribed = list.is_some_and(|list| {
+        let mut subscribers = list.lock();
+        if subscribers.closed {
+            return false; // dropped: END has gone out already
         }
+        // Push connections get NOP keepalives and survive a read-side
+        // half-close ("no more input, still receiving").
+        conn.set_keepalive(true);
+        send(conn, Response::Ok(format!("subscribed {query}")));
+        // A connection closed before this lock was taken has had its
+        // disconnect sweep already; pushing it would leave it behind.
+        if !conn.is_closed() {
+            subscribers.list.push(Subscriber {
+                conn: conn.clone(),
+                encoding,
+            });
+        }
+        true
+    });
+    if !subscribed {
+        shared.push_conns.lock().remove(&conn.id());
+        let unknown = shared.unknown_query(&shared.state.lock(), query);
+        send(conn, unknown);
     }
-    // Push connections get NOP keepalives and survive a read-side
-    // half-close ("no more input, still receiving").
-    conn.set_keepalive(true);
-    send(conn, Response::Ok(format!("subscribed {query}")));
-    ready.store(true, Ordering::SeqCst);
-    // Windows held back while our ack was pending can flow now.
-    shared.notifier.wake();
 }
 
 /// Executes one command on a dispatch worker and sends its [`Response`].
 fn execute(shared: &Arc<Shared>, conn: &ConnHandle, command: Command) {
     let response = match command {
-        // Acks for itself: the ack must be enqueued before the subscriber
-        // turns ready.
+        // Acks for itself, under the subscriber-list lock.
         Command::Subscribe { query, encoding } => return subscribe(shared, conn, query, encoding),
         Command::Ping => Response::Pong,
         Command::Quit => Response::Bye,
@@ -1096,7 +1070,7 @@ fn register_query(shared: &Shared, sql: String) -> Response {
             // registration was abandoned; index the slot table by the
             // engine's id rather than assuming density.
             let id = handle.id().index();
-            match register_query_slot(&mut st, &shared.notifier, clean_sql, input_schemas, handle) {
+            match register_query_slot(&mut st, clean_sql, input_schemas, handle) {
                 Ok(()) => Response::Ok(format!("query {id}")),
                 Err(e) => saber_err(&e),
             }
@@ -1115,7 +1089,6 @@ fn flush(shared: &Shared) -> Response {
         st.queries
             .iter()
             .flatten()
-            .filter(|reg| !reg.dropped)
             .map(|reg| reg.handle.clone())
             .collect()
     };
@@ -1153,10 +1126,7 @@ fn list_queries(shared: &Shared) -> Response {
         .queries
         .iter()
         .enumerate()
-        .filter_map(|(i, q)| match q {
-            Some(reg) if !reg.dropped => Some((i, reg)),
-            _ => None,
-        })
+        .filter_map(|(i, q)| q.as_ref().map(|reg| (i, reg)))
         .collect();
     let mut out = format!("queries {}", live.len());
     for (id, reg) in live {
@@ -1169,12 +1139,7 @@ fn list_queries(shared: &Shared) -> Response {
 /// (live and dropped — ids are never reused), plan count, connections.
 fn engine_stats(shared: &Shared) -> Response {
     let st = shared.state.lock();
-    let live = st
-        .queries
-        .iter()
-        .flatten()
-        .filter(|reg| !reg.dropped)
-        .count();
+    let live = st.queries.iter().flatten().count();
     let stats = st.engine.stats();
     let connections = shared
         .net_metrics
@@ -1196,7 +1161,7 @@ fn engine_stats(shared: &Shared) -> Response {
 fn query_stats(shared: &Shared, query: usize) -> Response {
     let st = shared.state.lock();
     let subscribers = match st.queries.get(query) {
-        Some(Some(reg)) if !reg.dropped => reg.subscribers.len(),
+        Some(Some(reg)) => reg.subscribers.lock().list.len(),
         _ => return shared.unknown_query(&st, query),
     };
     let snap = st
@@ -1253,9 +1218,6 @@ fn resolve_insert(
     let Some(Some(reg)) = st.queries.get(query) else {
         return Err(shared.unknown_query(&st, query));
     };
-    if reg.dropped {
-        return Err(shared.unknown_query(&st, query));
-    }
     let Some(schema) = reg.input_schemas.get(stream).cloned() else {
         return Err(Response::Err(
             ErrCode::Query,
@@ -1300,14 +1262,14 @@ fn insert(
 
 /// Handles `DROP QUERY`: the engine-side removal runs *outside* the state
 /// lock (it drains the query's in-flight rows and task backlog, which may
-/// block on the workers), then the slot is marked dropped and the
-/// broadcaster — woken through the notifier — delivers the final windows
-/// plus `END` to the query's subscribers and clears the slot.
+/// block on the workers, and the sink callback pushes the final windows as
+/// they drain); then the slot is cleared and the query's subscribers get
+/// `END` — all before the `OK dropped` reply.
 fn drop_query(shared: &Shared, query: usize) -> Response {
     let handle = {
         let st = shared.state.lock();
         match st.queries.get(query) {
-            Some(Some(reg)) if !reg.dropped => reg.handle.clone(),
+            Some(Some(reg)) => reg.handle.clone(),
             _ => return shared.unknown_query(&st, query),
         }
     };
@@ -1322,19 +1284,15 @@ fn drop_query(shared: &Shared, query: usize) -> Response {
     // the id is no longer live, the slot must be finalized regardless of
     // the error, or its subscribers would never receive `END` and the dead
     // query would haunt `QUERIES` forever.
-    let deregistered = {
+    let removed = {
         let mut st = shared.state.lock();
-        if st.engine.query(QueryId(query)).is_none() {
-            if let Some(Some(reg)) = st.queries.get_mut(query) {
-                reg.dropped = true;
-            }
-            true
-        } else {
-            false
+        match st.engine.query(QueryId(query)) {
+            Some(_) => None,
+            None => st.queries.get_mut(query).and_then(Option::take),
         }
     };
-    if deregistered {
-        shared.notifier.wake();
+    if let Some(reg) = removed {
+        reg.end_subscriptions();
     }
     match result {
         Ok(()) => Response::Ok(format!("dropped {query}")),
@@ -1342,20 +1300,16 @@ fn drop_query(shared: &Shared, query: usize) -> Response {
     }
 }
 
-/// One endpoint a result batch is fanned out to: subscriber id, connection
-/// handle, encoding.
-type FanoutTarget = (u64, ConnHandle, SubEncoding);
-
-/// Writes one result batch to every target, encoding it at most once per
-/// encoding actually in use (not once per subscriber): CSV text, base64
+/// Writes one result batch to every subscriber, encoding it at most once
+/// per encoding actually in use (not once per subscriber): CSV text, base64
 /// text, or one pre-encoded binary `DATA` frame. Sends are buffered (the
 /// event loop flushes them), so there is no per-subscriber failure here;
 /// dead connections are reaped via their disconnect callback.
-fn fanout(rows: &RowBuffer, targets: &[FanoutTarget]) {
+fn fanout(rows: &RowBuffer, subscribers: &[Subscriber]) {
     let mut csv: Option<String> = None;
     let mut b64: Option<String> = None;
     let mut bin: Option<Vec<u8>> = None;
-    for (_, conn, encoding) in targets {
+    for Subscriber { conn, encoding } in subscribers {
         match encoding {
             SubEncoding::Text(Encoding::Csv) => {
                 let text = csv.get_or_insert_with(|| format_batch(rows, Encoding::Csv));
@@ -1379,134 +1333,88 @@ fn fanout(rows: &RowBuffer, targets: &[FanoutTarget]) {
     }
 }
 
-/// Sends the end-of-stream marker in the subscriber's protocol and closes
-/// its connection once everything has flushed.
-fn send_end(sub: &Subscriber) {
-    match sub.encoding {
-        SubEncoding::Binary => sub.conn.send_frame(&Frame::End),
-        SubEncoding::Text(_) => sub.conn.send_line("END"),
-    }
-    sub.conn.close_after_flush();
-}
-
-/// The result broadcaster: fans each query's closed windows out to that
-/// query's subscribers, in order. Event-driven: it blocks on the
-/// [`Notifier`] — woken by the sinks' push hooks, new subscriptions,
-/// `DROP QUERY` and shutdown. Keepalives and dead-subscriber reaping live
-/// in the net layer now (`NOP`s to keepalive connections; write failures
-/// close the connection, whose disconnect callback removes the
-/// subscriber). After the engine has stopped the broadcaster performs one
-/// final drain, appends `END` everywhere and exits.
-fn broadcast_loop(shared: Arc<Shared>) {
-    loop {
-        // Read the finish flag *before* draining: it is set only after the
-        // engine has stopped, so a drain that observes it is final.
-        let finish = shared.finish_broadcast.load(Ordering::SeqCst);
-        let mut finished_queries: Vec<(RowBuffer, Vec<Subscriber>)> = Vec::new();
-        let batches: Vec<(RowBuffer, Vec<FanoutTarget>)> = {
-            let mut st = shared.state.lock();
-            let mut out = Vec::new();
-            for slot in st.queries.iter_mut() {
-                let Some(reg) = slot else { continue };
-                // Opportunistically drop subscribers whose connection died
-                // (their disconnect callback races this loop harmlessly).
-                reg.subscribers.retain(|s| !s.conn.is_closed());
-                // Hold the drain back while a subscriber's ack is still in
-                // flight: rows stay buffered in the sink (order preserved)
-                // so a window closing right after the ack is not lost.
-                // The dispatch pool is quiesced before `finish`, so no
-                // subscriber is pending then.
-                if reg
-                    .subscribers
-                    .iter()
-                    .any(|s| !s.ready.load(Ordering::SeqCst))
-                {
-                    continue;
-                }
-                if reg.dropped {
-                    // The engine-side removal has drained every result into
-                    // the sink: deliver the final windows + END and retire
-                    // the slot.
-                    let rows = reg.handle.take_rows();
-                    let subscribers = std::mem::take(&mut reg.subscribers);
-                    finished_queries.push((rows, subscribers));
-                    *slot = None;
-                    continue;
-                }
-                // Taking swaps a freshly allocated buffer in: not worth it
-                // for a sink that buffered nothing since the last pass.
-                if reg.handle.sink().buffered_rows() == 0 {
-                    continue;
-                }
-                let rows = reg.handle.take_rows();
-                if rows.is_empty() || reg.subscribers.is_empty() {
-                    // Windows closed before anyone subscribed are dropped;
-                    // subscriptions only cover windows from that point on.
-                    continue;
-                }
-                out.push((
-                    rows,
-                    reg.subscribers
-                        .iter()
-                        .map(|s| (s.id, s.conn.clone(), s.encoding))
-                        .collect(),
-                ));
-            }
-            out
-        };
-        for (rows, subscribers) in &batches {
-            fanout(rows, subscribers);
-        }
-        // Dropped queries: final windows, END, close-after-flush. The
-        // event loop delivers the remaining bytes and then closes, so the
-        // client sees rows, END, EOF — in that order.
-        for (rows, subscribers) in &finished_queries {
-            if !rows.is_empty() {
-                let targets: Vec<FanoutTarget> = subscribers
-                    .iter()
-                    .map(|s| (s.id, s.conn.clone(), s.encoding))
-                    .collect();
-                fanout(rows, &targets);
-            }
-            for sub in subscribers {
-                send_end(sub);
-            }
-        }
-        if finish {
-            let subscribers: Vec<Subscriber> = {
-                let mut st = shared.state.lock();
-                st.queries
-                    .iter_mut()
-                    .flatten()
-                    .flat_map(|reg| reg.subscribers.drain(..))
-                    .collect()
-            };
-            for sub in &subscribers {
-                send_end(sub);
-            }
-            return;
-        }
-        // Block until a sink push, subscription, drop or shutdown wakes us.
-        // The bounded wait is a safety net against a lost wake, not a poll.
-        shared.notifier.wait(Duration::from_millis(500));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use saber_engine::{DurabilityConfig, ExecutionMode};
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+    use std::path::Path;
+
+    /// A one-worker server, durable over `dir`, and a text client of it.
+    fn bind_durable(dir: &Path) -> (Server, BufReader<TcpStream>) {
+        let config = ServerConfig {
+            engine: EngineConfig {
+                worker_threads: 1,
+                query_task_size: 1024,
+                execution_mode: ExecutionMode::CpuOnly,
+                durability: Some(DurabilityConfig::new(dir)),
+                ..EngineConfig::default()
+            },
+            ..ServerConfig::default()
+        };
+        let server = Server::bind("127.0.0.1:0", config).unwrap();
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        (server, BufReader::new(stream))
+    }
+
+    /// Sends one text command and returns its reply line.
+    fn send(client: &mut BufReader<TcpStream>, line: &str) -> String {
+        writeln!(client.get_mut(), "{line}").unwrap();
+        let mut reply = String::new();
+        client.read_line(&mut reply).unwrap();
+        reply.trim_end().to_string()
+    }
+
+    /// Waits until query 0's sink has emitted `rows` result rows in all,
+    /// then asserts that it holds none of them.
+    fn assert_no_rows_kept(server: &Server, rows: u64) {
+        let sink = server.shared.state.lock().engine.sink(QueryId(0)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while sink.tuples_emitted() < rows {
+            assert!(Instant::now() < deadline, "windows never closed");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(sink.buffered_rows(), 0);
+    }
 
     #[test]
-    fn a_burst_of_wakes_notifies_once_per_broadcaster_pass() {
-        let notifier = Notifier::default();
-        // 100 followers' hooks firing for one window batch: one notify.
-        let notified = (0..100).filter(|_| notifier.wake()).count();
-        assert_eq!(notified, 1);
-        // The pending flag makes the broadcaster's wait return at once (the
-        // hour is how long a lost wake would hang this test)...
-        notifier.wait(Duration::from_secs(3600));
-        // ...and consuming it re-arms the notification for the next burst.
-        assert!(notifier.wake());
-        assert!(!notifier.wake());
+    fn registered_and_recovered_queries_keep_no_result_rows() {
+        let dir = std::env::temp_dir().join(format!("saber-server-no-rows-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A [ROWS 4] projection emits one result row per input row.
+        let insert = format!(
+            "INSERT 0 0 CSV {}",
+            (0..64)
+                .map(|i| format!("{i},0.5"))
+                .collect::<Vec<_>>()
+                .join(";")
+        );
+
+        // A live query with no subscriber.
+        let (server, mut client) = bind_durable(&dir);
+        assert_eq!(
+            send(&mut client, "CREATE STREAM S (ts TIMESTAMP, v FLOAT)"),
+            "OK stream S"
+        );
+        assert_eq!(
+            send(&mut client, "QUERY SELECT ts, v FROM S [ROWS 4]"),
+            "OK query 0"
+        );
+        assert_eq!(send(&mut client, &insert), "OK rows 64");
+        assert_no_rows_kept(&server, 64);
+        server.shutdown().unwrap();
+
+        // The same query recovered over the same directory: neither its
+        // 64 replayed rows nor 64 new ones stay behind.
+        let (server, mut client) = bind_durable(&dir);
+        assert_no_rows_kept(&server, 64);
+        assert_eq!(send(&mut client, &insert), "OK rows 64");
+        assert_no_rows_kept(&server, 128);
+        server.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

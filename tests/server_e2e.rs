@@ -111,6 +111,19 @@ impl Client {
             }
         }
     }
+
+    /// Asserts the server has closed the connection: nothing but `NOP`s
+    /// precede the end of the stream.
+    fn expect_eof(&mut self) {
+        loop {
+            let mut line = String::new();
+            match self.reader.read_line(&mut line).expect("read") {
+                0 => return,
+                _ if line.trim_end() == "NOP" => continue,
+                _ => panic!("expected EOF, got `{}`", line.trim_end()),
+            }
+        }
+    }
 }
 
 /// The redesign's acceptance scenario: a second client issues `QUERY` over
@@ -248,7 +261,7 @@ fn subscriber_receives_windows_of_a_quiet_stream_without_flush() {
 /// (modulo attribute renaming) and get distinct logical query ids backed by
 /// one physical plan instance — observable through `STATS`. Data inserted
 /// through either id reaches both subscribers, and `DROP QUERY` by one
-/// client leaves the other's stream flowing.
+/// client ends its subscribers' streams but leaves the other's flowing.
 #[test]
 fn two_clients_same_query_share_one_physical_instance() {
     let server = Server::bind(
@@ -292,17 +305,22 @@ fn two_clients_same_query_share_one_physical_instance() {
     // must reach him (the demultiplexer fans one physical stream out).
     let mut sub = Client::connect(addr);
     assert_eq!(sub.send("SUBSCRIBE 1"), "OK subscribed 1");
+    // Alice subscribes to the anchor.
+    let mut anchor_sub = Client::connect(addr);
+    assert_eq!(anchor_sub.send("SUBSCRIBE 0"), "OK subscribed 0");
     let rows = producer_rows(0);
     assert_eq!(
         alice.send(&format!("INSERT 0 0 B64 {}", b64_encode(rows.bytes()))),
         format!("OK rows {ROWS_PER_PRODUCER}")
     );
-    for w in 0..2 {
-        let line = sub.read_push_line();
-        assert!(
-            line.starts_with("ROW ") && line.ends_with(",512"),
-            "window {w}: `{line}`"
-        );
+    for client in [&mut sub, &mut anchor_sub] {
+        for w in 0..2 {
+            let line = client.read_push_line();
+            assert!(
+                line.starts_with("ROW ") && line.ends_with(",512"),
+                "window {w}: `{line}`"
+            );
+        }
     }
 
     // Alice drops her query (the anchor). Bob's stays registered and keeps
@@ -324,11 +342,104 @@ fn two_clients_same_query_share_one_physical_instance() {
             "post-drop window {w}: `{line}`"
         );
     }
+    // The dropped anchor still computes those windows for Bob, but none
+    // reaches its own subscriber: `END` went out before `OK dropped 0`,
+    // and then the connection closed.
+    assert_eq!(anchor_sub.read_push_line(), "END");
+    anchor_sub.expect_eof();
 
     let report = server.shutdown().expect("clean shutdown");
     assert_eq!(report.queries.len(), 2);
     // Bob's logical query saw all four 512-row windows.
     assert_eq!(report.queries[1].tuples_out, 4);
+}
+
+/// `SUBSCRIBE` racing `DROP QUERY` on a query with rows flowing: each
+/// subscriber is either refused as an unknown query, or acked and then
+/// streamed windows, `END` and EOF — never left hanging.
+#[test]
+fn subscribe_racing_drop_query_ends_or_refuses_every_subscriber() {
+    const SUBSCRIBERS: usize = 8;
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            engine: engine_config(),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let mut admin = Client::connect(addr);
+    assert_eq!(
+        admin.send("CREATE STREAM S (timestamp TIMESTAMP, v INT, k INT)"),
+        "OK stream S"
+    );
+    assert_eq!(
+        admin.send("QUERY SELECT timestamp, COUNT(*) AS n FROM S [ROWS 64]"),
+        "OK query 0"
+    );
+
+    // A producer keeps windows closing until the drop turns it away.
+    let producer = std::thread::spawn(move || {
+        let mut client = Client::connect(addr);
+        let batch: Vec<String> = (0..64).map(|i| format!("{i},1,0")).collect();
+        let insert = format!("INSERT 0 0 CSV {}", batch.join(";"));
+        let mut acked = 0;
+        loop {
+            let reply = client.send(&insert);
+            if reply.starts_with("ERR ") {
+                return acked;
+            }
+            assert_eq!(reply, "OK rows 64");
+            acked += 1;
+        }
+    });
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let stats = admin.send("STATS 0");
+        if !stats.contains(" tuples_out=0 ") {
+            break;
+        }
+        assert!(Instant::now() < deadline, "no window closed: {stats}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let barrier = Arc::new(Barrier::new(SUBSCRIBERS + 1));
+    let subscribers: Vec<_> = (0..SUBSCRIBERS)
+        .map(|i| {
+            let barrier = barrier.clone();
+            std::thread::spawn(move || {
+                // Every read below is bounded by the client's read timeout.
+                let mut client = Client::connect(addr);
+                barrier.wait();
+                let reply = client.send("SUBSCRIBE 0");
+                if reply.starts_with("ERR query unknown query 0") {
+                    return;
+                }
+                assert_eq!(reply, "OK subscribed 0", "subscriber {i}");
+                loop {
+                    let line = client.read_push_line();
+                    if line == "END" {
+                        break;
+                    }
+                    assert!(line.starts_with("ROW "), "subscriber {i}: `{line}`");
+                }
+                client.expect_eof();
+            })
+        })
+        .collect();
+    barrier.wait();
+    assert_eq!(admin.send("DROP QUERY 0"), "OK dropped 0");
+    for t in subscribers {
+        t.join().expect("subscriber ended cleanly");
+    }
+    assert!(producer.join().unwrap() > 0);
+    // Whichever way each race went, the query is gone for late comers.
+    let mut late = Client::connect(addr);
+    assert!(late
+        .send("SUBSCRIBE 0")
+        .starts_with("ERR query unknown query 0"));
+    server.shutdown().expect("clean shutdown");
 }
 
 #[test]
