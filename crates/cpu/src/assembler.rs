@@ -11,7 +11,9 @@
 //! Two assembly strategies are used:
 //!
 //! * the **general path** merges the `panes_per_window` pane tables of each
-//!   finalised window (needed for GROUP-BY, MIN/MAX and COUNT DISTINCT), and
+//!   finalised window, in pane order, into one scratch table that the
+//!   assembler clears and reuses for every window, then emits its groups in
+//!   key order (needed for GROUP-BY, MIN/MAX and COUNT DISTINCT), and
 //! * the **incremental path** (ungrouped, invertible aggregates — COUNT, SUM,
 //!   AVG) keeps a running window state and slides it by adding the panes that
 //!   enter and subtracting the panes that leave, giving O(panes-per-slide)
@@ -22,7 +24,7 @@ use crate::exec::PanePartial;
 use crate::hashtable::GroupTable;
 use crate::plan::{AggregationPlan, CompiledPlan, PlanKind};
 use saber_query::aggregate::{AggState, AggregateFunction};
-use saber_query::{Expr, WindowIndex};
+use saber_query::WindowIndex;
 use saber_types::schema::SchemaRef;
 use saber_types::{DataType, Result, RowBuffer, TupleRef};
 use std::collections::BTreeMap;
@@ -40,12 +42,14 @@ pub struct AggregationAssembler {
     next_window: WindowIndex,
     /// Running state for the incremental (ungrouped, invertible) path.
     running: Option<Vec<AggState>>,
+    /// The general path's window table: cleared and refilled per window.
+    window_table: GroupTable,
+    /// `window_table`'s group indices in key order.
+    order: Vec<u32>,
     /// Scratch row used for HAVING evaluation.
     scratch: Vec<u8>,
     /// Total number of windows emitted so far.
     windows_emitted: u64,
-    /// Total number of result rows emitted so far.
-    rows_emitted: u64,
 }
 
 impl AggregationAssembler {
@@ -60,9 +64,10 @@ impl AggregationAssembler {
                 panes: BTreeMap::new(),
                 next_window: 0,
                 running: None,
+                window_table: GroupTable::new(a.group_exprs.len(), &a.functions()),
+                order: Vec::new(),
                 scratch: Vec::new(),
                 windows_emitted: 0,
-                rows_emitted: 0,
             }),
             _ => None,
         }
@@ -82,16 +87,6 @@ impl AggregationAssembler {
     /// Number of windows emitted so far.
     pub fn windows_emitted(&self) -> u64 {
         self.windows_emitted
-    }
-
-    /// Number of result rows emitted so far.
-    pub fn rows_emitted(&self) -> u64 {
-        self.rows_emitted
-    }
-
-    /// Number of panes currently buffered (diagnostics / tests).
-    pub fn buffered_panes(&self) -> usize {
-        self.panes.len()
     }
 
     /// Accepts the window-fragment output of the next query task (in task
@@ -150,16 +145,11 @@ impl AggregationAssembler {
     }
 
     fn evict_before(&mut self, pane: u64) {
-        while let Some((&first, _)) = self.panes.iter().next() {
-            if first < pane {
-                self.panes.remove(&first);
-            } else {
-                break;
-            }
-        }
+        self.panes.retain(|&p, _| p >= pane);
     }
 
-    /// General assembly: merge every pane of the window.
+    /// General assembly: merge every pane of the window into the window
+    /// table, in pane order, and emit its groups in key order.
     fn emit_general(
         &mut self,
         w: WindowIndex,
@@ -167,16 +157,19 @@ impl AggregationAssembler {
         last_pane: u64,
         out: &mut RowBuffer,
     ) -> Result<()> {
-        let mut merged = GroupTable::new(&self.functions);
+        let merged = &mut self.window_table;
+        merged.clear();
         for (_, table) in self.panes.range(first_pane..last_pane) {
             merged.merge(table);
         }
-        if merged.is_empty() {
-            return Ok(());
-        }
-        let groups = merged.sorted_groups();
-        for (keys, states) in groups {
-            self.emit_row(w, &keys, &states, out)?;
+        let (agg, schema, merged) = (&self.agg, &self.output_schema, &self.window_table);
+        self.order.clear();
+        self.order.extend(0..merged.len() as u32);
+        self.order
+            .sort_unstable_by(|&a, &b| merged.keys(a as usize).cmp(merged.keys(b as usize)));
+        for &g in &self.order {
+            let (keys, states) = (merged.keys(g as usize), merged.states(g as usize));
+            emit_row(agg, schema, &mut self.scratch, w, keys, states, out)?;
         }
         Ok(())
     }
@@ -231,63 +224,58 @@ impl AggregationAssembler {
                 }
             }
         }
-        let states = self.running.as_ref().unwrap().clone();
+        let states = self.running.as_deref().unwrap_or_default();
         if states.iter().all(|s| s.count == 0) {
             return Ok(());
         }
-        self.emit_row(w, &[], &states, out)?;
+        let (agg, schema) = (&self.agg, &self.output_schema);
+        emit_row(agg, schema, &mut self.scratch, w, &[], states, out)?;
         // Evict panes that the running window has slid past.
         self.evict_before(first_pane.saturating_sub(self.agg.window.panes().panes_per_slide));
         Ok(())
     }
+}
 
-    /// Builds one output row (timestamp, group keys, finalised aggregates),
-    /// applies HAVING, and appends it to `out`.
-    fn emit_row(
-        &mut self,
-        w: WindowIndex,
-        keys: &[i64],
-        states: &[AggState],
-        out: &mut RowBuffer,
-    ) -> Result<()> {
-        let schema = self.output_schema.clone();
-        let row_size = schema.row_size();
-        self.scratch.clear();
-        self.scratch.resize(row_size, 0);
-        {
-            let mut row = saber_types::TupleMut::new(&schema, &mut self.scratch);
-            // Column 0: window timestamp (window start position).
-            row.set_i64(0, self.agg.window.window_start(w) as i64);
-            // Group key columns.
-            for (gi, key) in keys.iter().enumerate() {
-                let col = 1 + gi;
-                match schema.data_type(col) {
-                    DataType::Float => row.set_f32(col, f32::from_bits(*key as u32)),
-                    DataType::Double => row.set_f64(col, f64::from_bits(*key as u64)),
-                    DataType::Int => row.set_i32(col, *key as i32),
-                    DataType::Long | DataType::Timestamp => row.set_i64(col, *key),
-                }
-            }
-            // Aggregate columns.
-            let agg_base = 1 + keys.len();
-            for (ai, (state, function)) in states.iter().zip(self.functions.iter()).enumerate() {
-                row.set_numeric(agg_base + ai, state.finalize(*function));
+/// Builds one output row of `agg` (timestamp, group keys, finalised
+/// aggregates) in `scratch` and appends it to `out` unless HAVING rejects
+/// it.
+fn emit_row(
+    agg: &AggregationPlan,
+    schema: &SchemaRef,
+    scratch: &mut Vec<u8>,
+    w: WindowIndex,
+    keys: &[i64],
+    states: &[AggState],
+    out: &mut RowBuffer,
+) -> Result<()> {
+    scratch.clear();
+    scratch.resize(schema.row_size(), 0);
+    {
+        let mut row = saber_types::TupleMut::new(schema, scratch);
+        // Column 0: window timestamp (window start position).
+        row.set_i64(0, agg.window.window_start(w) as i64);
+        // Group key columns.
+        for (gi, key) in keys.iter().enumerate() {
+            let col = 1 + gi;
+            match schema.data_type(col) {
+                DataType::Float => row.set_f32(col, f32::from_bits(*key as u32)),
+                DataType::Double => row.set_f64(col, f64::from_bits(*key as u64)),
+                DataType::Int => row.set_i32(col, *key as i32),
+                DataType::Long | DataType::Timestamp => row.set_i64(col, *key),
             }
         }
-        if let Some(having) = &self.agg.having {
-            let tuple = TupleRef::new(&schema, &self.scratch);
-            if !Self::eval_having(having, &tuple) {
-                return Ok(());
-            }
+        // Aggregate columns.
+        let agg_base = 1 + keys.len();
+        for (ai, (state, (function, _))) in states.iter().zip(&agg.aggregates).enumerate() {
+            row.set_numeric(agg_base + ai, state.finalize(*function));
         }
-        out.push_bytes(&self.scratch)?;
-        self.rows_emitted += 1;
-        Ok(())
     }
-
-    fn eval_having(having: &Expr, tuple: &TupleRef<'_>) -> bool {
-        having.eval_bool(tuple)
+    if let Some(having) = &agg.having {
+        if !having.eval_bool(&TupleRef::new(schema, scratch)) {
+            return Ok(());
+        }
     }
+    out.push_bytes(scratch)
 }
 
 #[cfg(test)]
@@ -295,7 +283,7 @@ mod tests {
     use super::*;
     use crate::exec::{StreamBatch, TaskOutput};
     use crate::windowed;
-    use saber_query::{AggregateFunction, QueryBuilder, WindowSpec};
+    use saber_query::{AggregateFunction, Expr, QueryBuilder, WindowSpec};
     use saber_types::{Schema, Value};
 
     fn schema() -> SchemaRef {
@@ -490,7 +478,6 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out.row(0).get_i64(1), 8);
         assert_eq!(asm.windows_emitted(), 1);
-        assert_eq!(asm.rows_emitted(), 1);
     }
 
     #[test]
@@ -544,7 +531,7 @@ mod tests {
             }
         }
         // Old panes must not accumulate without bound.
-        assert!(asm.buffered_panes() <= 4);
+        assert!(asm.panes.len() <= 4);
     }
 
     #[test]

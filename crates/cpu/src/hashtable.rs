@@ -1,191 +1,212 @@
-//! Open-addressing group-by hash table.
+//! Flat open-addressing group-by hash table.
 //!
 //! The paper keeps GROUP-BY state in statically allocated, open-addressing
 //! hash tables backed by byte arrays (§5.3/§5.4) so that aggregation never
 //! allocates on the critical path and so that CPU and GPGPU use the same
-//! table layout. [`GroupTable`] reproduces that design in safe Rust: linear
-//! probing over a power-of-two slot array, group keys stored inline, one
-//! [`AggState`] per aggregate per group.
+//! table layout. [`GroupTable`] is four flat arrays: linearly probed
+//! power-of-two `slots` (`0` empty, else group index + 1), and per group in
+//! insertion order its hash, its `arity` key words and one [`AggState`] per
+//! aggregate. A group is a dense index, so a fold can resolve rows to group
+//! ids in one pass and scatter aggregate inputs in another. Nothing is
+//! allocated per group (COUNT DISTINCT states aside, which carry value
+//! sets), and [`GroupTable::clear`] keeps every buffer.
+//!
+//! The hash reads whole key words, folding each into the running hash with
+//! one 64×64→128-bit multiply whose halves are xor-ed, across the columns of
+//! a composite key. Slots are indexed by the hash's **high** bits, which
+//! depend on every key bit, so keys that differ only in high bits —
+//! multiples of 2^k, `f32` bit patterns, timestamps — do not cluster.
 
 use saber_query::aggregate::{AggState, AggregateFunction};
 
-/// FNV-1a hash over the raw 64-bit group key parts (a cheap, deterministic
-/// hash that both the CPU path and the simulated accelerator share, mirroring
-/// the paper's requirement that CPU and GPGPU hash tables are compatible).
+/// Odd multiplier of the word hash (2^64 / φ).
+const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Initial value of the word hash, so an empty key hashes to a constant.
+const SEED: u64 = 0x243F_6A88_85A3_08D3;
+
+/// Folds one key word into the running hash `h`.
 #[inline]
-pub fn hash_keys(keys: &[i64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for k in keys {
-        for b in k.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+fn mix(h: u64, word: i64) -> u64 {
+    let product = u128::from(h ^ word as u64) * u128::from(MUL);
+    (product as u64) ^ ((product >> 64) as u64)
 }
 
-/// One occupied slot of the table.
-#[derive(Debug, Clone)]
-struct Entry {
-    hash: u64,
-    keys: Vec<i64>,
-    states: Vec<AggState>,
+/// The word hash of one group key.
+#[inline]
+fn hash(keys: &[i64]) -> u64 {
+    keys.iter().fold(SEED, |h, &k| mix(h, k))
 }
 
 /// An open-addressing (linear probing) hash table from group keys to partial
-/// aggregate states.
+/// aggregate states, stored flat (see the module docs).
 #[derive(Debug, Clone)]
 pub struct GroupTable {
-    slots: Vec<Option<Entry>>,
-    len: usize,
-    num_aggregates: usize,
-    distinct: Vec<bool>,
+    /// `0` = empty, otherwise group index + 1.
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: the slot index is `hash >> shift`.
+    shift: u32,
+    hashes: Vec<u64>,
+    keys: Vec<i64>,
+    states: Vec<AggState>,
+    /// Key words per group.
+    arity: usize,
+    /// The identity state of each aggregate, copied into every new group.
+    identity: Vec<AggState>,
 }
 
 impl GroupTable {
-    /// Default initial capacity (slots).
-    const DEFAULT_CAPACITY: usize = 64;
-    /// Maximum load factor before resizing.
-    const MAX_LOAD_NUM: usize = 7;
-    const MAX_LOAD_DEN: usize = 10;
-
-    /// Creates a table for `functions.len()` aggregates per group.
-    pub fn new(functions: &[AggregateFunction]) -> Self {
-        Self::with_capacity(functions, Self::DEFAULT_CAPACITY)
+    /// Creates a table for keys of `arity` words and `functions.len()`
+    /// aggregates per group, sized for 64 groups (one when ungrouped).
+    pub fn new(arity: usize, functions: &[AggregateFunction]) -> Self {
+        Self::with_capacity(arity, functions, if arity == 0 { 1 } else { 64 })
     }
 
-    /// Creates a table with at least `capacity` slots.
-    pub fn with_capacity(functions: &[AggregateFunction], capacity: usize) -> Self {
-        let cap = capacity.next_power_of_two().max(8);
+    /// Creates a table that holds `groups` groups without growing (at a load
+    /// factor of at most 1/2).
+    pub fn with_capacity(arity: usize, functions: &[AggregateFunction], groups: usize) -> Self {
+        let slots = (2 * groups).next_power_of_two().max(8);
+        let identity: Vec<AggState> = functions
+            .iter()
+            .map(|f| match f {
+                AggregateFunction::CountDistinct => AggState::new_distinct(),
+                _ => AggState::new(),
+            })
+            .collect();
         Self {
-            slots: vec![None; cap],
-            len: 0,
-            num_aggregates: functions.len(),
-            distinct: functions
-                .iter()
-                .map(|f| matches!(f, AggregateFunction::CountDistinct))
-                .collect(),
+            slots: vec![0; slots],
+            shift: 64 - slots.trailing_zeros(),
+            hashes: Vec::with_capacity(groups),
+            keys: Vec::with_capacity(groups * arity),
+            states: Vec::with_capacity(groups * identity.len()),
+            arity,
+            identity,
         }
     }
 
     /// Number of distinct groups currently stored.
     pub fn len(&self) -> usize {
-        self.len
+        self.hashes.len()
     }
 
     /// True if no group has been inserted.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.hashes.is_empty()
     }
 
     /// Number of aggregates tracked per group.
     pub fn num_aggregates(&self) -> usize {
-        self.num_aggregates
+        self.identity.len()
     }
 
-    /// Removes all groups, keeping the allocation (object pooling, §5.1).
+    /// Removes all groups, keeping every buffer (object pooling, §5.1).
     pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            *slot = None;
+        self.slots.fill(0);
+        self.hashes.clear();
+        self.keys.clear();
+        self.states.clear();
+    }
+
+    /// The key of group `group`.
+    #[inline]
+    pub fn keys(&self, group: usize) -> &[i64] {
+        &self.keys[group * self.arity..(group + 1) * self.arity]
+    }
+
+    /// The aggregate states of group `group`.
+    #[inline]
+    pub fn states(&self, group: usize) -> &[AggState] {
+        let n = self.num_aggregates();
+        &self.states[group * n..(group + 1) * n]
+    }
+
+    /// Every group's states, group-major: aggregate `a` of group `g` is at
+    /// `g * num_aggregates() + a`.
+    #[inline]
+    pub fn states_mut(&mut self) -> &mut [AggState] {
+        &mut self.states
+    }
+
+    /// The index of the group of `keys`, inserting the group (with identity
+    /// states) if it is new. Indices are dense and in insertion order.
+    #[inline]
+    pub fn group(&mut self, keys: &[i64]) -> usize {
+        self.group_hashed(hash(keys), keys)
+    }
+
+    #[inline]
+    fn group_hashed(&mut self, hash: u64, keys: &[i64]) -> usize {
+        if 2 * (self.len() + 1) > self.slots.len() {
+            self.grow();
         }
-        self.len = 0;
-    }
-
-    fn fresh_states(&self) -> Vec<AggState> {
-        (0..self.num_aggregates)
-            .map(|i| {
-                if self.distinct[i] {
-                    AggState::new_distinct()
-                } else {
-                    AggState::new()
-                }
-            })
-            .collect()
-    }
-
-    fn grow(&mut self) {
-        let new_cap = self.slots.len() * 2;
-        let old = std::mem::replace(&mut self.slots, vec![None; new_cap]);
-        self.len = 0;
-        for entry in old.into_iter().flatten() {
-            self.insert_entry(entry);
+        match self.find(hash, keys) {
+            Ok(group) => group,
+            Err(slot) => {
+                let group = self.len();
+                self.slots[slot] = u32::try_from(group + 1).expect("fewer than 2^32 groups");
+                self.hashes.push(hash);
+                self.keys.extend_from_slice(keys);
+                self.states.extend_from_slice(&self.identity);
+                group
+            }
         }
     }
 
-    fn insert_entry(&mut self, entry: Entry) {
+    /// Probes for `keys`: `Ok(group)` if present, otherwise `Err(slot)` of
+    /// the empty slot that ends its probe sequence. Keys are compared word
+    /// by word with no stored-hash check first, the cheaper test for the
+    /// usual one- or two-word key.
+    #[inline]
+    fn find(&self, hash: u64, keys: &[i64]) -> Result<usize, usize> {
+        debug_assert_eq!(keys.len(), self.arity);
         let mask = self.slots.len() - 1;
-        let mut idx = (entry.hash as usize) & mask;
+        let mut idx = (hash >> self.shift) as usize;
         loop {
-            if self.slots[idx].is_none() {
-                self.slots[idx] = Some(entry);
-                self.len += 1;
-                return;
+            let group = match self.slots[idx] {
+                0 => return Err(idx),
+                slot => slot as usize - 1,
+            };
+            let hit = match keys {
+                [key] => self.keys[group] == *key,
+                _ => {
+                    let stored = &self.keys[group * self.arity..];
+                    keys.iter().zip(stored).all(|(k, s)| k == s)
+                }
+            };
+            if hit {
+                return Ok(group);
             }
             idx = (idx + 1) & mask;
         }
     }
 
-    /// Returns a mutable reference to the per-aggregate states of `keys`,
-    /// creating the group if needed.
-    pub fn entry(&mut self, keys: &[i64]) -> &mut [AggState] {
-        if (self.len + 1) * Self::MAX_LOAD_DEN >= self.slots.len() * Self::MAX_LOAD_NUM {
-            self.grow();
-        }
-        let hash = hash_keys(keys);
-        let mask = self.slots.len() - 1;
-        let mut idx = (hash as usize) & mask;
-        loop {
-            match &self.slots[idx] {
-                Some(e) if e.hash == hash && e.keys == keys => break,
-                Some(_) => idx = (idx + 1) & mask,
-                None => {
-                    let entry = Entry {
-                        hash,
-                        keys: keys.to_vec(),
-                        states: self.fresh_states(),
-                    };
-                    self.slots[idx] = Some(entry);
-                    self.len += 1;
-                    break;
-                }
+    /// Doubles the slot array and re-slots every group from its stored hash.
+    fn grow(&mut self) {
+        let slots = self.slots.len() * 2;
+        self.slots.clear();
+        self.slots.resize(slots, 0);
+        self.shift = 64 - slots.trailing_zeros();
+        for group in 0..self.len() {
+            if let Err(slot) = self.find(self.hashes[group], self.keys(group)) {
+                self.slots[slot] = group as u32 + 1;
             }
         }
-        self.slots[idx].as_mut().unwrap().states.as_mut_slice()
     }
 
     /// Looks up the states of `keys` without inserting.
     pub fn get(&self, keys: &[i64]) -> Option<&[AggState]> {
-        let hash = hash_keys(keys);
-        let mask = self.slots.len() - 1;
-        let mut idx = (hash as usize) & mask;
-        let mut probed = 0;
-        while probed < self.slots.len() {
-            match &self.slots[idx] {
-                Some(e) if e.hash == hash && e.keys == keys => return Some(&e.states),
-                Some(_) => {
-                    idx = (idx + 1) & mask;
-                    probed += 1;
-                }
-                None => return None,
-            }
-        }
-        None
-    }
-
-    /// Iterates over `(group keys, states)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&[i64], &[AggState])> {
-        self.slots
-            .iter()
-            .filter_map(|s| s.as_ref().map(|e| (e.keys.as_slice(), e.states.as_slice())))
+        let group = (keys.len() == self.arity).then(|| self.find(hash(keys), keys).ok());
+        group.flatten().map(|g| self.states(g))
     }
 
     /// Merges another table into this one (the assembly operator function
     /// for GROUP-BY aggregation: per-group state merge).
     pub fn merge(&mut self, other: &GroupTable) {
-        debug_assert_eq!(self.num_aggregates, other.num_aggregates);
-        for (keys, states) in other.iter() {
-            let mine = self.entry(keys);
-            for (m, o) in mine.iter_mut().zip(states.iter()) {
+        debug_assert_eq!(self.arity, other.arity);
+        debug_assert_eq!(self.num_aggregates(), other.num_aggregates());
+        let n = self.num_aggregates();
+        for (g, &hash) in other.hashes.iter().enumerate() {
+            let mine = self.group_hashed(hash, other.keys(g)) * n;
+            for (m, o) in self.states[mine..].iter_mut().zip(other.states(g)) {
                 m.merge(o);
             }
         }
@@ -193,8 +214,9 @@ impl GroupTable {
 
     /// Sorted snapshot of the table (tests and deterministic output).
     pub fn sorted_groups(&self) -> Vec<(Vec<i64>, Vec<AggState>)> {
-        let mut v: Vec<(Vec<i64>, Vec<AggState>)> =
-            self.iter().map(|(k, s)| (k.to_vec(), s.to_vec())).collect();
+        let mut v: Vec<(Vec<i64>, Vec<AggState>)> = (0..self.len())
+            .map(|g| (self.keys(g).to_vec(), self.states(g).to_vec()))
+            .collect();
         v.sort_by(|a, b| a.0.cmp(&b.0));
         v
     }
@@ -208,9 +230,31 @@ mod tests {
         vec![AggregateFunction::Sum, AggregateFunction::Count]
     }
 
+    impl GroupTable {
+        /// The per-aggregate states of `keys`, creating the group if needed.
+        fn entry(&mut self, keys: &[i64]) -> &mut [AggState] {
+            let n = self.num_aggregates();
+            let group = self.group(keys);
+            &mut self.states[group * n..(group + 1) * n]
+        }
+
+        /// The longest probe sequence any stored group needs.
+        fn longest_probe(&self) -> usize {
+            let mask = self.slots.len() - 1;
+            (0..self.slots.len())
+                .filter(|&idx| self.slots[idx] != 0)
+                .map(|idx| {
+                    let home = (self.hashes[self.slots[idx] as usize - 1] >> self.shift) as usize;
+                    ((idx.wrapping_sub(home)) & mask) + 1
+                })
+                .max()
+                .unwrap_or(0)
+        }
+    }
+
     #[test]
     fn insert_and_lookup_single_group() {
-        let mut t = GroupTable::new(&sum_count());
+        let mut t = GroupTable::new(1, &sum_count());
         t.entry(&[7])[0].update(2.0);
         t.entry(&[7])[0].update(3.0);
         t.entry(&[7])[1].update(1.0);
@@ -223,7 +267,7 @@ mod tests {
 
     #[test]
     fn many_groups_with_growth() {
-        let mut t = GroupTable::with_capacity(&sum_count(), 8);
+        let mut t = GroupTable::with_capacity(1, &sum_count(), 4);
         for g in 0..1000i64 {
             for _ in 0..3 {
                 t.entry(&[g])[0].update(g as f64);
@@ -238,8 +282,20 @@ mod tests {
     }
 
     #[test]
+    fn groups_are_dense_in_insertion_order() {
+        let mut t = GroupTable::new(1, &sum_count());
+        for (i, k) in [40, -3, 7, 40, 7, 12].iter().enumerate() {
+            let g = t.group(&[*k]);
+            assert_eq!(t.keys(g), &[*k], "row {i}");
+        }
+        let keys: Vec<i64> = (0..t.len()).map(|g| t.keys(g)[0]).collect();
+        assert_eq!(keys, vec![40, -3, 7, 12]);
+        assert_eq!(t.states_mut().len(), 4 * 2);
+    }
+
+    #[test]
     fn composite_keys_are_distinguished() {
-        let mut t = GroupTable::new(&sum_count());
+        let mut t = GroupTable::new(2, &sum_count());
         t.entry(&[1, 2])[0].update(1.0);
         t.entry(&[2, 1])[0].update(10.0);
         t.entry(&[1, 2])[0].update(1.0);
@@ -250,8 +306,8 @@ mod tests {
 
     #[test]
     fn merge_combines_group_states() {
-        let mut a = GroupTable::new(&sum_count());
-        let mut b = GroupTable::new(&sum_count());
+        let mut a = GroupTable::new(1, &sum_count());
+        let mut b = GroupTable::new(1, &sum_count());
         a.entry(&[1])[0].update(1.0);
         a.entry(&[2])[0].update(2.0);
         b.entry(&[2])[0].update(3.0);
@@ -269,13 +325,13 @@ mod tests {
         let updates: Vec<(i64, f64)> = (0..500)
             .map(|i| ((i % 37) as i64, i as f64 * 0.25))
             .collect();
-        let mut whole = GroupTable::new(&sum_count());
+        let mut whole = GroupTable::new(1, &sum_count());
         for (k, v) in &updates {
             whole.entry(&[*k])[0].update(*v);
             whole.entry(&[*k])[1].update(*v);
         }
-        let mut left = GroupTable::new(&sum_count());
-        let mut right = GroupTable::new(&sum_count());
+        let mut left = GroupTable::new(1, &sum_count());
+        let mut right = GroupTable::new(1, &sum_count());
         for (i, (k, v)) in updates.iter().enumerate() {
             let t = if i % 2 == 0 { &mut left } else { &mut right };
             t.entry(&[*k])[0].update(*v);
@@ -294,7 +350,7 @@ mod tests {
 
     #[test]
     fn distinct_states_are_created_for_count_distinct() {
-        let mut t = GroupTable::new(&[AggregateFunction::CountDistinct]);
+        let mut t = GroupTable::new(1, &[AggregateFunction::CountDistinct]);
         t.entry(&[1])[0].update_distinct(5);
         t.entry(&[1])[0].update_distinct(5);
         t.entry(&[1])[0].update_distinct(6);
@@ -305,22 +361,90 @@ mod tests {
     }
 
     #[test]
+    fn ungrouped_table_holds_one_group() {
+        let mut t = GroupTable::new(0, &sum_count());
+        t.entry(&[])[1].update(1.0);
+        t.entry(&[])[1].update(1.0);
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.get(&[]).unwrap()[1].count, 2);
+        assert!(t.get(&[0]).is_none());
+    }
+
+    #[test]
     fn clear_retains_capacity_and_empties_table() {
-        let mut t = GroupTable::with_capacity(&sum_count(), 8);
+        let mut t = GroupTable::with_capacity(1, &sum_count(), 4);
         for g in 0..100i64 {
             t.entry(&[g])[0].update(1.0);
         }
-        let cap = t.slots.len();
+        let (slots, states) = (t.slots.len(), t.states.capacity());
         t.clear();
         assert!(t.is_empty());
-        assert_eq!(t.slots.len(), cap);
+        assert_eq!(t.slots.len(), slots);
+        assert_eq!(t.states.capacity(), states);
         assert!(t.get(&[5]).is_none());
+        t.entry(&[5])[0].update(1.0);
+        assert_eq!(t.get(&[5]).unwrap()[0].count, 1);
     }
 
     #[test]
     fn hash_is_deterministic_and_key_sensitive() {
-        assert_eq!(hash_keys(&[1, 2, 3]), hash_keys(&[1, 2, 3]));
-        assert_ne!(hash_keys(&[1, 2, 3]), hash_keys(&[3, 2, 1]));
-        assert_ne!(hash_keys(&[0]), hash_keys(&[1]));
+        assert_eq!(hash(&[1, 2, 3]), hash(&[1, 2, 3]));
+        assert_ne!(hash(&[1, 2, 3]), hash(&[3, 2, 1]));
+        assert_ne!(hash(&[0]), hash(&[1]));
+        assert_ne!(hash(&[]), hash(&[0]));
+    }
+
+    /// Keys that differ only in their high bits must spread over the slots
+    /// like small integers do: every lookup succeeds and no probe sequence
+    /// grows past a small bound.
+    #[test]
+    fn keys_differing_in_high_bits_spread() {
+        const KEYS: i64 = 4096;
+        const LONGEST_PROBE: usize = 24;
+        let f32_bits = |i: i64| {
+            let mut keys = Vec::new();
+            let mut rows = saber_types::RowBuffer::new(
+                saber_types::Schema::from_pairs(&[
+                    ("timestamp", saber_types::DataType::Timestamp),
+                    ("v", saber_types::DataType::Float),
+                ])
+                .unwrap()
+                .into_ref(),
+            );
+            rows.push_values(&[
+                saber_types::Value::Timestamp(0),
+                saber_types::Value::Float(i as f32),
+            ])
+            .unwrap();
+            saber_types::columnar::gather_keys(&rows, 0..1, 1, &mut keys);
+            keys[0]
+        };
+        let kinds: Vec<(&str, Vec<Vec<i64>>)> = vec![
+            (
+                "multiples of 2^20",
+                (0..KEYS).map(|i| vec![i << 20]).collect(),
+            ),
+            ("negative", (0..KEYS).map(|i| vec![-1 - i * 3]).collect()),
+            (
+                "f32 bit patterns",
+                (0..KEYS).map(|i| vec![f32_bits(i)]).collect(),
+            ),
+            (
+                "second column",
+                (0..KEYS).map(|i| vec![7, i << 32]).collect(),
+            ),
+        ];
+        for (kind, keys) in kinds {
+            let mut t = GroupTable::new(keys[0].len(), &sum_count());
+            for (i, k) in keys.iter().enumerate() {
+                t.entry(k)[0].update(i as f64);
+            }
+            assert_eq!(t.len(), KEYS as usize, "{kind}");
+            for (i, k) in keys.iter().enumerate() {
+                assert_eq!(t.get(k).map(|s| s[0].sum), Some(i as f64), "{kind}");
+            }
+            let longest = t.longest_probe();
+            assert!(longest <= LONGEST_PROBE, "{kind}: probe of {longest} slots");
+        }
     }
 }

@@ -16,7 +16,7 @@ use crate::kernels;
 use crate::plan::{CompiledPlan, PartitionJoinPlan, ThetaJoinPlan};
 use saber_query::{Expr, WindowSpec};
 use saber_types::{ColumnarBatch, Result, RowBuffer, SaberError, TupleRef};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
 /// True if the two tuples fall into at least one common window under the
@@ -213,7 +213,7 @@ pub fn execute_partition(
     }
 
     let mut out = RowBuffer::new(plan.output_schema().clone());
-    let mut seen: Vec<u64> = Vec::new();
+    let mut seen: HashSet<(i64, i64)> = HashSet::new();
     for i in left.lookback_rows..left.rows.len() {
         let row = left.rows.row(i);
         let key = row.get_key(pj.spec.left_key);
@@ -226,12 +226,8 @@ pub fn execute_partition(
                 continue;
             }
         }
-        if pj.spec.distinct {
-            let h = crate::hashtable::hash_keys(&[key, row.timestamp()]);
-            if seen.contains(&h) {
-                continue;
-            }
-            seen.push(h);
+        if pj.spec.distinct && !seen.insert((key, row.timestamp())) {
+            continue;
         }
         out.push_bytes(row.bytes())?;
     }
@@ -424,6 +420,53 @@ mod tests {
         // Left keys 2 and 3 have partition rows; key 1 does not.
         assert_eq!(out.len(), 2);
         assert_eq!(out.schema().len(), 3);
+    }
+
+    #[test]
+    fn partition_join_distinct_keeps_each_key_timestamp_pair_once() {
+        let q = QueryBuilder::new("lrb2", schema())
+            .count_window(8, 8)
+            .partition_join(
+                schema(),
+                WindowSpec::count(1, 1),
+                PartitionJoinSpec::new(1, 1),
+            )
+            .build()
+            .unwrap();
+        let plan = CompiledPlan::compile(&q).unwrap();
+        let pj = match plan.kind() {
+            PlanKind::PartitionJoin(p) => p.clone(),
+            _ => unreachable!(),
+        };
+        // 4 000 left rows over 1 000 timestamps `t`, four rows each with key
+        // `t % 7 + 7 * (i % 3)`: three distinct pairs per timestamp, one of
+        // them twice, and pairs that share a key across timestamps.
+        let mut left = RowBuffer::new(schema());
+        let mut expected = std::collections::BTreeSet::new();
+        for i in 0..4_000i64 {
+            let t = i / 4;
+            let key = t % 7 + 7 * (i % 3);
+            left.push_values(&[
+                Value::Timestamp(t),
+                Value::Int(key as i32),
+                Value::Float(0.0),
+            ])
+            .unwrap();
+            expected.insert((key, t));
+        }
+        let right_keys: Vec<i32> = (0..21).collect();
+        let batches = [StreamBatch::new(left, 0, 0), batch(&right_keys, 0)];
+        let out = match execute_partition(&plan, &pj, &batches).unwrap() {
+            TaskOutput::Rows(r) => r,
+            _ => unreachable!(),
+        };
+        let emitted: Vec<(i64, i64)> = out
+            .iter()
+            .map(|r| (i64::from(r.get_i32(1)), r.timestamp()))
+            .collect();
+        let unique: std::collections::BTreeSet<_> = emitted.iter().copied().collect();
+        assert_eq!(emitted.len(), unique.len(), "a pair was emitted twice");
+        assert_eq!(unique, expected, "a distinct pair was dropped");
     }
 
     #[test]

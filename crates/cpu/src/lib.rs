@@ -28,7 +28,6 @@ pub mod hashtable;
 pub mod join;
 pub mod kernels;
 pub mod plan;
-pub mod pool;
 pub mod stateless;
 pub mod windowed;
 
@@ -37,14 +36,12 @@ pub use exec::{PanePartial, StreamBatch, TaskOutput};
 pub use hashtable::GroupTable;
 pub use kernels::KernelKind;
 pub use plan::{CompiledPlan, PlanKind};
-pub use pool::BufferPool;
 
 use saber_types::Result;
 
 /// Executes compiled query plans on a CPU core.
 ///
-/// The executor is stateless and shared by all worker threads; per-task
-/// scratch memory comes from per-thread [`BufferPool`]s.
+/// The executor is stateless and shared by all worker threads.
 #[derive(Debug, Default)]
 pub struct CpuExecutor;
 

@@ -521,12 +521,6 @@ impl CompiledPlan {
         self.kernel = kernel;
         self
     }
-
-    /// True if the plan produces window fragments (aggregations) rather than
-    /// directly emitted rows.
-    pub fn produces_fragments(&self) -> bool {
-        matches!(self.kind, PlanKind::Aggregation(_))
-    }
 }
 
 #[cfg(test)]
@@ -575,7 +569,6 @@ mod tests {
             }
             _ => panic!("expected stateless plan"),
         }
-        assert!(!plan.produces_fragments());
         assert_eq!(plan.num_inputs(), 1);
     }
 
@@ -635,7 +628,6 @@ mod tests {
             }
             _ => panic!("expected aggregation plan"),
         }
-        assert!(plan.produces_fragments());
     }
 
     #[test]

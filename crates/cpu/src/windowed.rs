@@ -24,14 +24,8 @@ use crate::kernels;
 use crate::plan::{AggregationPlan, CompiledPlan};
 use saber_query::aggregate::AggregateFunction;
 use saber_query::Expr;
-use saber_types::{columnar, ColumnarBatch, Result, RowBuffer};
+use saber_types::{columnar, ColumnarBatch, DataType, Result, RowBuffer};
 use std::ops::Range;
-
-/// Computes the pane a position belongs to.
-#[inline]
-pub fn pane_of(position: u64, pane_length: u64) -> u64 {
-    position / pane_length.max(1)
-}
 
 /// One aggregate's input over the task's rows, evaluated once per task.
 enum Input {
@@ -48,9 +42,11 @@ fn is_column(expr: &&Expr) -> bool {
     matches!(expr, Expr::Column(_))
 }
 
-/// One 64-bit key per row of `range`: a column's raw key (bit pattern for
-/// floats, as `TupleRef::get_key` reads it), or a computed expression's
-/// value bits.
+/// One 64-bit key per row of `range`, as `TupleRef::get_key` would read it
+/// from a row holding the expression's value: a column's raw key (bit
+/// pattern for floats), or a computed expression's value stored as the
+/// expression's output type — the type of the column a computed GROUP-BY
+/// key is emitted into.
 fn keys_of(
     expr: &Expr,
     rows: &RowBuffer,
@@ -64,20 +60,26 @@ fn keys_of(
             columnar::gather_keys(rows, range, *c, &mut keys);
             keys
         }
-        computed => kernels::eval(computed, columns, simd)
-            .into_iter()
-            .map(|v| v.to_bits() as i64)
-            .collect(),
+        computed => {
+            let values = kernels::eval(computed, columns, simd).into_iter();
+            match computed.output_type(rows.schema()) {
+                DataType::Int => values.map(|v| i64::from(v as i32)).collect(),
+                DataType::Long | DataType::Timestamp => values.map(|v| v as i64).collect(),
+                DataType::Float => values.map(|v| i64::from((v as f32).to_bits())).collect(),
+                DataType::Double => values.map(|v| v.to_bits() as i64).collect(),
+            }
+        }
     }
 }
 
 /// Evaluates the aggregation batch operator function over one stream batch,
 /// producing per-pane window-fragment partials.
 ///
-/// Ungrouped all-additive plans reduce each contiguous equal-pane *run*
-/// with the vectorized masked reductions; every other shape — GROUP-BY,
-/// COUNT DISTINCT — folds the surviving rows into the pane's
-/// [`GroupTable`] in row order.
+/// The batch is split into contiguous equal-pane *runs*. Ungrouped
+/// all-additive plans reduce each run with the vectorized masked
+/// reductions; every other shape — GROUP-BY, COUNT DISTINCT — resolves the
+/// run's surviving rows to group ids in the pane's [`GroupTable`], then
+/// scatters each aggregate's inputs into the group states in row order.
 pub fn execute(
     plan: &CompiledPlan,
     agg: &AggregationPlan,
@@ -130,26 +132,25 @@ pub fn execute(
         if !count_based {
             columnar::gather_timestamps(rows, range.clone(), &mut timestamps);
         }
-        let pane_length = agg.pane_length.max(1);
-        let pane_at = |r: usize| -> u64 {
-            let position = if count_based {
+        let position = |r: usize| -> u64 {
+            if count_based {
                 batch.start_index + r as u64
             } else {
                 timestamps[r].max(0) as u64
-            };
-            pane_of(position, pane_length)
+            }
         };
+        let runs = pane_runs(position, n, agg.pane_length.max(1));
 
         let functions = agg.functions();
         if agg.group_exprs.is_empty() && agg.all_additive() {
-            fold_runs(&functions, mask.as_deref(), &inputs, n, pane_at, simd)
+            fold_runs(&functions, mask.as_deref(), &inputs, runs, simd)
         } else {
             let keys: Vec<Vec<i64>> = agg
                 .group_exprs
                 .iter()
                 .map(|e| keys_of(e, rows, range.clone(), &columns, simd))
                 .collect();
-            fold_rows(&functions, mask.as_deref(), &keys, &inputs, n, pane_at)
+            fold_groups(&functions, mask.as_deref(), &keys, &inputs, runs)
         }
     };
 
@@ -164,49 +165,110 @@ pub fn execute(
     Ok(TaskOutput::Fragments { panes, progress })
 }
 
+/// Splits rows `0..n` into maximal runs of rows in one pane, in row order,
+/// as `(pane, rows)`: one division per run, then a run extends while the
+/// next row's position stays inside the pane's `[start, end)` range.
+fn pane_runs(
+    position: impl Fn(usize) -> u64,
+    n: usize,
+    pane_length: u64,
+) -> impl Iterator<Item = (u64, Range<usize>)> {
+    let mut r = 0;
+    std::iter::from_fn(move || {
+        if r == n {
+            return None;
+        }
+        let start = r;
+        let pane = position(start) / pane_length;
+        let range = pane * pane_length..(pane + 1).saturating_mul(pane_length);
+        r += 1;
+        while r < n && range.contains(&position(r)) {
+            r += 1;
+        }
+        Some((pane, start..r))
+    })
+}
+
 /// Returns the partial of `pane`, opening one after the last if the pane
 /// changed. Rows arrive in position order, so the pane sequence is
-/// non-decreasing and a pane never splits into two partials.
+/// non-decreasing and a pane never splits into two partials. A new pane's
+/// table is sized for the previous pane's group count.
 fn partial_for<'a>(
     panes: &'a mut Vec<PanePartial>,
     pane: u64,
+    arity: usize,
     functions: &[AggregateFunction],
 ) -> &'a mut GroupTable {
     if panes.last().is_none_or(|last| last.pane != pane) {
-        panes.push(PanePartial {
-            pane,
-            table: GroupTable::new(functions),
-        });
+        let table = match panes.last() {
+            Some(previous) => GroupTable::with_capacity(arity, functions, previous.table.len()),
+            None => GroupTable::new(arity, functions),
+        };
+        panes.push(PanePartial { pane, table });
     }
     let last = panes.len() - 1;
     &mut panes[last].table
 }
 
-/// The general fold: every surviving row updates its group's states in row
-/// order, so each state accumulates exactly as a tuple-at-a-time loop would
-/// (sums keep their sequential association).
-fn fold_rows(
+/// The grouped fold, two passes per pane run. Pass 1 resolves every
+/// surviving row to its dense group id in the pane's table; pass 2 runs one
+/// scatter per aggregate, `states[gid * n + a] ⊕= input[r]`, over the
+/// survivors in row order. Each state therefore accumulates exactly as a
+/// tuple-at-a-time loop would (sums keep their sequential association).
+fn fold_groups(
     functions: &[AggregateFunction],
     mask: Option<&[f64]>,
     keys: &[Vec<i64>],
     inputs: &[Input],
-    n: usize,
-    pane_at: impl Fn(usize) -> u64,
+    runs: impl Iterator<Item = (u64, Range<usize>)>,
 ) -> Vec<PanePartial> {
+    let n = functions.len();
     let mut panes = Vec::new();
+    let mut survivors: Vec<usize> = Vec::new();
+    let mut gids: Vec<u32> = Vec::new();
     let mut key: Vec<i64> = Vec::with_capacity(keys.len());
-    for r in 0..n {
-        if mask.is_some_and(|m| m[r] == 0.0) {
+    for (pane, rows) in runs {
+        survivors.clear();
+        match mask {
+            None => survivors.extend(rows),
+            Some(m) => survivors.extend(rows.filter(|&r| m[r] != 0.0)),
+        }
+        if survivors.is_empty() {
             continue;
         }
-        key.clear();
-        key.extend(keys.iter().map(|column| column[r]));
-        let table = partial_for(&mut panes, pane_at(r), functions);
-        for (slot, input) in table.entry(&key).iter_mut().zip(inputs) {
+        let table = partial_for(&mut panes, pane, keys.len(), functions);
+        gids.clear();
+        match keys {
+            [column] => gids.extend(
+                survivors
+                    .iter()
+                    .map(|&r| table.group(std::slice::from_ref(&column[r])) as u32),
+            ),
+            columns => gids.extend(survivors.iter().map(|&r| {
+                key.clear();
+                key.extend(columns.iter().map(|column| column[r]));
+                table.group(&key) as u32
+            })),
+        }
+        let states = table.states_mut();
+        for (a, input) in inputs.iter().enumerate() {
+            let scatter = survivors.iter().zip(&gids);
             match input {
-                Input::Count => slot.update(1.0),
-                Input::Keys(k) => slot.update_distinct(k[r]),
-                Input::Values(v) => slot.update(v[r]),
+                Input::Count => {
+                    for &g in &gids {
+                        states[g as usize * n + a].update(1.0);
+                    }
+                }
+                Input::Keys(k) => {
+                    for (&r, &g) in scatter {
+                        states[g as usize * n + a].update_distinct(k[r]);
+                    }
+                }
+                Input::Values(v) => {
+                    for (&r, &g) in scatter {
+                        states[g as usize * n + a].update(v[r]);
+                    }
+                }
             }
         }
     }
@@ -226,23 +288,18 @@ fn fold_runs(
     functions: &[AggregateFunction],
     mask: Option<&[f64]>,
     inputs: &[Input],
-    n: usize,
-    pane_at: impl Fn(usize) -> u64,
+    runs: impl Iterator<Item = (u64, Range<usize>)>,
     simd: bool,
 ) -> Vec<PanePartial> {
     let mut panes = Vec::new();
-    let mut run = 0;
-    while run < n {
-        let pane = pane_at(run);
-        let mut end = run + 1;
-        while end < n && pane_at(end) == pane {
-            end += 1;
-        }
+    for (pane, Range { start: run, end }) in runs {
         let run_mask = mask.map(|m| &m[run..end]);
         let survivors = run_mask.map_or((end - run) as u64, kernels::count_truthy);
         if survivors > 0 {
-            let table = partial_for(&mut panes, pane, functions);
-            for (slot, input) in table.entry(&[]).iter_mut().zip(inputs) {
+            // An ungrouped table's only group holds every state.
+            let table = partial_for(&mut panes, pane, 0, functions);
+            table.group(&[]);
+            for (slot, input) in table.states_mut().iter_mut().zip(inputs) {
                 let (sum, min, max) = match input {
                     // COUNT folds `update(1.0)` once per survivor (COUNT
                     // DISTINCT is not additive and never reaches this fold).
@@ -266,7 +323,6 @@ fn fold_runs(
                 }
             }
         }
-        run = end;
     }
     panes
 }
@@ -474,7 +530,8 @@ mod tests {
                 .aggregate_count()
                 .build()
                 .unwrap(),
-            // Grouped, and COUNT DISTINCT over a computed key: the row fold.
+            // Grouped, and COUNT DISTINCT over a computed key: the grouped
+            // fold.
             base()
                 .aggregate(AggregateFunction::Sum, 1)
                 .aggregate(AggregateFunction::Avg, 1)
@@ -564,14 +621,5 @@ mod tests {
                 assert_eq!(out.bytes(), reference.bytes(), "{}", q.name);
             }
         }
-    }
-
-    #[test]
-    fn pane_of_is_position_over_length() {
-        assert_eq!(pane_of(0, 4), 0);
-        assert_eq!(pane_of(3, 4), 0);
-        assert_eq!(pane_of(4, 4), 1);
-        assert_eq!(pane_of(100, 1), 100);
-        assert_eq!(pane_of(5, 0), 5); // degenerate pane length clamps to 1
     }
 }

@@ -10,10 +10,13 @@
 //!   fixed 4-lane order).
 //! * **Against the independent reference interpreter**
 //!   (`saber_workloads::reference`). Stateless output must be
-//!   byte-identical; aggregations run on tumbling windows, so each pane is
-//!   one window, and their assembled windows must equal the reference's —
-//!   exactly for grouped and distinct shapes, which fold rows in order, and
-//!   with sums within re-association tolerance for ungrouped run reductions.
+//!   byte-identical. On tumbling windows each pane is one window, and the
+//!   assembled windows must equal the reference's exactly for grouped and
+//!   distinct shapes, which fold rows in order, and with sums within
+//!   re-association tolerance for ungrouped run reductions. Sliding grouped
+//!   windows (count- and time-based) merge several panes per window: COUNT,
+//!   MIN, MAX, COUNT DISTINCT, keys and HAVING must be exact, SUM and AVG
+//!   within the same tolerance.
 //! * **Equi probe ≡ pure θ.** An equi-join must emit the bytes of the same
 //!   join written as `(l.key - r.key) == 0`, which has no equi-key
 //!   decomposition and so runs the predicate on every candidate pair.
@@ -110,13 +113,28 @@ fn fragments_of(out: TaskOutput) -> (Vec<PanePartial>, u64) {
     }
 }
 
-/// Aggregation shapes over a tumbling window: 0 ungrouped additive (the run
-/// reductions), 1 grouped, 2 COUNT DISTINCT (the row fold).
+/// Aggregation shapes: over a tumbling window 0 ungrouped additive (the run
+/// reductions), 1 grouped, 2 COUNT DISTINCT (the grouped fold); over a
+/// sliding window of three panes 3 a two-column key (one of it computed)
+/// with HAVING, count-based, and 4 a plain key, time-based.
 fn aggregation(shape: u8, window: u64, filtered: bool) -> Query {
-    let mut q = QueryBuilder::new("agg", schema()).count_window(window, window);
+    let mut q = QueryBuilder::new("agg", schema());
+    q = match shape {
+        3 => q.count_window(3 * window, window),
+        4 => q.time_window(3 * window, window),
+        _ => q.count_window(window, window),
+    };
     if filtered {
         q = q.select(Expr::column(1).gt(Expr::literal(0.3)));
     }
+    let sliding = |q: QueryBuilder| {
+        q.aggregate_count()
+            .aggregate(AggregateFunction::Min, 2)
+            .aggregate(AggregateFunction::Max, 1)
+            .aggregate(AggregateFunction::CountDistinct, 3)
+            .aggregate(AggregateFunction::Sum, 2)
+            .aggregate(AggregateFunction::Avg, 1)
+    };
     match shape {
         0 => q
             .aggregate(AggregateFunction::Sum, 2)
@@ -129,9 +147,20 @@ fn aggregation(shape: u8, window: u64, filtered: bool) -> Query {
             .aggregate(AggregateFunction::Max, 2)
             .aggregate_count()
             .group_by(vec![3]),
-        _ => q
+        2 => q
             .aggregate(AggregateFunction::CountDistinct, 3)
             .aggregate(AggregateFunction::Sum, 1),
+        3 => sliding(q.project(vec![
+            (Expr::column(0), "timestamp"),
+            (Expr::column(1), "a"),
+            (Expr::column(2), "b"),
+            (Expr::column(3), "key"),
+            (Expr::column(3).rem(Expr::literal(3.0)), "bucket"),
+        ]))
+        .group_by(vec![3, 4])
+        // Output: timestamp, key, bucket, cnt, ...
+        .having(Expr::column(3).ge(Expr::literal(2.0))),
+        _ => sliding(q).group_by(vec![3]),
     }
     .build()
     .unwrap()
@@ -211,7 +240,7 @@ proptest! {
         rows in 0usize..300,
         window in 1u64..40,
         key_range in 1i32..40,
-        shape in 0u8..3,
+        shape in 0u8..5,
         filtered in 0u8..2,
     ) {
         let q = aggregation(shape, window, filtered == 1);
@@ -227,8 +256,23 @@ proptest! {
         let mut out = RowBuffer::new(plan.output_schema().clone());
         assembler.accept(scalar_panes, scalar_progress, &mut out).unwrap();
         let reference = saber_workloads::reference::run_single_input(&q, &b.rows).unwrap();
-        if shape != 0 {
+        if shape == 1 || shape == 2 {
             prop_assert_eq!(out.bytes(), reference.bytes());
+        } else if shape >= 3 {
+            // Exact but for SUM and AVG (output columns 7 and 8 of the
+            // two-column key, 6 and 7 of the plain one).
+            let sums = if shape == 3 { 7..9 } else { 6..8 };
+            prop_assert_eq!(out.len(), reference.len());
+            for (a, r) in out.iter().zip(reference.iter()) {
+                for c in 0..out.schema().len() {
+                    let (va, vr) = (a.get_numeric(c), r.get_numeric(c));
+                    if sums.contains(&c) {
+                        prop_assert!((va - vr).abs() <= 1e-6 * (1.0 + vr.abs()), "column {c}: {va} vs {vr}");
+                    } else {
+                        prop_assert_eq!(va.to_bits(), vr.to_bits(), "column {}: {} vs {}", c, va, vr);
+                    }
+                }
+            }
         } else {
             // Timestamp, then SUM: within re-association tolerance; MIN,
             // MAX and COUNT: exact.
