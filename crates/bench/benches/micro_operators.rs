@@ -11,7 +11,7 @@
 //! the byte-identical correctness reference, not a strawman), so selection
 //! and aggregation sit near parity while the data-dependent equi-probe scan,
 //! which auto-vectorization cannot touch, shows the full AVX2 win. The
-//! accelerator runs these same operator functions per work group and is
+//! accelerator runs these same operator functions on its execute stage and is
 //! measured separately by fig. 8; this harness is single-threaded CPU only.
 //!
 //! Both kernels produce identical output (see

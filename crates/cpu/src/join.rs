@@ -59,7 +59,7 @@ pub fn execute_theta(
 /// Matches the *new* rows of `probe` against rows of `build`. When `swapped`
 /// is false, `probe` is the left input; when true it is the right input (and
 /// only *old* build rows are considered, to avoid emitting new×new pairs
-/// twice). Public so each accelerator work group runs it on its probe rows.
+/// twice).
 ///
 /// With an equi-key decomposition
 /// ([`EquiJoinKeys`](crate::plan::EquiJoinKeys)) both sides' key
@@ -70,7 +70,7 @@ pub fn execute_theta(
 /// window check, the predicate — only its residual conjuncts after a key
 /// match, since IEEE `f64` key equality is what the predicate's `Eq`
 /// computes — the post-filter and emission.
-pub fn join_side(
+fn join_side(
     plan: &CompiledPlan,
     join: &ThetaJoinPlan,
     probe: &StreamBatch,

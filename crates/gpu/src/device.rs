@@ -1,21 +1,23 @@
 //! The simulated accelerator device.
 //!
-//! [`GpuDevice`] owns the accelerator's resources — its executor thread pool
-//! (standing in for the device's streaming multiprocessors), the PCIe bus
-//! model and the device/pinned memory accounting — and executes query tasks
-//! by moving their data through the five data-movement operations of the
-//! paper (Fig. 6): `copyin → movein → execute → moveout → copyout`.
+//! [`GpuDevice`] owns what the accelerator models: a ledger of its global
+//! memory, the paced PCIe bus and the statistics of both. A query task moves
+//! through the five operations of the paper (Fig. 6): `copyin → movein →
+//! execute → moveout → copyout`. The `execute` operation runs the CPU
+//! worker's own function, [`CpuExecutor::execute`], so the device is one
+//! more lane running the same operators; what differs is the data movement
+//! around it. Each operation records its own time, so both paths below
+//! account movement and kernel time the same way.
 //!
 //! [`GpuDevice::execute`] performs the five operations sequentially for one
 //! task (the non-pipelined baseline); [`crate::pipeline::GpuPipeline`]
-//! overlaps them across consecutive tasks.
+//! overlaps them across consecutive tasks, one stage thread each.
 
-use crate::kernels::{merge_work_group, run_work_group};
 use crate::memory::DeviceMemory;
 use crate::pcie::{PcieBus, PcieConfig};
 use saber_cpu::exec::StreamBatch;
 use saber_cpu::plan::CompiledPlan;
-use saber_cpu::TaskOutput;
+use saber_cpu::{CpuExecutor, TaskOutput};
 use saber_types::{Result, SaberError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,12 +26,6 @@ use std::time::{Duration, Instant};
 /// Configuration of the simulated accelerator.
 #[derive(Debug, Clone)]
 pub struct DeviceConfig {
-    /// Human-readable device name (reports only).
-    pub name: String,
-    /// Number of host threads that emulate the device's streaming
-    /// multiprocessors: a task's rows split into this many work groups (the
-    /// intra-task parallelism of the `execute` stage).
-    pub executor_threads: usize,
     /// Device global memory capacity in bytes.
     pub global_memory_bytes: u64,
     /// PCIe bus model.
@@ -39,8 +35,6 @@ pub struct DeviceConfig {
 impl Default for DeviceConfig {
     fn default() -> Self {
         Self {
-            name: "sim-accelerator".to_string(),
-            executor_threads: 4,
             global_memory_bytes: 2 << 30,
             pcie: PcieConfig::default(),
         }
@@ -57,19 +51,16 @@ impl DeviceConfig {
     }
 }
 
-/// Execution statistics of the device.
+/// Execution statistics of the device, written only by the device's own
+/// operations, so each is counted once whichever path runs them.
 #[derive(Debug, Default)]
 pub struct GpuStats {
-    /// Number of tasks executed.
-    pub tasks: AtomicU64,
-    /// Input bytes processed.
-    pub bytes_in: AtomicU64,
-    /// Output bytes produced.
-    pub bytes_out: AtomicU64,
+    /// Number of tasks whose kernels ran.
+    tasks: AtomicU64,
     /// Nanoseconds spent in kernel execution.
-    pub kernel_nanos: AtomicU64,
+    kernel_nanos: AtomicU64,
     /// Nanoseconds spent in data movement (copyin/movein/moveout/copyout).
-    pub movement_nanos: AtomicU64,
+    movement_nanos: AtomicU64,
 }
 
 impl GpuStats {
@@ -87,6 +78,12 @@ impl GpuStats {
     pub fn tasks_executed(&self) -> u64 {
         self.tasks.load(Ordering::Relaxed)
     }
+}
+
+/// Adds the time since `started` to `counter`.
+fn charge(counter: &AtomicU64, started: Instant) {
+    // relaxed-ok: simulation-accounting counter, read only for reports.
+    counter.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
 }
 
 /// The simulated accelerator.
@@ -136,8 +133,8 @@ impl GpuDevice {
         batches.iter().map(|b| b.rows.byte_len()).sum()
     }
 
-    /// Runs only the `execute` stage: the task's kernels across the device's
-    /// work groups, in parallel over the executor threads.
+    /// Runs only the `execute` stage: the CPU worker's operator function on
+    /// the calling thread.
     pub fn execute_kernels(
         &self,
         plan: &CompiledPlan,
@@ -147,116 +144,66 @@ impl GpuDevice {
             return Err(SaberError::Device("task has no stream batches".into()));
         }
         let started = Instant::now();
-        let probe_rows = batches[0].new_rows();
-        let chunk = probe_rows
-            .div_ceil(self.config.executor_threads.max(1))
-            .max(1);
-        // One work group per executor thread; a task without new rows still
-        // runs one (empty) group, which yields the task's progress.
-        let ranges = (0..probe_rows.max(1))
-            .step_by(chunk)
-            .map(|s| s..(s + chunk).min(probe_rows));
-        let groups: Vec<Result<TaskOutput>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .enumerate()
-                .map(|(idx, range)| {
-                    scope.spawn(move || run_work_group(plan, batches, range, idx == 0))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(SaberError::Device("kernel thread panicked".into()))
-                    })
-                })
-                .collect()
-        });
-        let mut groups = groups.into_iter();
-        let mut output = groups
-            .next()
-            .expect("a task runs at least one work group")?;
-        for group in groups {
-            merge_work_group(&mut output, group?)?;
-        }
-
+        let output = CpuExecutor::new().execute(plan, batches);
+        charge(&self.stats.kernel_nanos, started);
         // relaxed-ok: simulation-accounting counter, read only for reports.
-        self.stats
-            .kernel_nanos
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        Ok(output)
+        self.stats.tasks.fetch_add(1, Ordering::Relaxed);
+        output
     }
 
     /// Models the `copyin` stage: the batch bytes are copied from the engine
     /// heap into pinned host memory.
     pub fn copyin(&self, batches: &[StreamBatch]) -> Vec<u8> {
-        let total = Self::task_bytes(batches);
-        let mut pinned = Vec::with_capacity(total);
+        let started = Instant::now();
+        let mut pinned = Vec::with_capacity(Self::task_bytes(batches));
         for b in batches {
             pinned.extend_from_slice(b.rows.bytes());
         }
+        charge(&self.stats.movement_nanos, started);
         pinned
     }
 
     /// Models the `movein` DMA transfer of `bytes` to device memory.
     pub fn movein(&self, bytes: usize) -> Result<Duration> {
+        let started = Instant::now();
         self.memory.allocate(bytes as u64)?;
-        Ok(self.bus.transfer(bytes))
+        let modeled = self.bus.transfer(bytes);
+        charge(&self.stats.movement_nanos, started);
+        Ok(modeled)
     }
 
     /// Models the `moveout` DMA transfer of `bytes` back to pinned memory and
     /// releases the device allocation of `input_bytes`.
     pub fn moveout(&self, bytes: usize, input_bytes: usize) -> Duration {
-        let d = self.bus.transfer(bytes.max(1));
+        let started = Instant::now();
+        let modeled = self.bus.transfer(bytes.max(1));
         self.memory.free(input_bytes as u64);
-        d
+        charge(&self.stats.movement_nanos, started);
+        modeled
     }
 
     /// Models the `copyout` stage (pinned memory back to the engine heap).
     pub fn copyout(&self, output: &TaskOutput) -> usize {
-        match output {
-            TaskOutput::Rows(rows) => {
-                // The copy itself: clone the output bytes once.
-                let copied = rows.bytes().to_vec();
-                copied.len()
-            }
+        let started = Instant::now();
+        let copied = match output {
+            // The copy itself: clone the output bytes once.
+            TaskOutput::Rows(rows) => rows.bytes().to_vec().len(),
             TaskOutput::Fragments { .. } => 0,
-        }
+        };
+        charge(&self.stats.movement_nanos, started);
+        copied
     }
 
     /// Executes one query task through all five data-movement operations
     /// sequentially (the non-pipelined path).
     pub fn execute(&self, plan: &CompiledPlan, batches: &[StreamBatch]) -> Result<TaskOutput> {
-        let movement_started = Instant::now();
-        let pinned = self.copyin(batches);
-        let input_bytes = pinned.len();
+        let input_bytes = self.copyin(batches).len();
         self.movein(input_bytes)?;
-        let movement_before_kernel = movement_started.elapsed();
-
         let output = self.execute_kernels(plan, batches);
-
-        let after_kernel = Instant::now();
         let out_bytes = output.as_ref().map_or(0, TaskOutput::byte_len);
         self.moveout(out_bytes, input_bytes);
         let output = output?;
         self.copyout(&output);
-        let movement_after_kernel = after_kernel.elapsed();
-
-        // relaxed-ok: simulation-accounting counter, read only for reports.
-        self.stats.tasks.fetch_add(1, Ordering::Relaxed);
-        // relaxed-ok: simulation-accounting counter, read only for reports.
-        self.stats
-            .bytes_in
-            .fetch_add(input_bytes as u64, Ordering::Relaxed);
-        // relaxed-ok: simulation-accounting counter, read only for reports.
-        self.stats
-            .bytes_out
-            .fetch_add(out_bytes as u64, Ordering::Relaxed);
-        // relaxed-ok: simulation-accounting counter, read only for reports.
-        self.stats.movement_nanos.fetch_add(
-            (movement_before_kernel + movement_after_kernel).as_nanos() as u64,
-            Ordering::Relaxed,
-        );
         Ok(output)
     }
 }

@@ -1,74 +1,18 @@
-//! Pinned host memory and device global memory.
+//! Device global memory accounting.
 //!
 //! Executing a query task on the accelerator moves its data through four
 //! memory regions (paper Fig. 6): engine heap → pinned host input buffer →
 //! device global memory → pinned host output buffer → engine heap. The
-//! regions here are plain byte buffers, but routing every task through them
-//! keeps the data-movement structure (and the copy costs measured by the
-//! `copyin`/`copyout` stages) identical to the paper's design.
+//! `copyin`/`copyout` stages make the heap ↔ pinned copies for real; device
+//! memory is only a capacity ledger, so a task larger than the device is
+//! refused at `movein` as on the paper's hardware.
 
 use saber_types::{Result, SaberError};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A reusable fixed-capacity byte region (one slot of pinned or device
-/// memory).
-#[derive(Debug, Clone)]
-pub struct MemoryRegion {
-    bytes: Vec<u8>,
-    capacity: usize,
-}
-
-impl MemoryRegion {
-    /// Creates an empty region with the given capacity.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            bytes: Vec::with_capacity(capacity),
-            capacity,
-        }
-    }
-
-    /// Copies `data` into the region, replacing its contents.
-    pub fn write(&mut self, data: &[u8]) -> Result<()> {
-        if data.len() > self.capacity {
-            return Err(SaberError::Device(format!(
-                "region overflow: {} bytes into a {}-byte region",
-                data.len(),
-                self.capacity
-            )));
-        }
-        self.bytes.clear();
-        self.bytes.extend_from_slice(data);
-        Ok(())
-    }
-
-    /// The current contents.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Number of valid bytes.
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// True if no bytes are stored.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
-    /// Region capacity in bytes.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Clears the contents, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.bytes.clear();
-    }
-}
-
-/// Tracks the accelerator's global-memory budget (allocation accounting only
-/// — contents live in [`MemoryRegion`]s owned by the pipeline slots).
+/// Tracks the accelerator's global-memory budget: `movein` reserves a task's
+/// input bytes and `moveout` releases them. It is a ledger only; no bytes
+/// are stored.
 #[derive(Debug)]
 pub struct DeviceMemory {
     capacity: u64,
@@ -142,24 +86,6 @@ impl DeviceMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn region_write_and_read_back() {
-        let mut r = MemoryRegion::new(16);
-        r.write(&[1, 2, 3]).unwrap();
-        assert_eq!(r.as_slice(), &[1, 2, 3]);
-        assert_eq!(r.len(), 3);
-        assert!(!r.is_empty());
-        r.clear();
-        assert!(r.is_empty());
-        assert_eq!(r.capacity(), 16);
-    }
-
-    #[test]
-    fn region_overflow_is_an_error() {
-        let mut r = MemoryRegion::new(4);
-        assert!(r.write(&[0; 8]).is_err());
-    }
 
     #[test]
     fn device_memory_accounting() {

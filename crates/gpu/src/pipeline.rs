@@ -23,7 +23,6 @@ use saber_types::{Result, SaberError};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// A task submitted to the accelerator pipeline.
 pub struct PipelineJob {
@@ -41,15 +40,12 @@ pub struct PipelineResult {
     pub task_id: u64,
     /// The task output (or the error that occurred in any stage).
     pub output: Result<TaskOutput>,
-    /// Wall-clock time from submission to completion.
-    pub elapsed: Duration,
     /// The plan the job was executed with.
     pub plan: Arc<CompiledPlan>,
 }
 
 struct StageMsg {
     job: PipelineJob,
-    submitted: Instant,
     pinned_bytes: usize,
     /// Device memory `movein` allocated (0 when it was refused), which
     /// `moveout` frees.
@@ -62,7 +58,6 @@ pub struct GpuPipeline {
     submit_tx: Option<SyncSender<StageMsg>>,
     completions_rx: Receiver<PipelineResult>,
     threads: Vec<JoinHandle<()>>,
-    in_flight_limit: usize,
 }
 
 impl GpuPipeline {
@@ -85,7 +80,7 @@ impl GpuPipeline {
             let device = device.clone();
             threads.push(
                 std::thread::Builder::new()
-                    .name("gpu-copyin".into())
+                    .name("saber-gpu-copyin".into())
                     .spawn(move || {
                         for mut msg in copyin_rx.iter() {
                             let pinned = device.copyin(&msg.job.batches);
@@ -103,7 +98,7 @@ impl GpuPipeline {
             let device = device.clone();
             threads.push(
                 std::thread::Builder::new()
-                    .name("gpu-movein".into())
+                    .name("saber-gpu-movein".into())
                     .spawn(move || {
                         for mut msg in movein_rx.iter() {
                             match device.movein(msg.pinned_bytes) {
@@ -118,12 +113,12 @@ impl GpuPipeline {
                     .expect("spawn movein stage"),
             );
         }
-        // Stage 3: execute (kernels over the device's work groups).
+        // Stage 3: execute (the CPU's operator function, on this thread).
         {
             let device = device.clone();
             threads.push(
                 std::thread::Builder::new()
-                    .name("gpu-execute".into())
+                    .name("saber-gpu-execute".into())
                     .spawn(move || {
                         for mut msg in execute_rx.iter() {
                             if msg.output.is_none() {
@@ -143,7 +138,7 @@ impl GpuPipeline {
             let device = device.clone();
             threads.push(
                 std::thread::Builder::new()
-                    .name("gpu-moveout".into())
+                    .name("saber-gpu-moveout".into())
                     .spawn(move || {
                         for msg in moveout_rx.iter() {
                             let out_bytes = msg
@@ -166,7 +161,7 @@ impl GpuPipeline {
             let device = device.clone();
             threads.push(
                 std::thread::Builder::new()
-                    .name("gpu-copyout".into())
+                    .name("saber-gpu-copyout".into())
                     .spawn(move || {
                         for msg in copyout_rx.iter() {
                             let output = msg.output.unwrap_or_else(|| {
@@ -175,16 +170,9 @@ impl GpuPipeline {
                             if let Ok(out) = &output {
                                 device.copyout(out);
                             }
-                            // relaxed-ok: simulation-accounting counter,
-                            // read only for reports.
-                            device
-                                .stats()
-                                .tasks
-                                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                             let result = PipelineResult {
                                 task_id: msg.job.task_id,
                                 output,
-                                elapsed: msg.submitted.elapsed(),
                                 plan: msg.job.plan,
                             };
                             if completion_tx.send(result).is_err() {
@@ -200,19 +188,12 @@ impl GpuPipeline {
             submit_tx: Some(submit_tx),
             completions_rx,
             threads,
-            in_flight_limit: cap * 5,
         }
-    }
-
-    /// Maximum number of jobs the pipeline holds before `submit` blocks.
-    pub fn in_flight_limit(&self) -> usize {
-        self.in_flight_limit
     }
 
     /// Submits a job to the pipeline (blocks if the first stage is full).
     pub fn submit(&self, job: PipelineJob) -> Result<()> {
         let msg = StageMsg {
-            submitted: Instant::now(),
             pinned_bytes: 0,
             device_bytes: 0,
             output: None,
@@ -282,15 +263,10 @@ pub fn run_pipelined(
 /// non-pipelined baseline of the ablation).
 pub fn run_sequential(device: &GpuDevice, jobs: Vec<PipelineJob>) -> Vec<PipelineResult> {
     jobs.into_iter()
-        .map(|job| {
-            let started = Instant::now();
-            let output = device.execute(&job.plan, &job.batches);
-            PipelineResult {
-                task_id: job.task_id,
-                output,
-                elapsed: started.elapsed(),
-                plan: job.plan,
-            }
+        .map(|job| PipelineResult {
+            task_id: job.task_id,
+            output: device.execute(&job.plan, &job.batches),
+            plan: job.plan,
         })
         .collect()
 }
@@ -299,8 +275,10 @@ pub fn run_sequential(device: &GpuDevice, jobs: Vec<PipelineJob>) -> Vec<Pipelin
 mod tests {
     use super::*;
     use crate::device::DeviceConfig;
+    use crate::pcie::PcieConfig;
     use saber_query::{Expr, QueryBuilder};
     use saber_types::{DataType, RowBuffer, Schema, Value};
+    use std::time::Duration;
 
     fn schema() -> saber_types::schema::SchemaRef {
         Schema::from_pairs(&[("timestamp", DataType::Timestamp), ("v", DataType::Float)])
@@ -368,6 +346,26 @@ mod tests {
                 y.output.as_ref().unwrap().row_count()
             );
         }
+    }
+
+    #[test]
+    fn pipelined_stages_record_movement_time_and_count_each_task_once() {
+        let latency = Duration::from_millis(2);
+        let device = Arc::new(GpuDevice::new(DeviceConfig {
+            pcie: PcieConfig {
+                dma_latency: latency,
+                ..PcieConfig::default()
+            },
+            ..DeviceConfig::default()
+        }));
+        let n = 4;
+        let (_plan, js) = jobs(n, 64);
+        let results = run_pipelined(device.clone(), js, 1);
+        assert_eq!(results.len(), n);
+        let stats = device.stats();
+        // Every job pays the DMA latency on `movein` and on `moveout`.
+        assert!(stats.movement_time() >= latency * 2 * n as u32);
+        assert_eq!(stats.tasks_executed(), n as u64);
     }
 
     #[test]

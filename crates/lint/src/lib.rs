@@ -9,7 +9,7 @@
 //!
 //! The analyzer walks every `crates/*/src/**/*.rs`, lexes each file into a
 //! spanned Rust token stream (comments included — the suppression
-//! annotations live there) and enforces six rules, reporting violations as
+//! annotations live there) and enforces seven rules, reporting violations as
 //! compiler-style caret diagnostics:
 //!
 //! | rule | requirement |
@@ -18,6 +18,7 @@
 //! | `atomics-protocol` | Relaxed writes need `// relaxed-ok:`; Release stores need `// pairs-with: <fn>` |
 //! | `lock-order` | double-acquisition must follow `crates/lint/lock-order.toml` |
 //! | `sync-vocabulary` | `std::sync` locks only inside `saber_types::sync` |
+//! | `named-threads` | no `thread::spawn`/`thread::scope` outside tests and harnesses |
 //! | `condvar-loop` | condvar waits must sit in a `while`/`loop` |
 //! | `hot-path-no-panic` | marked modules reject unwrap/expect/panic!/indexing |
 //!

@@ -1,4 +1,4 @@
-//! The six concurrency-invariant rules.
+//! The seven concurrency-invariant rules.
 //!
 //! Every rule consumes a [`FileAnalysis`] plus the workspace-wide [`Ctx`]
 //! (declared lock hierarchy, set of known function names) and appends
@@ -14,6 +14,7 @@ pub mod atomics;
 pub mod condvar;
 pub mod hot_path;
 pub mod lock_order;
+pub mod named_threads;
 pub mod sync_vocabulary;
 pub mod unsafe_audit;
 
@@ -140,6 +141,28 @@ Suppress with `// hot-path-ok: <why>` on the expression, or on the enclosing
 bounds.
 ",
     },
+    RuleInfo {
+        id: "named-threads",
+        summary: "no `std::thread::spawn` / `std::thread::scope` outside tests and harnesses",
+        explain: "\
+Every engine thread starts through
+`std::thread::Builder::new().name(\"saber-<role>\")` and lives as long as
+its component: the CPU workers, the accelerator worker and its five
+pipeline stages, the network loops, the WAL writer. The `saber-` prefix is what a profile,
+a panic message or a per-thread CPU ledger reads to charge a thread to a
+role. A bare `std::thread::spawn` starts an anonymous thread, and
+`std::thread::scope` is a fork-join that starts and joins threads on every
+call — on a per-task path that competes with the workers it serves.
+
+The rule flags `thread::spawn` and `thread::scope`, as a path or inside a
+`use` group, in non-test code of `crates/*/src`. Test code is exempt, and so
+are the benchmark and baseline harnesses (`crates/bench`,
+`crates/baselines`), which drive the engine from outside it.
+
+There is no suppression: name the thread, or run the work on the calling
+thread.
+",
+    },
 ];
 
 /// Looks up a rule by id.
@@ -153,6 +176,7 @@ pub fn check_file(fa: &FileAnalysis<'_>, ctx: &Ctx, out: &mut Vec<Finding>) {
     atomics::check(fa, ctx, out);
     lock_order::check(fa, ctx, out);
     sync_vocabulary::check(fa, out);
+    named_threads::check(fa, out);
     condvar::check(fa, out);
     hot_path::check(fa, out);
 }

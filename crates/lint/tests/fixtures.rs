@@ -222,6 +222,68 @@ fn make() -> std::sync::RwLock<u64> {
     assert_eq!(hits[2].line, 4);
 }
 
+// --------------------------------------------------------- named-threads
+
+#[test]
+fn named_threads_passes_builder_threads_and_tests() {
+    let src = "\
+use std::thread::{self, Builder};
+
+fn start() -> thread::JoinHandle<()> {
+    Builder::new().name(\"saber-x\".into()).spawn(|| {}).unwrap()
+}
+
+#[cfg(test)]
+mod tests {
+    fn forks_in_a_test() {
+        std::thread::scope(|s| { s.spawn(|| {}); });
+        std::thread::spawn(|| {}).join().unwrap();
+    }
+}
+";
+    assert!(of(&check(src, &[]), "named-threads").is_empty());
+}
+
+#[test]
+fn named_threads_flags_spawn_and_scope_at_their_exact_span() {
+    let src = "\
+use std::thread::{scope, sleep};
+
+fn run(work: &[u64]) {
+    std::thread::scope(|s| {
+        s.spawn(|| work.len());
+    });
+    thread::spawn(|| {});
+}
+";
+    let findings = check(src, &[]);
+    let hits = of(&findings, "named-threads");
+    assert_eq!(hits.len(), 3);
+    // The first hit anchors on `scope` inside the `use` group.
+    assert_eq!(hits[0].line, 1);
+    assert_eq!(hits[0].column, "use std::thread::{".len() + 1);
+    assert_eq!(hits[0].span.end - hits[0].span.start, "scope".len());
+    assert!(hits[0].message.contains("std::thread::scope"));
+    assert_eq!(hits[1].line, 4);
+    assert_eq!(hits[1].column, "    std::thread::".len() + 1);
+    assert_eq!(hits[2].line, 7);
+    assert!(hits[2].message.contains("std::thread::spawn"));
+}
+
+#[test]
+fn named_threads_exempts_the_harness_crates() {
+    let src = "fn load() { std::thread::spawn(|| {}); }\n";
+    for path in [
+        "crates/bench/src/lib.rs",
+        "crates/baselines/src/microbatch.rs",
+    ] {
+        let fa = FileAnalysis::new(path.to_string(), src);
+        let mut out = Vec::new();
+        saber_lint::rules::named_threads::check(&fa, &mut out);
+        assert!(out.is_empty(), "{path}");
+    }
+}
+
 // ---------------------------------------------------------- condvar-loop
 
 #[test]
