@@ -267,7 +267,6 @@ pub struct CompiledPlan {
     windows: Vec<WindowSpec>,
     output_schema: SchemaRef,
     stream_function: StreamFunction,
-    pipeline_cost: usize,
     kernel: KernelKind,
 }
 
@@ -291,7 +290,6 @@ impl CompiledPlan {
             windows,
             output_schema: query.output_schema.clone(),
             stream_function: query.stream_function,
-            pipeline_cost: query.pipeline_cost(),
             kernel: KernelKind::best(),
         })
     }
@@ -503,11 +501,6 @@ impl CompiledPlan {
     /// Number of input streams.
     pub fn num_inputs(&self) -> usize {
         self.input_schemas.len()
-    }
-
-    /// Per-tuple compute-cost proxy of the pipeline.
-    pub fn pipeline_cost(&self) -> usize {
-        self.pipeline_cost
     }
 
     /// The kernel this plan's batch operator function runs with.
@@ -782,7 +775,6 @@ mod tests {
         assert_eq!(plan.name(), "meta");
         assert_eq!(plan.windows()[0], WindowSpec::count(16, 16));
         assert_eq!(plan.output_schema().len(), 4);
-        assert!(plan.pipeline_cost() > 0);
         plan.set_query_id(9);
         assert_eq!(plan.query_id(), 9);
     }

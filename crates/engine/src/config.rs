@@ -1,11 +1,10 @@
 //! Engine configuration.
 
 use crate::engine::Saber;
-use crate::scheduler::{Processor, SchedulingPolicyKind};
+use crate::scheduler::SchedulingPolicyKind;
 use saber_gpu::device::DeviceConfig;
 use saber_store::DurabilityConfig;
 use saber_types::{Result, SaberError};
-use std::collections::HashMap;
 
 /// Which processors participate in query execution (used by the CPU-only /
 /// GPGPU-only / hybrid comparisons of §6.2–§6.4).
@@ -113,7 +112,6 @@ impl EngineConfig {
 #[derive(Debug, Clone, Default)]
 pub struct SaberBuilder {
     config: EngineConfig,
-    static_assignment: HashMap<usize, Processor>,
 }
 
 impl SaberBuilder {
@@ -147,13 +145,6 @@ impl SaberBuilder {
         self
     }
 
-    /// Statically assigns a query (by registration order) to a processor
-    /// (only meaningful with [`SchedulingPolicyKind::Static`]).
-    pub fn assign_static(mut self, query_index: usize, processor: Processor) -> Self {
-        self.static_assignment.insert(query_index, processor);
-        self
-    }
-
     /// Sets the accelerator configuration.
     pub fn device(mut self, device: DeviceConfig) -> Self {
         self.config.device = device;
@@ -182,31 +173,17 @@ impl SaberBuilder {
         self
     }
 
-    /// Access to the accumulated configuration (tests).
-    pub fn peek_config(&self) -> &EngineConfig {
-        &self.config
-    }
-
     /// Builds the engine.
     pub fn build(self) -> Result<Saber> {
-        self.config.validate()?;
-        let mut config = self.config;
-        if let SchedulingPolicyKind::Static { ref mut assignment } = config.scheduling {
-            for (q, p) in &self.static_assignment {
-                assignment.insert(*q, *p);
-            }
-        } else if !self.static_assignment.is_empty() {
-            config.scheduling = SchedulingPolicyKind::Static {
-                assignment: self.static_assignment,
-            };
-        }
-        Saber::with_config(config)
+        Saber::with_config(self.config)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::Processor;
+    use std::collections::HashMap;
 
     #[test]
     fn default_config_is_valid() {
@@ -251,25 +228,21 @@ mod tests {
             .worker_threads(3)
             .query_task_size(128 * 1024)
             .execution_mode(ExecutionMode::CpuOnly)
+            .scheduling(SchedulingPolicyKind::Static {
+                assignment: HashMap::from([(0, Processor::Gpu)]),
+            })
             .max_queued_tasks(16);
-        let c = b.peek_config();
+        let engine = b.build().unwrap();
+        let c = engine.config();
         assert_eq!(c.worker_threads, 3);
         assert_eq!(c.query_task_size, 128 * 1024);
         assert_eq!(c.execution_mode, ExecutionMode::CpuOnly);
         assert_eq!(c.max_queued_tasks, 16);
-    }
-
-    #[test]
-    fn static_assignment_switches_policy() {
-        let b = SaberBuilder::new().assign_static(0, Processor::Gpu);
-        // Building creates a full engine; only verify the policy conversion
-        // logic here by inspecting the builder output config path.
-        let engine = b.worker_threads(1).build().unwrap();
-        match engine.config().scheduling {
-            SchedulingPolicyKind::Static { ref assignment } => {
+        match &c.scheduling {
+            SchedulingPolicyKind::Static { assignment } => {
                 assert_eq!(assignment.get(&0), Some(&Processor::Gpu));
             }
-            _ => panic!("expected static policy"),
+            other => panic!("expected static policy, got {}", other.name()),
         }
     }
 }

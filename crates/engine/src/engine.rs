@@ -21,15 +21,14 @@ use crate::durability::{checkpoint_engine, Durability, QueryMeta};
 use crate::flow::FlowControl;
 use crate::ids::{QueryId, StreamId};
 use crate::metrics::{EngineStats, QueryStats};
-use crate::placement::{PlacementDecision, PlacementMap};
 use crate::queue::TaskQueue;
 use crate::registry::{Gate, QueryRegistry, QueryState, GATE_CLOSED, GATE_CREATED, GATE_OPEN};
 use crate::result::ResultStage;
-use crate::scheduler::Scheduler;
+use crate::scheduler::{Processor, Scheduler};
 use crate::sharing::{SharedMembership, SharedPlan, SharedWindowRegistry};
 use crate::sink::{QuerySink, WindowWait};
 use crate::task::QueryTask;
-use crate::throughput::{ThroughputMatrix, SMOOTHING};
+use crate::throughput::{PlacementDecision, ThroughputMatrix, SMOOTHING};
 use crate::worker::{run_cpu_worker, run_gpu_worker, WorkerContext};
 use saber_cpu::plan::CompiledPlan;
 use saber_gpu::{DeviceConfig, GpuDevice};
@@ -60,7 +59,6 @@ struct EngineCore {
     config: EngineConfig,
     queue: Arc<TaskQueue>,
     matrix: Arc<ThroughputMatrix>,
-    placement: Arc<PlacementMap>,
     scheduler: Arc<Scheduler>,
     task_ids: Arc<AtomicU64>,
     flow: Arc<FlowControl>,
@@ -147,22 +145,16 @@ impl Saber {
         ));
         let mut scheduler = Scheduler::new(config.scheduling.clone(), matrix.clone());
         match config.execution_mode {
-            ExecutionMode::CpuOnly => {
-                scheduler = scheduler.with_single_processor(crate::scheduler::Processor::Cpu)
-            }
-            ExecutionMode::GpuOnly => {
-                scheduler = scheduler.with_single_processor(crate::scheduler::Processor::Gpu)
-            }
+            ExecutionMode::CpuOnly => scheduler = scheduler.with_single_processor(Processor::Cpu),
+            ExecutionMode::GpuOnly => scheduler = scheduler.with_single_processor(Processor::Gpu),
             ExecutionMode::Hybrid => {}
         }
         let scheduler = Arc::new(scheduler);
         let device = Arc::new(GpuDevice::new(config.device.clone()));
-        let placement = Arc::new(PlacementMap::new(matrix.clone(), config.execution_mode));
         Ok(Self {
             core: Arc::new(EngineCore {
                 queue: Arc::new(TaskQueue::new()),
                 matrix,
-                placement,
                 scheduler,
                 task_ids: Arc::new(AtomicU64::new(0)),
                 flow: Arc::new(FlowControl::new(config.max_queued_tasks)),
@@ -208,17 +200,23 @@ impl Saber {
     }
 
     /// The current placement decision for one live query: preferred
-    /// processor, observed rates, modeled speed-up, realized GPU share.
-    /// `None` for unknown or removed queries. A query attached to a shared
-    /// physical plan reports that plan's decision (placement is seeded and
-    /// adapted once per physical plan, under the anchor's id).
+    /// processor, observed rates and realized GPU share. `None` for unknown
+    /// or removed queries. A query attached to a shared physical plan
+    /// reports that plan's decision (placement is learned once per physical
+    /// plan, under the anchor's id).
     pub fn placement(&self, query: QueryId) -> Option<PlacementDecision> {
         let state = self.core.registry.get(query.index())?;
         let phys = state.phys_id();
-        let stats = self.core.stats.get(phys);
-        self.core
-            .placement
-            .decision(QueryId(phys), stats.as_deref())
+        let matrix = &self.core.matrix;
+        Some(PlacementDecision {
+            query: QueryId(phys),
+            preferred: self.core.scheduler.preferred(phys),
+            cpu_rate: matrix.value(phys, Processor::Cpu),
+            gpu_rate: matrix.value(phys, Processor::Gpu),
+            cpu_samples: matrix.samples(phys, Processor::Cpu),
+            gpu_samples: matrix.samples(phys, Processor::Gpu),
+            gpu_task_share: self.core.stats.get(phys).map_or(0.0, |s| s.gpu_share()),
+        })
     }
 
     /// Placement decisions for every live query, in registration order.
@@ -566,8 +564,8 @@ impl Saber {
     }
 
     /// Installs a compiled plan as the anchor of `plan` under the already
-    /// reserved `id`: placement, sink, result stage, dispatcher and input
-    /// rings, task-queue shard and registry slot.
+    /// reserved `id`: sink, result stage, dispatcher and input rings,
+    /// task-queue shard and registry slot.
     fn install_plan(
         &self,
         id: usize,
@@ -577,8 +575,6 @@ impl Saber {
     ) -> Arc<QueryState> {
         let core = &self.core;
         compiled.set_query_id(id);
-        core.placement
-            .register(id, &compiled, core.config.query_task_size);
         let compiled = Arc::new(compiled);
         let sink = QuerySink::new(compiled.output_schema().clone(), retain_output);
         let stats = core.stats.register_query_at(id);
@@ -1015,13 +1011,6 @@ impl Saber {
         self.core.flow.wait_stats()
     }
 
-    /// Resets the throughput matrix and the scheduler's execution counters
-    /// (used by the adaptation experiment to emulate periodic refresh).
-    pub fn reset_scheduling_state(&self) {
-        self.core.matrix.reset();
-        self.core.scheduler.reset_counts();
-    }
-
     /// Convenience constructor used by comparisons that only need defaults
     /// with a specific execution mode.
     pub fn with_mode(mode: ExecutionMode) -> Result<Self> {
@@ -1185,7 +1174,6 @@ fn detach(
         }
         core.scheduler.forget_query(phys);
         core.matrix.forget_query(phys);
-        core.placement.forget(phys);
         core.registry.clear(phys);
         core.registry.clear(state.id);
         return orphans.len();
@@ -1950,6 +1938,34 @@ mod tests {
         engine.stop().unwrap();
         // Stopped engines invalidate flush exactly like ingest.
         assert!(handle.flush().is_err());
+    }
+
+    #[test]
+    fn placement_reports_the_pinned_processor_and_the_realized_share() {
+        for (mode, pinned, other) in [
+            (ExecutionMode::CpuOnly, Processor::Cpu, Processor::Gpu),
+            (ExecutionMode::GpuOnly, Processor::Gpu, Processor::Cpu),
+        ] {
+            let mut engine = small_engine(mode);
+            let query = engine.add_query(projection()).unwrap();
+            assert!(engine.placement(QueryId(query.id().0 + 1)).is_none());
+            engine.start().unwrap();
+            query.ingest(StreamId(0), &data(4096, 0)).unwrap();
+            query.flush().unwrap();
+            assert!(engine.drain(Duration::from_secs(10)));
+            let d = engine.placement(query.id()).unwrap();
+            assert_eq!(d.query, query.id());
+            assert_eq!(d.preferred, pinned, "{mode:?}");
+            let share = if pinned == Processor::Gpu { 1.0 } else { 0.0 };
+            assert_eq!(d.gpu_task_share, share, "{mode:?}");
+            let samples = |p| match p {
+                Processor::Cpu => d.cpu_samples,
+                Processor::Gpu => d.gpu_samples,
+            };
+            assert!(samples(pinned) > 0, "{mode:?}");
+            assert_eq!(samples(other), 0, "{mode:?}");
+            engine.stop().unwrap();
+        }
     }
 
     #[test]

@@ -60,7 +60,6 @@ pub mod engine;
 pub mod flow;
 pub mod ids;
 pub mod metrics;
-pub mod placement;
 pub mod queue;
 pub mod registry;
 pub mod result;
@@ -77,13 +76,12 @@ pub use engine::{IngestHandle, QueryHandle, Saber};
 pub use flow::FlowControl;
 pub use ids::{QueryId, StreamId};
 pub use metrics::{EngineStats, QueryStats, StageHistograms, StatsSnapshot};
-pub use placement::{PlacementDecision, PlacementMap};
 pub use queue::{TaskHead, TaskQueue};
 pub use registry::QueryRegistry;
 pub use scheduler::{Processor, SchedulingPolicyKind};
 pub use sink::{QuerySink, WindowWait};
 pub use task::{QueryTask, TaskStamps};
-pub use throughput::ThroughputMatrix;
+pub use throughput::{PlacementDecision, ThroughputMatrix};
 
 // Observability re-exports, so engine users can consume flight-recorder
 // traces and histogram snapshots without a direct `saber_obs` dependency.

@@ -117,9 +117,11 @@ impl Scheduler {
         &self.policy
     }
 
-    /// The shared throughput matrix.
-    pub fn matrix(&self) -> &Arc<ThroughputMatrix> {
-        &self.matrix
+    /// The processor `query`'s tasks are routed to: the pinned processor
+    /// of a single-processor scheduler, else the matrix's preference.
+    pub fn preferred(&self, query: usize) -> Processor {
+        self.single_processor
+            .unwrap_or_else(|| self.matrix.preferred(query))
     }
 
     /// Blocks for up to `timeout` and returns the task the given processor
@@ -228,11 +230,6 @@ impl Scheduler {
             delay += head.depth as f64 / self.matrix.value(q, preferred).max(1e-9);
         }
         None
-    }
-
-    /// Clears the per-query execution counters (tests and policy resets).
-    pub fn reset_counts(&self) {
-        self.counts.lock().clear();
     }
 
     /// Drops the execution counters of one query (called when the query is
@@ -445,6 +442,63 @@ mod tests {
         let heads = heads_of(&[2, 1]);
         assert_eq!(s.select(&heads, Processor::Cpu), Some(0));
         assert_eq!(s.select(&heads, Processor::Gpu), None);
+    }
+
+    /// Pops `pops` tasks of query 0 through HLS over an unseeded matrix,
+    /// one queued task at a time, offering each to the accelerator first.
+    /// The taker records `cpu` or `gpu` as the task's duration. Returns the
+    /// taker of each pop and the matrix's preference right after it.
+    fn drive_unseeded(cpu: Duration, gpu: Duration, pops: u64) -> Vec<(Processor, Processor)> {
+        let matrix = Arc::new(ThroughputMatrix::new(crate::throughput::SMOOTHING, 1));
+        let s = Scheduler::new(SchedulingPolicyKind::default(), matrix.clone());
+        let queue = TaskQueue::with_queries(1);
+        (0..pops)
+            .map(|id| {
+                queue.push(mk_task(id, 0));
+                let taker = [Processor::Gpu, Processor::Cpu]
+                    .into_iter()
+                    .find(|&p| s.next_task(&queue, p, Duration::ZERO).is_some())
+                    .expect("one processor takes the only queued task");
+                let took = if taker == Processor::Cpu { cpu } else { gpu };
+                matrix.record(0, taker, took);
+                (taker, matrix.preferred(0))
+            })
+            .collect()
+    }
+
+    fn default_switch_threshold() -> usize {
+        match SchedulingPolicyKind::default() {
+            SchedulingPolicyKind::Hls { switch_threshold } => switch_threshold as usize,
+            other => panic!("default policy is {}", other.name()),
+        }
+    }
+
+    #[test]
+    fn unseeded_hls_finds_a_faster_accelerator_by_exploring() {
+        let threshold = default_switch_threshold();
+        let run = drive_unseeded(Duration::from_millis(1), Duration::from_micros(100), 100);
+        // The uniform prior keeps the CPU preferred until the switch
+        // threshold forces one task onto the accelerator...
+        let first_gpu = run
+            .iter()
+            .position(|(taker, _)| *taker == Processor::Gpu)
+            .expect("an exploratory accelerator task");
+        assert!(first_gpu < threshold + 1, "first GPU pop at {first_gpu}");
+        // ...whose one sample flips the preference for good.
+        assert!(run[first_gpu..].iter().all(|(_, p)| *p == Processor::Gpu));
+        let gpu_pops = run.iter().filter(|(t, _)| *t == Processor::Gpu).count();
+        assert!(gpu_pops > run.len() * 3 / 4, "{gpu_pops} of {}", run.len());
+    }
+
+    #[test]
+    fn unseeded_hls_keeps_a_cpu_faster_query_on_the_cpu() {
+        let threshold = default_switch_threshold();
+        let run = drive_unseeded(Duration::from_micros(100), Duration::from_millis(1), 100);
+        assert!(run.iter().all(|(_, p)| *p == Processor::Cpu));
+        // The accelerator only sees the switch threshold's explorations.
+        let gpu_pops = run.iter().filter(|(t, _)| *t == Processor::Gpu).count();
+        assert!(gpu_pops >= 1);
+        assert!(gpu_pops <= run.len() / (threshold + 1), "{gpu_pops}");
     }
 
     #[test]

@@ -10,7 +10,12 @@
 //! Matrix entries are *aggregate* throughputs: the CPU entry reflects all CPU
 //! worker cores together, the accelerator entry the device as a whole
 //! (including data-movement overheads), mirroring the paper's definition.
+//! The first observation of an entry replaces the uniform assumption
+//! outright; later ones are smoothed in. HLS's switch threshold forces an
+//! exploratory task onto the non-preferred processor, so both columns of a
+//! busy query are observed within a few tasks.
 
+use crate::ids::QueryId;
 use crate::scheduler::Processor;
 use saber_types::sync::RwLock;
 use std::collections::HashMap;
@@ -50,27 +55,6 @@ impl ThroughputMatrix {
         }
     }
 
-    /// Number of CPU workers the CPU column aggregates over.
-    pub fn cpu_workers(&self) -> usize {
-        self.cpu_workers
-    }
-
-    /// Seeds the `(query, processor)` entry with a modeled per-executor task
-    /// `rate` (tasks per second) — used by the placement layer to start a
-    /// fresh query from the cost model's prior instead of the uniform
-    /// assumption. A seed never overwrites an existing entry and counts as
-    /// zero observations: the first real [`ThroughputMatrix::record`] starts
-    /// smoothing from the seeded value.
-    pub fn seed(&self, query: usize, processor: Processor, rate: f64) {
-        self.entries
-            .write()
-            .entry((query, processor))
-            .or_insert(Entry {
-                rate: rate.max(1e-9),
-                samples: 0,
-            });
-    }
-
     /// Records one task execution of `query` on `processor` that took
     /// `duration`.
     pub fn record(&self, query: usize, processor: Processor, duration: Duration) {
@@ -81,12 +65,6 @@ impl ThroughputMatrix {
             .or_insert(Entry { rate, samples: 0 });
         entry.rate = self.alpha * rate + (1.0 - self.alpha) * entry.rate;
         entry.samples += 1;
-    }
-
-    /// Resets all observations (used when the workload changes abruptly and
-    /// by tests).
-    pub fn reset(&self) {
-        self.entries.write().clear();
     }
 
     /// Drops the observations of one query (called when the query is
@@ -129,12 +107,33 @@ impl ThroughputMatrix {
             Processor::Cpu
         }
     }
+}
 
-    /// The speed-up ratio r = ρ(q, CPU) / ρ(q, GPU) reported by the paper's
-    /// matrix discussion (>1 means the CPU is faster).
-    pub fn speedup_ratio(&self, query: usize) -> f64 {
-        self.value(query, Processor::Cpu) / self.value(query, Processor::Gpu).max(1e-12)
-    }
+/// One placement snapshot for a live query, read from the matrix, the
+/// query's `QueryStats` and the scheduler (see
+/// [`Saber::placement`](crate::Saber::placement)).
+#[derive(Debug, Clone, Copy)]
+pub struct PlacementDecision {
+    /// The query this decision is about.
+    pub query: QueryId,
+    /// Where the engine routes this query's tasks right now. On a hybrid
+    /// engine this follows the throughput matrix; on a pinned engine it is
+    /// the pinned processor.
+    pub preferred: Processor,
+    /// Observed aggregate CPU task throughput ρ(q, CPU) (tasks/s, all
+    /// workers).
+    pub cpu_rate: f64,
+    /// Observed aggregate accelerator task throughput ρ(q, GPU) (tasks/s).
+    pub gpu_rate: f64,
+    /// Observations behind `cpu_rate` (0 means it is still the uniform
+    /// assumption).
+    pub cpu_samples: u64,
+    /// Observations behind `gpu_rate` (0 means it is still the uniform
+    /// assumption).
+    pub gpu_samples: u64,
+    /// Fraction of this query's executed tasks that actually ran on the
+    /// accelerator.
+    pub gpu_task_share: f64,
 }
 
 #[cfg(test)]
@@ -146,7 +145,7 @@ mod tests {
         let m = ThroughputMatrix::new(0.5, 4);
         // Uniform per-executor rates, but the CPU aggregates 4 workers.
         assert_eq!(m.preferred(0), Processor::Cpu);
-        assert!(m.speedup_ratio(0) > 1.0);
+        assert!(m.value(0, Processor::Cpu) > m.value(0, Processor::Gpu));
         assert_eq!(m.samples(0, Processor::Cpu), 0);
     }
 
@@ -160,7 +159,6 @@ mod tests {
         }
         assert!(m.value(0, Processor::Gpu) > m.value(0, Processor::Cpu));
         assert_eq!(m.preferred(0), Processor::Gpu);
-        assert!(m.speedup_ratio(0) < 1.0);
         assert_eq!(m.samples(0, Processor::Gpu), 10);
     }
 
@@ -189,30 +187,13 @@ mod tests {
     }
 
     #[test]
-    fn reset_returns_to_uniform_assumption() {
-        let m = ThroughputMatrix::new(0.5, 1);
-        m.record(0, Processor::Gpu, Duration::from_micros(10));
-        assert_eq!(m.preferred(0), Processor::Gpu);
-        m.reset();
-        assert_eq!(m.preferred(0), Processor::Cpu);
-    }
-
-    #[test]
-    fn seeding_sets_a_prior_without_counting_samples() {
-        let m = ThroughputMatrix::new(0.5, 2);
-        assert_eq!(m.cpu_workers(), 2);
-        m.seed(0, Processor::Gpu, 10_000.0);
-        m.seed(0, Processor::Cpu, 10.0);
-        // The seeded rates replace the uniform assumption...
-        assert_eq!(m.preferred(0), Processor::Gpu);
-        assert_eq!(m.samples(0, Processor::Gpu), 0);
-        // ...but never overwrite an existing entry.
-        m.seed(0, Processor::Gpu, 0.001);
-        assert_eq!(m.preferred(0), Processor::Gpu);
-        // Real observations smooth from the seed.
+    fn first_observation_replaces_the_uniform_assumption() {
+        let m = ThroughputMatrix::new(0.25, 2);
         m.record(0, Processor::Gpu, Duration::from_millis(1));
-        assert_eq!(m.samples(0, Processor::Gpu), 1);
-        assert!(m.value(0, Processor::Gpu) > 1_000.0);
+        assert_eq!(m.value(0, Processor::Gpu), 1_000.0);
+        m.record(0, Processor::Cpu, Duration::from_millis(4));
+        // The CPU column aggregates both workers.
+        assert_eq!(m.value(0, Processor::Cpu), 500.0);
     }
 
     #[test]

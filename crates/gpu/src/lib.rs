@@ -18,9 +18,7 @@
 //!   thread per stage; its `execute` stage calls
 //!   [`saber_cpu::CpuExecutor::execute`], so one operator implementation
 //!   serves both processors, as in the paper (§3), and the device is one
-//!   more lane running it,
-//! * and an analytical [`costmodel`] of the paper-scale device used for
-//!   reporting modeled timings next to measured ones.
+//!   more lane running it.
 //!
 //! The accelerator lane therefore differs from a CPU worker in what it pays
 //! per task — the PCIe toll on every byte in and out, overlapped with
@@ -31,7 +29,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod costmodel;
 pub mod device;
 pub mod memory;
 pub mod pcie;

@@ -40,15 +40,6 @@ impl Default for PcieConfig {
 }
 
 impl PcieConfig {
-    /// The paper's device link: 8 GB/s effective, 10 µs DMA latency.
-    pub fn paper_scale() -> Self {
-        Self {
-            bandwidth_bytes_per_sec: 8.0e9,
-            dma_latency: Duration::from_micros(10),
-            time_scale: 1.0,
-        }
-    }
-
     /// A configuration that records modeled time but never sleeps (tests).
     pub fn unpaced() -> Self {
         Self {
@@ -178,12 +169,5 @@ mod tests {
             elapsed >= Duration::from_micros(1000),
             "elapsed {elapsed:?}"
         );
-    }
-
-    #[test]
-    fn paper_scale_matches_published_parameters() {
-        let cfg = PcieConfig::paper_scale();
-        assert_eq!(cfg.bandwidth_bytes_per_sec, 8.0e9);
-        assert_eq!(cfg.dma_latency, Duration::from_micros(10));
     }
 }

@@ -17,6 +17,8 @@
 //! so this module hand-rolls a parser rather than taking a dependency —
 //! `saber_lint` must stay zero-dependency like `saber_sql`.
 
+use crate::diag::Span;
+
 /// One member lock of a level: file-path suffix plus lock name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LockRef {
@@ -25,6 +27,8 @@ pub struct LockRef {
     pub file_suffix: String,
     /// Receiver identifier of the `.lock()` / `.read()` / `.write()` call.
     pub name: String,
+    /// Byte span of the quoted `"file:name"` entry in the config text.
+    pub span: Span,
 }
 
 /// One level of the hierarchy: a named class of locks of equal rank.
@@ -51,7 +55,10 @@ impl LockOrder {
     /// Returns `Err` with a line-prefixed message on malformed input.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut levels: Vec<Level> = Vec::new();
-        for (idx, raw) in text.lines().enumerate() {
+        let mut line_start = 0;
+        for (idx, raw) in text.split('\n').enumerate() {
+            let raw_start = line_start;
+            line_start += raw.len() + 1;
             let line = raw.trim();
             let lineno = idx + 1;
             if line.is_empty() || line.starts_with('#') {
@@ -85,9 +92,12 @@ impl LockOrder {
                                 "lock-order.toml:{lineno}: lock `{item}` missing `file:name`"
                             ));
                         };
+                        let quoted = format!("\"{item}\"");
+                        let start = raw_start + raw.find(&quoted).unwrap_or(0);
                         level.locks.push(LockRef {
                             file_suffix: item[..colon].to_string(),
                             name: item[colon + 1..].to_string(),
+                            span: Span::new(start, start + quoted.len()),
                         });
                     }
                 }
@@ -185,6 +195,11 @@ locks = ["engine/src/sink.rs:rows"]
             Some((1, "sink"))
         );
         assert_eq!(order.rank_of("crates/engine/src/sink.rs", "slots"), None);
+        let rows = &order.levels[1].locks[0];
+        assert_eq!(
+            &text[rows.span.start..rows.span.end],
+            "\"engine/src/sink.rs:rows\""
+        );
     }
 
     #[test]

@@ -78,12 +78,23 @@ pub fn run_check(root: &Path) -> Result<Vec<Finding>, String> {
         fn_names,
     };
 
-    // Pass 2: run the rules.
+    // Pass 2: run the rules, then check the hierarchy against the files.
+    let analyses: Vec<FileAnalysis<'_>> = files
+        .iter()
+        .zip(&sources)
+        .map(|(f, src)| FileAnalysis::new(f.rel.clone(), src))
+        .collect();
     let mut findings = Vec::new();
-    for (f, src) in files.iter().zip(&sources) {
-        let fa = FileAnalysis::new(f.rel.clone(), src);
-        rules::check_file(&fa, &ctx, &mut findings);
+    for fa in &analyses {
+        rules::check_file(fa, &ctx, &mut findings);
     }
+    rules::lock_order::check_declared(
+        &ctx.lock_order,
+        "crates/lint/lock-order.toml",
+        &config_text,
+        &analyses,
+        &mut findings,
+    );
     Ok(findings)
 }
 

@@ -16,11 +16,17 @@
 //!
 //! At each acquisition the new lock's rank must be strictly greater
 //! (more inner) than every live guard's rank.
+//!
+//! [`check_declared`] checks the hierarchy itself against the workspace: a
+//! declared lock that no scanned file acquires orders nothing, so it is a
+//! finding too.
 
 use crate::analysis::FileAnalysis;
+use crate::config::LockOrder;
 use crate::diag::Finding;
 use crate::lexer::TokKind;
 use crate::rules::Ctx;
+use std::collections::HashSet;
 
 const RULE: &str = "lock-order";
 
@@ -66,6 +72,54 @@ pub fn check(fa: &FileAnalysis<'_>, ctx: &Ctx, out: &mut Vec<Finding>) {
             }
         }
         ci += 1;
+    }
+}
+
+/// Reports every lock of `order` (parsed from `config_src` at `config_path`)
+/// whose file matches none of `files`, or that no non-test code of its file
+/// acquires. The finding anchors on the stale `"file:name"` entry.
+pub fn check_declared(
+    order: &LockOrder,
+    config_path: &str,
+    config_src: &str,
+    files: &[FileAnalysis<'_>],
+    out: &mut Vec<Finding>,
+) {
+    let acquired: Vec<HashSet<String>> = files
+        .iter()
+        .map(|fa| {
+            (0..fa.code.len())
+                .filter(|&ci| !fa.in_test_code(fa.code_tok(ci).span.start))
+                .filter_map(|ci| acquisition_name(fa, ci, fa.code.len()))
+                .collect()
+        })
+        .collect();
+    for level in &order.levels {
+        for lock in &level.locks {
+            let mut owners = files
+                .iter()
+                .zip(&acquired)
+                .filter(|(fa, _)| fa.rel_path.ends_with(lock.file_suffix.as_str()))
+                .peekable();
+            let problem = if owners.peek().is_none() {
+                "names a file no scanned file matches"
+            } else if !owners.any(|(_, names)| names.contains(&lock.name)) {
+                "is never acquired by non-test code of its file"
+            } else {
+                continue;
+            };
+            out.push(Finding::new(
+                RULE,
+                config_path,
+                config_src,
+                lock.span,
+                format!(
+                    "declared lock `{}:{}` (level `{}`) {problem}",
+                    lock.file_suffix, lock.name, level.name
+                ),
+                Some("remove the stale entry, or the level if it has no locks left".into()),
+            ));
+        }
     }
 }
 

@@ -91,6 +91,12 @@ end of its statement. Closure bodies are analysis barriers (guards held outside 
 not considered inside).
 
 Suppress a deliberate exception with `// lock-order-ok: <why>`.
+
+The hierarchy is checked against the workspace too: a declared lock whose
+file no longer exists, or that no non-test code of its file acquires, is a
+finding anchored in `lock-order.toml`. A stale entry orders nothing and
+would hide a renamed lock; delete it (and its level once empty). There is
+no suppression.
 ",
     },
     RuleInfo {

@@ -179,6 +179,52 @@ fn transfer(&self) {
     assert!(hits[0].message.contains("inner"));
 }
 
+/// Checks the lock hierarchy `config` against `src` as the one scanned file.
+fn check_declared(config: &str, src: &str) -> Vec<Finding> {
+    let order = LockOrder::parse(config).unwrap();
+    let files = [FileAnalysis::new("crates/x/src/fixture.rs", src)];
+    let mut out = Vec::new();
+    rules::lock_order::check_declared(&order, "lock-order.toml", config, &files, &mut out);
+    out
+}
+
+#[test]
+fn lock_order_passes_a_hierarchy_whose_every_lock_is_acquired() {
+    let src = "fn f(&self) { let a = self.outer.lock(); self.inner.write().push(1); }\n";
+    assert!(check_declared(FIXTURE_LOCK_ORDER, src).is_empty());
+}
+
+#[test]
+fn lock_order_flags_stale_declared_locks_at_their_exact_span() {
+    let config = format!(
+        "{FIXTURE_LOCK_ORDER}[[level]]\nname = \"gone\"\nrationale = \"file deleted\"\n\
+         locks = [\"removed.rs:priors\"]\n"
+    );
+    // `outer` is taken by a real fn, `inner` only by test code.
+    let src = "\
+fn take(&self) { self.outer.lock().clear(); }
+
+#[cfg(test)]
+mod tests {
+    fn probe(&self) { self.inner.lock().clear(); }
+}
+";
+    let out = check_declared(&config, src);
+    assert_eq!(out.len(), 2, "{out:?}");
+    assert!(out[0].message.contains("`fixture.rs:inner`"));
+    assert!(out[0].message.contains("never acquired"));
+    assert!(out[1]
+        .message
+        .contains("`removed.rs:priors` (level `gone`)"));
+    assert!(out[1].message.contains("no scanned file"));
+    // The finding anchors on the quoted entry in the config.
+    assert_eq!(out[1].file, "lock-order.toml");
+    assert_eq!(out[1].line, config.lines().count());
+    assert_eq!(out[1].column, "locks = [".len() + 1);
+    let span = &config[out[1].span.start..out[1].span.end];
+    assert_eq!(span, "\"removed.rs:priors\"");
+}
+
 // ------------------------------------------------------- sync-vocabulary
 
 #[test]

@@ -8,10 +8,7 @@
 //! of Fig. 16), and join predicates over a pair of tuples.
 //!
 //! Numeric evaluation happens in the common `f64` domain; predicates evaluate
-//! to booleans. [`Expr::cost`] reports the number of primitive operations, a
-//! proxy for the per-tuple compute intensity used by the accelerator's cost
-//! model and by workload factories (e.g. PROJ6* with 100 arithmetic
-//! operations per attribute).
+//! to booleans.
 
 use saber_types::{DataType, Result, SaberError, Schema, TupleRef};
 
@@ -253,19 +250,6 @@ impl Expr {
         }
     }
 
-    /// Number of primitive operations in the expression tree — a proxy for
-    /// per-tuple compute cost (used by the accelerator cost model and by the
-    /// compute-heavy workload factories such as PROJ6*).
-    pub fn cost(&self) -> usize {
-        match self {
-            Expr::Column(_) | Expr::Literal(_) => 1,
-            Expr::Arith(_, l, r) | Expr::Compare(_, l, r) | Expr::And(l, r) | Expr::Or(l, r) => {
-                1 + l.cost() + r.cost()
-            }
-            Expr::Not(e) => 1 + e.cost(),
-        }
-    }
-
     /// Checks that every referenced column exists in `schema` (or in the
     /// combined schema of width `width` for join predicates).
     pub fn validate_width(&self, width: usize) -> Result<()> {
@@ -463,13 +447,12 @@ mod tests {
     }
 
     #[test]
-    fn referenced_columns_and_cost() {
+    fn referenced_columns() {
         let e = Expr::column(3)
             .mul(Expr::literal(2.0))
             .add(Expr::column(1))
             .gt(Expr::column(3));
         assert_eq!(e.referenced_columns(), vec![1, 3]);
-        assert!(e.cost() >= 6);
     }
 
     #[test]

@@ -74,11 +74,6 @@ impl ProjectionSpec {
                 .collect(),
         )
     }
-
-    /// Total per-tuple expression cost (compute-intensity proxy).
-    pub fn cost(&self) -> usize {
-        self.exprs.iter().map(|p| p.expr.cost()).sum()
-    }
 }
 
 /// Selection operator σ: keeps tuples for which the predicate holds.
@@ -92,11 +87,6 @@ impl SelectionSpec {
     /// Creates a selection with the given predicate.
     pub fn new(predicate: Expr) -> Self {
         Self { predicate }
-    }
-
-    /// Per-tuple predicate cost.
-    pub fn cost(&self) -> usize {
-        self.predicate.cost()
     }
 }
 
@@ -184,12 +174,6 @@ impl AggregationSpec {
         }
         Schema::new(attrs)
     }
-
-    /// Per-tuple cost proxy (aggregates + grouping + having).
-    pub fn cost(&self) -> usize {
-        let having = self.having.as_ref().map(|h| h.cost()).unwrap_or(0);
-        self.aggregates.len() * 2 + self.group_by.len() * 2 + having
-    }
 }
 
 /// Streaming θ-join operator ⋈ between two windowed input streams
@@ -226,11 +210,6 @@ impl JoinSpec {
     /// Validates the predicate against the combined width.
     pub fn validate(&self, left: &Schema, right: &Schema) -> Result<()> {
         self.predicate.validate_width(left.len() + right.len())
-    }
-
-    /// Per-pair predicate cost.
-    pub fn cost(&self) -> usize {
-        self.predicate.cost()
     }
 }
 
@@ -327,17 +306,6 @@ impl OperatorDef {
     pub fn is_stateless(&self) -> bool {
         matches!(self, OperatorDef::Projection(_) | OperatorDef::Selection(_))
     }
-
-    /// Per-tuple compute-cost proxy.
-    pub fn cost(&self) -> usize {
-        match self {
-            OperatorDef::Projection(p) => p.cost(),
-            OperatorDef::Selection(s) => s.cost(),
-            OperatorDef::Aggregation(a) => a.cost(),
-            OperatorDef::ThetaJoin(j) => j.cost(),
-            OperatorDef::PartitionJoin(_) => 4,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -383,7 +351,6 @@ mod tests {
         let out = p.output_schema().unwrap();
         assert_eq!(out.data_type(0), DataType::Timestamp);
         assert_eq!(out.data_type(1), DataType::Float);
-        assert!(p.cost() >= 4);
         assert!(ProjectionSpec::exprs(&s, vec![(Expr::column(17), "x".into())]).is_err());
     }
 
@@ -465,7 +432,5 @@ mod tests {
         assert!(!agg.is_binary());
         assert_eq!(proj.name(), "projection");
         assert_eq!(join.name(), "theta-join");
-        assert!(sel.cost() > 0);
-        assert!(agg.cost() > 0);
     }
 }

@@ -90,16 +90,6 @@ impl Query {
         self.operators.iter().any(|o| o.is_binary())
     }
 
-    /// Total per-tuple compute cost of the pipeline (used by the simulated
-    /// accelerator's cost model and by scheduling diagnostics).
-    pub fn pipeline_cost(&self) -> usize {
-        self.operators
-            .iter()
-            .map(|o| o.cost())
-            .sum::<usize>()
-            .max(1)
-    }
-
     /// Returns the aggregation spec if the query ends in one.
     pub fn aggregation(&self) -> Option<&AggregationSpec> {
         match self.operators.last() {
@@ -521,7 +511,6 @@ mod tests {
         assert_eq!(out.attribute(0).name(), "timestamp");
         assert_eq!(out.attribute(1).name(), "category");
         assert_eq!(out.attribute(2).name(), "sum_2");
-        assert!(q.pipeline_cost() > 0);
     }
 
     #[test]

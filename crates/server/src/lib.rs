@@ -829,12 +829,6 @@ fn render_metrics(shared: &Arc<Shared>) -> String {
             },
         );
         w.gauge(
-            "saber_placement_modeled_speedup",
-            "Cost model's CPU-time / GPU-time ratio for one task.",
-            &labels,
-            d.modeled_speedup,
-        );
-        w.gauge(
             "saber_sched_task_rate",
             "Observed task throughput of the HLS matrix, by processor (tasks/s).",
             &[("query", q.as_str()), ("processor", "cpu")],

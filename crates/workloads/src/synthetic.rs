@@ -201,15 +201,14 @@ mod tests {
     fn query_factories_build_valid_queries() {
         let w = window_bytes(32 * 1024, 32 * 1024);
         assert_eq!(proj(4, 0, w).name, "PROJ4");
-        assert!(proj(6, 100, w).pipeline_cost() > 1000);
+        // Six projected attributes after the timestamp.
+        assert_eq!(proj(6, 100, w).output_schema.len(), 7);
         assert_eq!(select(16, w).name, "SELECT16");
-        assert!(select(64, w).pipeline_cost() > select(1, w).pipeline_cost());
         assert_eq!(agg(AggregateFunction::Avg, w).name, "AGGavg");
         assert!(group_by(64, w).has_aggregation());
         let j = join(4, window_bytes(4096, 4096));
         assert!(j.is_join());
         assert_eq!(j.num_inputs(), 2);
-        let surge = select_surge(500, 2, 3, w);
-        assert!(surge.pipeline_cost() > 500);
+        assert_eq!(select_surge(500, 2, 3, w).name, "SELECT500*");
     }
 }
