@@ -24,7 +24,7 @@
 //!    HLS scans the O(#queries) sub-queue heads instead of a global list.
 //! 3. **Execution stage** — CPU workers run the task through
 //!    `saber_cpu::CpuExecutor`; the accelerator worker drives the
-//!    five-stage pipeline of `saber_gpu`.
+//!    pipeline of `saber_gpu` on its own thread.
 //! 4. **Result stage** — [`result::ResultStage`] reorders task results by
 //!    task identifier, assembles window results from window fragments and
 //!    appends them to the query's [`sink::QuerySink`].

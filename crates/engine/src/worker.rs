@@ -3,7 +3,8 @@
 //! Every worker handles the complete lifecycle of the query tasks it picks:
 //! it invokes the scheduling stage to obtain a task for its processor,
 //! executes the task (CPU workers through `saber_cpu::CpuExecutor`, the
-//! accelerator worker through the five-stage pipeline of `saber_gpu`),
+//! accelerator worker through the pipeline of `saber_gpu`, which it drives
+//! on its own thread),
 //! records the observed throughput in the matrix, and enters the result stage
 //! to reorder and assemble results.
 //!
@@ -21,10 +22,9 @@ use crate::scheduler::{Processor, Scheduler};
 use crate::task::{QueryTask, TaskStamps};
 use crate::throughput::ThroughputMatrix;
 use saber_cpu::{CompiledPlan, CpuExecutor, TaskOutput};
-use saber_gpu::pipeline::{GpuPipeline, PipelineJob, PipelineResult};
+use saber_gpu::pipeline::{GpuPipeline, PipelineJob};
 use saber_gpu::GpuDevice;
 use saber_types::{Result, RowBuffer};
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -162,8 +162,8 @@ impl WorkerContext {
     }
 }
 
-/// Tasks the accelerator worker keeps in flight through the five-stage
-/// pipeline, so data movement overlaps kernel execution (paper §5.2).
+/// Tasks the accelerator worker keeps in flight through the pipeline, so
+/// data movement overlaps kernel execution (paper §5.2).
 const GPU_PIPELINE_DEPTH: usize = 4;
 
 /// The CPU worker loop: pick a CPU task, execute it, record the observed
@@ -202,104 +202,74 @@ pub fn run_cpu_worker(ctx: WorkerContext) {
     }
 }
 
-struct InFlightTask {
+/// What the accelerator worker keeps of a task while the pipeline has it.
+struct GpuTask {
     query_id: usize,
     seq: u64,
     stamps: TaskStamps,
-    submitted: Instant,
+    plan: Arc<CompiledPlan>,
 }
 
-/// Finishes one pipeline completion: records the observed throughput and
-/// enters the result stage.
-fn complete(
-    ctx: &WorkerContext,
-    in_flight: &mut HashMap<u64, InFlightTask>,
-    result: PipelineResult,
-) {
-    if let Some(meta) = in_flight.remove(&result.task_id) {
-        let duration = meta.submitted.elapsed();
-        ctx.matrix.record(meta.query_id, Processor::Gpu, duration);
-        ctx.finish(
-            meta.query_id,
-            meta.seq,
-            meta.stamps,
-            result.output,
-            &result.plan,
-            Processor::Gpu,
-        );
-    }
-}
-
-/// The accelerator worker loop: keeps up to `GPU_PIPELINE_DEPTH` tasks in
-/// flight through the device's five-stage pipeline.
+/// The accelerator worker loop: drives the device's pipeline with up to
+/// `GPU_PIPELINE_DEPTH` tasks in flight. It waits for new tasks only until
+/// the pipeline's next deadline, and sleeps to that deadline when it takes
+/// no more tasks.
 pub fn run_gpu_worker(ctx: WorkerContext, device: Arc<GpuDevice>) {
-    let pipeline = GpuPipeline::new(device, 1);
-    let completions = pipeline.completions();
-    let mut in_flight: HashMap<u64, InFlightTask> = HashMap::new();
+    let mut pipeline: GpuPipeline<GpuTask> = GpuPipeline::new(device, GPU_PIPELINE_DEPTH);
     loop {
-        // Fill the pipeline.
-        while in_flight.len() < GPU_PIPELINE_DEPTH {
-            let timeout = if in_flight.is_empty() {
-                Duration::from_millis(20)
-            } else {
-                Duration::from_millis(1)
-            };
-            match ctx.next_task(Processor::Gpu, timeout) {
-                Some(task) => {
-                    let plan = task.plan.clone();
-                    let job = PipelineJob {
-                        task_id: task.id,
-                        plan: task.plan.clone(),
-                        batches: task.batches,
-                    };
-                    let submitted = Instant::now();
-                    in_flight.insert(
-                        task.id,
-                        InFlightTask {
-                            query_id: task.query_id,
-                            seq: task.seq,
-                            stamps: TaskStamps {
-                                ingest_ack: task.ingest_ack,
-                                created: task.created,
-                                popped: submitted,
-                                started: submitted,
-                            },
-                            submitted,
-                        },
-                    );
-                    if let Err(e) = pipeline.submit(job) {
-                        // Pipeline shut down unexpectedly: the task fails.
-                        if let Some(meta) = in_flight.remove(&task.id) {
-                            ctx.finish(
-                                meta.query_id,
-                                meta.seq,
-                                meta.stamps,
-                                Err(e),
-                                &plan,
-                                Processor::Gpu,
-                            );
-                        }
-                    }
-                }
-                None => break,
+        while let Some((task, output)) = pipeline.release(Instant::now()) {
+            let duration = task.stamps.started.elapsed();
+            ctx.matrix.record(task.query_id, Processor::Gpu, duration);
+            ctx.finish(
+                task.query_id,
+                task.seq,
+                task.stamps,
+                output,
+                &task.plan,
+                Processor::Gpu,
+            );
+        }
+        if pipeline.execute(Instant::now()) {
+            continue;
+        }
+        if !pipeline.is_full() {
+            let timeout = pipeline
+                .next_deadline()
+                .map_or(Duration::from_millis(20), |at| {
+                    at.saturating_duration_since(Instant::now())
+                });
+            if let Some(task) = ctx.next_task(Processor::Gpu, timeout) {
+                let admitted = Instant::now();
+                let tag = GpuTask {
+                    query_id: task.query_id,
+                    seq: task.seq,
+                    stamps: TaskStamps {
+                        ingest_ack: task.ingest_ack,
+                        created: task.created,
+                        popped: admitted,
+                        started: admitted,
+                    },
+                    plan: task.plan.clone(),
+                };
+                let job = PipelineJob {
+                    plan: task.plan,
+                    batches: task.batches,
+                };
+                pipeline.admit(tag, job, admitted);
+                continue;
+            }
+            if !ctx.queue.is_shutdown() {
+                // Parked until the next deadline, or woken early: look
+                // again.
+                continue;
             }
         }
-
-        // Drain completions.
-        let mut drained = false;
-        while let Ok(result) = completions.try_recv() {
-            drained = true;
-            complete(&ctx, &mut in_flight, result);
-        }
-        if !drained && !in_flight.is_empty() {
-            // Wait briefly for the next completion instead of spinning.
-            if let Ok(result) = completions.recv_timeout(Duration::from_millis(5)) {
-                complete(&ctx, &mut in_flight, result);
+        if pipeline.is_empty() {
+            if ctx.queue.is_empty() {
+                break;
             }
-        }
-
-        if ctx.queue.is_shutdown() && ctx.queue.is_empty() && in_flight.is_empty() {
-            break;
+        } else {
+            pipeline.sleep_until_next_deadline();
         }
     }
 }

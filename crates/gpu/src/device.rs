@@ -1,17 +1,19 @@
 //! The simulated accelerator device.
 //!
 //! [`GpuDevice`] owns what the accelerator models: a ledger of its global
-//! memory, the paced PCIe bus and the statistics of both. A query task moves
-//! through the five operations of the paper (Fig. 6): `copyin → movein →
-//! execute → moveout → copyout`. The `execute` operation runs the CPU
-//! worker's own function, [`CpuExecutor::execute`], so the device is one
-//! more lane running the same operators; what differs is the data movement
-//! around it. Each operation records its own time, so both paths below
-//! account movement and kernel time the same way.
+//! memory, the PCIe bus and the statistics of both. A query task reserves
+//! device memory, moves its input in over the bus (`movein`), runs the CPU
+//! worker's own function, [`CpuExecutor::execute`] (`execute`), and moves
+//! its output back (`moveout`), which frees the reservation. The task's
+//! batches, already a buffer of their own, are the pinned host copy the
+//! paper's `copyin`/`copyout` make (Fig. 6), so those two steps cost
+//! nothing here. The device is one more lane running the same operators;
+//! what differs is the data movement around them.
 //!
-//! [`GpuDevice::execute`] performs the five operations sequentially for one
-//! task (the non-pipelined baseline); [`crate::pipeline::GpuPipeline`]
-//! overlaps them across consecutive tasks, one stage thread each.
+//! [`GpuDevice::execute`] performs these steps sequentially for one task and
+//! sleeps through its transfers (the non-pipelined baseline);
+//! [`crate::pipeline::GpuPipeline`] overlaps them across consecutive tasks
+//! on a timeline of the link.
 
 use crate::memory::DeviceMemory;
 use crate::pcie::{PcieBus, PcieConfig};
@@ -59,7 +61,7 @@ pub struct GpuStats {
     tasks: AtomicU64,
     /// Nanoseconds spent in kernel execution.
     kernel_nanos: AtomicU64,
-    /// Nanoseconds spent in data movement (copyin/movein/moveout/copyout).
+    /// Nanoseconds of link time charged to `movein`/`moveout` transfers.
     movement_nanos: AtomicU64,
 }
 
@@ -69,7 +71,8 @@ impl GpuStats {
         Duration::from_nanos(self.kernel_nanos.load(Ordering::Relaxed))
     }
 
-    /// Total data-movement time.
+    /// Total data-movement time: the modeled transfer time, scaled by the
+    /// link's `time_scale`, of every `movein` and `moveout`.
     pub fn movement_time(&self) -> Duration {
         Duration::from_nanos(self.movement_nanos.load(Ordering::Relaxed))
     }
@@ -78,12 +81,6 @@ impl GpuStats {
     pub fn tasks_executed(&self) -> u64 {
         self.tasks.load(Ordering::Relaxed)
     }
-}
-
-/// Adds the time since `started` to `counter`.
-fn charge(counter: &AtomicU64, started: Instant) {
-    // relaxed-ok: simulation-accounting counter, read only for reports.
-    counter.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
 }
 
 /// The simulated accelerator.
@@ -113,7 +110,7 @@ impl GpuDevice {
         &self.config
     }
 
-    /// The PCIe bus model (shared with the pipeline stages).
+    /// The PCIe bus model.
     pub fn bus(&self) -> &Arc<PcieBus> {
         &self.bus
     }
@@ -133,9 +130,9 @@ impl GpuDevice {
         batches.iter().map(|b| b.rows.byte_len()).sum()
     }
 
-    /// Runs only the `execute` stage: the CPU worker's operator function on
+    /// Runs only the `execute` step: the CPU worker's operator function on
     /// the calling thread.
-    pub fn execute_kernels(
+    pub(crate) fn execute_kernels(
         &self,
         plan: &CompiledPlan,
         batches: &[StreamBatch],
@@ -145,66 +142,37 @@ impl GpuDevice {
         }
         let started = Instant::now();
         let output = CpuExecutor::new().execute(plan, batches);
-        charge(&self.stats.kernel_nanos, started);
+        // relaxed-ok: simulation-accounting counter, read only for reports.
+        self.stats
+            .kernel_nanos
+            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         // relaxed-ok: simulation-accounting counter, read only for reports.
         self.stats.tasks.fetch_add(1, Ordering::Relaxed);
         output
     }
 
-    /// Models the `copyin` stage: the batch bytes are copied from the engine
-    /// heap into pinned host memory.
-    pub fn copyin(&self, batches: &[StreamBatch]) -> Vec<u8> {
-        let started = Instant::now();
-        let mut pinned = Vec::with_capacity(Self::task_bytes(batches));
-        for b in batches {
-            pinned.extend_from_slice(b.rows.bytes());
-        }
-        charge(&self.stats.movement_nanos, started);
-        pinned
+    /// Records one DMA transfer of `bytes` on the bus and charges it to
+    /// the movement time; returns the wall time it occupies the link.
+    pub(crate) fn transfer(&self, bytes: usize) -> Duration {
+        let wait = self.bus.transfer(bytes);
+        // relaxed-ok: simulation-accounting counter, read only for reports.
+        self.stats
+            .movement_nanos
+            .fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
+        wait
     }
 
-    /// Models the `movein` DMA transfer of `bytes` to device memory.
-    pub fn movein(&self, bytes: usize) -> Result<Duration> {
-        let started = Instant::now();
-        self.memory.allocate(bytes as u64)?;
-        let modeled = self.bus.transfer(bytes);
-        charge(&self.stats.movement_nanos, started);
-        Ok(modeled)
-    }
-
-    /// Models the `moveout` DMA transfer of `bytes` back to pinned memory and
-    /// releases the device allocation of `input_bytes`.
-    pub fn moveout(&self, bytes: usize, input_bytes: usize) -> Duration {
-        let started = Instant::now();
-        let modeled = self.bus.transfer(bytes.max(1));
-        self.memory.free(input_bytes as u64);
-        charge(&self.stats.movement_nanos, started);
-        modeled
-    }
-
-    /// Models the `copyout` stage (pinned memory back to the engine heap).
-    pub fn copyout(&self, output: &TaskOutput) -> usize {
-        let started = Instant::now();
-        let copied = match output {
-            // The copy itself: clone the output bytes once.
-            TaskOutput::Rows(rows) => rows.bytes().to_vec().len(),
-            TaskOutput::Fragments { .. } => 0,
-        };
-        charge(&self.stats.movement_nanos, started);
-        copied
-    }
-
-    /// Executes one query task through all five data-movement operations
-    /// sequentially (the non-pipelined path).
+    /// Executes one query task: `movein`, `execute` and `moveout` one after
+    /// the other, sleeping through each transfer (the non-pipelined path).
     pub fn execute(&self, plan: &CompiledPlan, batches: &[StreamBatch]) -> Result<TaskOutput> {
-        let input_bytes = self.copyin(batches).len();
-        self.movein(input_bytes)?;
+        let input_bytes = Self::task_bytes(batches);
+        self.memory.allocate(input_bytes as u64)?;
+        std::thread::sleep(self.transfer(input_bytes));
         let output = self.execute_kernels(plan, batches);
         let out_bytes = output.as_ref().map_or(0, TaskOutput::byte_len);
-        self.moveout(out_bytes, input_bytes);
-        let output = output?;
-        self.copyout(&output);
-        Ok(output)
+        std::thread::sleep(self.transfer(out_bytes.max(1)));
+        self.memory.free(input_bytes as u64);
+        output
     }
 }
 
@@ -257,6 +225,30 @@ mod tests {
         }
         assert_eq!(device.stats().tasks_executed(), 1);
         assert!(device.bus().transfers() >= 2);
+        assert_eq!(device.memory().allocated(), 0);
+    }
+
+    #[test]
+    fn a_paced_device_sleeps_its_transfers() {
+        let q = QueryBuilder::new("sel", schema())
+            .count_window(64, 64)
+            .select(Expr::literal(1.0))
+            .build()
+            .unwrap();
+        let plan = CompiledPlan::compile(&q).unwrap();
+        let latency = Duration::from_millis(2);
+        let device = GpuDevice::new(DeviceConfig {
+            pcie: PcieConfig {
+                dma_latency: latency,
+                ..PcieConfig::default()
+            },
+            ..DeviceConfig::default()
+        });
+        let started = Instant::now();
+        device.execute(&plan, &[batch(64)]).unwrap();
+        assert!(started.elapsed() >= latency * 2);
+        assert_eq!(device.bus().transfers(), 2);
+        assert!(device.stats().movement_time() >= latency * 2);
         assert_eq!(device.memory().allocated(), 0);
     }
 

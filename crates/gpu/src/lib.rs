@@ -11,20 +11,20 @@
 //!
 //! * a [`memory::DeviceMemory`] ledger of the device's global memory, which
 //!   refuses a task that does not fit,
-//! * a [`pcie::PcieBus`] model that paces `movein`/`moveout` transfers by a
-//!   configurable DMA latency and bandwidth,
-//! * the five-stage [`pipeline`] (`copyin → movein → execute → moveout →
-//!   copyout`) that overlaps data movement with execution (Fig. 6), one
-//!   thread per stage; its `execute` stage calls
-//!   [`saber_cpu::CpuExecutor::execute`], so one operator implementation
-//!   serves both processors, as in the paper (§3), and the device is one
-//!   more lane running it.
+//! * a [`pcie::PcieBus`] that counts the `movein`/`moveout` transfers and
+//!   prices each at a configurable DMA latency plus bytes over bandwidth,
+//! * the [`pipeline`], which overlaps a task's transfers with the execution
+//!   of its neighbours (Fig. 6) as arithmetic on a timeline of each link
+//!   direction, driven by the accelerator worker's own thread. Its
+//!   `execute` step calls [`saber_cpu::CpuExecutor::execute`], so one
+//!   operator implementation serves both processors, as in the paper (§3),
+//!   and the device is one more lane running it.
 //!
 //! The accelerator lane therefore differs from a CPU worker in what it pays
 //! per task — the PCIe toll on every byte in and out, overlapped with
-//! execution by the pipeline — which is the asymmetry the hybrid scheduling
-//! experiments need. It is not faster per row than a CPU worker; its gain is
-//! one more lane of throughput.
+//! execution by the pipeline, in modeled time rather than host CPU — which
+//! is the asymmetry the hybrid scheduling experiments need. It is not faster
+//! per row than a CPU worker; its gain is one more lane of throughput.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -36,4 +36,4 @@ pub mod pipeline;
 
 pub use device::{DeviceConfig, GpuDevice, GpuStats};
 pub use pcie::PcieBus;
-pub use pipeline::{GpuPipeline, PipelineJob, PipelineResult};
+pub use pipeline::{GpuPipeline, PipelineJob};

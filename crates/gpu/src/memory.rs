@@ -2,17 +2,18 @@
 //!
 //! Executing a query task on the accelerator moves its data through four
 //! memory regions (paper Fig. 6): engine heap → pinned host input buffer →
-//! device global memory → pinned host output buffer → engine heap. The
-//! `copyin`/`copyout` stages make the heap ↔ pinned copies for real; device
-//! memory is only a capacity ledger, so a task larger than the device is
-//! refused at `movein` as on the paper's hardware.
+//! device global memory → pinned host output buffer → engine heap. Here a
+//! task's batches are already a buffer of its own, cut from the ingest
+//! ring, and serve as the pinned copy, so there are no `copyin`/`copyout`
+//! copies; device memory is only a capacity ledger, so a task larger than
+//! the device is refused at `movein` as on the paper's hardware.
 
 use saber_types::{Result, SaberError};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Tracks the accelerator's global-memory budget: `movein` reserves a task's
-/// input bytes and `moveout` releases them. It is a ledger only; no bytes
-/// are stored.
+/// Tracks the accelerator's global-memory budget: a task reserves its input
+/// bytes before `movein` and releases them once its output has moved out.
+/// It is a ledger only; no bytes are stored.
 #[derive(Debug)]
 pub struct DeviceMemory {
     capacity: u64,

@@ -5,12 +5,12 @@
 //! DMA transfer costs a fixed latency (~10 µs) plus the transfer time at the
 //! bus bandwidth (~8 GB/s effective for PCIe 3.0 ×16). [`PcieBus`] models
 //! exactly that: every `movein`/`moveout` is charged
-//! `latency + bytes / bandwidth`, and the charge is applied as real wall-time
-//! pacing so the accelerator's end-to-end behaviour (including the point at
-//! which it becomes PCIe-bound) is observable in experiments.
+//! `latency + bytes / bandwidth`. The bus only counts; the caller decides
+//! when the transfer completes — [`crate::GpuDevice::execute`] sleeps it,
+//! [`crate::GpuPipeline`] books it on a link timeline.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration of the modeled PCIe link.
 #[derive(Debug, Clone, Copy)]
@@ -19,9 +19,9 @@ pub struct PcieConfig {
     pub bandwidth_bytes_per_sec: f64,
     /// Fixed per-transfer DMA latency.
     pub dma_latency: Duration,
-    /// Scale factor applied to the modeled delay before pacing
-    /// (1.0 = full pacing, 0.0 = account the time but do not wait — used by
-    /// unit tests).
+    /// Scale factor from modeled transfer time to the wall time a transfer
+    /// occupies the link (1.0 = real time, 0.0 = count the transfer but
+    /// take no time — used by unit tests).
     pub time_scale: f64,
 }
 
@@ -40,7 +40,7 @@ impl Default for PcieConfig {
 }
 
 impl PcieConfig {
-    /// A configuration that records modeled time but never sleeps (tests).
+    /// A configuration whose transfers take no time (tests).
     pub fn unpaced() -> Self {
         Self {
             time_scale: 0.0,
@@ -55,14 +55,12 @@ impl PcieConfig {
     }
 }
 
-/// The shared PCIe bus: transfers from concurrent stage threads serialise on
-/// the modeled link (matching a real bus) and statistics are recorded.
+/// The bus's counters: every DMA transfer of the device is recorded here.
 #[derive(Debug)]
 pub struct PcieBus {
     config: PcieConfig,
     bytes_moved: AtomicU64,
     transfers: AtomicU64,
-    busy_nanos: AtomicU64,
 }
 
 impl PcieBus {
@@ -72,7 +70,6 @@ impl PcieBus {
             config,
             bytes_moved: AtomicU64::new(0),
             transfers: AtomicU64::new(0),
-            busy_nanos: AtomicU64::new(0),
         }
     }
 
@@ -81,22 +78,16 @@ impl PcieBus {
         &self.config
     }
 
-    /// Performs (and paces) one DMA transfer of `bytes`, returning the
-    /// modeled transfer duration.
+    /// Records one DMA transfer of `bytes` and returns the wall time it
+    /// occupies the link: the modeled duration scaled by `time_scale`.
     pub fn transfer(&self, bytes: usize) -> Duration {
-        let modeled = self.config.transfer_time(bytes);
         // relaxed-ok: simulation-accounting counter, read only for reports.
         self.bytes_moved.fetch_add(bytes as u64, Ordering::Relaxed);
         // relaxed-ok: simulation-accounting counter, read only for reports.
         self.transfers.fetch_add(1, Ordering::Relaxed);
-        // relaxed-ok: simulation-accounting counter, read only for reports.
-        self.busy_nanos
-            .fetch_add(modeled.as_nanos() as u64, Ordering::Relaxed);
-        if self.config.time_scale > 0.0 {
-            let wait = modeled.mul_f64(self.config.time_scale);
-            pace(wait);
-        }
-        modeled
+        self.config
+            .transfer_time(bytes)
+            .mul_f64(self.config.time_scale)
     }
 
     /// Total bytes moved over the bus.
@@ -107,23 +98,6 @@ impl PcieBus {
     /// Total number of DMA transfers.
     pub fn transfers(&self) -> u64 {
         self.transfers.load(Ordering::Relaxed)
-    }
-
-    /// Accumulated modeled bus-busy time.
-    pub fn busy_time(&self) -> Duration {
-        Duration::from_nanos(self.busy_nanos.load(Ordering::Relaxed))
-    }
-}
-
-/// Sleeps/spins for approximately `wait` (hybrid: `thread::sleep` for the
-/// bulk, spin for the sub-250 µs tail to keep pacing accurate).
-fn pace(wait: Duration) {
-    let start = Instant::now();
-    if wait > Duration::from_micros(500) {
-        std::thread::sleep(wait - Duration::from_micros(250));
-    }
-    while start.elapsed() < wait {
-        std::hint::spin_loop();
     }
 }
 
@@ -145,29 +119,21 @@ mod tests {
     #[test]
     fn unpaced_bus_records_but_does_not_wait() {
         let bus = PcieBus::new(PcieConfig::unpaced());
-        let start = Instant::now();
         for _ in 0..100 {
-            bus.transfer(1 << 20);
+            assert_eq!(bus.transfer(1 << 20), Duration::ZERO);
         }
-        assert!(start.elapsed() < Duration::from_millis(50));
         assert_eq!(bus.transfers(), 100);
         assert_eq!(bus.bytes_moved(), 100 << 20);
-        assert!(bus.busy_time() > Duration::from_millis(1));
     }
 
     #[test]
-    fn paced_bus_actually_waits() {
-        let bus = PcieBus::new(PcieConfig {
-            bandwidth_bytes_per_sec: 1.0e9,
-            dma_latency: Duration::from_micros(200),
-            time_scale: 1.0,
-        });
-        let start = Instant::now();
-        bus.transfer(1_000_000); // ~1.2 ms modeled
-        let elapsed = start.elapsed();
-        assert!(
-            elapsed >= Duration::from_micros(1000),
-            "elapsed {elapsed:?}"
-        );
+    fn paced_bus_returns_the_scaled_wait() {
+        let cfg = PcieConfig {
+            time_scale: 2.0,
+            ..PcieConfig::default()
+        };
+        let bus = PcieBus::new(cfg);
+        let wait = bus.transfer(4096).as_secs_f64();
+        assert!((wait - 2.0 * cfg.transfer_time(4096).as_secs_f64()).abs() < 1e-9);
     }
 }

@@ -383,6 +383,28 @@ impl Waker {
             let _ = (&self.tx).write(&[1u8]);
         }
     }
+
+    /// Reads `rx`, the pair's other end, dry and only then disarms. A
+    /// `wake()` landing between the two steps finds the waker still armed
+    /// and writes nothing, which is harmless: the loop services the dirty
+    /// list after every drain. Disarming first would let that wake's byte
+    /// be read away here and leave `armed` set over an empty pipe, so no
+    /// later `wake()` would ever write again.
+    fn drain(&self, rx: &UnixStream) {
+        let mut rx = rx;
+        let mut scratch = [0u8; 64];
+        loop {
+            match rx.read(&mut scratch) {
+                Ok(0) => break,
+                Ok(_) => continue,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            }
+        }
+        #[cfg(test)]
+        tests::between_drain_and_disarm(self);
+        self.armed.store(false, Ordering::SeqCst);
+    }
 }
 
 /// Aggregate transport counters, updated by the loop, the workers and the
@@ -884,7 +906,7 @@ fn event_loop(
         for event in &events {
             match event.token {
                 TOKEN_LISTENER => el.accept_ready(),
-                TOKEN_WAKER => el.drain_waker(),
+                TOKEN_WAKER => el.shared.waker.drain(&el.wake_rx),
                 token => el.conn_event(token - TOKEN_BASE, event.events),
             }
         }
@@ -991,19 +1013,6 @@ impl EventLoop {
             if let Some(conn) = self.conns.get_mut(&id) {
                 conn.interest = Events::IN | Events::RDHUP;
                 self.flush_conn(id);
-            }
-        }
-    }
-
-    fn drain_waker(&mut self) {
-        self.shared.waker.armed.store(false, Ordering::SeqCst);
-        let mut scratch = [0u8; 64];
-        loop {
-            match (&self.wake_rx).read(&mut scratch) {
-                Ok(0) => break,
-                Ok(_) => continue,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
             }
         }
     }
@@ -1746,6 +1755,50 @@ fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// Runs inside [`Waker::drain`], between its two steps, on this
+        /// thread only.
+        static BETWEEN_DRAIN_AND_DISARM: RefCell<Option<fn(&Waker)>> = const { RefCell::new(None) };
+    }
+
+    pub(super) fn between_drain_and_disarm(waker: &Waker) {
+        if let Some(hook) = BETWEEN_DRAIN_AND_DISARM.with(|hook| *hook.borrow()) {
+            hook(waker);
+        }
+    }
+
+    #[test]
+    fn a_wake_racing_the_drain_is_not_lost() {
+        let (tx, rx) = UnixStream::pair().unwrap();
+        tx.set_nonblocking(true).unwrap();
+        rx.set_nonblocking(true).unwrap();
+        let waker = Waker {
+            tx,
+            armed: AtomicBool::new(false),
+        };
+        let mut poller = Poller::new().unwrap();
+        poller.add(rx.as_raw_fd(), Events::IN, TOKEN_WAKER).unwrap();
+        let mut events = Vec::new();
+        waker.wake();
+        poller.wait(Some(10), &mut events).unwrap();
+        assert_eq!(events.len(), 1);
+
+        // A wake from another thread lands between the drain's two steps.
+        BETWEEN_DRAIN_AND_DISARM.with(|hook| *hook.borrow_mut() = Some(Waker::wake));
+        waker.drain(&rx);
+        BETWEEN_DRAIN_AND_DISARM.with(|hook| *hook.borrow_mut() = None);
+
+        // The next wake must still reach epoll_wait.
+        waker.wake();
+        events.clear();
+        poller.wait(Some(10), &mut events).unwrap();
+        assert!(
+            events.iter().any(|event| event.token == TOKEN_WAKER),
+            "a wake after the race never reached epoll_wait"
+        );
+    }
 
     #[test]
     fn nop_frame_bytes_match_the_codec() {

@@ -6,6 +6,10 @@ use saber::engine::{EngineConfig, ExecutionMode, Saber, SchedulingPolicyKind};
 use saber::gpu::device::DeviceConfig;
 use saber::prelude::*;
 use saber::workloads::{reference, synthetic};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn test_config(mode: ExecutionMode) -> EngineConfig {
     EngineConfig {
@@ -360,4 +364,100 @@ fn scheduling_policies_all_produce_correct_results() {
             assert_eq!(g.get_i64(1), e.get_i64(1));
         }
     }
+}
+
+/// Watches, on a thread of its own until `done` is set, every thread of
+/// this process whose name starts with `prefix`, sampling its CPU time
+/// (Linux's per-thread schedstat) every millisecond. Returns, per thread
+/// seen, the wall time between its first and last sample and the CPU time
+/// it used in between. A thread is named once it first runs, so the threads
+/// are looked up afresh at every sample. Returns nothing without `/proc`.
+fn watch_threads(
+    prefix: &'static str,
+    done: Arc<AtomicBool>,
+) -> std::thread::JoinHandle<Vec<(Duration, Duration)>> {
+    std::thread::spawn(move || {
+        let mut seen = BTreeMap::new();
+        while !done.load(Ordering::SeqCst) {
+            let tasks = std::fs::read_dir("/proc/self/task").into_iter().flatten();
+            for dir in tasks.flatten().map(|entry| entry.path()) {
+                let named = std::fs::read_to_string(dir.join("comm"))
+                    .is_ok_and(|comm| comm.starts_with(prefix));
+                let cpu_ns = std::fs::read_to_string(dir.join("schedstat"))
+                    .ok()
+                    .and_then(|stat| stat.split_whitespace().next()?.parse::<u64>().ok());
+                if let (true, Some(cpu_ns)) = (named, cpu_ns) {
+                    let sample = (Instant::now(), cpu_ns);
+                    seen.entry(dir)
+                        .and_modify(|(_, last)| *last = sample)
+                        .or_insert((sample, sample));
+                }
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        seen.into_values()
+            .map(|(first, last)| (last.0 - first.0, Duration::from_nanos(last.1 - first.1)))
+            .collect()
+    })
+}
+
+/// Runs a selection on a device whose every transfer takes 2 ms and stops
+/// the engine while tasks are still moving: the results must match the
+/// reference, the device memory must be free once `stop()` returns, and the
+/// accelerator threads must have slept, not spun, through the waits.
+/// Returns how many tasks the device ran in all and during `stop()`.
+fn paced_device_run(mode: ExecutionMode) -> (u64, u64) {
+    let schema = synthetic::schema();
+    let data = synthetic::generate(&schema, 32 * 1024, 17);
+    let query = || {
+        QueryBuilder::new("sel", schema.clone())
+            .count_window(1024, 1024)
+            .select(Expr::column(1).lt(Expr::literal(0.5)))
+            .build()
+            .unwrap()
+    };
+    let expected = reference::run_single_input(&query(), &data).unwrap();
+    let mut config = test_config(mode);
+    config.scheduling = SchedulingPolicyKind::Hls {
+        switch_threshold: 2,
+    };
+    config.device.pcie.dma_latency = Duration::from_millis(2);
+    config.device.pcie.time_scale = 1.0;
+    let mut engine = Saber::with_config(config).unwrap();
+    let sink = engine.add_query(query()).unwrap();
+    engine.start().unwrap();
+    for chunk in data.bytes().chunks(48 * 1024) {
+        engine.ingest(QueryId(0), StreamId(0), chunk).unwrap();
+    }
+    let executed_before_stop = engine.device().stats().tasks_executed();
+    // Tests run in parallel: this also watches other engines' accelerator
+    // threads, none of which may spin either.
+    let done = Arc::new(AtomicBool::new(false));
+    let watcher = watch_threads("saber-gp", done.clone());
+    engine.stop().unwrap();
+    done.store(true, Ordering::SeqCst);
+    assert_eq!(engine.device().memory().allocated(), 0, "mode {mode:?}");
+    let got = sink.take_rows();
+    assert_eq!(got.len(), expected.len(), "mode {mode:?}");
+    assert_eq!(got.bytes(), expected.bytes(), "mode {mode:?}");
+    for (wall, cpu) in watcher.join().unwrap() {
+        assert!(
+            cpu <= wall / 2 + Duration::from_millis(2),
+            "mode {mode:?}: an accelerator thread used {cpu:?} of CPU in {wall:?}"
+        );
+    }
+    let executed = engine.device().stats().tasks_executed();
+    (executed, executed - executed_before_stop)
+}
+
+#[test]
+fn a_paced_device_drains_at_stop_in_gpu_only_mode() {
+    let (_, during_stop) = paced_device_run(ExecutionMode::GpuOnly);
+    assert!(during_stop > 0, "no task was in flight at stop");
+}
+
+#[test]
+fn a_paced_device_drains_at_stop_in_hybrid_mode() {
+    let (executed, _) = paced_device_run(ExecutionMode::Hybrid);
+    assert!(executed > 0, "the device ran no task");
 }
