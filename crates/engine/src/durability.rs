@@ -64,9 +64,6 @@ pub(crate) struct Durability {
     pub(crate) meta: Mutex<HashMap<usize, QueryMeta>>,
     /// Rows re-ingested by the last recovery (surfaced through `STATS`).
     pub(crate) replayed_rows: AtomicU64,
-    /// Set by every sink append; the checkpoint thread snapshots only when
-    /// windows actually closed since the last checkpoint.
-    pub(crate) window_dirty: AtomicBool,
     ckpt_stop: Mutex<bool>,
     ckpt_cv: Condvar,
 }
@@ -79,7 +76,6 @@ impl Durability {
             logging: AtomicBool::new(logging),
             meta: Mutex::new(HashMap::new()),
             replayed_rows: AtomicU64::new(0),
-            window_dirty: AtomicBool::new(false),
             ckpt_stop: Mutex::new(false),
             ckpt_cv: Condvar::new(),
         }
@@ -247,14 +243,16 @@ impl Saber {
                     }
                 }
                 // Queries register at their records, below the snapshot
-                // position too: a follower attaches exactly where it did
-                // live, to a plan rebuilt from its first registration.
+                // position too: a later member of a plan attaches exactly
+                // where it did live, to a plan rebuilt from its first
+                // registration.
                 WalRecord::AddQuery { id, sql } => {
                     let replayed = engine.replay_add_query(id as usize, &sql, seq);
                     match listed.remove(&id) {
                         // Removed before the snapshot: replayed only for the
-                        // followers it may have carried, and skipped if the
-                        // snapshot's catalog no longer compiles it.
+                        // later members its plan may have carried, and
+                        // skipped if the snapshot's catalog no longer
+                        // compiles it.
                         None if seq < snap_seq => {}
                         _ => replayed?,
                     }

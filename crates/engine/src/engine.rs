@@ -23,9 +23,9 @@ use crate::ids::{QueryId, StreamId};
 use crate::metrics::{EngineStats, QueryStats};
 use crate::queue::TaskQueue;
 use crate::registry::{Gate, QueryRegistry, QueryState, GATE_CLOSED, GATE_CREATED, GATE_OPEN};
-use crate::result::ResultStage;
+use crate::result::{Member, ResultStage};
 use crate::scheduler::{Processor, Scheduler};
-use crate::sharing::{SharedMembership, SharedPlan, SharedWindowRegistry};
+use crate::sharing::{SharedPlan, SharedWindowRegistry};
 use crate::sink::{QuerySink, WindowWait};
 use crate::task::QueryTask;
 use crate::throughput::{PlacementDecision, ThroughputMatrix, SMOOTHING};
@@ -39,7 +39,7 @@ use saber_store::{has_existing_state, Store, WalRecord};
 use saber_types::sync::Mutex;
 use saber_types::{Result, RowBuffer, SaberError};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -50,7 +50,7 @@ const STOP_DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// How long [`QueryHandle::remove`] waits for the query's in-flight ingests
 /// and task backlog to drain before deregistering it uncleanly. Recovery
-/// gives a plan the same budget to drain before a follower attaches.
+/// gives a plan the same budget to drain before a replayed member attaches.
 const REMOVE_DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Everything shared between the [`Saber`] façade, its worker threads and
@@ -203,10 +203,10 @@ impl Saber {
     /// processor, observed rates and realized GPU share. `None` for unknown
     /// or removed queries. A query attached to a shared physical plan
     /// reports that plan's decision (placement is learned once per physical
-    /// plan, under the anchor's id).
+    /// plan, under the plan's id).
     pub fn placement(&self, query: QueryId) -> Option<PlacementDecision> {
         let state = self.core.registry.get(query.index())?;
-        let phys = state.phys_id();
+        let phys = state.plan.id;
         let matrix = &self.core.matrix;
         Some(PlacementDecision {
             query: QueryId(phys),
@@ -247,12 +247,7 @@ impl Saber {
     /// Number of *live* queries (registered and not removed). Counts
     /// logical queries: every member of a shared physical plan counts.
     pub fn num_queries(&self) -> usize {
-        self.core
-            .registry
-            .active()
-            .iter()
-            .filter(|s| s.is_visible())
-            .count()
+        self.core.registry.active().len()
     }
 
     /// Number of live *physical* plan instances: a group of
@@ -262,7 +257,7 @@ impl Saber {
     /// plan (one set of input rings, one task-queue shard, one scheduler
     /// row).
     pub fn num_physical_plans(&self) -> usize {
-        self.core.registry.physical_plans().len()
+        self.core.registry.plans().len()
     }
 
     /// Sharing info for a live query: the id of the physical plan
@@ -270,15 +265,10 @@ impl Saber {
     /// to that plan. `None` for unknown/removed ids and for queries
     /// running a private plan (one without a fingerprint).
     pub fn sharing_info(&self, query: QueryId) -> Option<(QueryId, usize)> {
-        let state = self
-            .core
-            .registry
-            .get(query.index())
-            .filter(|s| s.is_visible())?;
-        let plan = &state.shared.plan;
+        let plan = self.core.registry.get(query.index())?.plan.clone();
         plan.fingerprint
             .is_some()
-            .then(|| (QueryId(plan.phys_id), plan.num_members()))
+            .then(|| (QueryId(plan.id), plan.num_members()))
     }
 
     /// Number of queries ever registered, including removed ones. Query ids
@@ -293,18 +283,13 @@ impl Saber {
             .registry
             .active()
             .into_iter()
-            .filter(|s| s.is_visible())
             .map(|s| QueryId(s.id))
             .collect()
     }
 
     /// Re-acquires a handle to a live query (None if unknown or removed).
     pub fn query(&self, query: QueryId) -> Option<QueryHandle> {
-        let state = self
-            .core
-            .registry
-            .get(query.index())
-            .filter(|s| s.is_visible())?;
+        let state = self.core.registry.get(query.index())?;
         Some(QueryHandle {
             id: query,
             core: self.core.clone(),
@@ -325,8 +310,7 @@ impl Saber {
         self.core
             .registry
             .get(query.index())
-            .filter(|s| s.is_visible())
-            .map(|s| self.core.queue.depth(s.phys_id()))
+            .map(|s| self.core.queue.depth(s.plan.id))
             .unwrap_or(0)
     }
 
@@ -358,16 +342,18 @@ impl Saber {
     /// (logging is off); a live registration reserves a fresh id and logs
     /// the record instead.
     ///
-    /// Every query joins a physical plan. A fingerprint that maps to a live
-    /// plan attaches as a follower without compiling anything (the O(1)
+    /// Every query is a member of a physical plan. A fingerprint that maps
+    /// to a live plan joins it without compiling anything (the O(1)
     /// marginal cost of a duplicate query). Otherwise the plan is compiled
     /// before any shared lock is taken — registering on a loaded engine
     /// never stalls concurrent ingest or task completion — and the map is
     /// checked again under its lock, because a concurrent registration of
-    /// the same shape may have won meanwhile. A query without a fingerprint
-    /// anchors a private one-member plan that never enters the map. The map
-    /// lock spans lookup, attach and install, so a plan cannot die under an
-    /// attach: [`detach`] removes a plan's entry under the same lock.
+    /// the same shape may have won meanwhile; if none did, a new plan is
+    /// built under this query's id. A query without a fingerprint builds a
+    /// private plan that never enters the map. Either way the query then
+    /// joins through [`Saber::attach`]. The map lock spans lookup, build
+    /// and attach, so a plan cannot die under an attach: [`detach`]
+    /// removes a plan's entry under the same lock.
     fn register(
         &self,
         query: Query,
@@ -383,13 +369,17 @@ impl Saber {
         let live_plan = |map: &HashMap<PlanFingerprint, Arc<SharedPlan>>| {
             fingerprint.as_ref().and_then(|fp| map.get(fp).cloned())
         };
+        // A live plan to join, or the query compiled for a new one.
         let mut map = core.sharing.lock();
-        let mut compiled = None;
-        if live_plan(&map).is_none() {
-            drop(map);
-            compiled = Some(CompiledPlan::compile(&query)?);
-            map = core.sharing.lock();
-        }
+        let found = match live_plan(&map) {
+            Some(plan) => Ok(plan),
+            None => {
+                drop(map);
+                let compiled = CompiledPlan::compile(&query)?;
+                map = core.sharing.lock();
+                live_plan(&map).ok_or(compiled)
+            }
+        };
         // Ids are never reused: one reserved here stays burnt if the
         // registration is abandoned.
         let id = match replayed {
@@ -399,12 +389,30 @@ impl Saber {
             }
             None => core.registry.reserve_id(),
         };
-        // From here `compiled` is `Some` exactly when `plan` is new: the map
-        // lock is still held if the first lookup found a plan, and a plan
-        // that won a race while we compiled makes ours moot.
-        let (plan, compiled) = match live_plan(&map) {
-            Some(plan) => (plan, None),
-            None => (Arc::new(SharedPlan::new(fingerprint, id)), compiled),
+        let stats = core.stats.register_query_at(id);
+        let (plan, built) = match found {
+            Ok(plan) => {
+                // A replayed member starts exactly at its `AddQuery` record:
+                // everything the plan was fed before it is processed first.
+                if replayed.is_some()
+                    && !drain_plan(
+                        core,
+                        &plan,
+                        &plan.stats,
+                        Instant::now() + REMOVE_DRAIN_TIMEOUT,
+                    )?
+                {
+                    return Err(SaberError::State(format!(
+                        "recovery: plan {} did not drain before query {id} attached",
+                        plan.id
+                    )));
+                }
+                (plan, false)
+            }
+            Err(compiled) => {
+                let plan = self.build_plan(id, fingerprint, compiled, stats.clone());
+                (Arc::new(plan), true)
+            }
         };
         // Log the registration *before* the query becomes reachable through
         // the registry: a concurrent ingest into the fresh id can otherwise
@@ -412,42 +420,33 @@ impl Saber {
         // (which applies records in sequence order) would drop that
         // acknowledged batch.
         let recorded = self.record_add_query(id, sql, &plan, replayed.map(|(_, seq)| seq))?;
-        let state = match compiled {
-            Some(compiled) => {
-                if let Some(fp) = &plan.fingerprint {
-                    map.insert(fp.clone(), plan.clone());
-                }
-                Ok(self.install_plan(id, compiled, retain_output, &plan))
+        if built {
+            core.queue.register_query_at(id);
+            core.registry.insert_plan(plan.clone());
+            if let Some(fp) = &plan.fingerprint {
+                map.insert(fp.clone(), plan.clone());
             }
-            None => self.attach_follower(id, &plan, retain_output, replayed.is_some()),
-        };
+        }
+        let state = self.attach(id, &plan, stats, retain_output);
         // A stop that raced this registration has already closed the other
         // sinks and will not see this query; fail the registration cleanly
         // instead of leaving a zombie.
-        let state = match state {
-            Ok(state) if core.lifecycle.state() == GATE_CLOSED => {
-                detach(core, &mut map, &state);
-                state.sink.close();
-                Err(stopped_engine_error())
+        if core.lifecycle.state() == GATE_CLOSED {
+            detach(core, &mut map, &state);
+            drop(map);
+            // Retract the recorded registration so recovery does not
+            // resurrect a query the caller never received.
+            if recorded {
+                self.retract_add_query(id);
             }
-            state => state,
-        };
-        drop(map);
-        match state {
-            Ok(state) => Ok(QueryHandle {
-                id: QueryId(id),
-                core: core.clone(),
-                state,
-            }),
-            Err(e) => {
-                // Retract the recorded registration so recovery does not
-                // resurrect a query the caller never received.
-                if recorded {
-                    self.retract_add_query(id);
-                }
-                Err(e)
-            }
+            return Err(stopped_engine_error());
         }
+        drop(map);
+        Ok(QueryHandle {
+            id: QueryId(id),
+            core: core.clone(),
+            state,
+        })
     }
 
     /// Records the durability metadata of a registration of SQL text — on a
@@ -502,127 +501,59 @@ impl Saber {
         }
     }
 
-    /// Attaches query `id` as a follower on a live plan: no compilation, no
-    /// input rings, no queue shard, no scheduler row — just a registry slot,
-    /// a stats block and a demux subscription forwarding every result batch
-    /// from the anchor's sink into this query's own. The forwarded stream
-    /// is ordered (the result stage appends under its reassembly lock) and
-    /// complete from this moment on. A `replayed` attach first drains the
-    /// plan, so the follower starts exactly at its `AddQuery` record. The
-    /// caller holds the sharing-map lock, so the plan cannot be torn down
-    /// concurrently.
-    fn attach_follower(
+    /// Builds the machinery of a new physical plan under the already
+    /// reserved `id`: dispatcher and input rings, and a result stage with
+    /// no members yet; `stats` becomes the plan-level block. The caller
+    /// publishes it (queue shard, registry, fingerprint map).
+    fn build_plan(
         &self,
         id: usize,
-        plan: &Arc<SharedPlan>,
-        retain_output: bool,
-        replayed: bool,
-    ) -> Result<Arc<QueryState>> {
-        let core = &self.core;
-        let anchor = core.registry.get(plan.phys_id).ok_or_else(|| {
-            SaberError::State(format!(
-                "shared plan anchor {} is missing from the registry",
-                plan.phys_id
-            ))
-        })?;
-        if replayed && !drain_plan(core, &anchor, Instant::now() + REMOVE_DRAIN_TIMEOUT)? {
-            return Err(SaberError::State(format!(
-                "recovery: plan {} did not drain before query {id} attached",
-                plan.phys_id
-            )));
-        }
-        let stats = core.stats.register_query_at(id);
-        let sink = QuerySink::new(anchor.sink.schema().clone(), retain_output);
-        let subscription = {
-            let sink = sink.clone();
-            let stats = stats.clone();
-            anchor.sink.subscribe(move |rows| {
-                // relaxed-ok: monitoring counter, read only for stats display.
-                stats
-                    .tuples_out
-                    .fetch_add(rows.len() as u64, Ordering::Relaxed);
-                sink.append(rows);
-            })
-        };
-        let state = Arc::new(QueryState {
-            id,
-            dispatcher: anchor.dispatcher.clone(),
-            runtime: anchor.runtime.clone(),
-            stats,
-            sink,
-            gate: Gate::new(GATE_OPEN),
-            shared: SharedMembership {
-                plan: plan.clone(),
-                anchor: Some(anchor.clone()),
-                subscription: Some(subscription),
-            },
-            visible: AtomicBool::new(true),
-        });
-        core.registry.insert(state.clone());
-        plan.members.lock().push(id);
-        Ok(state)
-    }
-
-    /// Installs a compiled plan as the anchor of `plan` under the already
-    /// reserved `id`: sink, result stage, dispatcher and input rings,
-    /// task-queue shard and registry slot.
-    fn install_plan(
-        &self,
-        id: usize,
+        fingerprint: Option<PlanFingerprint>,
         mut compiled: CompiledPlan,
-        retain_output: bool,
-        plan: &Arc<SharedPlan>,
-    ) -> Arc<QueryState> {
+        stats: Arc<QueryStats>,
+    ) -> SharedPlan {
         let core = &self.core;
         compiled.set_query_id(id);
         let compiled = Arc::new(compiled);
-        let sink = QuerySink::new(compiled.output_schema().clone(), retain_output);
-        let stats = core.stats.register_query_at(id);
-        let runtime = Arc::new(ResultStage::new(
-            &compiled,
-            sink.clone(),
-            stats.clone(),
-            core.recorder.clone(),
-        ));
-        let dispatcher = Arc::new(
-            Dispatcher::new(
-                compiled,
-                core.config.query_task_size,
-                core.config.input_buffer_capacity,
-                core.task_ids.clone(),
-                true,
-            )
-            .arming_early_cuts(core.queue.clone()),
-        );
-        core.queue.register_query_at(id);
+        let results = ResultStage::new(&compiled, stats.clone(), core.recorder.clone());
+        let dispatcher = Dispatcher::new(
+            compiled,
+            core.config.query_task_size,
+            core.config.input_buffer_capacity,
+            core.task_ids.clone(),
+            true,
+        )
+        .arming_early_cuts(core.queue.clone());
+        SharedPlan::new(fingerprint, id, dispatcher, results, stats)
+    }
+
+    /// Attaches query `id` to `plan` — the one attach path of every query,
+    /// the one whose registration built the plan included: a sink, an
+    /// ingest gate, a registry slot and a place in the plan's member list,
+    /// from which the result stage appends every batch it releases from now
+    /// on to the new sink, in order. The caller holds the sharing-map lock,
+    /// so the plan cannot be torn down concurrently.
+    fn attach(
+        &self,
+        id: usize,
+        plan: &Arc<SharedPlan>,
+        stats: Arc<QueryStats>,
+        retain_output: bool,
+    ) -> Arc<QueryState> {
         let state = Arc::new(QueryState {
             id,
-            dispatcher,
-            runtime,
             stats,
-            sink,
-            gate: Gate::new(GATE_OPEN),
-            shared: SharedMembership {
-                plan: plan.clone(),
-                anchor: None,
-                subscription: None,
-            },
-            visible: AtomicBool::new(true),
+            sink: QuerySink::new(plan.results.schema().clone(), retain_output),
+            gate: Arc::new(Gate::new(GATE_OPEN)),
+            plan: plan.clone(),
         });
-        core.registry.insert(state.clone());
-        if let Some(durability) = &core.durability {
-            // Checkpoint-on-window-close: every appended result batch marks
-            // the catalog snapshot cadence as due.
-            let durability = durability.clone();
-            state.sink.subscribe(move |_| {
-                // relaxed-ok: advisory cadence flag; the checkpoint thread
-                // reads the actual state to snapshot under its own locks, so
-                // no data is published through this bit.
-                durability
-                    .window_dirty
-                    .store(true, std::sync::atomic::Ordering::Relaxed);
-            });
-        }
+        self.core.registry.insert(state.clone());
+        plan.attach(Member {
+            id,
+            sink: state.sink.clone(),
+            stats: state.stats.clone(),
+            gate: state.gate.clone(),
+        });
         state
     }
 
@@ -789,18 +720,18 @@ impl Saber {
         self.checkpoint_worker = Some(
             std::thread::Builder::new()
                 .name("saber-checkpoint".to_string())
-                .spawn(move || loop {
-                    if durability.wait_checkpoint_tick(interval) {
-                        return;
-                    }
-                    // Snapshot only when result windows closed since the
-                    // last tick; failures are retried on the next cadence
-                    // (explicit checkpoint() surfaces them).
-                    // relaxed-ok: advisory cadence flag; a mark racing the
-                    // swap is simply picked up by the next tick, and the
-                    // snapshot reads engine state under its own locks.
-                    if durability.window_dirty.swap(false, Ordering::Relaxed) {
-                        let _ = checkpoint_engine(&durability, core.registry.num_slots());
+                .spawn(move || {
+                    let mut emitted = 0;
+                    while !durability.wait_checkpoint_tick(interval) {
+                        // Snapshot only when result windows closed since the
+                        // last tick (the output counters moved); failures
+                        // are retried on the next cadence (explicit
+                        // checkpoint() surfaces them).
+                        let now = core.stats.total_tuples_out();
+                        if now != emitted {
+                            emitted = now;
+                            let _ = checkpoint_engine(&durability, core.registry.num_slots());
+                        }
                     }
                 })
                 .map_err(|e| {
@@ -860,25 +791,23 @@ impl Saber {
     /// waited [`EARLY_CUT_AGE`](crate::dispatcher::EARLY_CUT_AGE), so this
     /// is not needed for liveness — it makes the cut point deterministic.
     pub fn flush(&self) -> Result<()> {
-        // Followers share their anchor's dispatcher; the anchor slot (live
-        // until the plan's last detach) carries the flush.
-        for state in self.core.registry.physical_plans() {
-            if state.accepts_cuts() {
-                flush_plan(&self.core, &state)?;
+        for plan in self.core.registry.plans() {
+            if plan.accepts_cuts() {
+                flush_plan(&self.core, &plan, &plan.stats)?;
             }
         }
         Ok(())
     }
 
     /// Stop's final flush. Unlike the public [`Saber::flush`] this includes
-    /// queries whose removal is in progress (gate closed, slot still live):
+    /// plans whose members are all mid-removal (gates closed, slots live):
     /// under the wind-down mutex their shards cannot be retired
     /// concurrently, and a removal that observes the `Stopped` phase skips
     /// its own flush — if stop skipped them too, rows accepted just before
     /// the removal began would be stranded in the ring and silently lost.
     fn flush_all(&self) -> Result<()> {
-        for state in self.core.registry.physical_plans() {
-            flush_plan(&self.core, &state)?;
+        for plan in self.core.registry.plans() {
+            flush_plan(&self.core, &plan, &plan.stats)?;
         }
         Ok(())
     }
@@ -985,7 +914,6 @@ impl Saber {
         self.core
             .registry
             .get(query.index())
-            .filter(|s| s.is_visible())
             .map(|s| s.sink.clone())
     }
 
@@ -1034,13 +962,7 @@ impl Drop for Saber {
 /// Builds the "unknown query" error with the live ids listed, so a caller
 /// holding a stale id can see at a glance what is actually registered.
 fn unknown_query_error(core: &EngineCore, id: usize) -> SaberError {
-    let active: Vec<usize> = core
-        .registry
-        .active()
-        .iter()
-        .filter(|s| s.is_visible())
-        .map(|s| s.id)
-        .collect();
+    let active: Vec<usize> = core.registry.active().iter().map(|s| s.id).collect();
     if active.is_empty() {
         SaberError::Query(format!("unknown query {id} (no queries registered)"))
     } else {
@@ -1058,15 +980,14 @@ fn stopped_engine_error() -> SaberError {
 }
 
 /// Removes one query loss-free: close its ingest gate, wait out in-flight
-/// ingests, flush its pending rows, drain its task backlog, then [`detach`]
-/// it from its physical plan and close its sink. Every row the query
-/// acknowledged reaches its sink before the sink closes, whether the query
-/// is a private plan, an anchor or a follower.
+/// ingests, flush its plan's pending rows, drain its task backlog, then
+/// [`detach`] it from its physical plan. Every row the query acknowledged
+/// reaches its sink before the sink closes, whichever member of its plan
+/// it is.
 fn remove_query_inner(core: &Arc<EngineCore>, id: usize) -> Result<()> {
     let state = core
         .registry
         .get(id)
-        .filter(|s| s.is_visible())
         .ok_or_else(|| unknown_query_error(core, id))?;
     if !state.gate.close() {
         return Err(SaberError::State(format!(
@@ -1090,13 +1011,12 @@ fn remove_query_inner(core: &Arc<EngineCore>, id: usize) -> Result<()> {
     // drained everything, so there is nothing left to do here. An engine
     // that never started has nothing pending (ingest requires Running).
     if clean && !core.queue.is_shutdown() {
-        clean = drain_plan(core, &state, deadline)?;
+        clean = drain_plan(core, &state.plan, &state.stats, deadline)?;
     }
     // Phase 3: deregister. On the clean path the shard is empty; orphans
     // only exist after a timeout.
     let orphans = detach(core, &mut core.sharing.lock(), &state);
     drop(wind_down);
-    state.sink.close();
     // Drop the durability metadata — unconditionally, so a removal applied
     // during recovery replay (logging off) cannot leave a ghost entry that
     // the next checkpoint would snapshot as live — and log the removal (the
@@ -1121,20 +1041,25 @@ fn remove_query_inner(core: &Arc<EngineCore>, id: usize) -> Result<()> {
     Ok(())
 }
 
-/// Flushes the pending rows of `state`'s physical plan into a final
-/// (undersized) task, then waits until every task cut for the plan so far
+/// Flushes the pending rows of `plan` into a final (undersized) task,
+/// counted on `stats`, then waits until every task cut for the plan so far
 /// has passed through the result stage, or `deadline` passes (returning
 /// false). `tasks_cut` is committed under the cutter lock, so the flush
 /// observes every concurrent cut that could still submit a task. The target
 /// is snapshotted *after* the flush: other members of a shared plan keep
 /// cutting tasks concurrently, so re-reading `tasks_cut` in the loop might
 /// never converge — and everything cut up to the flush is what the caller
-/// needs. Removal drains a query this way before deregistering it; recovery
-/// drains a plan before a replayed follower attaches.
-fn drain_plan(core: &EngineCore, state: &QueryState, deadline: Instant) -> Result<bool> {
-    flush_plan(core, state)?;
-    let target = state.dispatcher.tasks_cut();
-    while state.runtime.completed_tasks() < target {
+/// needs. Removal drains a query's plan this way before detaching it;
+/// recovery drains a plan before a replayed member attaches.
+fn drain_plan(
+    core: &EngineCore,
+    plan: &SharedPlan,
+    stats: &QueryStats,
+    deadline: Instant,
+) -> Result<bool> {
+    flush_plan(core, plan, stats)?;
+    let target = plan.dispatcher.tasks_cut();
+    while plan.results.completed_tasks() < target {
         if Instant::now() >= deadline {
             return Ok(false);
         }
@@ -1143,63 +1068,38 @@ fn drain_plan(core: &EngineCore, state: &QueryState, deadline: Instant) -> Resul
     Ok(true)
 }
 
-/// Detaches `state` from its physical plan — the one deregistration path
-/// of every query. The caller holds the sharing-map lock (`map`): a
-/// concurrent attach either joins a plan with live members or creates a
+/// Detaches `state` from its physical plan and closes its sink — the one
+/// deregistration path of every query. Once off the member list the query
+/// receives and counts nothing more. The last member to leave takes the
+/// plan with it: fingerprint entry, queue shard, scheduler and matrix rows
+/// and registry slot. The caller holds the sharing-map lock (`map`): a
+/// concurrent attach either joins a plan with live members or builds a
 /// fresh one, never a dying plan. Returns the number of tasks orphaned by
-/// retiring the plan's queue shard (their flow credits are returned here so
-/// admission control stays balanced); a clean drain leaves none.
+/// retiring the plan's queue shard (their flow credits are returned here
+/// so admission control stays balanced); a clean drain leaves none.
 fn detach(
     core: &EngineCore,
     map: &mut HashMap<PlanFingerprint, Arc<SharedPlan>>,
     state: &QueryState,
 ) -> usize {
-    let plan = &state.shared.plan;
-    let last = {
-        let mut members = plan.members.lock();
-        members.retain(|&m| m != state.id);
-        members.is_empty()
-    };
-    if last {
-        // The plan dies with its last member: retire the physical machinery
-        // under the anchor's id. An anchor removed earlier stayed
-        // (invisibly) in its slot to carry the plan; that slot goes too.
-        if let Some(fp) = &plan.fingerprint {
-            map.remove(fp);
-        }
-        let phys = plan.phys_id;
-        let orphans = core.queue.retire_query(phys);
-        for _ in &orphans {
-            core.flow.release();
-        }
-        core.scheduler.forget_query(phys);
-        core.matrix.forget_query(phys);
-        core.registry.clear(phys);
-        core.registry.clear(state.id);
-        return orphans.len();
+    let plan = &state.plan;
+    let last = plan.detach(state.id);
+    core.registry.clear(state.id);
+    state.sink.close();
+    if !last {
+        return 0;
     }
-    match (&state.shared.anchor, state.shared.subscription) {
-        // A follower detaches cheaply: unhook its demux subscription (after
-        // any drain, so every window its acknowledged rows produced has
-        // reached its sink) and clear its slot.
-        (Some(anchor), Some(subscription)) => {
-            anchor.sink.unsubscribe(subscription);
-            core.registry.clear(state.id);
-        }
-        // An anchor with followers left: the physical machinery keeps
-        // running under its id. The query turns logically invisible —
-        // excluded from listings, ingest rejected (its gate is closed), its
-        // sink closed by the caller — but the slot stays occupied so workers
-        // can resolve task completions and the followers' demux
-        // subscriptions keep streaming. Rows buffered before the removal
-        // stay drainable; future windows stop accumulating in a sink nobody
-        // will drain.
-        _ => {
-            state.visible.store(false, Ordering::SeqCst);
-            state.sink.stop_retaining();
-        }
+    if let Some(fp) = &plan.fingerprint {
+        map.remove(fp);
     }
-    0
+    let orphans = core.queue.retire_query(plan.id);
+    for _ in &orphans {
+        core.flow.release();
+    }
+    core.scheduler.forget_query(plan.id);
+    core.matrix.forget_query(plan.id);
+    core.registry.clear_plan(plan.id);
+    orphans.len()
 }
 
 /// Handle to one registered query, returned by [`Saber::add_query`] and
@@ -1299,6 +1199,7 @@ impl QueryHandle {
     pub(crate) fn stream_row_size(&self, stream: StreamId) -> Result<usize> {
         Ok(self
             .state
+            .plan
             .dispatcher
             .stream(stream.index())
             .ok_or_else(|| {
@@ -1314,7 +1215,7 @@ impl QueryHandle {
     /// A cloneable multi-producer handle for input `stream` of this query
     /// (see [`Saber::ingest_handle`]).
     pub fn ingest_handle(&self, stream: StreamId) -> Result<IngestHandle> {
-        if self.state.dispatcher.stream(stream.index()).is_none() {
+        if self.state.plan.dispatcher.stream(stream.index()).is_none() {
             return Err(SaberError::Query(format!(
                 "query {} has no input stream {}",
                 self.id.index(),
@@ -1331,14 +1232,14 @@ impl QueryHandle {
     /// (undersized) task, like [`Saber::flush`] scoped to this query.
     pub fn flush(&self) -> Result<()> {
         admitted(&self.core, &self.state, || {
-            flush_plan(&self.core, &self.state)
+            flush_plan(&self.core, &self.state.plan, &self.state.stats)
         })
     }
 
     /// Number of tasks currently queued for this query (the backlog of its
     /// physical shard, for members of a shared plan).
     pub fn queued_tasks(&self) -> usize {
-        self.core.queue.depth(self.state.phys_id())
+        self.core.queue.depth(self.state.plan.id)
     }
 
     /// True once the query has been removed (or removal has begun): further
@@ -1466,11 +1367,11 @@ fn admitted<T>(core: &EngineCore, state: &QueryState, op: impl FnOnce() -> Resul
     op()
 }
 
-/// Cuts the pending rows of `state`'s physical plan into a task and admits
-/// it, blocking on the credit gate while the queue is saturated.
-fn flush_plan(core: &EngineCore, state: &QueryState) -> Result<()> {
-    if let Some(task) = state.dispatcher.flush()? {
-        submit_task(&state.stats, &core.flow, &core.queue, task);
+/// Cuts the pending rows of `plan` into a task and admits it, counted on
+/// `stats`, blocking on the credit gate while the queue is saturated.
+fn flush_plan(core: &EngineCore, plan: &SharedPlan, stats: &QueryStats) -> Result<()> {
+    if let Some(task) = plan.dispatcher.flush()? {
+        submit_task(stats, &core.flow, &core.queue, task);
     }
     Ok(())
 }
@@ -1479,7 +1380,7 @@ fn flush_plan(core: &EngineCore, state: &QueryState) -> Result<()> {
 /// lock-free append + cut, then credit-gated admission of the cut tasks —
 /// and, on a durable engine, a group-committed WAL append before the ack.
 fn ingest_into(core: &EngineCore, state: &QueryState, stream: usize, bytes: &[u8]) -> Result<()> {
-    let dispatcher = &state.dispatcher;
+    let dispatcher = &state.plan.dispatcher;
     let stats = &state.stats;
     let row_size = dispatcher
         .stream(stream)
@@ -2206,6 +2107,27 @@ mod tests {
         // ...but the physical plan lives on, and the follower still streams.
         assert_eq!(engine.num_physical_plans(), 1);
         follower.ingest(StreamId(0), &data(128, 128)).unwrap();
+        follower.flush().unwrap();
+        assert!(engine.drain(Duration::from_secs(30)));
+        // A removed member receives and counts nothing more.
+        assert_eq!(anchor.tuples_emitted(), 128);
+        assert_eq!(
+            engine
+                .query_stats(anchor.id())
+                .unwrap()
+                .tuples_out
+                .load(Ordering::Relaxed),
+            128
+        );
+        assert_eq!(follower.tuples_emitted(), 256);
+        for id in engine.query_ids() {
+            let sink = engine.sink(id).unwrap();
+            let stats = engine.query_stats(id).unwrap();
+            assert_eq!(
+                stats.tuples_out.load(Ordering::Relaxed),
+                sink.tuples_emitted()
+            );
+        }
         // The last detach retires the physical shard for good.
         follower.remove().unwrap();
         assert_eq!(follower.tuples_emitted(), 256);
@@ -2217,6 +2139,36 @@ mod tests {
         let fresh = engine.add_query_sql(sql, &catalog).unwrap();
         assert_eq!(engine.sharing_info(fresh.id()), Some((fresh.id(), 1)));
         assert_eq!(engine.num_physical_plans(), 1);
+        engine.stop().unwrap();
+    }
+
+    #[test]
+    fn idle_worker_cuts_a_plan_whose_first_member_left() {
+        // Default φ and one worker, as in the single-query early-cut test,
+        // but the rows arrive through the plan's second member after the
+        // first one was removed. Its open gate keeps the plan cuttable.
+        let mut engine = Saber::with_config(EngineConfig {
+            worker_threads: 1,
+            execution_mode: ExecutionMode::CpuOnly,
+            ..EngineConfig::default()
+        })
+        .unwrap();
+        engine.start().unwrap();
+        let catalog = sql_catalog();
+        let sql = "SELECT timestamp FROM S [ROWS 4]";
+        let first = engine.add_query_sql(sql, &catalog).unwrap();
+        let survivor = engine.add_query_sql(sql, &catalog).unwrap();
+        first.remove().unwrap();
+        survivor.ingest(StreamId(0), &data(8, 0)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while survivor.tuples_emitted() < 8 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            assert_eq!(survivor.wait_for_window(left), WindowWait::Ready);
+            let _ = survivor.take_rows();
+        }
+        assert_eq!(survivor.tuples_emitted(), 8);
+        let plan = engine.query_stats(first.id()).unwrap().snapshot();
+        assert!(plan.tasks_cut_early >= 1);
         engine.stop().unwrap();
     }
 

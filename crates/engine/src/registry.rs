@@ -4,10 +4,12 @@
 //! Before this existed the engine froze its query vector at `start()`;
 //! workers indexed a snapshot and nothing could be added or removed while
 //! the engine ran. The registry replaces that snapshot with a slot table
-//! under a read/write lock: registration appends a slot (query ids are slot
-//! indices and are **never reused**), removal clears the slot, and workers
-//! resolve a task's query state by id at completion time. Lookups on the
-//! hot paths (ingest, task completion) are a read-lock plus an `Arc` clone.
+//! under a read/write lock: registration fills a slot (query ids are slot
+//! indices and are **never reused**), removal clears it. A slot also holds
+//! the physical plan its query's registration built, until the plan's last
+//! member leaves, and workers resolve a task's plan by id at completion
+//! time. Lookups on the hot paths (ingest, task completion) are a
+//! read-lock plus an `Arc` clone.
 //!
 //! Engine stop and per-query removal share one admission discipline, the
 //! crate-internal `Gate`: close the gate so new ingests are rejected,
@@ -15,69 +17,28 @@
 //! task backlog — so every row whose ingest returned `Ok` is fully
 //! processed before the engine stops or the query disappears.
 
-use crate::dispatcher::Dispatcher;
 use crate::metrics::QueryStats;
-use crate::result::ResultStage;
-use crate::sharing::SharedMembership;
+use crate::sharing::SharedPlan;
 use crate::sink::QuerySink;
 use saber_types::sync::RwLock;
 use saber_types::{Result, SaberError};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Everything the engine and its workers need about one registered query.
+/// Everything the engine needs about one registered query.
 pub(crate) struct QueryState {
     /// The query's id (its slot index; never reused).
     pub(crate) id: usize,
-    /// The query's dispatching stage.
-    pub(crate) dispatcher: Arc<Dispatcher>,
-    /// The query's result stage.
-    pub(crate) runtime: Arc<ResultStage>,
     /// The query's statistics block.
     pub(crate) stats: Arc<QueryStats>,
     /// The query's output sink.
     pub(crate) sink: QuerySink,
     /// Ingest admission gate (closed when removal begins).
-    pub(crate) gate: Gate,
-    /// Membership in the physical plan that executes this query — a
-    /// one-member plan for a private query. See [`crate::sharing`].
-    pub(crate) shared: SharedMembership,
-    /// False once the query has been logically removed but its slot must
-    /// stay occupied because it anchors a shared physical plan with live
-    /// followers. Invisible queries are excluded from the public query
-    /// listing and accept no ingest.
-    pub(crate) visible: AtomicBool,
-}
-
-impl QueryState {
-    /// True when this query is a follower on a shared plan (its physical
-    /// machinery — dispatcher, rings, queue shard, scheduler row — belongs
-    /// to the anchor).
-    pub(crate) fn is_follower(&self) -> bool {
-        !self.shared.is_anchor()
-    }
-
-    /// The id the physical plan runs under: its anchor's id.
-    pub(crate) fn phys_id(&self) -> usize {
-        self.shared.plan.phys_id
-    }
-
-    /// True while the query is publicly listed (not an invisible anchor
-    /// kept alive only to carry its shared plan).
-    pub(crate) fn is_visible(&self) -> bool {
-        self.visible.load(Ordering::SeqCst)
-    }
-
-    /// True while anyone may cut this query's pending rows into a task.
-    /// A closed gate means a removal is flushing and draining the query
-    /// itself, and a cut racing its shard retirement would be dropped. The
-    /// exception is an *invisible* shared anchor: its removal is long done,
-    /// its followers are the live consumers, and nobody else can cut the
-    /// rows they ingest.
-    pub(crate) fn accepts_cuts(&self) -> bool {
-        self.gate.is_open() || (!self.is_visible() && self.shared.plan.num_members() > 0)
-    }
+    pub(crate) gate: Arc<Gate>,
+    /// The physical plan this query is a member of — a one-member plan for
+    /// a private query. See [`crate::sharing`].
+    pub(crate) plan: Arc<SharedPlan>,
 }
 
 /// Gate state: not yet open (an engine before `start()`).
@@ -183,8 +144,18 @@ impl Drop for Permit<'_> {
     }
 }
 
-/// The engine's slot table of registered queries. Public so worker contexts
-/// can carry it; all operations are crate-internal.
+/// One id's entry in the slot table: the query registered under it and,
+/// when that query's registration built a physical plan, the plan (which
+/// outlives the query until its last member leaves).
+#[derive(Default)]
+struct Slot {
+    query: Option<Arc<QueryState>>,
+    plan: Option<Arc<SharedPlan>>,
+}
+
+/// The engine's slot table of registered queries and live physical plans.
+/// Public so worker contexts can carry it; all operations are
+/// crate-internal.
 ///
 /// Ids come from a separate atomic counter so the expensive parts of
 /// registration (plan compilation, input-ring allocation) run *outside*
@@ -195,7 +166,7 @@ impl Drop for Permit<'_> {
 /// ingest or handle can reference an id before its registration returns.
 #[derive(Default)]
 pub struct QueryRegistry {
-    slots: RwLock<Vec<Option<Arc<QueryState>>>>,
+    slots: RwLock<Vec<Slot>>,
     next_id: AtomicUsize,
 }
 
@@ -205,7 +176,7 @@ impl std::fmt::Debug for QueryRegistry {
         write!(
             f,
             "QueryRegistry({} live / {} slots)",
-            slots.iter().filter(|s| s.is_some()).count(),
+            slots.iter().filter(|s| s.query.is_some()).count(),
             slots.len()
         )
     }
@@ -230,45 +201,71 @@ impl QueryRegistry {
         self.next_id.fetch_max(next, Ordering::SeqCst);
     }
 
-    /// Inserts a fully built state into its reserved slot. The only step of
-    /// registration that takes the write lock.
-    pub(crate) fn insert(&self, state: Arc<QueryState>) {
-        let id = state.id;
-        let mut slots = self.slots.write();
+    /// The slot of `id`, growing the table to reach it.
+    fn slot(slots: &mut Vec<Slot>, id: usize) -> &mut Slot {
         if slots.len() <= id {
-            slots.resize_with(id + 1, || None);
+            slots.resize_with(id + 1, Slot::default);
         }
-        debug_assert!(slots[id].is_none(), "query id inserted twice");
-        slots[id] = Some(state);
+        &mut slots[id]
+    }
+
+    /// Inserts a fully built query state into its reserved slot.
+    pub(crate) fn insert(&self, state: Arc<QueryState>) {
+        let mut slots = self.slots.write();
+        let slot = Self::slot(&mut slots, state.id);
+        debug_assert!(slot.query.is_none(), "query id inserted twice");
+        slot.query = Some(state);
+    }
+
+    /// Publishes a new physical plan under its id.
+    pub(crate) fn insert_plan(&self, plan: Arc<SharedPlan>) {
+        let mut slots = self.slots.write();
+        let slot = Self::slot(&mut slots, plan.id);
+        debug_assert!(slot.plan.is_none(), "plan id inserted twice");
+        slot.plan = Some(plan);
     }
 
     /// The state of one live query (None for unknown or removed ids).
     pub(crate) fn get(&self, id: usize) -> Option<Arc<QueryState>> {
-        self.slots.read().get(id).and_then(|s| s.clone())
+        self.slots.read().get(id).and_then(|s| s.query.clone())
     }
 
-    /// Clears a slot (the final step of removal). Returns the state if the
-    /// slot was live.
-    pub(crate) fn clear(&self, id: usize) -> Option<Arc<QueryState>> {
-        self.slots.write().get_mut(id).and_then(|s| s.take())
+    /// The live physical plan with id `id`: workers resolve task
+    /// completions through it.
+    pub(crate) fn plan(&self, id: usize) -> Option<Arc<SharedPlan>> {
+        self.slots.read().get(id).and_then(|s| s.plan.clone())
+    }
+
+    /// Clears a query's slot (the final step of removal).
+    pub(crate) fn clear(&self, id: usize) {
+        if let Some(slot) = self.slots.write().get_mut(id) {
+            slot.query = None;
+        }
+    }
+
+    /// Clears a plan's slot once its last member has left.
+    pub(crate) fn clear_plan(&self, id: usize) {
+        if let Some(slot) = self.slots.write().get_mut(id) {
+            slot.plan = None;
+        }
     }
 
     /// All live query states, in id order.
     pub(crate) fn active(&self) -> Vec<Arc<QueryState>> {
-        self.slots.read().iter().flatten().cloned().collect()
-    }
-
-    /// The live states that own physical machinery — private queries and
-    /// shared-plan anchors, one per dispatcher — in id order. Followers
-    /// share their anchor's dispatcher, so whoever walks dispatchers walks
-    /// this: O(#physical plans), not O(#logical queries).
-    pub(crate) fn physical_plans(&self) -> Vec<Arc<QueryState>> {
         self.slots
             .read()
             .iter()
-            .flatten()
-            .filter(|s| !s.is_follower())
-            .cloned()
+            .filter_map(|s| s.query.clone())
+            .collect()
+    }
+
+    /// All live physical plans, in id order: whoever walks dispatchers
+    /// walks this — O(#physical plans), not O(#logical queries).
+    pub(crate) fn plans(&self) -> Vec<Arc<SharedPlan>> {
+        self.slots
+            .read()
+            .iter()
+            .filter_map(|s| s.plan.clone())
             .collect()
     }
 

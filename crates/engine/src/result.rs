@@ -5,17 +5,19 @@
 //! processors. The result stage restores the order defined by the query task
 //! identifiers, assembles window results from window-fragment results (via
 //! the query's [`AggregationAssembler`]) and appends the ordered output to
-//! the query's [`QuerySink`]. Worker threads call [`ResultStage::submit`]
-//! directly after executing a task — the same thread that executed the task
-//! performs whatever assembly work has become possible, as in the paper's
-//! worker-thread model.
+//! the [`QuerySink`] of every query attached to the plan. Worker threads
+//! call [`ResultStage::submit`] directly after executing a task — the same
+//! thread that executed the task performs whatever assembly work has become
+//! possible, as in the paper's worker-thread model.
 
 use crate::metrics::QueryStats;
+use crate::registry::Gate;
 use crate::sink::QuerySink;
 use crate::task::TaskStamps;
 use saber_cpu::plan::CompiledPlan;
 use saber_cpu::{AggregationAssembler, TaskOutput};
 use saber_obs::{FlightRecorder, TRACE_STAGES};
+use saber_types::schema::SchemaRef;
 use saber_types::sync::Mutex;
 use saber_types::{Result, RowBuffer};
 use std::collections::BTreeMap;
@@ -46,10 +48,24 @@ struct Ordered {
     scratch: RowBuffer,
 }
 
-/// The per-query result stage.
+/// One query attached to a physical plan: the sink and stats block its
+/// output goes to, and its ingest gate (closed once its removal begins).
+pub(crate) struct Member {
+    pub(crate) id: usize,
+    pub(crate) sink: QuerySink,
+    pub(crate) stats: Arc<QueryStats>,
+    pub(crate) gate: Arc<Gate>,
+}
+
+/// The result stage of one physical plan.
 pub struct ResultStage {
     ordered: Mutex<Ordered>,
-    sink: QuerySink,
+    /// The plan's members in attach order (see [`crate::sharing`]). Every
+    /// released batch is appended to each member's sink under the reorder
+    /// lock, so each member sees the plan's output in release order.
+    pub(crate) members: Mutex<Vec<Member>>,
+    schema: SchemaRef,
+    /// The plan's statistics block (stage histograms).
     stats: Arc<QueryStats>,
     completed_tasks: AtomicU64,
     /// The engine-wide flight recorder each released task traces into.
@@ -58,14 +74,10 @@ pub struct ResultStage {
 }
 
 impl ResultStage {
-    /// Creates the result stage of one query. Completed tasks trace into
-    /// `recorder` and the query's stage histograms.
-    pub fn new(
-        plan: &CompiledPlan,
-        sink: QuerySink,
-        stats: Arc<QueryStats>,
-        recorder: Arc<FlightRecorder>,
-    ) -> Self {
+    /// Creates the result stage of one physical plan, with no members yet.
+    /// Completed tasks trace into `recorder` and the plan's stage
+    /// histograms.
+    pub fn new(plan: &CompiledPlan, stats: Arc<QueryStats>, recorder: Arc<FlightRecorder>) -> Self {
         Self {
             ordered: Mutex::new(Ordered {
                 next_seq: 0,
@@ -73,7 +85,8 @@ impl ResultStage {
                 assembler: AggregationAssembler::new(plan),
                 scratch: RowBuffer::new(plan.output_schema().clone()),
             }),
-            sink,
+            members: Mutex::new(Vec::new()),
+            schema: plan.output_schema().clone(),
             stats,
             completed_tasks: AtomicU64::new(0),
             recorder,
@@ -81,9 +94,25 @@ impl ResultStage {
         }
     }
 
-    /// The query's output sink.
-    pub fn sink(&self) -> &QuerySink {
-        &self.sink
+    /// The schema of the rows this stage releases.
+    pub(crate) fn schema(&self) -> &SchemaRef {
+        &self.schema
+    }
+
+    /// Appends one released batch to every member's sink and counts it on
+    /// the member's stats block.
+    fn deliver(&self, rows: &RowBuffer) {
+        if rows.is_empty() {
+            return;
+        }
+        for member in self.members.lock().iter() {
+            member.sink.append(rows);
+            // relaxed-ok: monitoring counter, read for stats display.
+            member
+                .stats
+                .tuples_out
+                .fetch_add(rows.len() as u64, Ordering::Relaxed);
+        }
     }
 
     /// Number of task results fully processed (released in order).
@@ -116,13 +145,7 @@ impl ResultStage {
         } {
             let assembled = Instant::now();
             match result.output {
-                TaskOutput::Rows(rows) => {
-                    self.sink.append(&rows);
-                    // relaxed-ok: monitoring counter, read for stats display.
-                    self.stats
-                        .tuples_out
-                        .fetch_add(rows.len() as u64, Ordering::Relaxed);
-                }
+                TaskOutput::Rows(rows) => self.deliver(&rows),
                 TaskOutput::Fragments { panes, progress } => {
                     let Ordered {
                         ref mut assembler,
@@ -132,15 +155,7 @@ impl ResultStage {
                     if let Some(assembler) = assembler.as_mut() {
                         scratch.clear();
                         match assembler.accept(panes, progress, scratch) {
-                            Ok(_emitted) => {
-                                if !scratch.is_empty() {
-                                    self.sink.append(scratch);
-                                    // relaxed-ok: monitoring counter only.
-                                    self.stats
-                                        .tuples_out
-                                        .fetch_add(scratch.len() as u64, Ordering::Relaxed);
-                                }
-                            }
+                            Ok(_emitted) => self.deliver(scratch),
                             Err(e) => {
                                 if first_error.is_none() {
                                     first_error = Some(e);
@@ -209,14 +224,26 @@ mod tests {
             .build()
             .unwrap();
         let plan = CompiledPlan::compile(&q).unwrap();
-        let sink = QuerySink::new(plan.output_schema().clone(), true);
         let stage = ResultStage::new(
             &plan,
-            sink.clone(),
             Arc::new(QueryStats::default()),
             Arc::new(FlightRecorder::new(8)),
         );
+        let sink = attach(&stage, 0).0;
         (stage, sink)
+    }
+
+    /// Attaches member `id` to `stage`: its retaining sink and stats block.
+    fn attach(stage: &ResultStage, id: usize) -> (QuerySink, Arc<QueryStats>) {
+        let sink = QuerySink::new(stage.schema().clone(), true);
+        let stats = Arc::new(QueryStats::default());
+        stage.members.lock().push(Member {
+            id,
+            sink: sink.clone(),
+            stats: stats.clone(),
+            gate: Arc::new(Gate::new(crate::registry::GATE_OPEN)),
+        });
+        (sink, stats)
     }
 
     #[test]
@@ -283,10 +310,10 @@ mod tests {
             .build()
             .unwrap();
         let plan = CompiledPlan::compile(&q).unwrap();
-        let sink = QuerySink::new(plan.output_schema().clone(), true);
         let stats = Arc::new(QueryStats::default());
         let recorder = Arc::new(FlightRecorder::new(8));
-        let stage = ResultStage::new(&plan, sink, stats.clone(), recorder.clone());
+        let stage = ResultStage::new(&plan, stats.clone(), recorder.clone());
+        attach(&stage, 0);
         for seq in 0..3u64 {
             stage
                 .submit(
@@ -316,14 +343,9 @@ mod tests {
             saber_cpu::PlanKind::Aggregation(a) => a.clone(),
             _ => unreachable!(),
         };
-        let sink = QuerySink::new(plan.output_schema().clone(), true);
         let stats = Arc::new(QueryStats::default());
-        let stage = ResultStage::new(
-            &plan,
-            sink.clone(),
-            stats.clone(),
-            Arc::new(FlightRecorder::new(8)),
-        );
+        let stage = ResultStage::new(&plan, stats.clone(), Arc::new(FlightRecorder::new(8)));
+        let sink = attach(&stage, 0).0;
 
         // Two tasks of 6 rows each; window 0 (rows 0..8) spans both.
         let mk = |start: u64| {
@@ -343,5 +365,32 @@ mod tests {
         let out = sink.take_rows();
         assert_eq!(out.row(0).get_i64(1), 8);
         assert!(stats.avg_latency() > std::time::Duration::ZERO);
+    }
+
+    #[test]
+    fn every_member_receives_each_batch_released_after_it_attached() {
+        let (stage, first) = stateless_stage();
+        let submit = |seq: u64| {
+            stage
+                .submit(
+                    seq,
+                    TaskOutput::Rows(rows(2, seq as i64 * 2)),
+                    TaskStamps::collapsed(Instant::now()),
+                )
+                .unwrap();
+        };
+        submit(0);
+        let (second, second_stats) = attach(&stage, 1);
+        submit(1);
+        assert_eq!(first.tuples_emitted(), 4);
+        assert_eq!(second.tuples_emitted(), 2);
+        assert_eq!(second_stats.tuples_out.load(Ordering::Relaxed), 2);
+        let stamps: Vec<i64> = second.take_rows().iter().map(|t| t.timestamp()).collect();
+        assert_eq!(stamps, vec![2, 3]);
+        // A detached member receives nothing more.
+        stage.members.lock().retain(|m| m.id != 0);
+        submit(2);
+        assert_eq!(first.tuples_emitted(), 4);
+        assert_eq!(second.tuples_emitted(), 4);
     }
 }

@@ -10,35 +10,34 @@
 //! execute as **one physical plan instance**, with results demultiplexed
 //! into every subscriber's [`QuerySink`](crate::sink::QuerySink).
 //!
-//! Every query is a member of a physical plan. A query without a
-//! fingerprint (programmatic queries whose inputs name no source stream) is
-//! the one member of a private plan that never enters the fingerprint map,
-//! so registration, removal and recovery take one path for both kinds.
+//! Every query is a member of a physical plan, and no member is special.
+//! A query without a fingerprint (programmatic queries whose inputs name
+//! no source stream) is the one member of a private plan that never enters
+//! the fingerprint map, so registration, removal and recovery take one path
+//! for both kinds.
 //!
-//! # Anchors and followers
+//! # The plan owns its machinery
 //!
-//! The first query registered for a fingerprint is the **anchor**: its id is
-//! the physical plan's id, and it alone owns the compiled plan, the input
-//! rings, the task-queue shard, the placement seeding and the scheduler/HLS
-//! row. Later fingerprint-identical queries attach as **followers**: each
-//! gets its own id, registry slot, sink, stats block and ingest gate, but no
-//! compiled plan — just a subscription on the anchor's sink that forwards
-//! every result batch (ordered, because the result stage appends under its
-//! reassembly lock). Attaching is O(1) in engine state: no compilation, no
-//! ring allocation, no scheduler row.
+//! A [`SharedPlan`] owns everything that executes: the dispatcher with its
+//! input rings, the result stage, the plan-level stats block and — through
+//! the plan id — the task-queue shard, the scheduler/HLS row and the
+//! throughput-matrix row. Its id is the id of the query whose registration
+//! built it, so that query's stats block is also the plan-level one. Every
+//! member, that first query included, has its own id, registry slot, sink,
+//! stats block and ingest gate, and a place in the plan's member list. The result stage appends each released batch to
+//! every member's sink, in release order, under its reorder lock.
+//! Attaching a later fingerprint-identical query is O(1) in engine state:
+//! no compilation, no ring allocation, no queue shard, no scheduler row.
 //!
 //! # Lifecycle
 //!
-//! Membership is refcounted by the member list inside [`SharedPlan`].
-//! Removing a follower detaches its subscription and clears its slot — the
-//! physical plan is untouched. Removing the anchor while followers remain
-//! makes it *logically* invisible (gate closed, sink closed, buffered rows
-//! kept drainable) but leaves the physical machinery running under its id:
-//! workers resolve task completions through the anchor's slot, and the
-//! followers' subscriptions keep streaming. Only the **last** detach tears
-//! the physical plan down, reusing the engine's flush-then-drain discipline
-//! so every acknowledged row is processed first (the PR-3 permit-counter
-//! guarantee holds per *logical* query throughout).
+//! Removing a member drains the plan, takes the member off the list and
+//! closes its sink; from then on it receives and counts nothing. The plan
+//! keeps running under its id as long as any member is left, whichever
+//! member that is. Only the **last** detach tears the physical plan down,
+//! reusing the engine's flush-then-drain discipline so every acknowledged
+//! row is processed first (the permit-counter guarantee holds per
+//! *logical* query throughout).
 //!
 //! Ingest through any member feeds the one physical plan; every member
 //! observes the complete result stream regardless of which handle carried
@@ -48,49 +47,84 @@
 //! # Durability
 //!
 //! A plan remembers the WAL position of its first `AddQuery` record, and
-//! every member's recovery cut (`replay_from`) is that position: a follower
-//! replays from its plan's registration, so recovery can rebuild the plan's
-//! state and attach the follower exactly at its own record.
+//! every member's recovery cut (`replay_from`) is that position: a later
+//! member replays from its plan's first registration, so recovery can
+//! rebuild the plan's state and attach the member exactly at its own
+//! record.
 
-use crate::registry::QueryState;
+use crate::dispatcher::Dispatcher;
+use crate::metrics::QueryStats;
+use crate::result::{Member, ResultStage};
 use saber_query::PlanFingerprint;
 use saber_types::sync::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One physical plan: the fingerprint it serves, the anchor query id that
-/// owns the physical machinery, and the logical member ids attached to it
-/// (the refcount).
+/// One physical plan: the fingerprint it serves, its machinery and its
+/// members.
 pub(crate) struct SharedPlan {
     /// The canonical fingerprint every member's query normalizes to;
     /// `None` for a private plan, which never enters the fingerprint map.
     pub(crate) fingerprint: Option<PlanFingerprint>,
-    /// Id of the anchor query: the physical plan's id for the task queue,
-    /// scheduler, placement and throughput matrix.
-    pub(crate) phys_id: usize,
-    /// Logical query ids currently attached (anchor included). Guarded by a
-    /// mutex so attach/detach and the empty-check that triggers physical
-    /// teardown are atomic.
-    pub(crate) members: Mutex<Vec<usize>>,
+    /// The plan's id for the task queue, scheduler and throughput matrix:
+    /// the id of the query whose registration built it.
+    pub(crate) id: usize,
+    /// The plan's dispatching stage and input rings.
+    pub(crate) dispatcher: Dispatcher,
+    /// The plan's result stage, which holds the member list.
+    pub(crate) results: ResultStage,
+    /// The plan-level stats block (tasks, placement, stage latencies),
+    /// keyed by the plan id: the block of the query that built the plan.
+    pub(crate) stats: Arc<QueryStats>,
     /// WAL seq of the plan's first `AddQuery` record (`u64::MAX` until one
     /// is logged): every member's recovery cut.
     first_add: AtomicU64,
 }
 
 impl SharedPlan {
-    pub(crate) fn new(fingerprint: Option<PlanFingerprint>, phys_id: usize) -> Self {
+    pub(crate) fn new(
+        fingerprint: Option<PlanFingerprint>,
+        id: usize,
+        dispatcher: Dispatcher,
+        results: ResultStage,
+        stats: Arc<QueryStats>,
+    ) -> Self {
         Self {
             fingerprint,
-            phys_id,
-            members: Mutex::new(vec![phys_id]),
+            id,
+            dispatcher,
+            results,
+            stats,
             first_add: AtomicU64::new(u64::MAX),
         }
     }
 
-    /// Number of attached logical queries.
+    /// Adds a member: every batch released from now on reaches its sink.
+    pub(crate) fn attach(&self, member: Member) {
+        self.results.members.lock().push(member);
+    }
+
+    /// Takes member `id` off the list, so no further batch reaches it.
+    /// Returns true when it was the last member.
+    pub(crate) fn detach(&self, id: usize) -> bool {
+        let mut members = self.results.members.lock();
+        members.retain(|m| m.id != id);
+        members.is_empty()
+    }
+
+    /// Number of attached members.
     pub(crate) fn num_members(&self) -> usize {
-        self.members.lock().len()
+        self.results.members.lock().len()
+    }
+
+    /// True while anyone may cut the plan's pending rows into a task: while
+    /// any member's gate is open. A closed gate means that member's removal
+    /// is flushing and draining the plan itself, and the removal of the
+    /// last member owns the final cut — one racing its shard retirement
+    /// would be dropped.
+    pub(crate) fn accepts_cuts(&self) -> bool {
+        self.results.members.lock().iter().any(|m| m.gate.is_open())
     }
 
     /// Notes a member's `AddQuery` record at WAL position `seq` and returns
@@ -101,33 +135,11 @@ impl SharedPlan {
     }
 }
 
-/// A query's membership in the physical plan that executes it. Held by
-/// [`QueryState`](crate::registry::QueryState); a private query is the
-/// anchor of its own one-member plan.
-pub(crate) struct SharedMembership {
-    /// The plan this query belongs to.
-    pub(crate) plan: Arc<SharedPlan>,
-    /// For followers: the anchor's state (the physical plan's dispatcher,
-    /// result stage and sink live there). `None` when this query *is* the
-    /// anchor.
-    pub(crate) anchor: Option<Arc<QueryState>>,
-    /// For followers: the subscription id on the anchor's sink that forwards
-    /// result batches into this query's own sink.
-    pub(crate) subscription: Option<u64>,
-}
-
-impl SharedMembership {
-    /// True when this query is the anchor (owns the physical machinery).
-    pub(crate) fn is_anchor(&self) -> bool {
-        self.anchor.is_none()
-    }
-}
-
-/// Fingerprint → shared physical plan. One per engine; `add_query` consults
-/// it under the map lock so a concurrent attach never races a dying plan:
-/// detach removes the entry (under the same lock) *before* tearing the
-/// physical plan down, so an attach either joins a plan with live members
-/// or creates a fresh anchor.
+/// Fingerprint → shared physical plan. One per engine; registration
+/// consults it under the map lock so a concurrent attach never races a
+/// dying plan: detach removes the entry (under the same lock) *before*
+/// tearing the physical plan down, so an attach either joins a plan with
+/// live members or builds a fresh one.
 #[derive(Default)]
 pub(crate) struct SharedWindowRegistry {
     map: Mutex<HashMap<PlanFingerprint, Arc<SharedPlan>>>,
@@ -154,10 +166,14 @@ impl SharedWindowRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saber_query::{Expr, QueryBuilder};
+    use crate::registry::{Gate, GATE_OPEN};
+    use crate::sink::QuerySink;
+    use saber_cpu::CompiledPlan;
+    use saber_obs::FlightRecorder;
+    use saber_query::{Expr, Query, QueryBuilder};
     use saber_types::{DataType, Schema};
 
-    fn fingerprint(tag: &str) -> PlanFingerprint {
+    fn query(tag: &str) -> Query {
         let schema = Schema::from_pairs(&[("ts", DataType::Timestamp), ("v", DataType::Int)])
             .unwrap()
             .into_ref();
@@ -167,27 +183,56 @@ mod tests {
             .project(vec![(Expr::column(1), "v")])
             .build()
             .unwrap()
+    }
+
+    fn fingerprint(tag: &str) -> PlanFingerprint {
+        query(tag)
             .fingerprint()
             .expect("sourced query fingerprints")
+    }
+
+    fn plan(tag: &str, id: usize) -> Arc<SharedPlan> {
+        let query = query(tag);
+        let compiled = Arc::new(CompiledPlan::compile(&query).unwrap());
+        let stats = Arc::new(QueryStats::default());
+        let results = ResultStage::new(&compiled, stats.clone(), Arc::new(FlightRecorder::new(8)));
+        let dispatcher =
+            Dispatcher::new(compiled, 1024, 1 << 16, Arc::new(AtomicU64::new(0)), true);
+        Arc::new(SharedPlan::new(
+            query.fingerprint(),
+            id,
+            dispatcher,
+            results,
+            stats,
+        ))
+    }
+
+    fn member(plan: &SharedPlan, id: usize) -> Arc<Gate> {
+        let gate = Arc::new(Gate::new(GATE_OPEN));
+        plan.attach(Member {
+            id,
+            sink: QuerySink::new(plan.results.schema().clone(), false),
+            stats: Arc::new(QueryStats::default()),
+            gate: gate.clone(),
+        });
+        gate
     }
 
     #[test]
     fn member_list_refcounts_and_entry_removal_is_atomic() {
         let registry = SharedWindowRegistry::new();
         let fp = fingerprint("S");
-        let plan = Arc::new(SharedPlan::new(Some(fp.clone()), 3));
+        let plan = plan("S", 3);
         registry.lock().insert(fp.clone(), plan.clone());
+        member(&plan, 3);
         assert_eq!(plan.num_members(), 1);
-        plan.members.lock().push(7);
+        member(&plan, 7);
         assert_eq!(plan.num_members(), 2);
 
-        // Detach follower 7: plan survives.
+        // Detach the plan's first member: the plan survives.
         {
             let map = registry.lock();
-            let mut members = plan.members.lock();
-            members.retain(|&id| id != 7);
-            assert!(!members.is_empty());
-            drop(members);
+            assert!(!plan.detach(3));
             drop(map);
         }
         assert_eq!(registry.len(), 1);
@@ -195,9 +240,7 @@ mod tests {
         // Detach the last member: the entry goes with it.
         {
             let mut map = registry.lock();
-            let mut members = plan.members.lock();
-            members.retain(|&id| id != 3);
-            if members.is_empty() {
+            if plan.detach(7) {
                 map.remove(&fp);
             }
         }
@@ -207,17 +250,25 @@ mod tests {
     }
 
     #[test]
+    fn a_plan_accepts_cuts_while_any_member_gate_is_open() {
+        let plan = plan("S", 0);
+        assert!(!plan.accepts_cuts(), "no members");
+        let first = member(&plan, 0);
+        let second = member(&plan, 1);
+        assert!(first.close());
+        assert!(plan.accepts_cuts());
+        assert!(second.close());
+        assert!(!plan.accepts_cuts());
+    }
+
+    #[test]
     fn distinct_fingerprints_get_distinct_plans() {
         let registry = SharedWindowRegistry::new();
         let a = fingerprint("A");
         let b = fingerprint("B");
         assert_ne!(a, b);
-        registry
-            .lock()
-            .insert(a.clone(), Arc::new(SharedPlan::new(Some(a), 0)));
-        registry
-            .lock()
-            .insert(b.clone(), Arc::new(SharedPlan::new(Some(b), 1)));
+        registry.lock().insert(a, plan("A", 0));
+        registry.lock().insert(b, plan("B", 1));
         assert_eq!(registry.len(), 2);
     }
 }

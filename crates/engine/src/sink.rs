@@ -61,9 +61,9 @@ struct SinkInner {
     schema: SchemaRef,
     /// Buffered output rows (only kept while `retain` is true).
     rows: Mutex<RowBuffer>,
-    /// Whether appends buffer rows. Atomic so a shared-plan anchor whose
-    /// logical query was removed can stop accumulating rows it will never
-    /// drain, without dropping what was buffered before the removal.
+    /// Whether appends buffer rows. Atomic so a push-only consumer can stop
+    /// buffering without dropping what was buffered before (see
+    /// [`QuerySink::stop_retaining`]).
     retain: AtomicBool,
     tuples: AtomicU64,
     bytes: AtomicU64,
@@ -149,7 +149,7 @@ impl QuerySink {
             appends.waiters
         };
         // A futex wake is a syscall even with nobody waiting; a shared plan
-        // appends to every follower's sink per window batch.
+        // appends to every member's sink per window batch.
         if waiters > 0 {
             self.inner.appended.notify_all();
         }
@@ -208,8 +208,8 @@ impl QuerySink {
     /// subscription id for [`QuerySink::unsubscribe`].
     ///
     /// Callbacks run on the worker that releases the batch, under the
-    /// result stage's reorder lock and this sink's callback lock, so the
-    /// query's next window waits for them. They may encode the batch and
+    /// result stage's reorder lock, its plan's member-list lock and this
+    /// sink's callback lock, so the plan's next window waits for them. They may encode the batch and
     /// enqueue it without blocking (the network server formats each batch
     /// once per encoding and appends it to its subscribers' outboxes). They
     /// must not block, must not take a lock declared above `sink-callbacks`
@@ -252,13 +252,11 @@ impl QuerySink {
 
     /// Stops buffering future appends without discarding rows already
     /// buffered (they stay drainable via [`QuerySink::take_rows`]); counters,
-    /// waiters and subscribed callbacks see every append as before. The
-    /// engine calls it when a shared physical plan outlives this sink's
-    /// logical query, so the sink does not accumulate output nobody will
-    /// ever drain. A consumer that reads results only through
-    /// [`QuerySink::subscribe`] calls it too, then drains what was already
-    /// buffered with one [`QuerySink::take_rows`]: no batch appended after
-    /// this returns is buffered.
+    /// waiters and subscribed callbacks see every append as before. A
+    /// consumer that reads results only through [`QuerySink::subscribe`]
+    /// (the network server's query slots) calls it, then drains what was
+    /// already buffered with one [`QuerySink::take_rows`]: no batch appended
+    /// after this returns is buffered.
     pub fn stop_retaining(&self) {
         let _rows = self.inner.rows.lock();
         // pairs-with: append — workers Acquire-load the flag before taking

@@ -17,8 +17,9 @@ use crate::dispatcher::EARLY_CUT_AGE;
 use crate::engine::admit_task;
 use crate::flow::FlowControl;
 use crate::queue::TaskQueue;
-use crate::registry::{Gate, QueryRegistry, QueryState};
+use crate::registry::{Gate, QueryRegistry};
 use crate::scheduler::{Processor, Scheduler};
+use crate::sharing::SharedPlan;
 use crate::task::{QueryTask, TaskStamps};
 use crate::throughput::ThroughputMatrix;
 use saber_cpu::{CompiledPlan, CpuExecutor, TaskOutput};
@@ -37,7 +38,7 @@ pub struct WorkerContext {
     pub scheduler: Arc<Scheduler>,
     /// The observed throughput matrix.
     pub matrix: Arc<ThroughputMatrix>,
-    /// The dynamic query registry: queries are resolved by id at completion
+    /// The dynamic query registry: plans are resolved by id at completion
     /// time, so the set may grow and shrink while workers run.
     pub registry: Arc<QueryRegistry>,
     /// Admission-control gate: every finished task returns its credit here,
@@ -48,10 +49,10 @@ pub struct WorkerContext {
 }
 
 impl WorkerContext {
-    /// Enters `output` into the result stage of query `task_query`. A task
-    /// whose execution failed still takes its place in the query's sequence
-    /// (and any drain waiting on it keeps moving): it finishes with an empty
-    /// output of `plan`'s schema, and the query counts the error.
+    /// Enters `output` into the result stage of physical plan `task_query`.
+    /// A task whose execution failed still takes its place in the plan's
+    /// sequence (and any drain waiting on it keeps moving): it finishes with
+    /// an empty output of `plan`'s schema, and the plan counts the error.
     fn finish(
         &self,
         task_query: usize,
@@ -61,23 +62,23 @@ impl WorkerContext {
         plan: &CompiledPlan,
         processor: Processor,
     ) {
-        let Some(state) = self.registry.get(task_query) else {
-            // The query vanished with this task still in flight — only
+        let Some(shared) = self.registry.plan(task_query) else {
+            // The plan vanished with this task still in flight — only
             // possible after an unclean (timed-out) removal. Drop the output
             // but return the credit so admission control stays balanced.
             self.flow.release();
             return;
         };
-        state.stats.record_task(processor);
+        shared.stats.record_task(processor);
         let output = output.unwrap_or_else(|_| {
             // relaxed-ok: monitoring counter, read only for stats display.
-            state.stats.exec_errors.fetch_add(1, Ordering::Relaxed);
+            shared.stats.exec_errors.fetch_add(1, Ordering::Relaxed);
             TaskOutput::Rows(RowBuffer::new(plan.output_schema().clone()))
         });
         // A result-stage error is unrecoverable for the affected window, but
         // the stage keeps its release sequence advancing internally, so
         // later tasks (and the removal/stop drain loops) are not blocked.
-        let _ = state.runtime.submit(seq, output, stamps);
+        let _ = shared.results.submit(seq, output, stamps);
         self.flow.release();
     }
 
@@ -96,12 +97,13 @@ impl WorkerContext {
     /// the early-cut deadline passed or its park slice ran out — it cuts
     /// every physical plan whose oldest pending row has waited
     /// [`EARLY_CUT_AGE`] and re-arms the deadline for the rest. One walk
-    /// over the physical plans; followers share their anchor's dispatcher.
+    /// over the physical plans, each with its one dispatcher.
     ///
     /// Loss-freeness is `flush()`'s: the cut commits `tasks_cut` under the
     /// cutter lock and is pushed through [`TaskQueue::push`], so removal and
     /// stop drains see it like any other. They own the *final* cut, though:
-    /// a stopped engine or a query mid-removal is left to them.
+    /// a stopped engine or a plan whose every member is mid-removal is left
+    /// to them.
     fn cut_aged(&self) {
         // Disarm first: a producer arming during the walk lowers the fresh
         // slot, and everything this walk leaves pending is re-armed below.
@@ -110,16 +112,16 @@ impl WorkerContext {
             return;
         }
         let now = Instant::now();
-        for state in self.registry.physical_plans() {
-            let Some(age) = state.dispatcher.oldest_pending_age() else {
+        for plan in self.registry.plans() {
+            let Some(age) = plan.dispatcher.oldest_pending_age() else {
                 continue;
             };
-            if !state.accepts_cuts() {
-                continue;
-            }
             if age < EARLY_CUT_AGE {
                 self.queue.arm_early_cut(now + (EARLY_CUT_AGE - age));
-            } else if state.dispatcher.pending_bytes() > 0 && !self.try_cut(&state) {
+            } else if plan.accepts_cuts()
+                && plan.dispatcher.pending_bytes() > 0
+                && !self.try_cut(&plan)
+            {
                 // A backlog or a busy cutter is in the way: look again once
                 // it had time to clear (the φ cut stays in charge meanwhile).
                 self.queue.arm_early_cut(now + EARLY_CUT_AGE);
@@ -127,29 +129,29 @@ impl WorkerContext {
         }
     }
 
-    /// Cuts `state`'s pending rows into a task unless a backlog says the
+    /// Cuts `plan`'s pending rows into a task unless a backlog says the
     /// plan is not starved: tasks still queued in its shard, or no free
     /// credit. Nothing here may block: credits come back only from workers,
     /// so a worker waiting for one — or for the cutter lock, which a
     /// producer holds *while* it waits for a credit — could wait on itself.
     /// Returns false when aged rows are left pending, for the caller to
     /// look at again: no producer will arm a deadline for them any more.
-    fn try_cut(&self, state: &QueryState) -> bool {
-        if self.queue.depth(state.id) > 0 || !self.flow.try_acquire() {
+    fn try_cut(&self, plan: &SharedPlan) -> bool {
+        if self.queue.depth(plan.id) > 0 || !self.flow.try_acquire() {
             return false;
         }
-        match state.dispatcher.try_flush() {
+        match plan.dispatcher.try_flush() {
             Ok(Some(task)) => {
                 // relaxed-ok: monitoring counter, read only for stats display.
-                state.stats.tasks_cut_early.fetch_add(1, Ordering::Relaxed);
-                admit_task(&state.stats, &self.flow, &self.queue, task);
+                plan.stats.tasks_cut_early.fetch_add(1, Ordering::Relaxed);
+                admit_task(&plan.stats, &self.flow, &self.queue, task);
                 true
             }
             // Either another cutter took the rows first, or a producer
             // holds the cutter lock and they are still there.
             Ok(None) => {
                 self.flow.release();
-                state.dispatcher.pending_bytes() == 0
+                plan.dispatcher.pending_bytes() == 0
             }
             // A ring read failed with the rows left pending. A worker has
             // nobody to report to; the next φ cut or `flush` hits the same

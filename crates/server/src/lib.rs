@@ -483,19 +483,13 @@ fn register_query_slot(
     let ingest = ingest?;
     // Results leave through the callback only: the sink keeps no rows, and
     // whatever recovery replay or registration already buffered goes.
-    let sink = handle.sink().clone();
+    let sink = handle.sink();
     sink.stop_retaining();
     drop(sink.take_rows());
     let subscribers = Arc::new(Mutex::new(Subscribers::default()));
     let hook = {
         let subscribers = subscribers.clone();
-        handle.sink().subscribe(move |rows| {
-            // A dropped anchor keeps appending for its followers; none of
-            // that reaches its own subscribers.
-            if !sink.is_closed() {
-                fanout(rows, &subscribers.lock().list);
-            }
-        })
+        sink.subscribe(move |rows| fanout(rows, &subscribers.lock().list))
     };
     if st.queries.len() <= id {
         st.queries.resize_with(id + 1, || None);

@@ -197,9 +197,7 @@ pub(crate) fn write(dir: &Path, snapshot: &Snapshot, keep: usize) -> Result<()> 
     drop(file);
     std::fs::rename(&tmp_path, &final_path)
         .map_err(|e| io_err("failed to rename", &tmp_path, e))?;
-    if let Ok(handle) = File::open(dir) {
-        let _ = handle.sync_all();
-    }
+    crate::wal::sync_dir(dir)?;
     let snapshots = list_snapshots(dir)?;
     if snapshots.len() > keep {
         for (_, path) in &snapshots[..snapshots.len() - keep] {

@@ -58,12 +58,13 @@ pub(crate) fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
     Ok(segments)
 }
 
-/// Syncs the directory entry itself so segment creation/removal survives a
-/// power loss (a no-op on platforms where directories cannot be opened).
-fn sync_dir(dir: &Path) {
-    if let Ok(handle) = File::open(dir) {
-        let _ = handle.sync_all();
-    }
+/// Syncs the directory entry itself so a segment or snapshot created,
+/// renamed or removed in `dir` survives a power loss. A failure means the
+/// entry may not be durable, and is reported like any other I/O error.
+pub(crate) fn sync_dir(dir: &Path) -> Result<()> {
+    File::open(dir)
+        .and_then(|handle| handle.sync_all())
+        .map_err(|e| io_err("failed to sync directory", dir, e))
 }
 
 /// Appended-but-unflushed records plus the append cursor.
@@ -326,7 +327,7 @@ impl Wal {
             self.inner
                 .num_segments
                 .fetch_sub(removed, Ordering::Relaxed);
-            sync_dir(&self.inner.dir);
+            sync_dir(&self.inner.dir)?;
         }
         Ok(removed)
     }
@@ -436,7 +437,7 @@ fn open_segment(dir: &Path, first_seq: u64, existing_len: Option<u64>) -> Result
     let len = match existing_len {
         Some(len) => len,
         None => {
-            sync_dir(dir);
+            sync_dir(dir)?;
             0
         }
     };
@@ -577,5 +578,30 @@ fn flusher_loop(inner: Arc<WalInner>, active: Option<(u64, PathBuf, u64)>) {
         if shutdown && inner.pending.lock().buf.is_empty() {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sync_dir_reports_a_directory_it_cannot_sync() {
+        let dir = std::env::temp_dir().join(format!(
+            "saber-store-wal-test-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        sync_dir(&dir).unwrap();
+        std::fs::remove_dir(&dir).unwrap();
+        let err = sync_dir(&dir).unwrap_err();
+        assert!(
+            err.to_string().contains("failed to sync directory"),
+            "{err}"
+        );
     }
 }
