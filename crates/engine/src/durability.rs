@@ -14,11 +14,12 @@
 //! queries (id + SQL + WAL cut position) and the id allocator — *not* row
 //! data or operator state: windows are a deterministic function of the
 //! ingested history, so recovery re-registers the queries through the
-//! typed `add_query` path and replays each one's WAL suffix. A background
-//! `saber-checkpoint` thread takes a snapshot on the configured cadence
-//! whenever result windows have closed since the last one
-//! (checkpoint-on-window-close); each checkpoint lets the store prune WAL
-//! segments wholly below the minimum live cut.
+//! typed `add_query` path and replays each one's WAL suffix. A checkpoint
+//! lets the store prune WAL segments wholly below the minimum live cut,
+//! and that cut moves only when a physical plan retires. So the engine
+//! checkpoints exactly then — when a removal takes a plan's last member —
+//! plus once at `stop()` and on explicit [`Saber::checkpoint`] calls.
+//! Recovery takes none.
 //!
 //! **Recovery** ([`Saber::recover`]) rebuilds a crashed engine from its
 //! directory: load the newest readable snapshot, restore the catalog, then
@@ -34,7 +35,7 @@ use crate::ids::{QueryId, StreamId};
 use saber_sql::SharedCatalog;
 use saber_store::{Snapshot, SnapshotQuery, Store, WalRecord};
 use saber_types::schema::SchemaRef;
-use saber_types::sync::{Condvar, Mutex};
+use saber_types::sync::Mutex;
 use saber_types::{Result, SaberError, Schema};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -64,8 +65,6 @@ pub(crate) struct Durability {
     pub(crate) meta: Mutex<HashMap<usize, QueryMeta>>,
     /// Rows re-ingested by the last recovery (surfaced through `STATS`).
     pub(crate) replayed_rows: AtomicU64,
-    ckpt_stop: Mutex<bool>,
-    ckpt_cv: Condvar,
 }
 
 impl Durability {
@@ -76,33 +75,12 @@ impl Durability {
             logging: AtomicBool::new(logging),
             meta: Mutex::new(HashMap::new()),
             replayed_rows: AtomicU64::new(0),
-            ckpt_stop: Mutex::new(false),
-            ckpt_cv: Condvar::new(),
         }
     }
 
     /// True when acknowledged work must be appended to the WAL.
     pub(crate) fn logging(&self) -> bool {
         self.logging.load(Ordering::SeqCst)
-    }
-
-    /// Parks the checkpoint thread between snapshots; returns true when the
-    /// thread should exit.
-    pub(crate) fn wait_checkpoint_tick(&self, interval: std::time::Duration) -> bool {
-        let mut stop = self.ckpt_stop.lock();
-        if !*stop {
-            // condvar-ok: periodic tick — a timeout is the normal wake path
-            // and a spurious wake merely snapshots one cadence early; the
-            // stop flag is re-read under the lock after waking.
-            self.ckpt_cv.wait_for(&mut stop, interval);
-        }
-        *stop
-    }
-
-    /// Tells the checkpoint thread to exit (engine stop).
-    pub(crate) fn stop_checkpoints(&self) {
-        *self.ckpt_stop.lock() = true;
-        self.ckpt_cv.notify_all();
     }
 }
 
@@ -160,8 +138,8 @@ pub struct CheckpointReport {
     pub pruned_segments: usize,
 }
 
-/// Takes one checkpoint of `engine` (no-op returning `None` when the engine
-/// is not durable). Free function so the background thread and the public
+/// Takes one checkpoint of a durable engine whose query-id high-water mark
+/// is `registry_high_water`. Plan retirement, `stop()` and the public
 /// [`Saber::checkpoint`] share it.
 pub(crate) fn checkpoint_engine(
     durability: &Durability,
@@ -290,11 +268,6 @@ impl Saber {
             .replayed_rows
             .store(replayed_rows, Ordering::SeqCst);
         durability.logging.store(true, Ordering::SeqCst);
-        // Replay is complete: the checkpoint cadence may run now (start()
-        // deliberately skipped it while logging was off — a snapshot taken
-        // mid-replay would capture a partially restored query set and could
-        // prune segments the replay still needed).
-        engine.start_checkpoint_worker()?;
         let queries = {
             let meta = durability.meta.lock();
             let mut queries: Vec<RecoveredQuery> = meta
@@ -364,9 +337,10 @@ impl Saber {
     }
 
     /// Takes a catalog snapshot now (and prunes obsolete WAL segments).
-    /// Returns `None` on an in-memory engine. The background checkpoint
-    /// thread calls the same machinery on its cadence; explicit calls are
-    /// for tests and operational tooling.
+    /// Returns `None` on an in-memory engine. The engine checkpoints on its
+    /// own when a removal retires a plan and at `stop()`; explicit calls
+    /// are for tests and operational tooling. Concurrent checkpoints run
+    /// one at a time.
     pub fn checkpoint(&self) -> Result<Option<CheckpointReport>> {
         match self.durability() {
             Some(durability) => Ok(Some(checkpoint_engine(
@@ -427,7 +401,6 @@ mod tests {
         let mut durability = DurabilityConfig::new(dir);
         durability.flush_interval = Duration::from_millis(1);
         durability.fsync = FsyncPolicy::EveryFlush;
-        durability.checkpoint_interval = None; // tests checkpoint explicitly
         EngineConfig {
             worker_threads: 2,
             query_task_size: 16 * 1024,
@@ -600,12 +573,18 @@ mod tests {
                 // appends out so the history spans several segments.
                 std::thread::sleep(Duration::from_millis(3));
             }
+            let before = engine.durability_stats().unwrap();
+            assert_eq!(before.last_checkpoint, None);
+            // Removing the plan's last member checkpoints: with no live
+            // query, the horizon is the snapshot position and all
+            // rotated-away history is pruned before remove() returns.
             doomed.remove().unwrap();
-            // With no live query, the checkpoint horizon is the snapshot
-            // position: all rotated-away history is prunable.
-            let report = engine.checkpoint().unwrap().unwrap();
-            assert_eq!(report.live_queries, 0);
-            assert!(report.pruned_segments > 0, "expected retention to prune");
+            let after = engine.durability_stats().unwrap();
+            assert!(after.last_checkpoint.is_some());
+            assert!(
+                after.wal_segments < before.wal_segments,
+                "expected retention to prune: {before:?} -> {after:?}"
+            );
             let survivor = engine.add_query_sql(sql, &catalog).unwrap();
             assert_eq!(survivor.id(), QueryId(1));
             for batch in &batches[8..] {
@@ -636,20 +615,23 @@ mod tests {
         // ghost — resurrecting a deleted query one recovery later.
         let dir = TempDir::new("replayed-removal");
         let image = TempDir::new("replayed-removal-image");
+        let sql = "SELECT * FROM S [ROWS 64]";
         {
             let mut engine = Saber::with_config(durable_config(&dir.path)).unwrap();
             engine.start().unwrap();
             engine.create_stream("S", schema()).unwrap();
             let catalog = engine.shared_catalog().unwrap().snapshot();
-            let q = engine
-                .add_query_sql("SELECT * FROM S [ROWS 64]", &catalog)
-                .unwrap();
+            let q = engine.add_query_sql(sql, &catalog).unwrap();
+            // A second member keeps the plan alive, so the removal below
+            // retires no plan and takes no checkpoint of its own.
+            let survivor = engine.add_query_sql(sql, &catalog).unwrap();
+            assert_eq!(survivor.id(), QueryId(1));
             q.ingest(StreamId(0), &rows(128, 0)).unwrap();
             // Snapshot captures the query as live...
             engine.checkpoint().unwrap().unwrap();
             // ...then it is removed, with the RemoveQuery record past the
             // snapshot. Copy a crash image before stop() can take its
-            // final (query-less) checkpoint, which would mask the bug.
+            // final checkpoint, which would mask the bug.
             q.remove().unwrap();
             std::thread::sleep(Duration::from_millis(50)); // group commit
             for entry in std::fs::read_dir(&dir.path).unwrap() {
@@ -658,17 +640,79 @@ mod tests {
             }
             engine.stop().unwrap();
         }
+        let only_survivor = vec![RecoveredQuery {
+            id: QueryId(1),
+            sql: sql.to_string(),
+        }];
         let (engine, report) = Saber::recover(durable_config(&image.path)).unwrap();
-        assert!(report.queries.is_empty(), "{:?}", report.queries);
-        assert!(engine.query_ids().is_empty());
+        assert_eq!(report.queries, only_survivor);
+        assert_eq!(engine.query_ids(), vec![QueryId(1)]);
         // Second-order check: a checkpoint on the recovered engine must not
         // snapshot a ghost either.
         engine.checkpoint().unwrap().unwrap();
         drop(engine);
         let (engine, report) = Saber::recover(durable_config(&image.path)).unwrap();
-        assert!(report.queries.is_empty(), "{:?}", report.queries);
-        assert!(engine.query_ids().is_empty());
+        assert_eq!(report.queries, only_survivor);
+        assert_eq!(engine.query_ids(), vec![QueryId(1)]);
         drop(engine);
+    }
+
+    #[test]
+    fn only_the_removal_that_retires_a_plan_checkpoints() {
+        let dir = TempDir::new("retire-ckpt");
+        let mut engine = Saber::with_config(durable_config(&dir.path)).unwrap();
+        engine.start().unwrap();
+        engine.create_stream("S", schema()).unwrap();
+        let catalog = engine.shared_catalog().unwrap().snapshot();
+        let sql = "SELECT * FROM S [ROWS 64]";
+        let first = engine.add_query_sql(sql, &catalog).unwrap();
+        let second = engine.add_query_sql(sql, &catalog).unwrap();
+        first.ingest(StreamId(0), &rows(128, 0)).unwrap();
+        let taken = engine.checkpoint().unwrap().unwrap().wal_seq;
+        let last_checkpoint = || engine.durability_stats().unwrap().last_checkpoint;
+        // The plan keeps a member: its history is still needed.
+        first.remove().unwrap();
+        assert_eq!(last_checkpoint(), Some(taken));
+        // The plan's last member leaves: the horizon moves, so it checkpoints.
+        second.remove().unwrap();
+        assert!(last_checkpoint() > Some(taken), "{:?}", last_checkpoint());
+        engine.stop().unwrap();
+    }
+
+    #[test]
+    fn concurrent_checkpoints_all_succeed() {
+        let dir = TempDir::new("concurrent-ckpt");
+        let mut engine = Saber::with_config(durable_config(&dir.path)).unwrap();
+        engine.start().unwrap();
+        // Two checkpoints of an idle engine capture the same position and
+        // so write the same snapshot file.
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..200 {
+                        engine.checkpoint().unwrap().unwrap();
+                    }
+                });
+            }
+        });
+        // Two removals that each retire a plan checkpoint concurrently.
+        engine.create_stream("S", schema()).unwrap();
+        let catalog = engine.shared_catalog().unwrap().snapshot();
+        let queries = [
+            engine
+                .add_query_sql("SELECT * FROM S [ROWS 64]", &catalog)
+                .unwrap(),
+            engine
+                .add_query_sql("SELECT timestamp FROM S [ROWS 32]", &catalog)
+                .unwrap(),
+        ];
+        std::thread::scope(|s| {
+            let removals: Vec<_> = queries.iter().map(|q| s.spawn(|| q.remove())).collect();
+            for removal in removals {
+                removal.join().unwrap().unwrap();
+            }
+        });
+        engine.stop().unwrap();
     }
 
     #[test]
@@ -692,34 +736,5 @@ mod tests {
         assert!(report.queries.is_empty());
         assert!(engine.query_ids().is_empty());
         drop(engine);
-    }
-
-    #[test]
-    fn automatic_checkpoints_fire_on_window_close() {
-        let dir = TempDir::new("auto-ckpt");
-        let mut config = durable_config(&dir.path);
-        if let Some(d) = config.durability.as_mut() {
-            d.checkpoint_interval = Some(Duration::from_millis(20));
-        }
-        let mut engine = Saber::with_config(config).unwrap();
-        engine.start().unwrap();
-        engine.create_stream("S", schema()).unwrap();
-        let catalog = engine.shared_catalog().unwrap().snapshot();
-        let handle = engine
-            .add_query_sql("SELECT * FROM S [ROWS 64]", &catalog)
-            .unwrap();
-        // More than one task size φ, so tasks are cut and windows close
-        // (the checkpoint cadence only fires once results have appeared).
-        handle.ingest(StreamId(0), &rows(4096, 0)).unwrap();
-        // Wait for windows to close and the checkpoint cadence to pass.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while engine.durability_stats().unwrap().last_checkpoint.is_none() {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "no automatic checkpoint within 10s"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        engine.stop().unwrap();
     }
 }

@@ -83,8 +83,6 @@ struct EngineCore {
 pub struct Saber {
     core: Arc<EngineCore>,
     workers: Vec<JoinHandle<()>>,
-    /// The background `saber-checkpoint` thread of a durable engine.
-    checkpoint_worker: Option<JoinHandle<()>>,
 }
 
 impl Saber {
@@ -169,7 +167,6 @@ impl Saber {
                 config,
             }),
             workers: Vec::new(),
-            checkpoint_worker: None,
         })
     }
 
@@ -686,58 +683,7 @@ impl Saber {
                     .map_err(|e| SaberError::State(format!("failed to spawn GPU worker: {e}")))?,
             );
         }
-        // Recovery starts the engine with logging disabled and spawns the
-        // checkpoint worker itself once replay has finished — a checkpoint
-        // taken mid-replay would snapshot a partially restored query set
-        // (and prune segments the replay still needs).
-        if self
-            .core
-            .durability
-            .as_ref()
-            .is_some_and(|durability| durability.logging())
-        {
-            self.start_checkpoint_worker()?;
-        }
         self.core.lifecycle.open();
-        Ok(())
-    }
-
-    /// Spawns the `saber-checkpoint` cadence thread of a durable engine (a
-    /// no-op without durability, without a configured interval, or when the
-    /// worker is already running).
-    pub(crate) fn start_checkpoint_worker(&mut self) -> Result<()> {
-        let Some(durability) = &self.core.durability else {
-            return Ok(());
-        };
-        let Some(interval) = durability.store.config().checkpoint_interval else {
-            return Ok(());
-        };
-        if self.checkpoint_worker.is_some() {
-            return Ok(());
-        }
-        let core = self.core.clone();
-        let durability = durability.clone();
-        self.checkpoint_worker = Some(
-            std::thread::Builder::new()
-                .name("saber-checkpoint".to_string())
-                .spawn(move || {
-                    let mut emitted = 0;
-                    while !durability.wait_checkpoint_tick(interval) {
-                        // Snapshot only when result windows closed since the
-                        // last tick (the output counters moved); failures
-                        // are retried on the next cadence (explicit
-                        // checkpoint() surfaces them).
-                        let now = core.stats.total_tuples_out();
-                        if now != emitted {
-                            emitted = now;
-                            let _ = checkpoint_engine(&durability, core.registry.num_slots());
-                        }
-                    }
-                })
-                .map_err(|e| {
-                    SaberError::State(format!("failed to spawn checkpoint thread: {e}"))
-                })?,
-        );
         Ok(())
     }
 
@@ -878,20 +824,14 @@ impl Saber {
         for state in self.core.registry.active() {
             state.sink.close();
         }
-        // Wind down durability *before* any early error return, or a flush
-        // failure would leave the checkpoint thread running forever (the
-        // phase is already `Stopped`, so no retry reaches this point): stop
-        // the cadence, take one final catalog snapshot (best effort — the
-        // WAL alone is sufficient for recovery) and force the log to stable
-        // storage, so a clean shutdown is fully durable regardless of the
-        // fsync policy.
-        let sync_result = match self.core.durability.clone() {
+        // Wind down durability *before* any early error return (the phase
+        // is already `Stopped`, so no retry reaches this point): take one
+        // final catalog snapshot (best effort — the WAL alone is sufficient
+        // for recovery) and force the log to stable storage, so a clean
+        // shutdown is fully durable regardless of the fsync policy.
+        let sync_result = match &self.core.durability {
             Some(durability) => {
-                durability.stop_checkpoints();
-                if let Some(worker) = self.checkpoint_worker.take() {
-                    let _ = worker.join();
-                }
-                let _ = checkpoint_engine(&durability, self.core.registry.num_slots());
+                let _ = checkpoint_engine(durability, self.core.registry.num_slots());
                 durability.store.sync()
             }
             None => Ok(()),
@@ -1015,7 +955,7 @@ fn remove_query_inner(core: &Arc<EngineCore>, id: usize) -> Result<()> {
     }
     // Phase 3: deregister. On the clean path the shard is empty; orphans
     // only exist after a timeout.
-    let orphans = detach(core, &mut core.sharing.lock(), &state);
+    let retired = detach(core, &mut core.sharing.lock(), &state);
     drop(wind_down);
     // Drop the durability metadata — unconditionally, so a removal applied
     // during recovery replay (logging off) cannot leave a ghost entry that
@@ -1023,22 +963,32 @@ fn remove_query_inner(core: &Arc<EngineCore>, id: usize) -> Result<()> {
     // id stays burnt across recovery). Every ingest record of this query
     // precedes the RemoveQuery record: the gate drained the in-flight
     // permits — whose WAL appends happen inside them — in phase 1.
+    let mut checkpoint = None;
     if let Some(durability) = &core.durability {
         let mut meta = durability.meta.lock();
         if meta.remove(&id).is_some() && durability.logging() {
             durability
                 .store
                 .append(&WalRecord::RemoveQuery { id: id as u64 })?;
+            checkpoint = retired.is_some().then_some(durability);
         }
     }
+    // A retired plan takes its `replay_from` out of the prune horizon —
+    // the only event that moves it — so checkpoint now and the plan's
+    // history is freed before the removal returns.
+    let checkpointed = match checkpoint {
+        Some(durability) => checkpoint_engine(durability, core.registry.num_slots()).map(drop),
+        None => Ok(()),
+    };
     if !clean {
+        let orphans = retired.unwrap_or(0);
         return Err(SaberError::State(format!(
             "removal of query {id} timed out after {REMOVE_DRAIN_TIMEOUT:?} \
              with {orphans} orphaned task(s); the query was deregistered anyway \
              (unclean removal)"
         )));
     }
-    Ok(())
+    checkpointed
 }
 
 /// Flushes the pending rows of `plan` into a final (undersized) task,
@@ -1074,20 +1024,21 @@ fn drain_plan(
 /// plan with it: fingerprint entry, queue shard, scheduler and matrix rows
 /// and registry slot. The caller holds the sharing-map lock (`map`): a
 /// concurrent attach either joins a plan with live members or builds a
-/// fresh one, never a dying plan. Returns the number of tasks orphaned by
-/// retiring the plan's queue shard (their flow credits are returned here
-/// so admission control stays balanced); a clean drain leaves none.
+/// fresh one, never a dying plan. Returns `None` while the plan keeps
+/// other members; once it retires, the number of tasks orphaned by
+/// retiring its queue shard (their flow credits are returned here so
+/// admission control stays balanced); a clean drain leaves none.
 fn detach(
     core: &EngineCore,
     map: &mut HashMap<PlanFingerprint, Arc<SharedPlan>>,
     state: &QueryState,
-) -> usize {
+) -> Option<usize> {
     let plan = &state.plan;
     let last = plan.detach(state.id);
     core.registry.clear(state.id);
     state.sink.close();
     if !last {
-        return 0;
+        return None;
     }
     if let Some(fp) = &plan.fingerprint {
         map.remove(fp);
@@ -1099,7 +1050,7 @@ fn detach(
     core.scheduler.forget_query(plan.id);
     core.matrix.forget_query(plan.id);
     core.registry.clear_plan(plan.id);
-    orphans.len()
+    Some(orphans.len())
 }
 
 /// Handle to one registered query, returned by [`Saber::add_query`] and

@@ -153,8 +153,8 @@ bounds.
         explain: "\
 Every engine thread starts through
 `std::thread::Builder::new().name(\"saber-<role>\")` and lives as long as
-its component: the CPU workers, the accelerator worker and its five
-pipeline stages, the network loops, the WAL writer. The `saber-` prefix is what a profile,
+its component: the CPU workers, the accelerator worker, the network
+loops, the WAL writer. The `saber-` prefix is what a profile,
 a panic message or a per-thread CPU ledger reads to charge a thread to a
 role. A bare `std::thread::spawn` starts an anonymous thread, and
 `std::thread::scope` is a fork-join that starts and joins threads on every

@@ -89,8 +89,8 @@ use std::time::{Duration, Instant};
 /// [`DurabilityConfig`](saber_engine::DurabilityConfig) and
 /// `docs/persistence.md`). With it set, [`Server::bind`] *recovers* from the
 /// directory when it holds state from a previous run — same query ids,
-/// replayed result windows — and otherwise starts fresh; the engine's
-/// checkpoint cadence lives in `DurabilityConfig::checkpoint_interval`.
+/// replayed result windows — and otherwise starts fresh. The engine
+/// checkpoints when a `DROP QUERY` retires a plan and at shutdown.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Configuration of the embedded engine.

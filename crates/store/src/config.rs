@@ -27,7 +27,7 @@ pub enum FsyncPolicy {
 }
 
 /// Configuration of a [`Store`](crate::Store): where the log lives and how
-/// aggressively it is flushed, rotated, checkpointed and pruned.
+/// aggressively it is flushed and rotated.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// Directory holding the WAL segments and catalog snapshots. Created on
@@ -44,32 +44,17 @@ pub struct DurabilityConfig {
     pub flush_interval: Duration,
     /// When to force group-commit writes to stable storage.
     pub fsync: FsyncPolicy,
-    /// How often the engine takes a catalog snapshot once result windows
-    /// have closed (`None` disables automatic checkpoints; explicit
-    /// `checkpoint()` calls still work).
-    pub checkpoint_interval: Option<Duration>,
-    /// How many snapshot generations to retain (older ones are deleted at
-    /// checkpoint; at least 1).
-    pub snapshots_kept: usize,
-    /// Backpressure bound: an append that would grow the in-memory
-    /// group-commit buffer past this size blocks until the flusher drains
-    /// it, so a stalled disk cannot balloon memory.
-    pub max_buffered_bytes: usize,
 }
 
 impl DurabilityConfig {
     /// A configuration with production-leaning defaults rooted at `dir`:
-    /// 8 MiB segments, 2 ms group-commit interval, 20 ms fsync interval,
-    /// 30 s automatic checkpoints, 2 snapshots kept.
+    /// 8 MiB segments, 2 ms group-commit interval, 20 ms fsync interval.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
             segment_bytes: 8 << 20,
             flush_interval: Duration::from_millis(2),
             fsync: FsyncPolicy::Interval(Duration::from_millis(20)),
-            checkpoint_interval: Some(Duration::from_secs(30)),
-            snapshots_kept: 2,
-            max_buffered_bytes: 32 << 20,
         }
     }
 
@@ -91,23 +76,6 @@ impl DurabilityConfig {
                     "durability fsync interval must be positive (use EveryFlush)".into(),
                 ));
             }
-        }
-        if let Some(interval) = self.checkpoint_interval {
-            if interval.is_zero() {
-                return Err(SaberError::Config(
-                    "durability checkpoint_interval must be positive (use None to disable)".into(),
-                ));
-            }
-        }
-        if self.snapshots_kept == 0 {
-            return Err(SaberError::Config(
-                "durability snapshots_kept must be at least 1".into(),
-            ));
-        }
-        if self.max_buffered_bytes < self.segment_bytes.min(1 << 20) {
-            return Err(SaberError::Config(
-                "durability max_buffered_bytes is too small to hold a flush batch".into(),
-            ));
         }
         Ok(())
     }
@@ -131,17 +99,8 @@ mod tests {
         let mut c = base.clone();
         c.flush_interval = Duration::ZERO;
         assert!(c.validate().is_err());
-        let mut c = base.clone();
-        c.fsync = FsyncPolicy::Interval(Duration::ZERO);
-        assert!(c.validate().is_err());
-        let mut c = base.clone();
-        c.checkpoint_interval = Some(Duration::ZERO);
-        assert!(c.validate().is_err());
-        let mut c = base.clone();
-        c.snapshots_kept = 0;
-        assert!(c.validate().is_err());
         let mut c = base;
-        c.max_buffered_bytes = 0;
+        c.fsync = FsyncPolicy::Interval(Duration::ZERO);
         assert!(c.validate().is_err());
     }
 }

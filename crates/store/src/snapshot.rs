@@ -21,6 +21,9 @@ use std::path::{Path, PathBuf};
 const SNAPSHOT_PREFIX: &str = "snap-";
 const SNAPSHOT_SUFFIX: &str = ".snap";
 const SNAPSHOT_MAGIC: &[u8; 8] = b"SBRSNAP1";
+/// Snapshot generations retained: the newest, plus one to fall back on if
+/// the newest turns out unreadable.
+const SNAPSHOTS_KEPT: usize = 2;
 
 fn io_err(what: &str, path: &Path, e: std::io::Error) -> SaberError {
     SaberError::Store(format!("{what} {}: {e}", path.display()))
@@ -185,8 +188,8 @@ pub(crate) fn remove_stale_tmp(dir: &Path) -> Result<()> {
 }
 
 /// Atomically writes `snapshot` into `dir` and deletes generations beyond
-/// the `keep` newest.
-pub(crate) fn write(dir: &Path, snapshot: &Snapshot, keep: usize) -> Result<()> {
+/// the [`SNAPSHOTS_KEPT`] newest.
+pub(crate) fn write(dir: &Path, snapshot: &Snapshot) -> Result<()> {
     let final_path = dir.join(snapshot_file_name(snapshot.next_wal_seq));
     let tmp_path = final_path.with_extension("tmp");
     let bytes = snapshot.encode();
@@ -199,8 +202,8 @@ pub(crate) fn write(dir: &Path, snapshot: &Snapshot, keep: usize) -> Result<()> 
         .map_err(|e| io_err("failed to rename", &tmp_path, e))?;
     crate::wal::sync_dir(dir)?;
     let snapshots = list_snapshots(dir)?;
-    if snapshots.len() > keep {
-        for (_, path) in &snapshots[..snapshots.len() - keep] {
+    if snapshots.len() > SNAPSHOTS_KEPT {
+        for (_, path) in &snapshots[..snapshots.len() - SNAPSHOTS_KEPT] {
             let _ = std::fs::remove_file(path);
         }
     }
@@ -267,8 +270,8 @@ mod tests {
         ));
         std::fs::create_dir_all(&dir).unwrap();
         assert!(load_latest(&dir).unwrap().is_none());
-        write(&dir, &sample(10), 2).unwrap();
-        write(&dir, &sample(20), 2).unwrap();
+        write(&dir, &sample(10)).unwrap();
+        write(&dir, &sample(20)).unwrap();
         assert_eq!(load_latest(&dir).unwrap().unwrap().next_wal_seq, 20);
         // Corrupt the newest generation: loading falls back to the older.
         std::fs::write(dir.join(snapshot_file_name(20)), b"garbage").unwrap();
@@ -279,7 +282,7 @@ mod tests {
         assert!(!dir.join("snap-x.tmp").exists());
         // Retention: a third generation evicts the oldest.
         std::fs::write(dir.join(snapshot_file_name(20)), sample(20).encode()).unwrap();
-        write(&dir, &sample(30), 2).unwrap();
+        write(&dir, &sample(30)).unwrap();
         assert_eq!(list_snapshots(&dir).unwrap().len(), 2);
         assert!(!dir.join(snapshot_file_name(10)).exists());
         std::fs::remove_dir_all(&dir).unwrap();

@@ -51,6 +51,11 @@ pub struct Store {
     config: DurabilityConfig,
     wal: Wal,
     torn_tail_bytes: u64,
+    /// Held across a whole checkpoint, so two never race on one snapshot
+    /// file and a slower, older one cannot replace a newer one.
+    checkpointing: Mutex<()>,
+    /// Position of the newest snapshot; its own lock, so [`Store::stats`]
+    /// never waits out a checkpoint's fsync.
     last_checkpoint: Mutex<Option<u64>>,
     /// Exclusive data-directory lock, held until the store is dropped so a
     /// second process cannot open the same `--data-dir`.
@@ -81,14 +86,10 @@ impl Store {
             config: config.clone(),
             wal,
             torn_tail_bytes: info.torn_tail_bytes,
+            checkpointing: Mutex::new(()),
             last_checkpoint: Mutex::new(latest.map(|s| s.next_wal_seq)),
             _lock: lock,
         })
-    }
-
-    /// The configuration this store was opened with.
-    pub fn config(&self) -> &DurabilityConfig {
-        &self.config
     }
 
     /// Appends one record to the group-commit buffer, returning its WAL
@@ -123,13 +124,21 @@ impl Store {
 
     /// Takes a checkpoint: syncs the WAL (so the snapshot never references
     /// records that are not yet durable), atomically writes `snapshot`,
-    /// prunes snapshot generations beyond
-    /// [`DurabilityConfig::snapshots_kept`] and deletes WAL segments wholly
+    /// prunes old snapshot generations and deletes WAL segments wholly
     /// below the snapshot's [`Snapshot::prune_horizon`]. Returns the number
-    /// of pruned segments.
+    /// of pruned segments. Checkpoints run one at a time; a snapshot older
+    /// than the newest one written is superseded by it and skipped.
     pub fn checkpoint(&self, snapshot: &Snapshot) -> Result<usize> {
+        let _checkpointing = self.checkpointing.lock();
+        if self
+            .last_checkpoint
+            .lock()
+            .is_some_and(|last| last > snapshot.next_wal_seq)
+        {
+            return Ok(0);
+        }
         self.wal.sync()?;
-        snapshot::write(&self.config.dir, snapshot, self.config.snapshots_kept)?;
+        snapshot::write(&self.config.dir, snapshot)?;
         *self.last_checkpoint.lock() = Some(snapshot.next_wal_seq);
         self.wal.prune(snapshot.prune_horizon())
     }
@@ -383,6 +392,36 @@ mod tests {
         let store = Store::open(&cfg).unwrap();
         assert_eq!(store.next_seq(), 300);
         assert_eq!(store.load_snapshot().unwrap().unwrap().next_wal_seq, 300);
+    }
+
+    #[test]
+    fn checkpoints_run_one_at_a_time_and_never_move_back() {
+        let dir = TempDir::new("serial");
+        let store = Store::open(&config(&dir.path)).unwrap();
+        for i in 0..10 {
+            store.append(&ingest(0, i)).unwrap();
+        }
+        let snapshot = |next_wal_seq| Snapshot {
+            next_wal_seq,
+            next_query_id: 1,
+            catalog: Vec::new(),
+            queries: Vec::new(),
+        };
+        // Checkpoints of one position share one snapshot file name.
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..50 {
+                        store.checkpoint(&snapshot(3)).unwrap();
+                    }
+                });
+            }
+        });
+        // An older snapshot arriving after a newer one is superseded.
+        store.checkpoint(&snapshot(7)).unwrap();
+        assert_eq!(store.checkpoint(&snapshot(5)).unwrap(), 0);
+        assert_eq!(store.stats().last_checkpoint, Some(7));
+        assert_eq!(store.load_snapshot().unwrap().unwrap().next_wal_seq, 7);
     }
 
     #[test]

@@ -27,6 +27,10 @@ use std::time::Instant;
 
 const SEGMENT_PREFIX: &str = "wal-";
 const SEGMENT_SUFFIX: &str = ".seg";
+/// Backpressure bound: an append that finds the group-commit buffer this
+/// full blocks until the flusher drains it, so a stalled disk cannot
+/// balloon memory.
+const MAX_BUFFERED_BYTES: usize = 32 << 20;
 
 fn io_err(what: &str, path: &Path, e: std::io::Error) -> SaberError {
     SaberError::Store(format!("{what} {}: {e}", path.display()))
@@ -93,7 +97,7 @@ struct WalInner {
     pending: Mutex<Pending>,
     /// Wakes the flusher early (sync request, backpressure, shutdown).
     work_cv: Condvar,
-    /// Wakes producers blocked on the `max_buffered_bytes` bound.
+    /// Wakes producers blocked on the [`MAX_BUFFERED_BYTES`] bound.
     space_cv: Condvar,
     progress: Mutex<Progress>,
     /// Signalled when `progress` advances.
@@ -228,7 +232,7 @@ impl Wal {
     }
 
     /// Appends one record to the group-commit buffer, returning its sequence
-    /// number. Blocks only when the buffer exceeds the configured bound
+    /// number. Blocks only when the buffer exceeds [`MAX_BUFFERED_BYTES`]
     /// (backpressure against a stalled disk) — never on the disk itself.
     pub(crate) fn append(&self, record: &WalRecord) -> Result<u64> {
         self.append_encoded(|seq, buf| record.encode_into(seq, buf))
@@ -252,7 +256,7 @@ impl Wal {
                     "write-ahead log is shut down".to_string(),
                 ));
             }
-            if pending.buf.len() < inner.config.max_buffered_bytes {
+            if pending.buf.len() < MAX_BUFFERED_BYTES {
                 break;
             }
             inner.work_cv.notify_all();

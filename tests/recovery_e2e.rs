@@ -52,15 +52,10 @@ fn copy_dir(from: &Path, to: &Path) {
     }
 }
 
-fn durable_engine_config(dir: &Path, checkpoints: bool) -> EngineConfig {
+fn durable_engine_config(dir: &Path) -> EngineConfig {
     let mut durability = DurabilityConfig::new(dir);
     durability.flush_interval = Duration::from_millis(1);
     durability.fsync = FsyncPolicy::EveryFlush;
-    durability.checkpoint_interval = if checkpoints {
-        Some(Duration::from_millis(25))
-    } else {
-        None
-    };
     EngineConfig {
         worker_threads: 2,
         query_task_size: 4 * 1024,
@@ -117,7 +112,7 @@ const SQL: &str = "SELECT ts, k FROM S [ROWS 64]";
 /// (one WAL record per batch, spaced so the group commit flushes between
 /// them) and returns the batches.
 fn build_history(dir: &Path, n_batches: usize) -> Vec<Vec<u8>> {
-    let mut engine = Saber::with_config(durable_engine_config(dir, false)).unwrap();
+    let mut engine = Saber::with_config(durable_engine_config(dir)).unwrap();
     engine.start().unwrap();
     engine.create_stream("S", schema()).unwrap();
     let catalog = engine.shared_catalog().unwrap().snapshot();
@@ -163,7 +158,7 @@ fn remove_snapshots(dir: &Path) {
 /// Recovers `dir` and asserts the replayed windows equal the reference over
 /// exactly the replayed prefix; returns the number of replayed rows.
 fn recover_and_check_prefix(dir: &Path, batches: &[Vec<u8>]) -> u64 {
-    let (mut engine, report) = Saber::recover(durable_engine_config(dir, false)).unwrap();
+    let (mut engine, report) = Saber::recover(durable_engine_config(dir)).unwrap();
     let replayed = report.replayed_rows;
     assert_eq!(replayed % 64, 0, "replay must cover whole acked batches");
     let prefix = (replayed / 64) as usize;
@@ -236,7 +231,7 @@ fn crash_images_copied_mid_run_replay_consistently() {
     let dir = TempDir::new("live");
     let images: Vec<TempDir> = (0..3).map(|_| TempDir::new("live-image")).collect();
     let total_batches = {
-        let mut engine = Saber::with_config(durable_engine_config(&dir.path, false)).unwrap();
+        let mut engine = Saber::with_config(durable_engine_config(&dir.path)).unwrap();
         engine.start().unwrap();
         engine.create_stream("S", schema()).unwrap();
         let catalog = engine.shared_catalog().unwrap().snapshot();
@@ -287,9 +282,9 @@ fn crash_images_copied_mid_run_replay_consistently() {
 #[test]
 fn corrupt_or_half_written_snapshots_fall_back() {
     let dir = TempDir::new("mid-ckpt");
-    // Automatic checkpoints on a short cadence: several generations exist.
+    // A checkpoint after every batch: several generations exist.
     let batches = {
-        let mut engine = Saber::with_config(durable_engine_config(&dir.path, true)).unwrap();
+        let mut engine = Saber::with_config(durable_engine_config(&dir.path)).unwrap();
         engine.start().unwrap();
         engine.create_stream("S", schema()).unwrap();
         let catalog = engine.shared_catalog().unwrap().snapshot();
@@ -299,7 +294,7 @@ fn corrupt_or_half_written_snapshots_fall_back() {
             let batch = rows(64, (i * 64) as i64);
             handle.ingest(StreamId(0), &batch).unwrap();
             batches.push(batch);
-            std::thread::sleep(Duration::from_millis(10));
+            engine.checkpoint().unwrap().unwrap();
         }
         engine.stop().unwrap();
         batches
@@ -323,7 +318,10 @@ fn corrupt_or_half_written_snapshots_fall_back() {
         .filter(|p| p.to_str().is_some_and(|s| s.ends_with(".snap")))
         .collect();
     snaps.sort();
-    assert!(!snaps.is_empty(), "expected checkpoints to have run");
+    assert!(
+        snaps.len() >= 2,
+        "expected two snapshot generations: {snaps:?}"
+    );
     std::fs::write(snaps.last().unwrap(), b"garbage snapshot").unwrap();
     assert_eq!(recover_and_check_prefix(&image.path, &batches), 640);
 
@@ -343,7 +341,7 @@ fn shared_queries_recover_with_same_ids_and_byte_identical_windows() {
     let solo = "SELECT ts FROM S [ROWS 32]";
     let dir = TempDir::new("shared");
     let (batches, solo_batches) = {
-        let mut engine = Saber::with_config(durable_engine_config(&dir.path, false)).unwrap();
+        let mut engine = Saber::with_config(durable_engine_config(&dir.path)).unwrap();
         engine.start().unwrap();
         engine.create_stream("S", schema()).unwrap();
         let catalog = engine.shared_catalog().unwrap().snapshot();
@@ -377,7 +375,7 @@ fn shared_queries_recover_with_same_ids_and_byte_identical_windows() {
         (batches, solo_batches)
     };
 
-    let (mut engine, report) = Saber::recover(durable_engine_config(&dir.path, false)).unwrap();
+    let (mut engine, report) = Saber::recover(durable_engine_config(&dir.path)).unwrap();
     // Original ids, with the mid-history removal replayed.
     let ids: Vec<usize> = report.queries.iter().map(|q| q.id.0).collect();
     assert_eq!(ids, vec![0, 2, 3]);
@@ -432,7 +430,7 @@ fn follower_attached_mid_stream_recovers_its_live_suffix() {
     let dir = TempDir::new("late-follower");
     let batches: Vec<Vec<u8>> = (0..8).map(|i| rows(64, i * 64)).collect();
     {
-        let mut engine = Saber::with_config(durable_engine_config(&dir.path, false)).unwrap();
+        let mut engine = Saber::with_config(durable_engine_config(&dir.path)).unwrap();
         engine.start().unwrap();
         engine.create_stream("S", schema()).unwrap();
         let catalog = engine.shared_catalog().unwrap().snapshot();
@@ -451,7 +449,7 @@ fn follower_attached_mid_stream_recovers_its_live_suffix() {
         assert_eq!(anchor.tuples_emitted(), 512);
         assert_eq!(follower.tuples_emitted(), 256);
     }
-    let (mut engine, report) = Saber::recover(durable_engine_config(&dir.path, false)).unwrap();
+    let (mut engine, report) = Saber::recover(durable_engine_config(&dir.path)).unwrap();
     assert!(report.snapshot_wal_seq.is_some(), "stop() checkpoints");
     let anchor = engine.query(QueryId(0)).unwrap();
     let follower = engine.query(QueryId(1)).unwrap();
@@ -477,7 +475,7 @@ fn follower_outliving_its_anchor_recovers_the_whole_stream() {
     let dir = TempDir::new("orphan-follower");
     let batches: Vec<Vec<u8>> = (0..8).map(|i| rows(64, i * 64)).collect();
     {
-        let mut engine = Saber::with_config(durable_engine_config(&dir.path, false)).unwrap();
+        let mut engine = Saber::with_config(durable_engine_config(&dir.path)).unwrap();
         engine.start().unwrap();
         engine.create_stream("S", schema()).unwrap();
         let catalog = engine.shared_catalog().unwrap().snapshot();
@@ -493,7 +491,7 @@ fn follower_outliving_its_anchor_recovers_the_whole_stream() {
         engine.stop().unwrap();
         assert_eq!(follower.tuples_emitted(), 512);
     }
-    let (mut engine, report) = Saber::recover(durable_engine_config(&dir.path, false)).unwrap();
+    let (mut engine, report) = Saber::recover(durable_engine_config(&dir.path)).unwrap();
     let ids: Vec<usize> = report.queries.iter().map(|q| q.id.0).collect();
     assert_eq!(ids, vec![1]);
     let follower = engine.query(QueryId(1)).unwrap();
@@ -520,7 +518,7 @@ fn recovery_child_server() {
     };
     let dir = PathBuf::from(dir);
     let config = ServerConfig {
-        engine: durable_engine_config(&dir, false),
+        engine: durable_engine_config(&dir),
         ..ServerConfig::default()
     };
     let server = Server::bind("127.0.0.1:0", config).expect("child bind");
@@ -631,7 +629,7 @@ fn hard_killed_server_recovers_same_ids_and_byte_identical_windows() {
     // in-process and compare both queries against uninterrupted runs.
     let image = TempDir::new("sigkill-image");
     copy_dir(&dir.path, &image.path);
-    let (mut engine, report) = Saber::recover(durable_engine_config(&image.path, false)).unwrap();
+    let (mut engine, report) = Saber::recover(durable_engine_config(&image.path)).unwrap();
     assert_eq!(report.queries.len(), 2);
     assert_eq!(report.replayed_rows, 2 * total_rows);
     let proj = engine.query(QueryId(0)).unwrap();
@@ -649,7 +647,7 @@ fn hard_killed_server_recovers_same_ids_and_byte_identical_windows() {
     // (b) The restarted *server* serves the same ids with the replay
     // reported in STATS, and keeps accepting traffic under them.
     let config = ServerConfig {
-        engine: durable_engine_config(&dir.path, false),
+        engine: durable_engine_config(&dir.path),
         ..ServerConfig::default()
     };
     let server = Server::bind("127.0.0.1:0", config).expect("rebind");
