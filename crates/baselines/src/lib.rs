@@ -18,6 +18,10 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a comparator harness that drives its own fork-join threads, not an engine thread"
+)]
 
 pub mod columnar;
 pub mod microbatch;

@@ -25,6 +25,11 @@
 //! flat (or worse, from context switching). Run on a multi-core machine to
 //! observe the ≥1.5× multi-producer speed-up the refactor targets.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a load harness that drives the engine from outside it"
+)]
+
 use saber_bench::{bench_workers, fmt, measure_duration, Report};
 use saber_engine::{
     DurabilityConfig, EngineConfig, ExecutionMode, QueryId, Saber, SchedulingPolicyKind, StreamId,

@@ -31,6 +31,11 @@
 //! connections at all) are. Run on a multi-core machine for representative
 //! latency figures.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a load harness that drives the engine from outside it"
+)]
+
 use saber_bench::{fmt, measure_duration, Report};
 use saber_engine::{EngineConfig, ExecutionMode};
 use saber_net::os::raise_nofile_limit;

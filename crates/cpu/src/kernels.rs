@@ -24,8 +24,16 @@
 //! once per plan in [`crate::plan::CompiledPlan::compile`]) based on
 //! [`saber_types::cpu_features`] — which honours `SABER_FORCE_SCALAR=1`, the
 //! switch CI uses to keep the portable path exercised.
-//!
-//! saber-lint: hot-path
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use saber_query::{BinaryOp, CompareOp, Expr};
 use saber_types::{cpu_features, ColumnarBatch};
@@ -219,8 +227,10 @@ pub fn apply_not(a: &mut [f64], simd: bool) {
 /// Masked sum with the fixed lane-split association (see module docs):
 /// four accumulators over chunks of four, combined `(l0+l1)+(l2+l3)`, tail
 /// folded in index order. Masked-out elements contribute `+0.0`.
-// hot-path-ok: `i < n4 ≤ values.len()` by the loop bounds; `acc` is a fixed
-// four-slot array indexed with constants.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`i < n4 ≤ values.len()` by the loop bounds"
+)]
 pub fn sum_masked(values: &[f64], mask: Option<&[f64]>, simd: bool) -> f64 {
     #[cfg(target_arch = "x86_64")]
     if use_avx2(simd) {
@@ -249,7 +259,10 @@ pub fn sum_masked(values: &[f64], mask: Option<&[f64]>, simd: bool) -> f64 {
 /// [`saber_query::aggregate::AggState::update`] (`if v < min`), with the
 /// same lane-split shape as [`sum_masked`]. Empty or fully masked input
 /// yields `+∞` (the `AggState` initial value).
-// hot-path-ok: `i < n4 ≤ values.len()` by the loop bounds.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`i < n4 ≤ values.len()` by the loop bounds"
+)]
 pub fn min_masked(values: &[f64], mask: Option<&[f64]>, simd: bool) -> f64 {
     #[cfg(target_arch = "x86_64")]
     if use_avx2(simd) {
@@ -288,7 +301,10 @@ pub fn min_masked(values: &[f64], mask: Option<&[f64]>, simd: bool) -> f64 {
 
 /// Masked maximum; the mirror of [`min_masked`] (`if v > max`, identity
 /// `-∞`).
-// hot-path-ok: `i < n4 ≤ values.len()` by the loop bounds.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`i < n4 ≤ values.len()` by the loop bounds"
+)]
 pub fn max_masked(values: &[f64], mask: Option<&[f64]>, simd: bool) -> f64 {
     #[cfg(target_arch = "x86_64")]
     if use_avx2(simd) {
@@ -359,8 +375,11 @@ fn bool_to_f64(b: bool) -> f64 {
 }
 
 #[inline]
-// hot-path-ok: callers index the mask with positions below the values
-// length, and gather produced mask/value columns of equal length.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "callers index the mask with positions below the values length, \
+              and gather produced mask/value columns of equal length"
+)]
 fn keep(mask: Option<&[f64]>, i: usize) -> bool {
     mask.is_none_or(|m| m[i] != 0.0)
 }
@@ -390,8 +409,11 @@ mod avx2 {
         ($name:ident, $vec:expr, $tail:expr) => {
             /// # Safety
             /// Requires AVX2, verified by the caller at runtime.
-            // hot-path-ok: the tail loop indexes `n4..a.len()` and the
-            // caller guarantees `b.len() == a.len()`.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "the tail loop indexes `n4..a.len()` and the caller \
+                          guarantees `b.len() == a.len()`"
+            )]
             #[target_feature(enable = "avx2")]
             pub(super) unsafe fn $name(a: &mut [f64], b: &[f64]) {
                 let n4 = a.len() / 4 * 4;
@@ -486,7 +508,10 @@ mod avx2 {
 
     /// # Safety
     /// Requires AVX2, verified by the caller at runtime.
-    // hot-path-ok: `a[n4..]` slices with `n4 ≤ a.len()` by construction.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`a[n4..]` slices with `n4 ≤ a.len()` by construction"
+    )]
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn not(a: &mut [f64]) {
         let zero = _mm256_setzero_pd();
@@ -519,8 +544,6 @@ mod avx2 {
 
     /// # Safety
     /// Requires AVX2, verified by the caller at runtime.
-    // hot-path-ok: `lanes` is a fixed four-slot array indexed with
-    // constants; the tail loop stays below `values.len()`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn sum_masked(values: &[f64], mask: Option<&[f64]>) -> f64 {
         let n4 = values.len() / 4 * 4;
@@ -551,7 +574,10 @@ mod avx2 {
         ($name:ident, $identity:expr, $cmp:ident, $wins:expr) => {
             /// # Safety
             /// Requires AVX2, verified by the caller at runtime.
-            // hot-path-ok: `i < n4 ≤ values.len()` by the loop bounds.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`i < n4 ≤ values.len()` by the loop bounds"
+            )]
             #[target_feature(enable = "avx2")]
             pub(super) unsafe fn $name(values: &[f64], mask: Option<&[f64]>) -> f64 {
                 let identity = $identity;

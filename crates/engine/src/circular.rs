@@ -30,8 +30,16 @@
 //! Readers must not race `release_until` for ranges they are still copying;
 //! the dispatcher guarantees this by reading and releasing only from within
 //! the cutter critical section.
-//!
-//! saber-lint: hot-path
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use saber_types::{Result, SaberError};
 use std::cell::UnsafeCell;
@@ -127,8 +135,11 @@ impl CircularBuffer {
     /// Attempts to append `bytes` without blocking. Returns `Ok(false)` when
     /// the buffer currently lacks space (the caller applies backpressure) and
     /// an error when `bytes` can never fit.
-    // hot-path-ok: slot offsets are masked with `capacity - 1` (a power of
-    // two equal to `data.len()`), so every index is in range by construction.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "slot offsets are masked with `capacity - 1` (a power of two \
+                  equal to `data.len()`), so every index is in range"
+    )]
     pub fn try_insert(&self, bytes: &[u8]) -> Result<bool> {
         if bytes.is_empty() {
             return Ok(true);
@@ -215,8 +226,11 @@ impl CircularBuffer {
 
     /// Copies the absolute byte range `[from, to)` out of the buffer. The
     /// range must still be resident (`from >= tail`, `to <= head`).
-    // hot-path-ok: slot offsets are masked with `capacity - 1` (a power of
-    // two equal to `data.len()`), so every index is in range by construction.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "slot offsets are masked with `capacity - 1` (a power of two \
+                  equal to `data.len()`), so every index is in range"
+    )]
     pub fn read_range(&self, from: u64, to: u64) -> Result<Vec<u8>> {
         let head = self.head.load(Ordering::Acquire);
         let tail = self.tail.load(Ordering::Acquire);

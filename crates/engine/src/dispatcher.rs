@@ -1,8 +1,6 @@
 //! The dispatching stage (paper §4.1): buffering incoming data and creating
 //! fixed-size query tasks.
 //!
-//! saber-lint: hot-path
-//!
 //! One dispatcher exists per query, split into two halves so that producers
 //! and the task cutter never serialize on each other:
 //!
@@ -33,6 +31,16 @@
 //! computation). For join queries each batch additionally carries a
 //! window-sized lookback prefix so tasks can rebuild the opposite stream's
 //! window without cross-task state.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use crate::circular::CircularBuffer;
 use crate::queue::TaskQueue;
@@ -179,8 +187,11 @@ impl StreamIngest {
 
     /// Timestamp of the row starting at absolute byte `at`, read directly
     /// out of the ring.
-    // hot-path-ok: read_range(from, from + 8) returns exactly 8 bytes on
-    // success, so the fixed-size array conversion cannot fail.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "read_range(from, from + 8) returns exactly 8 bytes on success, \
+                  so the fixed-size array conversion cannot fail"
+    )]
     fn timestamp_at(&self, at: u64) -> Result<i64> {
         let from = at + self.ts_offset as u64;
         let bytes = self.buffer.read_range(from, from + 8)?;
@@ -462,8 +473,11 @@ impl Dispatcher {
         let mut batches = Vec::with_capacity(self.streams.len());
         let schemas = self.plan.input_schemas();
         for (idx, input) in self.streams.iter().enumerate() {
-            // hot-path-ok: `streams` is built in `new` by zipping
-            // input_schemas, so idx < schemas.len() always holds.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`streams` is built in `new` by zipping input_schemas, \
+                          so idx < schemas.len() always holds"
+            )]
             let schema = &schemas[idx];
             let pending_from = input.pending_from.load(Ordering::Acquire);
             // Snapshot the publish pointer: everything below it is complete

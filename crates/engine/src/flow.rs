@@ -16,8 +16,16 @@
 //! so no Acquire/Release atomic reasoning is needed for correctness. The
 //! wait-time counters are plain `Relaxed` atomics — they are monitoring
 //! data, read without synchronization.
-//!
-//! saber-lint: hot-path
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use saber_types::sync::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -51,6 +51,13 @@
 //! and `docs/persistence.md`).
 
 #![deny(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        reason = "tests fork bare threads to race the code under test"
+    )
+)]
 
 pub mod circular;
 pub mod config;

@@ -14,9 +14,9 @@
 //!    contiguous comment-only and attribute-only lines (a blank line or a
 //!    line with other code stops the search).
 //!
-//! The text after the marker is the rationale; an empty rationale does not
-//! count as an annotation — `saber_lint` treats unexplained suppressions as
-//! findings in their own right.
+//! The text after the marker is the rationale. An empty rationale still
+//! places the annotation, and the rules' shared rationale check reports it
+//! as a finding in its own right.
 
 use crate::lexer::{tokenize, Tok};
 

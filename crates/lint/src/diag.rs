@@ -36,7 +36,7 @@ impl Span {
 /// One rule violation: rule id, location, message, optional help text.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule id, e.g. `unsafe-audit`.
+    /// Rule id, e.g. `lock-order`.
     pub rule: &'static str,
     /// Workspace-relative path of the offending file.
     pub file: String,

@@ -9,24 +9,25 @@
 //!
 //! The analyzer walks every `crates/*/src/**/*.rs`, lexes each file into a
 //! spanned Rust token stream (comments included — the suppression
-//! annotations live there) and enforces seven rules, reporting violations as
-//! compiler-style caret diagnostics:
+//! annotations live there) and enforces the three rules no stock lint can
+//! hold, reporting violations as compiler-style caret diagnostics:
 //!
 //! | rule | requirement |
 //! |---|---|
-//! | `unsafe-audit` | `unsafe` needs a preceding `// SAFETY:` comment |
 //! | `atomics-protocol` | Relaxed writes need `// relaxed-ok:`; Release stores need `// pairs-with: <fn>` |
 //! | `lock-order` | double-acquisition must follow `crates/lint/lock-order.toml` |
-//! | `sync-vocabulary` | `std::sync` locks only inside `saber_types::sync` |
-//! | `named-threads` | no `thread::spawn`/`thread::scope` outside tests and harnesses |
 //! | `condvar-loop` | condvar waits must sit in a `while`/`loop` |
-//! | `hot-path-no-panic` | marked modules reject unwrap/expect/panic!/indexing |
 //!
-//! Every suppression annotation must carry a non-empty rationale; an
-//! unexplained suppression is itself a finding. `// pairs-with:` values are
-//! machine-checked against the set of functions defined in the workspace,
-//! so renaming the consumer of a Release store breaks the build until the
-//! annotation is updated.
+//! The other four workspace rules (documented `unsafe`, one lock
+//! vocabulary, named threads, panic-free hot paths) are clippy lints, set in
+//! the root `clippy.toml` and `[workspace.lints.clippy]`; see
+//! `docs/concurrency.md`.
+//!
+//! Every suppression annotation — `// SAFETY:` included — must carry a
+//! non-empty rationale; an unexplained suppression is itself a finding
+//! (`rationale`). `// pairs-with:` values are machine-checked against the
+//! set of functions defined in the workspace, so renaming the consumer of a
+//! Release store breaks the build until the annotation is updated.
 //!
 //! Like `saber_sql`, the crate is zero-dependency: it lexes with its own
 //! single-pass tokenizer and parses its tiny TOML config by hand, so it

@@ -70,17 +70,8 @@ pub fn check(fa: &FileAnalysis<'_>, ctx: &Ctx, out: &mut Vec<Finding>) {
                 .or_else(|| fa.annotation(stmt_ci, marker))
         };
         if variant == "Relaxed" {
-            match lookup("relaxed-ok:") {
-                Some(r) if !r.trim().is_empty() => {}
-                Some(_) => out.push(Finding::new(
-                    RULE,
-                    fa.rel_path.clone(),
-                    fa.src,
-                    site.span,
-                    "`// relaxed-ok:` annotation has an empty rationale",
-                    Some("explain why nothing synchronises through this value".into()),
-                )),
-                None => out.push(Finding::new(
+            if lookup("relaxed-ok:").is_none() {
+                out.push(Finding::new(
                     RULE,
                     fa.rel_path.clone(),
                     fa.src,
@@ -91,7 +82,7 @@ pub fn check(fa: &FileAnalysis<'_>, ctx: &Ctx, out: &mut Vec<Finding>) {
                          strengthen the ordering"
                             .into(),
                     ),
-                )),
+                ));
             }
         } else if method == "store" {
             // Release store: must name the paired Acquire load's function.

@@ -68,17 +68,8 @@ pub fn check(fa: &FileAnalysis<'_>, out: &mut Vec<Finding>) {
         let ann = fa
             .annotation(ci, "condvar-ok:")
             .or_else(|| fa.annotation(fa.statement_start(ci), "condvar-ok:"));
-        match ann {
-            Some(r) if !r.trim().is_empty() => {}
-            Some(_) => out.push(Finding::new(
-                RULE,
-                fa.rel_path.clone(),
-                fa.src,
-                t.span,
-                "`// condvar-ok:` annotation has an empty rationale",
-                None,
-            )),
-            None => out.push(Finding::new(
+        if ann.is_none() {
+            out.push(Finding::new(
                 RULE,
                 fa.rel_path.clone(),
                 fa.src,
@@ -93,7 +84,7 @@ pub fn check(fa: &FileAnalysis<'_>, out: &mut Vec<Finding>) {
                      one-shot wait with `// condvar-ok: <why>`"
                         .into(),
                 ),
-            )),
+            ));
         }
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! * an acquisition is a zero-argument `.lock()` / `.read()` / `.write()`
 //!   call; the receiver identifier names the lock. Every crate locks through
-//!   `saber_types::sync`, whose calls return the guard itself (the
-//!   `sync-vocabulary` rule keeps `std` locks and their `.unwrap()` out);
+//!   `saber_types::sync`, whose calls return the guard itself (clippy's
+//!   `disallowed_types` keeps `std` locks and their `.unwrap()` out);
 //! * `let [mut] name = recv.lock();` binds a guard that lives until its
 //!   enclosing block closes or an explicit `drop(name)`;
 //! * an unbound temporary lives until the end of its statement;
@@ -200,23 +200,7 @@ fn walk_body(fa: &FileAnalysis<'_>, ctx: &Ctx, open: usize, close: usize, out: &
             // Anchor diagnostics on the receiver naming the lock.
             let anchor = fa.code_tok(ci - 2).span;
             if let Some((rank, class)) = ctx.lock_order.rank_of(&fa.rel_path, &lock_name) {
-                let suppressed = matches!(
-                    fa.annotation(ci, "lock-order-ok:"),
-                    Some(ref r) if !r.trim().is_empty()
-                );
-                if let Some(r) = fa.annotation(ci, "lock-order-ok:") {
-                    if r.trim().is_empty() {
-                        out.push(Finding::new(
-                            RULE,
-                            fa.rel_path.clone(),
-                            fa.src,
-                            anchor,
-                            "`// lock-order-ok:` annotation has an empty rationale",
-                            None,
-                        ));
-                    }
-                }
-                if !suppressed {
+                if fa.annotation(ci, "lock-order-ok:").is_none() {
                     // Guards behind the nearest closure barrier are invisible.
                     let barrier_depth = blocks
                         .iter()

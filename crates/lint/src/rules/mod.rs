@@ -1,4 +1,6 @@
-//! The seven concurrency-invariant rules.
+//! The three concurrency-invariant rules no stock lint can hold (clippy
+//! holds the other four; see the crate docs), plus the rationale check that
+//! every suppression annotation shares.
 //!
 //! Every rule consumes a [`FileAnalysis`] plus the workspace-wide [`Ctx`]
 //! (declared lock hierarchy, set of known function names) and appends
@@ -7,16 +9,12 @@
 
 use crate::analysis::FileAnalysis;
 use crate::config::LockOrder;
-use crate::diag::Finding;
+use crate::diag::{Finding, Span};
 use std::collections::HashSet;
 
 pub mod atomics;
 pub mod condvar;
-pub mod hot_path;
 pub mod lock_order;
-pub mod named_threads;
-pub mod sync_vocabulary;
-pub mod unsafe_audit;
 
 /// Workspace-wide context shared by all rules.
 pub struct Ctx {
@@ -29,7 +27,7 @@ pub struct Ctx {
 
 /// Static description of one rule for `--list-rules` / `--explain`.
 pub struct RuleInfo {
-    /// Rule id as it appears in diagnostics, e.g. `unsafe-audit`.
+    /// Rule id as it appears in diagnostics, e.g. `lock-order`.
     pub id: &'static str,
     /// One-line summary.
     pub summary: &'static str,
@@ -39,23 +37,6 @@ pub struct RuleInfo {
 
 /// All rules, in the order they run.
 pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: "unsafe-audit",
-        summary: "every `unsafe` block/fn/impl must carry a `// SAFETY:` comment",
-        explain: "\
-Every `unsafe` keyword outside test code must be immediately preceded by a
-`// SAFETY: <why>` comment (same line, or the directly preceding comment
-block; attribute lines in between are allowed). The rationale must be
-non-empty — `// SAFETY:` alone is itself a finding.
-
-The comment documents the proof obligation the surrounding code discharges:
-why the raw pointer is valid, why the bounds hold, why the type is Send.
-
-One refinement: an `unsafe fn` declaration may instead carry the idiomatic
-rustdoc `# Safety` section, which documents the contract the *caller* must
-uphold; blocks and impls always need `// SAFETY:`.
-",
-    },
     RuleInfo {
         id: "atomics-protocol",
         summary: "Relaxed stores/RMWs need `// relaxed-ok:`; Release stores need `// pairs-with:`",
@@ -100,21 +81,6 @@ no suppression.
 ",
     },
     RuleInfo {
-        id: "sync-vocabulary",
-        summary: "`std::sync::{Mutex, RwLock, Condvar}` only inside saber_types::sync",
-        explain: "\
-The workspace locks with one set of types: the non-poisoning `Mutex`,
-`Condvar` and `RwLock` of `saber_types::sync`, whose `lock()` / `read()` /
-`write()` return the guard directly. Naming the `std::sync` versions
-anywhere else (a path or a `use` group; test code is exempt) is a finding:
-they bring back hand-written poison handling, and `lock-order` would track
-a `let g = m.lock().unwrap();` guard as a statement temporary, missing any
-acquisition nested under it.
-
-There is no suppression; `crates/types/src/sync.rs` is the one exception.
-",
-    },
-    RuleInfo {
         id: "condvar-loop",
         summary: "condvar wait/wait_for/wait_timeout must sit inside a while/loop",
         explain: "\
@@ -131,44 +97,6 @@ Suppress a deliberate one-shot wait (e.g. a periodic tick where timeout is
 the normal wake path) with `// condvar-ok: <why>`.
 ",
     },
-    RuleInfo {
-        id: "hot-path-no-panic",
-        summary: "hot-path modules reject unwrap/expect/panic!/slice-indexing",
-        explain: "\
-Modules whose module docs carry the marker (`//! saber-lint: hot-path` or
-`#![doc = \"saber-lint: hot-path\"]`) are per-tuple code: the ingest ring,
-the credit gate, the cutter and the operator kernels. In those files the
-analyzer rejects `.unwrap()`, `.expect(…)`, `panic!` and `expr[index]`
-slice-indexing outside test code, because a panic on the data path poisons
-no lock we can recover and costs a bounds-check branch per tuple.
-
-Suppress with `// hot-path-ok: <why>` on the expression, or on the enclosing
-`fn` to cover a whole kernel whose indices are proven in-range by its loop
-bounds.
-",
-    },
-    RuleInfo {
-        id: "named-threads",
-        summary: "no `std::thread::spawn` / `std::thread::scope` outside tests and harnesses",
-        explain: "\
-Every engine thread starts through
-`std::thread::Builder::new().name(\"saber-<role>\")` and lives as long as
-its component: the CPU workers, the accelerator worker, the network
-loops, the WAL writer. The `saber-` prefix is what a profile,
-a panic message or a per-thread CPU ledger reads to charge a thread to a
-role. A bare `std::thread::spawn` starts an anonymous thread, and
-`std::thread::scope` is a fork-join that starts and joins threads on every
-call — on a per-task path that competes with the workers it serves.
-
-The rule flags `thread::spawn` and `thread::scope`, as a path or inside a
-`use` group, in non-test code of `crates/*/src`. Test code is exempt, and so
-are the benchmark and baseline harnesses (`crates/bench`,
-`crates/baselines`), which drive the engine from outside it.
-
-There is no suppression: name the thread, or run the work on the calling
-thread.
-",
-    },
 ];
 
 /// Looks up a rule by id.
@@ -176,13 +104,43 @@ pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
     RULES.iter().find(|r| r.id == id)
 }
 
+/// Rule id of an annotation whose rationale is empty.
+pub const RATIONALE: &str = "rationale";
+
+/// Suppression markers whose text after the marker must explain the site.
+/// `// SAFETY:` is here because clippy's `undocumented_unsafe_blocks`
+/// accepts the marker with nothing after it.
+const MARKERS: [&str; 4] = ["SAFETY:", "relaxed-ok:", "lock-order-ok:", "condvar-ok:"];
+
 /// Runs every rule on one file.
 pub fn check_file(fa: &FileAnalysis<'_>, ctx: &Ctx, out: &mut Vec<Finding>) {
-    unsafe_audit::check(fa, out);
+    check_rationales(fa, out);
     atomics::check(fa, ctx, out);
     lock_order::check(fa, ctx, out);
-    sync_vocabulary::check(fa, out);
-    named_threads::check(fa, out);
     condvar::check(fa, out);
-    hot_path::check(fa, out);
+}
+
+/// Reports every comment in which a suppression marker is followed by
+/// nothing: an unexplained suppression is itself a finding.
+fn check_rationales(fa: &FileAnalysis<'_>, out: &mut Vec<Finding>) {
+    for tok in fa.toks.iter().filter(|t| t.is_comment()) {
+        let text = tok.text(fa.src);
+        for marker in MARKERS {
+            let Some(pos) = text.find(marker) else {
+                continue;
+            };
+            let after = &text[pos + marker.len()..];
+            if after.trim_end_matches("*/").trim().is_empty() {
+                let start = tok.span.start + pos;
+                out.push(Finding::new(
+                    RATIONALE,
+                    fa.rel_path.clone(),
+                    fa.src,
+                    Span::new(start, start + marker.len()),
+                    format!("`// {marker}` annotation has an empty rationale"),
+                    Some("explain after the marker why the site is sound".into()),
+                ));
+            }
+        }
+    }
 }

@@ -18,6 +18,14 @@
 //! The atomics protocol (orderings, seqlock validation) is documented in
 //! `docs/concurrency.md` and machine-checked by `saber_lint`.
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        reason = "tests fork bare threads to race the code under test"
+    )
+)]
+
 mod expo;
 mod flight;
 mod hist;

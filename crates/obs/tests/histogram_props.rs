@@ -2,6 +2,11 @@
 //! with exact sorted-sample order statistics to within one bucket width,
 //! merging is exact, and concurrent recorders never lose or tear samples.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests fork bare threads to race the code under test"
+)]
+
 use proptest::prelude::*;
 use saber_obs::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot};
 use std::sync::Arc;

@@ -35,6 +35,13 @@
 //! registration and replay ingestion.
 
 #![deny(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        reason = "tests fork bare threads to race the code under test"
+    )
+)]
 
 mod config;
 mod crc;

@@ -24,6 +24,13 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        reason = "tests fork bare threads to race the code under test"
+    )
+)]
 
 pub mod buffer;
 pub mod columnar;

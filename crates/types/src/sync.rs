@@ -5,8 +5,14 @@
 //! data to the next holder as it was, and `lock()` / `read()` / `write()`
 //! return the guard directly. Every crate locks through this module, so the
 //! lock vocabulary is one set of types and `saber_lint`'s `lock-order` rule
-//! tracks one call shape (`recv.lock()`); the `sync-vocabulary` rule keeps
-//! the `std` types from being used anywhere else.
+//! tracks one call shape (`recv.lock()`); clippy's `disallowed_types` (see
+//! the root `clippy.toml`) keeps the `std` types from being used anywhere
+//! else.
+
+#![allow(
+    clippy::disallowed_types,
+    reason = "the one module that wraps the std locks"
+)]
 
 use std::ops::{Deref, DerefMut};
 use std::sync::{LockResult, TryLockError, WaitTimeoutResult};

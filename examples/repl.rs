@@ -115,18 +115,20 @@ fn client_mode(addr: &str) -> Result<(), Box<dyn std::error::Error>> {
     eprintln!("connected to saber-serve at {addr}; lines are sent verbatim");
     eprintln!("(`QUIT` or EOF disconnects, `.metrics` scrapes; see docs/server.md for commands)");
     let reader_stream = stream.try_clone()?;
-    let printer = std::thread::spawn(move || {
-        let reader = std::io::BufReader::new(reader_stream);
-        for line in reader.lines() {
-            match line {
-                // NOP lines are the server's subscriber keepalive — noise
-                // to a human, so the client swallows them.
-                Ok(line) if line == "NOP" => {}
-                Ok(line) => println!("{line}"),
-                Err(_) => break,
+    let printer = std::thread::Builder::new()
+        .name("saber-repl-printer".into())
+        .spawn(move || {
+            let reader = std::io::BufReader::new(reader_stream);
+            for line in reader.lines() {
+                match line {
+                    // NOP lines are the server's subscriber keepalive — noise
+                    // to a human, so the client swallows them.
+                    Ok(line) if line == "NOP" => {}
+                    Ok(line) => println!("{line}"),
+                    Err(_) => break,
+                }
             }
-        }
-    });
+        })?;
     let mut writer = stream.try_clone()?;
     let mut quit = false;
     for line in std::io::stdin().lock().lines() {
@@ -171,18 +173,20 @@ fn client_mode_binary(addr: &str) -> Result<(), Box<dyn std::error::Error>> {
     }
     eprintln!("(`QUIT` or EOF disconnects; commands as in docs/server.md, INSERT uses B64)");
     let writer_stream = client.stream().try_clone()?;
-    let printer = std::thread::spawn(move || {
-        let mut client = client;
-        loop {
-            match client.recv() {
-                // NOP frames are the server's subscriber keepalive — noise
-                // to a human, so the client swallows them.
-                Ok(Frame::Nop) => {}
-                Ok(frame) => println!("{}", render_frame(&frame)),
-                Err(_) => break,
+    let printer = std::thread::Builder::new()
+        .name("saber-repl-printer".into())
+        .spawn(move || {
+            let mut client = client;
+            loop {
+                match client.recv() {
+                    // NOP frames are the server's subscriber keepalive — noise
+                    // to a human, so the client swallows them.
+                    Ok(Frame::Nop) => {}
+                    Ok(frame) => println!("{}", render_frame(&frame)),
+                    Err(_) => break,
+                }
             }
-        }
-    });
+        })?;
     let mut writer = &writer_stream;
     let mut quit = false;
     for line in std::io::stdin().lock().lines() {

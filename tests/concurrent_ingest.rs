@@ -4,6 +4,11 @@
 //! reservation-ring appends, concurrent task cutting, credit-gated admission
 //! and the sharded task queue — under real thread interleavings.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests fork bare threads to race the code under test"
+)]
+
 use saber::engine::{EngineConfig, ExecutionMode, Saber, SchedulingPolicyKind};
 use saber::gpu::device::DeviceConfig;
 use saber::prelude::*;

@@ -3,6 +3,11 @@
 //! ingesting, loss-free removal under concurrency, and push-based result
 //! consumption (`wait_for_window` instead of polling).
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests fork bare threads to race the code under test"
+)]
+
 use saber::engine::{EngineConfig, ExecutionMode, Saber, SchedulingPolicyKind};
 use saber::gpu::device::DeviceConfig;
 use saber::prelude::*;

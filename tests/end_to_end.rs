@@ -2,6 +2,11 @@
 //! execution modes and are checked against the single-threaded reference
 //! implementation (`saber::workloads::reference`).
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests fork bare threads to race the code under test"
+)]
+
 use saber::engine::{EngineConfig, ExecutionMode, Saber, SchedulingPolicyKind};
 use saber::gpu::device::DeviceConfig;
 use saber::prelude::*;

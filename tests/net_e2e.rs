@@ -3,6 +3,11 @@
 //! equivalence, authentication, per-client quotas, structured oversized
 //! request errors, and a readiness-loop fan-out smoke test.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests fork bare threads to race the code under test"
+)]
+
 use saber::engine::{EngineConfig, ExecutionMode};
 use saber::net::wire::{ErrCode, Frame};
 use saber::net::BinaryClient;

@@ -8,6 +8,11 @@
 //! (CI additionally checks that no WAL directories leak into the
 //! workspace).
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests fork bare threads to race the code under test"
+)]
+
 use saber::prelude::*;
 use saber::server::{Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};

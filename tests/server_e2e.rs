@@ -8,6 +8,11 @@
 //! producers' inserts interleave — which is what makes byte-identity a
 //! meaningful assertion under true concurrency.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests fork bare threads to race the code under test"
+)]
+
 use saber::engine::{EngineConfig, ExecutionMode, Saber};
 use saber::prelude::*;
 use saber::server::protocol::{b64_decode, b64_encode};

@@ -19,6 +19,11 @@
 //! executes, and each cluster carries fingerprint-identical textual
 //! variants (attribute renaming, stream aliasing, whitespace).
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests fork bare threads to race the code under test"
+)]
+
 use proptest::prelude::*;
 use saber::prelude::*;
 use saber::types::RowBuffer;
