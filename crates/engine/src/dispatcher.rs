@@ -291,11 +291,6 @@ impl Dispatcher {
         self.streams.get(stream)
     }
 
-    /// Number of input streams.
-    pub fn num_streams(&self) -> usize {
-        self.streams.len()
-    }
-
     /// Total rows ingested across all inputs.
     pub fn rows_ingested(&self) -> u64 {
         self.streams.iter().map(|s| s.rows_ingested()).sum()

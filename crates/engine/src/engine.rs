@@ -20,7 +20,7 @@ use crate::dispatcher::Dispatcher;
 use crate::durability::{checkpoint_engine, Durability, QueryMeta};
 use crate::flow::FlowControl;
 use crate::ids::{QueryId, StreamId};
-use crate::metrics::{EngineStats, QueryStats};
+use crate::metrics::{EngineStats, PlanStats, QueryStats};
 use crate::queue::TaskQueue;
 use crate::registry::{Gate, QueryRegistry, QueryState, GATE_CLOSED, GATE_CREATED, GATE_OPEN};
 use crate::result::{Member, ResultStage};
@@ -31,8 +31,8 @@ use crate::task::QueryTask;
 use crate::throughput::{PlacementDecision, ThroughputMatrix, SMOOTHING};
 use crate::worker::{run_cpu_worker, run_gpu_worker, WorkerContext};
 use saber_cpu::plan::CompiledPlan;
-use saber_gpu::{DeviceConfig, GpuDevice};
-use saber_obs::{FlightRecord, FlightRecorder};
+use saber_gpu::GpuDevice;
+use saber_obs::FlightRecorder;
 use saber_query::{PlanFingerprint, Query};
 use saber_sql::SharedCatalog;
 use saber_store::{has_existing_state, Store, WalRecord};
@@ -202,8 +202,8 @@ impl Saber {
     /// reports that plan's decision (placement is learned once per physical
     /// plan, under the plan's id).
     pub fn placement(&self, query: QueryId) -> Option<PlacementDecision> {
-        let state = self.core.registry.get(query.index())?;
-        let phys = state.plan.id;
+        let plan = self.core.registry.get(query.index())?.plan.clone();
+        let phys = plan.id;
         let matrix = &self.core.matrix;
         Some(PlacementDecision {
             query: QueryId(phys),
@@ -212,7 +212,7 @@ impl Saber {
             gpu_rate: matrix.value(phys, Processor::Gpu),
             cpu_samples: matrix.samples(phys, Processor::Cpu),
             gpu_samples: matrix.samples(phys, Processor::Gpu),
-            gpu_task_share: self.core.stats.get(phys).map_or(0.0, |s| s.gpu_share()),
+            gpu_task_share: plan.stats.gpu_share(),
         })
     }
 
@@ -234,11 +234,6 @@ impl Saber {
     /// recent per-task pipeline traces.
     pub fn flight_recorder(&self) -> &Arc<FlightRecorder> {
         &self.core.recorder
-    }
-
-    /// Recent task traces from the flight recorder, newest first.
-    pub fn flight_records(&self) -> Vec<FlightRecord> {
-        self.core.recorder.dump()
     }
 
     /// Number of *live* queries (registered and not removed). Counts
@@ -294,8 +289,10 @@ impl Saber {
         })
     }
 
-    /// Per-query statistics. Unlike the other accessors this also resolves
-    /// *removed* queries, so historical counters stay readable.
+    /// Per-query statistics: the query's own row counters and its plan's
+    /// task figures (see [`crate::metrics`]). Unlike the other accessors
+    /// this also resolves *removed* queries, so historical counters stay
+    /// readable.
     pub fn query_stats(&self, query: QueryId) -> Option<Arc<QueryStats>> {
         self.core.stats.get(query.index())
     }
@@ -386,18 +383,12 @@ impl Saber {
             }
             None => core.registry.reserve_id(),
         };
-        let stats = core.stats.register_query_at(id);
         let (plan, built) = match found {
             Ok(plan) => {
                 // A replayed member starts exactly at its `AddQuery` record:
                 // everything the plan was fed before it is processed first.
                 if replayed.is_some()
-                    && !drain_plan(
-                        core,
-                        &plan,
-                        &plan.stats,
-                        Instant::now() + REMOVE_DRAIN_TIMEOUT,
-                    )?
+                    && !drain_plan(core, &plan, Instant::now() + REMOVE_DRAIN_TIMEOUT)?
                 {
                     return Err(SaberError::State(format!(
                         "recovery: plan {} did not drain before query {id} attached",
@@ -406,11 +397,9 @@ impl Saber {
                 }
                 (plan, false)
             }
-            Err(compiled) => {
-                let plan = self.build_plan(id, fingerprint, compiled, stats.clone());
-                (Arc::new(plan), true)
-            }
+            Err(compiled) => (Arc::new(self.build_plan(id, fingerprint, compiled)), true),
         };
+        let stats = core.stats.register_query_at(id, &plan.stats);
         // Log the registration *before* the query becomes reachable through
         // the registry: a concurrent ingest into the fresh id can otherwise
         // log its `Ingest` record ahead of the `AddQuery` record, and replay
@@ -499,19 +488,19 @@ impl Saber {
     }
 
     /// Builds the machinery of a new physical plan under the already
-    /// reserved `id`: dispatcher and input rings, and a result stage with
-    /// no members yet; `stats` becomes the plan-level block. The caller
-    /// publishes it (queue shard, registry, fingerprint map).
+    /// reserved `id`: dispatcher and input rings, the plan's own stats
+    /// block, and a result stage with no members yet. The caller publishes
+    /// it (queue shard, registry, fingerprint map).
     fn build_plan(
         &self,
         id: usize,
         fingerprint: Option<PlanFingerprint>,
         mut compiled: CompiledPlan,
-        stats: Arc<QueryStats>,
     ) -> SharedPlan {
         let core = &self.core;
         compiled.set_query_id(id);
         let compiled = Arc::new(compiled);
+        let stats = Arc::new(PlanStats::default());
         let results = ResultStage::new(&compiled, stats.clone(), core.recorder.clone());
         let dispatcher = Dispatcher::new(
             compiled,
@@ -739,7 +728,7 @@ impl Saber {
     pub fn flush(&self) -> Result<()> {
         for plan in self.core.registry.plans() {
             if plan.accepts_cuts() {
-                flush_plan(&self.core, &plan, &plan.stats)?;
+                flush_plan(&self.core, &plan)?;
             }
         }
         Ok(())
@@ -753,7 +742,7 @@ impl Saber {
     /// the removal began would be stranded in the ring and silently lost.
     fn flush_all(&self) -> Result<()> {
         for plan in self.core.registry.plans() {
-            flush_plan(&self.core, &plan, &plan.stats)?;
+            flush_plan(&self.core, &plan)?;
         }
         Ok(())
     }
@@ -878,17 +867,6 @@ impl Saber {
     pub fn backpressure_stats(&self) -> (u64, Duration) {
         self.core.flow.wait_stats()
     }
-
-    /// Convenience constructor used by comparisons that only need defaults
-    /// with a specific execution mode.
-    pub fn with_mode(mode: ExecutionMode) -> Result<Self> {
-        let config = EngineConfig {
-            execution_mode: mode,
-            device: DeviceConfig::default(),
-            ..Default::default()
-        };
-        Self::with_config(config)
-    }
 }
 
 impl Drop for Saber {
@@ -951,7 +929,7 @@ fn remove_query_inner(core: &Arc<EngineCore>, id: usize) -> Result<()> {
     // drained everything, so there is nothing left to do here. An engine
     // that never started has nothing pending (ingest requires Running).
     if clean && !core.queue.is_shutdown() {
-        clean = drain_plan(core, &state.plan, &state.stats, deadline)?;
+        clean = drain_plan(core, &state.plan, deadline)?;
     }
     // Phase 3: deregister. On the clean path the shard is empty; orphans
     // only exist after a timeout.
@@ -991,23 +969,18 @@ fn remove_query_inner(core: &Arc<EngineCore>, id: usize) -> Result<()> {
     checkpointed
 }
 
-/// Flushes the pending rows of `plan` into a final (undersized) task,
-/// counted on `stats`, then waits until every task cut for the plan so far
-/// has passed through the result stage, or `deadline` passes (returning
-/// false). `tasks_cut` is committed under the cutter lock, so the flush
-/// observes every concurrent cut that could still submit a task. The target
-/// is snapshotted *after* the flush: other members of a shared plan keep
-/// cutting tasks concurrently, so re-reading `tasks_cut` in the loop might
-/// never converge — and everything cut up to the flush is what the caller
-/// needs. Removal drains a query's plan this way before detaching it;
-/// recovery drains a plan before a replayed member attaches.
-fn drain_plan(
-    core: &EngineCore,
-    plan: &SharedPlan,
-    stats: &QueryStats,
-    deadline: Instant,
-) -> Result<bool> {
-    flush_plan(core, plan, stats)?;
+/// Flushes the pending rows of `plan` into a final (undersized) task, then
+/// waits until every task cut for the plan so far has passed through the
+/// result stage, or `deadline` passes (returning false). `tasks_cut` is
+/// committed under the cutter lock, so the flush observes every concurrent
+/// cut that could still submit a task. The target is snapshotted *after*
+/// the flush: other members of a shared plan keep cutting tasks
+/// concurrently, so re-reading `tasks_cut` in the loop might never
+/// converge — and everything cut up to the flush is what the caller needs.
+/// Removal drains a query's plan this way before detaching it; recovery
+/// drains a plan before a replayed member attaches.
+fn drain_plan(core: &EngineCore, plan: &SharedPlan, deadline: Instant) -> Result<bool> {
+    flush_plan(core, plan)?;
     let target = plan.dispatcher.tasks_cut();
     while plan.results.completed_tasks() < target {
         if Instant::now() >= deadline {
@@ -1110,7 +1083,8 @@ impl QueryHandle {
         &self.state.sink
     }
 
-    /// The query's statistics block.
+    /// The query's statistics block: its own row counters and its plan's
+    /// task figures (see [`crate::metrics`]).
     pub fn stats(&self) -> Arc<QueryStats> {
         self.state.stats.clone()
     }
@@ -1183,7 +1157,9 @@ impl QueryHandle {
     /// (undersized) task, like [`Saber::flush`] scoped to this query.
     pub fn flush(&self) -> Result<()> {
         admitted(&self.core, &self.state, || {
-            flush_plan(&self.core, &self.state.plan, &self.state.stats)
+            let waited = flush_plan(&self.core, &self.state.plan)?;
+            self.state.stats.record_backpressure(waited);
+            Ok(())
         })
     }
 
@@ -1318,13 +1294,14 @@ fn admitted<T>(core: &EngineCore, state: &QueryState, op: impl FnOnce() -> Resul
     op()
 }
 
-/// Cuts the pending rows of `plan` into a task and admits it, counted on
-/// `stats`, blocking on the credit gate while the queue is saturated.
-fn flush_plan(core: &EngineCore, plan: &SharedPlan, stats: &QueryStats) -> Result<()> {
-    if let Some(task) = plan.dispatcher.flush()? {
-        submit_task(stats, &core.flow, &core.queue, task);
-    }
-    Ok(())
+/// Cuts the pending rows of `plan` into a task and admits it, blocking on
+/// the credit gate while the queue is saturated. Returns how long it
+/// blocked.
+fn flush_plan(core: &EngineCore, plan: &SharedPlan) -> Result<Duration> {
+    Ok(match plan.dispatcher.flush()? {
+        Some(task) => submit_task(core, plan, task),
+        None => Duration::ZERO,
+    })
 }
 
 /// The ingest path of every admitted ingest call:
@@ -1340,7 +1317,7 @@ fn ingest_into(core: &EngineCore, state: &QueryState, stream: usize, bytes: &[u8
     // Tasks are admitted as they are cut, so even an ingest far larger than
     // the ring keeps at most `max_queued_tasks` unprocessed tasks alive.
     dispatcher.ingest_with(stream, bytes, &mut |task| {
-        submit_task(stats, &core.flow, &core.queue, task);
+        stats.record_backpressure(submit_task(core, &state.plan, task));
         Ok(())
     })?;
     // Log the acknowledged batch while the caller's ingest permits are
@@ -1367,23 +1344,23 @@ fn ingest_into(core: &EngineCore, state: &QueryState, stream: usize, bytes: &[u8
     Ok(())
 }
 
-/// Admits one cut task into the queue, blocking on the credit gate while the
-/// queue is saturated.
-fn submit_task(stats: &QueryStats, flow: &FlowControl, queue: &TaskQueue, task: QueryTask) {
-    let waited = flow.acquire();
-    stats.record_backpressure(waited);
-    admit_task(stats, flow, queue, task);
+/// Admits one cut task of `plan` into the queue, blocking on the credit
+/// gate while the queue is saturated. Returns how long it blocked.
+fn submit_task(core: &EngineCore, plan: &SharedPlan, task: QueryTask) -> Duration {
+    let waited = core.flow.acquire();
+    admit_task(plan, &core.flow, &core.queue, task);
+    waited
 }
 
-/// Pushes a cut task whose credit the caller already holds.
+/// Pushes a cut task of `plan` whose credit the caller already holds.
 pub(crate) fn admit_task(
-    stats: &QueryStats,
+    plan: &SharedPlan,
     flow: &FlowControl,
     queue: &TaskQueue,
     task: QueryTask,
 ) {
     // relaxed-ok: monitoring counter, read only for stats display.
-    stats.tasks_created.fetch_add(1, Ordering::Relaxed);
+    plan.stats.tasks_created.fetch_add(1, Ordering::Relaxed);
     if !queue.push(task) {
         // The query's shard was retired while this submission was in flight
         // — possible only when an ingest outlived an unclean (timed-out)
@@ -2017,60 +1994,60 @@ mod tests {
     }
 
     #[test]
-    fn follower_detach_keeps_the_anchor_streaming() {
+    fn a_detached_member_leaves_the_other_streaming() {
         let mut engine = small_engine(ExecutionMode::CpuOnly);
         engine.start().unwrap();
         let catalog = sql_catalog();
         let sql = "SELECT timestamp FROM S [ROWS 64]";
-        let anchor = engine.add_query_sql(sql, &catalog).unwrap();
-        let follower = engine.add_query_sql(sql, &catalog).unwrap();
-        anchor.ingest(StreamId(0), &data(256, 0)).unwrap();
-        follower.remove().unwrap();
+        let first = engine.add_query_sql(sql, &catalog).unwrap();
+        let second = engine.add_query_sql(sql, &catalog).unwrap();
+        first.ingest(StreamId(0), &data(256, 0)).unwrap();
+        second.remove().unwrap();
         // Loss-freeness: everything acknowledged before the detach reached
-        // the follower's sink too.
-        assert_eq!(follower.tuples_emitted(), 256);
-        assert!(follower.sink().is_closed());
+        // the removed member's sink too.
+        assert_eq!(second.tuples_emitted(), 256);
+        assert!(second.sink().is_closed());
         assert_eq!(engine.num_physical_plans(), 1);
-        assert_eq!(engine.sharing_info(anchor.id()), Some((anchor.id(), 1)));
-        // The anchor keeps running after the follower is gone.
-        anchor.ingest(StreamId(0), &data(256, 256)).unwrap();
+        assert_eq!(engine.sharing_info(first.id()), Some((first.id(), 1)));
+        // The first member keeps running after the second is gone.
+        first.ingest(StreamId(0), &data(256, 256)).unwrap();
         engine.stop().unwrap();
-        assert_eq!(anchor.tuples_emitted(), 512);
-        assert_eq!(follower.tuples_emitted(), 256);
+        assert_eq!(first.tuples_emitted(), 512);
+        assert_eq!(second.tuples_emitted(), 256);
     }
 
     #[test]
-    fn anchor_removal_with_live_followers_keeps_the_plan_running() {
+    fn removing_the_first_member_keeps_the_plan_running_for_the_rest() {
         let mut engine = small_engine(ExecutionMode::CpuOnly);
         engine.start().unwrap();
         let catalog = sql_catalog();
         let sql = "SELECT timestamp FROM S [ROWS 64]";
-        let anchor = engine.add_query_sql(sql, &catalog).unwrap();
-        let follower = engine.add_query_sql(sql, &catalog).unwrap();
-        anchor.ingest(StreamId(0), &data(128, 0)).unwrap();
-        anchor.remove().unwrap();
-        // The anchor is logically gone...
-        assert!(anchor.sink().is_closed());
-        assert!(anchor.is_removed());
-        assert!(engine.query(anchor.id()).is_none());
-        assert_eq!(engine.query_ids(), vec![follower.id()]);
+        let first = engine.add_query_sql(sql, &catalog).unwrap();
+        let survivor = engine.add_query_sql(sql, &catalog).unwrap();
+        first.ingest(StreamId(0), &data(128, 0)).unwrap();
+        first.remove().unwrap();
+        // The first member is logically gone...
+        assert!(first.sink().is_closed());
+        assert!(first.is_removed());
+        assert!(engine.query(first.id()).is_none());
+        assert_eq!(engine.query_ids(), vec![survivor.id()]);
         assert_eq!(engine.num_queries(), 1);
-        // ...but the physical plan lives on, and the follower still streams.
+        // ...but the physical plan lives on, and the survivor still streams.
         assert_eq!(engine.num_physical_plans(), 1);
-        follower.ingest(StreamId(0), &data(128, 128)).unwrap();
-        follower.flush().unwrap();
+        survivor.ingest(StreamId(0), &data(128, 128)).unwrap();
+        survivor.flush().unwrap();
         assert!(engine.drain(Duration::from_secs(30)));
         // A removed member receives and counts nothing more.
-        assert_eq!(anchor.tuples_emitted(), 128);
+        assert_eq!(first.tuples_emitted(), 128);
         assert_eq!(
             engine
-                .query_stats(anchor.id())
+                .query_stats(first.id())
                 .unwrap()
                 .tuples_out
                 .load(Ordering::Relaxed),
             128
         );
-        assert_eq!(follower.tuples_emitted(), 256);
+        assert_eq!(survivor.tuples_emitted(), 256);
         for id in engine.query_ids() {
             let sink = engine.sink(id).unwrap();
             let stats = engine.query_stats(id).unwrap();
@@ -2079,17 +2056,26 @@ mod tests {
                 sink.tuples_emitted()
             );
         }
+        // The plan's task figures are the survivor's to report, and every
+        // member, removed or not, reads the same ones.
+        let plan = survivor.stats().snapshot();
+        assert!(plan.tasks_cpu > 0);
+        assert!(plan.latency_samples > 0);
+        let removed = engine.query_stats(first.id()).unwrap().snapshot();
+        assert_eq!(removed.tasks_cpu, plan.tasks_cpu);
+        assert_eq!(removed.latency_samples, plan.latency_samples);
         // The last detach retires the physical shard for good.
-        follower.remove().unwrap();
-        assert_eq!(follower.tuples_emitted(), 256);
+        survivor.remove().unwrap();
+        assert_eq!(survivor.tuples_emitted(), 256);
         assert_eq!(engine.num_queries(), 0);
         assert_eq!(engine.num_physical_plans(), 0);
-        // The anchor's pre-removal windows stayed drainable.
-        assert_eq!(anchor.take_rows().len(), 128);
+        // The first member's pre-removal windows stayed drainable.
+        assert_eq!(first.take_rows().len(), 128);
         // A fresh registration of the same shape starts a new plan.
         let fresh = engine.add_query_sql(sql, &catalog).unwrap();
         assert_eq!(engine.sharing_info(fresh.id()), Some((fresh.id(), 1)));
         assert_eq!(engine.num_physical_plans(), 1);
+        assert_eq!(fresh.stats().snapshot().tasks_created, 0);
         engine.stop().unwrap();
     }
 
@@ -2118,7 +2104,7 @@ mod tests {
             let _ = survivor.take_rows();
         }
         assert_eq!(survivor.tuples_emitted(), 8);
-        let plan = engine.query_stats(first.id()).unwrap().snapshot();
+        let plan = survivor.stats().snapshot();
         assert!(plan.tasks_cut_early >= 1);
         engine.stop().unwrap();
     }

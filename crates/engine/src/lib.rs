@@ -82,7 +82,7 @@ pub use durability::{CheckpointReport, DurabilityStats, RecoveredQuery, Recovery
 pub use engine::{IngestHandle, QueryHandle, Saber};
 pub use flow::FlowControl;
 pub use ids::{QueryId, StreamId};
-pub use metrics::{EngineStats, QueryStats, StageHistograms, StatsSnapshot};
+pub use metrics::{EngineStats, PlanStats, QueryStats, StageHistograms, StatsSnapshot};
 pub use queue::{TaskHead, TaskQueue};
 pub use registry::QueryRegistry;
 pub use scheduler::{Processor, SchedulingPolicyKind};

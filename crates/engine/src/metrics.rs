@@ -1,4 +1,17 @@
-//! Engine and per-query statistics.
+//! Engine, physical-plan and per-query statistics.
+//!
+//! # Owners
+//!
+//! Every counter has one owner. A physical plan owns the task-level
+//! figures — tasks created and cut early, exec errors, tasks per processor
+//! and the six stage histograms — in its [`PlanStats`]: the dispatcher, the
+//! workers and the result stage record into it. A query owns only its row
+//! counters (`tuples_in`, `bytes_in`, `tuples_out`) and its producers'
+//! backpressure wait, in its [`QueryStats`], which also holds a shared
+//! reference to its plan's block and dereferences to it. So every member of
+//! a shared plan, removed members included, reports the plan's tasks and
+//! latencies next to its own rows, and a member costs a few counters, not a
+//! copy of the histograms.
 //!
 //! # Memory-ordering protocol
 //!
@@ -58,17 +71,17 @@ impl StageHistograms {
     }
 }
 
-/// Per-query counters.
+/// Task-level counters of one physical plan: the tasks its dispatcher cut,
+/// where they ran and how long each stage took. The plan is their one
+/// owner (`SharedPlan::stats`); every member's [`QueryStats`] reads them
+/// through a shared reference, so all members of a shared plan — removed
+/// ones included — report the same figures.
 #[derive(Debug, Default)]
-pub struct QueryStats {
-    /// Tuples ingested into the query's input buffers.
-    pub tuples_in: AtomicU64,
-    /// Bytes ingested.
-    pub bytes_in: AtomicU64,
+pub struct PlanStats {
     /// Query tasks created by the dispatcher.
     pub tasks_created: AtomicU64,
     /// Of those, tasks an idle worker cut below φ because their oldest row
-    /// had waited `EARLY_CUT_AGE` (counted on the physical plan's query).
+    /// had waited `EARLY_CUT_AGE`.
     pub tasks_cut_early: AtomicU64,
     /// Tasks whose execution failed (each still finishes, with no output).
     pub exec_errors: AtomicU64,
@@ -76,30 +89,88 @@ pub struct QueryStats {
     pub tasks_cpu: AtomicU64,
     /// Tasks executed on the accelerator.
     pub tasks_gpu: AtomicU64,
+    /// Per-stage pipeline latency histograms (nanoseconds).
+    pub stages: StageHistograms,
+}
+
+impl PlanStats {
+    /// Records one task execution on `processor`.
+    pub fn record_task(&self, processor: Processor) {
+        match processor {
+            // relaxed-ok: monitoring counters behind the gpu_share() display.
+            Processor::Cpu => self.tasks_cpu.fetch_add(1, Ordering::Relaxed),
+            // relaxed-ok: monitoring counter behind the gpu_share() display.
+            Processor::Gpu => self.tasks_gpu.fetch_add(1, Ordering::Relaxed),
+        };
+    }
+
+    /// Fraction of executed tasks that ran on the accelerator (the "GPGPU
+    /// contribution" split of Fig. 7).
+    pub fn gpu_share(&self) -> f64 {
+        let cpu = self.tasks_cpu.load(Ordering::Relaxed) as f64;
+        let gpu = self.tasks_gpu.load(Ordering::Relaxed) as f64;
+        if cpu + gpu == 0.0 {
+            0.0
+        } else {
+            gpu / (cpu + gpu)
+        }
+    }
+}
+
+/// Per-query counters: the member's own row and backpressure counters,
+/// plus its plan's task-level figures, which the block dereferences to
+/// (`stats.tasks_cpu`, `stats.stages` read the plan's [`PlanStats`]).
+#[derive(Debug)]
+pub struct QueryStats {
+    /// Tuples ingested into the query's input buffers.
+    pub tuples_in: AtomicU64,
+    /// Bytes ingested.
+    pub bytes_in: AtomicU64,
     /// Result tuples emitted.
     pub tuples_out: AtomicU64,
     /// Nanoseconds producers of this query spent blocked on backpressure.
     pub backpressure_wait_nanos: AtomicU64,
     /// Number of task submissions that had to block on backpressure.
     pub backpressure_waits: AtomicU64,
-    /// Per-stage pipeline latency histograms (nanoseconds).
-    pub stages: StageHistograms,
+    /// The task-level figures of the physical plan the query is a member of.
+    plan: Arc<PlanStats>,
+}
+
+impl std::ops::Deref for QueryStats {
+    type Target = PlanStats;
+
+    fn deref(&self) -> &PlanStats {
+        &self.plan
+    }
 }
 
 impl QueryStats {
+    /// A zeroed member block reading `plan`'s task-level figures.
+    pub fn new(plan: Arc<PlanStats>) -> Self {
+        Self {
+            tuples_in: AtomicU64::new(0),
+            bytes_in: AtomicU64::new(0),
+            tuples_out: AtomicU64::new(0),
+            backpressure_wait_nanos: AtomicU64::new(0),
+            backpressure_waits: AtomicU64::new(0),
+            plan,
+        }
+    }
+
     /// Takes a point-in-time copy of every counter. The latency fields come
-    /// from the `total` stage histogram, under its contract: a snapshot
-    /// racing a record may be off by the one in-flight sample.
+    /// from the plan's `total` stage histogram, under its contract: a
+    /// snapshot racing a record may be off by the one in-flight sample.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let total = self.stages.total().snapshot();
+        let plan = &*self.plan;
+        let total = plan.stages.total().snapshot();
         StatsSnapshot {
             tuples_in: self.tuples_in.load(Ordering::Relaxed),
             bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            tasks_created: self.tasks_created.load(Ordering::Relaxed),
-            tasks_cut_early: self.tasks_cut_early.load(Ordering::Relaxed),
-            exec_errors: self.exec_errors.load(Ordering::Relaxed),
-            tasks_cpu: self.tasks_cpu.load(Ordering::Relaxed),
-            tasks_gpu: self.tasks_gpu.load(Ordering::Relaxed),
+            tasks_created: plan.tasks_created.load(Ordering::Relaxed),
+            tasks_cut_early: plan.tasks_cut_early.load(Ordering::Relaxed),
+            exec_errors: plan.exec_errors.load(Ordering::Relaxed),
+            tasks_cpu: plan.tasks_cpu.load(Ordering::Relaxed),
+            tasks_gpu: plan.tasks_gpu.load(Ordering::Relaxed),
             tuples_out: self.tuples_out.load(Ordering::Relaxed),
             latency_sum_nanos: total.sum(),
             latency_samples: total.count(),
@@ -134,32 +205,10 @@ impl QueryStats {
     pub fn backpressure_wait(&self) -> Duration {
         Duration::from_nanos(self.backpressure_wait_nanos.load(Ordering::Relaxed))
     }
-
-    /// Records one task execution on `processor`.
-    pub fn record_task(&self, processor: Processor) {
-        match processor {
-            // relaxed-ok: monitoring counters behind the gpu_share() display.
-            Processor::Cpu => self.tasks_cpu.fetch_add(1, Ordering::Relaxed),
-            // relaxed-ok: monitoring counter behind the gpu_share() display.
-            Processor::Gpu => self.tasks_gpu.fetch_add(1, Ordering::Relaxed),
-        };
-    }
-
-    /// Fraction of executed tasks that ran on the accelerator (the "GPGPU
-    /// contribution" split of Fig. 7).
-    pub fn gpu_share(&self) -> f64 {
-        let cpu = self.tasks_cpu.load(Ordering::Relaxed) as f64;
-        let gpu = self.tasks_gpu.load(Ordering::Relaxed) as f64;
-        if cpu + gpu == 0.0 {
-            0.0
-        } else {
-            gpu / (cpu + gpu)
-        }
-    }
 }
 
-/// A point-in-time copy of one query's counters (see
-/// [`QueryStats::snapshot`]). Plain values: render, diff or ship it without
+/// A point-in-time copy of one query's counters and its plan's task
+/// figures (see [`QueryStats::snapshot`]). Plain values: render, diff or ship it without
 /// touching the live atomics again.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
@@ -232,86 +281,52 @@ impl StatsSnapshot {
 /// Registration is internally synchronized so it can happen from any thread.
 #[derive(Debug, Default)]
 pub struct EngineStats {
-    queries: RwLock<Vec<Arc<QueryStats>>>,
+    /// Indexed by query id; `None` for an id whose registration has not
+    /// (or never) installed a block.
+    queries: RwLock<Vec<Option<Arc<QueryStats>>>>,
 }
 
 impl EngineStats {
-    /// Adds a per-query stats block and returns it.
-    pub fn register_query(&self) -> Arc<QueryStats> {
-        let stats = Arc::new(QueryStats::default());
-        self.queries.write().push(stats.clone());
-        stats
-    }
-
-    /// Adds (or replaces) the stats block of an externally assigned query
-    /// id. Gaps left by ids whose registration is still in flight are
-    /// filled with zeroed placeholder blocks, so totals stay correct.
-    pub fn register_query_at(&self, query: usize) -> Arc<QueryStats> {
-        let stats = Arc::new(QueryStats::default());
+    /// Installs the stats block of query id `query`, a member of the plan
+    /// whose task-level figures are `plan`, and returns it.
+    pub(crate) fn register_query_at(&self, query: usize, plan: &Arc<PlanStats>) -> Arc<QueryStats> {
+        let stats = Arc::new(QueryStats::new(plan.clone()));
         let mut queries = self.queries.write();
         if queries.len() <= query {
-            queries.resize_with(query + 1, Default::default);
+            queries.resize(query + 1, None);
         }
-        queries[query] = stats.clone();
+        queries[query] = Some(stats.clone());
         stats
     }
 
     /// The stats block of one query id (present for removed queries too).
     pub fn get(&self, query: usize) -> Option<Arc<QueryStats>> {
-        self.queries.read().get(query).cloned()
+        self.queries.read().get(query).cloned().flatten()
     }
 
-    /// Number of queries ever registered (including removed ones).
-    pub fn len(&self) -> usize {
-        self.queries.read().len()
-    }
-
-    /// True if no query was ever registered.
-    pub fn is_empty(&self) -> bool {
-        self.queries.read().is_empty()
-    }
-
-    /// Per-query statistics in registration (query-id) order.
-    pub fn queries(&self) -> Vec<Arc<QueryStats>> {
-        self.queries.read().clone()
+    /// Sums one member counter over every block.
+    fn total(&self, counter: impl Fn(&QueryStats) -> &AtomicU64) -> u64 {
+        self.queries
+            .read()
+            .iter()
+            .flatten()
+            .map(|q| counter(q).load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Total tuples ingested across all queries.
     pub fn total_tuples_in(&self) -> u64 {
-        self.queries
-            .read()
-            .iter()
-            .map(|q| q.tuples_in.load(Ordering::Relaxed))
-            .sum()
+        self.total(|q| &q.tuples_in)
     }
 
     /// Total bytes ingested across all queries.
     pub fn total_bytes_in(&self) -> u64 {
-        self.queries
-            .read()
-            .iter()
-            .map(|q| q.bytes_in.load(Ordering::Relaxed))
-            .sum()
+        self.total(|q| &q.bytes_in)
     }
 
     /// Total tuples emitted across all queries.
     pub fn total_tuples_out(&self) -> u64 {
-        self.queries
-            .read()
-            .iter()
-            .map(|q| q.tuples_out.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Total producer time spent blocked on backpressure, across all queries.
-    pub fn total_backpressure_wait(&self) -> Duration {
-        Duration::from_nanos(
-            self.queries
-                .read()
-                .iter()
-                .map(|q| q.backpressure_wait_nanos.load(Ordering::Relaxed))
-                .sum(),
-        )
+        self.total(|q| &q.tuples_out)
     }
 }
 
@@ -319,9 +334,13 @@ impl EngineStats {
 mod tests {
     use super::*;
 
+    fn member() -> QueryStats {
+        QueryStats::new(Arc::default())
+    }
+
     #[test]
     fn latency_accounting() {
-        let s = QueryStats::default();
+        let s = member();
         assert_eq!(s.avg_latency(), Duration::ZERO);
         s.stages.record([0, 0, 0, 0, 0, 10_000_000]);
         s.stages.record([0, 0, 0, 0, 0, 20_000_000]);
@@ -336,7 +355,7 @@ mod tests {
 
     #[test]
     fn stage_histograms_record_and_snapshot() {
-        let s = QueryStats::default();
+        let s = PlanStats::default();
         s.stages.record([10, 20, 30, 40, 50, 150]);
         s.stages.record([10, 20, 30, 40, 50, 150]);
         let snaps = s.stages.snapshots();
@@ -352,7 +371,7 @@ mod tests {
 
     #[test]
     fn backpressure_accounting_ignores_zero_waits() {
-        let s = QueryStats::default();
+        let s = member();
         s.record_backpressure(Duration::ZERO);
         assert_eq!(s.backpressure_waits.load(Ordering::Relaxed), 0);
         s.record_backpressure(Duration::from_micros(250));
@@ -363,7 +382,7 @@ mod tests {
 
     #[test]
     fn gpu_share_reflects_task_split() {
-        let s = QueryStats::default();
+        let s = PlanStats::default();
         assert_eq!(s.gpu_share(), 0.0);
         s.record_task(Processor::Cpu);
         s.record_task(Processor::Cpu);
@@ -372,25 +391,33 @@ mod tests {
     }
 
     #[test]
-    fn engine_stats_aggregate_queries() {
+    fn members_share_their_plan_figures_and_keep_their_own_rows() {
+        let plan = Arc::new(PlanStats::default());
         let e = EngineStats::default();
-        assert!(e.is_empty());
-        let a = e.register_query();
-        let b = e.register_query();
+        let a = e.register_query_at(0, &plan);
+        let b = e.register_query_at(2, &plan);
+        plan.record_task(Processor::Gpu);
+        plan.stages.record([0, 0, 0, 0, 0, 7]);
         a.tuples_in.store(10, Ordering::Relaxed);
         b.tuples_in.store(5, Ordering::Relaxed);
         a.bytes_in.store(100, Ordering::Relaxed);
         b.tuples_out.store(3, Ordering::Relaxed);
+        for (stats, tuples_in) in [(&a, 10), (&b, 5)] {
+            let snap = stats.snapshot();
+            assert_eq!(snap.tuples_in, tuples_in, "row counters are the member's");
+            assert_eq!(snap.tasks_gpu, 1, "task counters are the plan's");
+            assert_eq!(snap.latency_samples, 1);
+            assert_eq!(stats.gpu_share(), 1.0);
+        }
         assert_eq!(e.total_tuples_in(), 15);
         assert_eq!(e.total_bytes_in(), 100);
         assert_eq!(e.total_tuples_out(), 3);
-        assert_eq!(e.queries().len(), 2);
-        assert_eq!(e.len(), 2);
         assert_eq!(
-            e.get(1).unwrap().tuples_in.load(Ordering::Relaxed),
+            e.get(2).unwrap().tuples_in.load(Ordering::Relaxed),
             5,
             "stats blocks are addressable by query id"
         );
-        assert!(e.get(2).is_none());
+        assert!(e.get(1).is_none(), "a skipped id has no block");
+        assert!(e.get(3).is_none());
     }
 }

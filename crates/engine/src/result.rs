@@ -10,7 +10,7 @@
 //! thread that executed the task performs whatever assembly work has become
 //! possible, as in the paper's worker-thread model.
 
-use crate::metrics::QueryStats;
+use crate::metrics::{PlanStats, QueryStats};
 use crate::registry::Gate;
 use crate::sink::QuerySink;
 use crate::task::TaskStamps;
@@ -65,8 +65,8 @@ pub struct ResultStage {
     /// lock, so each member sees the plan's output in release order.
     pub(crate) members: Mutex<Vec<Member>>,
     schema: SchemaRef,
-    /// The plan's statistics block (stage histograms).
-    stats: Arc<QueryStats>,
+    /// The plan's task-level statistics (stage histograms).
+    stats: Arc<PlanStats>,
     completed_tasks: AtomicU64,
     /// The engine-wide flight recorder each released task traces into.
     recorder: Arc<FlightRecorder>,
@@ -77,7 +77,7 @@ impl ResultStage {
     /// Creates the result stage of one physical plan, with no members yet.
     /// Completed tasks trace into `recorder` and the plan's stage
     /// histograms.
-    pub fn new(plan: &CompiledPlan, stats: Arc<QueryStats>, recorder: Arc<FlightRecorder>) -> Self {
+    pub fn new(plan: &CompiledPlan, stats: Arc<PlanStats>, recorder: Arc<FlightRecorder>) -> Self {
         Self {
             ordered: Mutex::new(Ordered {
                 next_seq: 0,
@@ -226,7 +226,7 @@ mod tests {
         let plan = CompiledPlan::compile(&q).unwrap();
         let stage = ResultStage::new(
             &plan,
-            Arc::new(QueryStats::default()),
+            Arc::new(PlanStats::default()),
             Arc::new(FlightRecorder::new(8)),
         );
         let sink = attach(&stage, 0).0;
@@ -236,7 +236,7 @@ mod tests {
     /// Attaches member `id` to `stage`: its retaining sink and stats block.
     fn attach(stage: &ResultStage, id: usize) -> (QuerySink, Arc<QueryStats>) {
         let sink = QuerySink::new(stage.schema().clone(), true);
-        let stats = Arc::new(QueryStats::default());
+        let stats = Arc::new(QueryStats::new(stage.stats.clone()));
         stage.members.lock().push(Member {
             id,
             sink: sink.clone(),
@@ -310,7 +310,7 @@ mod tests {
             .build()
             .unwrap();
         let plan = CompiledPlan::compile(&q).unwrap();
-        let stats = Arc::new(QueryStats::default());
+        let stats = Arc::new(PlanStats::default());
         let recorder = Arc::new(FlightRecorder::new(8));
         let stage = ResultStage::new(&plan, stats.clone(), recorder.clone());
         attach(&stage, 0);
@@ -343,9 +343,12 @@ mod tests {
             saber_cpu::PlanKind::Aggregation(a) => a.clone(),
             _ => unreachable!(),
         };
-        let stats = Arc::new(QueryStats::default());
-        let stage = ResultStage::new(&plan, stats.clone(), Arc::new(FlightRecorder::new(8)));
-        let sink = attach(&stage, 0).0;
+        let stage = ResultStage::new(
+            &plan,
+            Arc::new(PlanStats::default()),
+            Arc::new(FlightRecorder::new(8)),
+        );
+        let (sink, stats) = attach(&stage, 0);
 
         // Two tasks of 6 rows each; window 0 (rows 0..8) spans both.
         let mk = |start: u64| {

@@ -19,13 +19,17 @@
 //! # The plan owns its machinery
 //!
 //! A [`SharedPlan`] owns everything that executes: the dispatcher with its
-//! input rings, the result stage, the plan-level stats block and — through
-//! the plan id — the task-queue shard, the scheduler/HLS row and the
-//! throughput-matrix row. Its id is the id of the query whose registration
-//! built it, so that query's stats block is also the plan-level one. Every
-//! member, that first query included, has its own id, registry slot, sink,
-//! stats block and ingest gate, and a place in the plan's member list. The result stage appends each released batch to
-//! every member's sink, in release order, under its reorder lock.
+//! input rings, the result stage, the task-level counters and stage
+//! histograms ([`PlanStats`]) and — through the plan id — the task-queue
+//! shard, the scheduler/HLS row and the throughput-matrix row. Its id is
+//! the id of the query whose registration built it; nothing else about
+//! that query is special. Every member, that first query included, has its
+//! own id, registry slot, sink, ingest gate, a place in the plan's member
+//! list and a stats block that counts its own rows in and out and reads
+//! the plan's task figures through a shared reference — so every member,
+//! live or removed, reports the plan's tasks and latencies. The result
+//! stage appends each released batch to every member's sink, in release
+//! order, under its reorder lock.
 //! Attaching a later fingerprint-identical query is O(1) in engine state:
 //! no compilation, no ring allocation, no queue shard, no scheduler row.
 //!
@@ -53,7 +57,7 @@
 //! record.
 
 use crate::dispatcher::Dispatcher;
-use crate::metrics::QueryStats;
+use crate::metrics::PlanStats;
 use crate::result::{Member, ResultStage};
 use saber_query::PlanFingerprint;
 use saber_types::sync::{Mutex, MutexGuard};
@@ -74,9 +78,9 @@ pub(crate) struct SharedPlan {
     pub(crate) dispatcher: Dispatcher,
     /// The plan's result stage, which holds the member list.
     pub(crate) results: ResultStage,
-    /// The plan-level stats block (tasks, placement, stage latencies),
-    /// keyed by the plan id: the block of the query that built the plan.
-    pub(crate) stats: Arc<QueryStats>,
+    /// The plan's task-level counters and stage histograms; every member's
+    /// stats block reads them.
+    pub(crate) stats: Arc<PlanStats>,
     /// WAL seq of the plan's first `AddQuery` record (`u64::MAX` until one
     /// is logged): every member's recovery cut.
     first_add: AtomicU64,
@@ -88,7 +92,7 @@ impl SharedPlan {
         id: usize,
         dispatcher: Dispatcher,
         results: ResultStage,
-        stats: Arc<QueryStats>,
+        stats: Arc<PlanStats>,
     ) -> Self {
         Self {
             fingerprint,
@@ -166,6 +170,7 @@ impl SharedWindowRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::QueryStats;
     use crate::registry::{Gate, GATE_OPEN};
     use crate::sink::QuerySink;
     use saber_cpu::CompiledPlan;
@@ -194,7 +199,7 @@ mod tests {
     fn plan(tag: &str, id: usize) -> Arc<SharedPlan> {
         let query = query(tag);
         let compiled = Arc::new(CompiledPlan::compile(&query).unwrap());
-        let stats = Arc::new(QueryStats::default());
+        let stats = Arc::new(PlanStats::default());
         let results = ResultStage::new(&compiled, stats.clone(), Arc::new(FlightRecorder::new(8)));
         let dispatcher =
             Dispatcher::new(compiled, 1024, 1 << 16, Arc::new(AtomicU64::new(0)), true);
@@ -212,7 +217,7 @@ mod tests {
         plan.attach(Member {
             id,
             sink: QuerySink::new(plan.results.schema().clone(), false),
-            stats: Arc::new(QueryStats::default()),
+            stats: Arc::new(QueryStats::new(plan.stats.clone())),
             gate: gate.clone(),
         });
         gate

@@ -144,7 +144,7 @@ impl WorkerContext {
             Ok(Some(task)) => {
                 // relaxed-ok: monitoring counter, read only for stats display.
                 plan.stats.tasks_cut_early.fetch_add(1, Ordering::Relaxed);
-                admit_task(&plan.stats, &self.flow, &self.queue, task);
+                admit_task(plan, &self.flow, &self.queue, task);
                 true
             }
             // Either another cutter took the rows first, or a producer

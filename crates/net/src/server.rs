@@ -173,10 +173,6 @@ const MODE_TEXT: u8 = 1;
 const MODE_BINARY: u8 = 2;
 const MODE_HTTP: u8 = 3;
 
-const CLOSE_OPEN: u8 = 0;
-const CLOSE_AFTER_FLUSH: u8 = 1;
-const CLOSE_NOW: u8 = 2;
-
 /// State of one connection shared between the loop, the dispatch workers
 /// and any [`ConnHandle`] clones the application holds.
 struct ConnShared {
@@ -187,7 +183,8 @@ struct ConnShared {
     /// Keepalive-enabled ("push") connections also survive a read-side EOF:
     /// a subscriber may half-close and keep receiving.
     keepalive: AtomicBool,
-    close: AtomicU8,
+    /// True once the application asked to close after the outbox drains.
+    close_after_flush: AtomicBool,
     /// True once the loop has torn the connection down; sends become no-ops.
     gone: AtomicBool,
     /// Bytes of decoded requests not yet answered by the application.
@@ -226,11 +223,6 @@ impl ConnHandle {
     /// The connection's id, unique over the server's lifetime.
     pub fn id(&self) -> u64 {
         self.shared.id
-    }
-
-    /// The peer's socket address.
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.shared.peer
     }
 
     /// The detected protocol mode.
@@ -354,18 +346,7 @@ impl ConnHandle {
 
     /// Closes the connection once every pending byte has been written.
     pub fn close_after_flush(&self) {
-        let _ = self.shared.close.compare_exchange(
-            CLOSE_OPEN,
-            CLOSE_AFTER_FLUSH,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        );
-        self.shared.net.mark_dirty(&self.shared);
-    }
-
-    /// Closes the connection immediately, discarding pending output.
-    pub fn close_now(&self) {
-        self.shared.close.store(CLOSE_NOW, Ordering::SeqCst);
+        self.shared.close_after_flush.store(true, Ordering::SeqCst);
         self.shared.net.mark_dirty(&self.shared);
     }
 }
@@ -755,11 +736,6 @@ impl NetServer {
         self.local_addr
     }
 
-    /// The number of currently open connections.
-    pub fn connection_count(&self) -> usize {
-        self.shared.conn_count.load(Ordering::SeqCst)
-    }
-
     /// A cloneable, read-only view of the server's aggregate transport
     /// counters (see [`NetMetricsHandle`]). Valid for the server's whole
     /// life; safe to read from any thread.
@@ -957,7 +933,7 @@ impl EventLoop {
                 mode: AtomicU8::new(MODE_DETECTING),
                 authed: AtomicBool::new(self.shared.config.auth_token.is_none()),
                 keepalive: AtomicBool::new(false),
-                close: AtomicU8::new(CLOSE_OPEN),
+                close_after_flush: AtomicBool::new(false),
                 gone: AtomicBool::new(false),
                 inflight: AtomicUsize::new(0),
                 scheduled: AtomicBool::new(false),
@@ -1135,7 +1111,7 @@ impl EventLoop {
             let Some(conn) = self.conns.get_mut(&id) else {
                 return;
             };
-            if conn.shared.close.load(Ordering::SeqCst) != CLOSE_OPEN {
+            if conn.shared.close_after_flush.load(Ordering::SeqCst) {
                 return;
             }
             // Pause gates, re-checked between requests: in-flight bytes and
@@ -1497,11 +1473,7 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        let close = conn.shared.close.load(Ordering::SeqCst);
-        if close == CLOSE_NOW {
-            self.close_conn(id, CloseReason::Normal);
-            return;
-        }
+        let close = conn.shared.close_after_flush.load(Ordering::SeqCst);
         {
             let mut outbox = conn.shared.outbox.lock();
             if !outbox.is_empty() {
@@ -1549,7 +1521,7 @@ impl EventLoop {
         if conn.wpos == conn.wbuf.len() {
             conn.wbuf.clear();
             conn.wpos = 0;
-            if close == CLOSE_AFTER_FLUSH && conn.shared.outbox.lock().is_empty() {
+            if close && conn.shared.outbox.lock().is_empty() {
                 // Everything the application wanted delivered is in the
                 // kernel's hands; shut the write side down so the peer sees
                 // a clean EOF after the final bytes.

@@ -63,11 +63,6 @@ impl WindowSpec {
         WindowSpec::CountBased { size, slide: size }
     }
 
-    /// A time-based tumbling window (`slide == size`).
-    pub fn tumbling_time(size: u64) -> Self {
-        WindowSpec::TimeBased { size, slide: size }
-    }
-
     /// An effectively unbounded window (used by LRB1's `[range unbounded]`):
     /// a huge tumbling count window; stateless queries ignore the bound.
     pub fn unbounded() -> Self {

@@ -439,11 +439,13 @@ impl Server {
             ShutdownReport {
                 queries: (0..st.engine.registered_queries())
                     .map(|i| {
+                        // Ids burnt without a registration (a failed one, or
+                        // one a previous run removed) report zeros.
                         let snap = st
                             .engine
                             .query_stats(QueryId(i))
-                            .expect("stats are retained for every registered query")
-                            .snapshot();
+                            .map(|stats| stats.snapshot())
+                            .unwrap_or_default();
                         QueryReport {
                             tuples_in: snap.tuples_in,
                             tuples_out: snap.tuples_out,
@@ -648,7 +650,7 @@ fn render_metrics(shared: &Arc<Shared>) -> String {
     let tuples_in = stats.total_tuples_in();
     let bytes_in = stats.total_bytes_in();
     let tuples_out = stats.total_tuples_out();
-    let backpressure_wait = stats.total_backpressure_wait();
+    let (_, backpressure_wait) = st.engine.backpressure_stats();
     let physical_plans = st.engine.num_physical_plans();
     let queued_tasks = st.engine.queued_tasks();
     let queued_tasks_peak = st.engine.max_queued_tasks_observed();

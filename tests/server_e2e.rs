@@ -363,6 +363,75 @@ fn two_clients_same_query_share_one_physical_instance() {
 /// subscriber is either refused as an unknown query, or acked and then
 /// streamed windows, `END` and EOF — never left hanging.
 #[test]
+fn every_member_of_a_shared_plan_reports_the_plans_tasks_and_latency() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            engine: engine_config(),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    let mut c = Client::connect(addr);
+    assert_eq!(
+        c.send("CREATE STREAM S (timestamp TIMESTAMP, v INT, k INT)"),
+        "OK stream S"
+    );
+    assert_eq!(c.send(&format!("QUERY {SQL}")), "OK query 0");
+    assert_eq!(c.send(&format!("QUERY {SQL}")), "OK query 1");
+    // Every row goes in through the first member.
+    for p in 0..PRODUCERS {
+        assert_eq!(
+            c.send(&format!(
+                "INSERT 0 0 B64 {}",
+                b64_encode(producer_rows(p).bytes())
+            )),
+            format!("OK rows {ROWS_PER_PRODUCER}")
+        );
+    }
+    assert_eq!(c.send("FLUSH"), "OK flushed");
+    let field = |line: &str, key: &str| -> u64 {
+        line.split_whitespace()
+            .find_map(|kv| kv.strip_prefix(&format!("{key}=")))
+            .unwrap_or_else(|| panic!("no `{key}` in `{line}`"))
+            .parse()
+            .unwrap()
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let stats = loop {
+        let line = c.send("STATS 1");
+        if field(&line, "tuples_out") > 0 {
+            break line;
+        }
+        assert!(Instant::now() < deadline, "no window closed: {line}");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    // The second member reads its plan's task and latency figures, although
+    // none of the rows came in through it.
+    assert_eq!(field(&stats, "tuples_in"), 0, "{stats}");
+    assert!(field(&stats, "tasks_created") > 0, "{stats}");
+    assert!(field(&stats, "max_latency_us") > 0, "{stats}");
+
+    let (_, body) = http_get(addr, "/metrics");
+    let total_count = body
+        .lines()
+        .find_map(|l| {
+            l.strip_prefix("saber_query_stage_latency_seconds_count{query=\"1\",stage=\"total\"} ")
+        })
+        .expect("the second member's total-stage histogram count series")
+        .parse::<u64>()
+        .unwrap();
+    assert!(
+        total_count > 0,
+        "the second member reports no stage latency"
+    );
+
+    server.shutdown().expect("clean shutdown");
+}
+
+#[test]
 fn subscribe_racing_drop_query_ends_or_refuses_every_subscriber() {
     const SUBSCRIBERS: usize = 8;
     let server = Server::bind(
