@@ -82,7 +82,14 @@ impl CircularBuffer {
     /// Creates a buffer of `capacity` bytes (rounded up to a power of two).
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.next_power_of_two().max(1024);
-        let data = (0..capacity).map(|_| UnsafeCell::new(0u8)).collect();
+        // A zeroed allocation leaves the pages untouched until first use;
+        // writing the cells one by one costs ~1 s per 64 MiB in a debug build.
+        let zeroed = Box::into_raw(vec![0u8; capacity].into_boxed_slice());
+        // SAFETY: `UnsafeCell<u8>` is `repr(transparent)` over `u8`, so the
+        // slice has the same length, layout and alignment under either
+        // element type, and the box is rebuilt from the pointer that
+        // `into_raw` gave up, exactly once.
+        let data = unsafe { Box::from_raw(zeroed as *mut [UnsafeCell<u8>]) };
         Self {
             data,
             capacity,

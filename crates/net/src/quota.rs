@@ -46,14 +46,17 @@ impl TokenBucket {
         self.level = (self.level + dt * rate).min(self.burst);
     }
 
-    /// Debits `rows` tokens at time `now`. The balance may go negative —
-    /// the charge always succeeds; the *next* read is what gets delayed.
-    pub fn charge(&mut self, rows: u64, now: Instant) {
+    /// Debits `rows` tokens at time `now` and reports whether the bucket
+    /// is now in debt. The balance may go negative — the charge always
+    /// succeeds; the *next* read is what gets delayed. A disabled bucket is
+    /// never in debt.
+    pub fn charge(&mut self, rows: u64, now: Instant) -> bool {
         if self.rate.is_none() {
-            return;
+            return false;
         }
         self.refill(now);
         self.level -= rows as f64;
+        self.level < 0.0
     }
 
     /// Time until the balance is non-negative again: `None` means "not
@@ -78,6 +81,18 @@ mod tests {
         let now = Instant::now();
         bucket.charge(u64::MAX / 2, now);
         assert_eq!(bucket.throttle_for(now), None);
+    }
+
+    #[test]
+    fn charge_reports_debt_only_from_an_enabled_bucket() {
+        let now = Instant::now();
+        let mut disabled = TokenBucket::new(None, 1);
+        assert!(!disabled.charge(u64::MAX / 2, now));
+        assert!(!disabled.charge(1, now));
+        let mut bucket = TokenBucket::new(Some(1000), 10);
+        assert!(!bucket.charge(10, now), "the burst is not debt");
+        assert!(bucket.charge(1, now), "one row past the burst is");
+        assert!(bucket.charge(1, now), "and it stays in debt");
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //!   reads, detects the protocol mode (text lines vs. the binary frame
 //!   protocol, see [`crate::wire`]), decodes complete requests, enforces
 //!   authentication and per-client quotas, and performs all writes —
-//!   partial-write aware, re-arming `EPOLLOUT` only while bytes are
-//!   pending. It never calls into the application except for the
-//!   lock-free-to-net callbacks `on_connect` / `on_disconnect`.
+//!   partial-write aware, arming `EPOLLOUT` only while bytes a write
+//!   left unsent are pending. It never calls into the application except
+//!   for the lock-free-to-net callbacks `on_connect` / `on_disconnect`.
 //! * **Dispatch workers** (`saber-net-dispatch-*`) pull decoded requests
 //!   and run [`App::on_request`]. Handlers may block (the engine's credit
 //!   gate does, under backpressure) without stalling the loop: only the
@@ -338,10 +338,13 @@ impl ConnHandle {
     /// bucket is in debt the loop pauses reads from this connection.
     pub fn charge_rows(&self, rows: u64) {
         let now = Instant::now();
-        self.shared.bucket.lock().charge(rows, now);
+        let in_debt = self.shared.bucket.lock().charge(rows, now);
         // The loop re-evaluates the throttle state on its next pass over
-        // the connection; nudge it in case the socket stays quiet.
-        self.shared.net.mark_dirty(&self.shared);
+        // the connection; nudge it in case the socket stays quiet. A
+        // bucket that is not in debt has nothing to re-evaluate.
+        if in_debt {
+            self.shared.net.mark_dirty(&self.shared);
+        }
     }
 
     /// Closes the connection once every pending byte has been written.
@@ -370,14 +373,16 @@ impl Waker {
     /// and writes nothing, which is harmless: the loop services the dirty
     /// list after every drain. Disarming first would let that wake's byte
     /// be read away here and leave `armed` set over an empty pipe, so no
-    /// later `wake()` would ever write again.
+    /// later `wake()` would ever write again. A short read means the pair
+    /// was dry; a byte that lands after it is reported again, since the
+    /// poller is level-triggered.
     fn drain(&self, rx: &UnixStream) {
         let mut rx = rx;
         let mut scratch = [0u8; 64];
         loop {
             match rx.read(&mut scratch) {
-                Ok(0) => break,
-                Ok(_) => continue,
+                Ok(n) if n == scratch.len() => continue,
+                Ok(_) => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => break,
             }
@@ -413,6 +418,9 @@ struct NetCounters {
     inflight_bytes: AtomicU64,
     /// Bytes of pending (unwritten) output, across all connections.
     outbox_bytes: AtomicU64,
+    /// Times a connection's interest set gained `OUT`.
+    #[cfg(test)]
+    out_arms: AtomicU64,
 }
 
 impl NetCounters {
@@ -810,6 +818,9 @@ impl Drop for NetServer {
 /// quota resumes) may lag behind its ideal schedule.
 const HOUSEKEEP_FLOOR: Duration = Duration::from_millis(20);
 
+/// Size of one socket read.
+const READ_CHUNK: usize = 64 * 1024;
+
 struct EventLoop {
     shared: Arc<NetShared>,
     app: Arc<dyn App>,
@@ -818,6 +829,8 @@ struct EventLoop {
     wake_rx: UnixStream,
     conns: HashMap<u64, Conn>,
     next_id: u64,
+    /// Every connection's reads land here first, then in its `rbuf`.
+    read_buf: Box<[u8]>,
     /// Earliest instant any timed state (keepalive, throttle, stall) needs
     /// service; the epoll timeout is derived from it.
     next_housekeep: Instant,
@@ -838,6 +851,7 @@ fn event_loop(
         wake_rx,
         conns: HashMap::new(),
         next_id: 0,
+        read_buf: vec![0u8; READ_CHUNK].into_boxed_slice(),
         next_housekeep: Instant::now(),
     };
     if el
@@ -1035,10 +1049,11 @@ impl EventLoop {
         }
     }
 
-    /// Reads until `WouldBlock` (or a per-pass budget), then decodes and
-    /// dispatches as much of the buffer as pauses allow.
+    /// Reads until the socket is dry (a short read or `WouldBlock`) or a
+    /// per-pass budget is spent, then decodes and dispatches as much of the
+    /// buffer as pauses allow. Bytes left in the socket are reported again:
+    /// the poller is level-triggered.
     fn read_conn(&mut self, id: u64) {
-        const READ_CHUNK: usize = 64 * 1024;
         const READ_BUDGET: usize = 256 * 1024;
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
@@ -1047,12 +1062,12 @@ impl EventLoop {
             self.update_interest(id);
             return;
         }
-        let mut scratch = vec![0u8; READ_CHUNK];
+        let scratch = &mut self.read_buf;
         let mut total = 0usize;
         let mut eof = false;
         let mut dead = false;
         while total < READ_BUDGET {
-            match conn.stream.read(&mut scratch) {
+            match conn.stream.read(scratch) {
                 Ok(0) => {
                     eof = true;
                     break;
@@ -1060,6 +1075,9 @@ impl EventLoop {
                 Ok(n) => {
                     conn.rbuf.extend_from_slice(&scratch[..n]);
                     total += n;
+                    if n < scratch.len() {
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -1535,7 +1553,9 @@ impl EventLoop {
     }
 
     /// Computes and applies the connection's epoll interest set from its
-    /// current state.
+    /// current state. `OUT` is wanted only for bytes a flush left unwritten:
+    /// every push to the outbox already puts the connection on the dirty
+    /// list, which the loop flushes on its next turn.
     fn update_interest(&mut self, id: u64) {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
@@ -1546,7 +1566,7 @@ impl EventLoop {
         if !conn.read_eof && reading_globally && !paused {
             want |= Events::IN | Events::RDHUP;
         }
-        if conn.wpos < conn.wbuf.len() || !conn.shared.outbox.lock().is_empty() {
+        if conn.wpos < conn.wbuf.len() {
             want |= Events::OUT;
         }
         if want != conn.interest
@@ -1556,6 +1576,10 @@ impl EventLoop {
                 .is_ok()
         {
             conn.interest = want;
+            #[cfg(test)]
+            if want & Events::OUT != 0 {
+                NetCounters::add(&self.shared.counters.out_arms, 1);
+            }
         }
     }
 
@@ -1770,6 +1794,47 @@ mod tests {
             events.iter().any(|event| event.token == TOKEN_WAKER),
             "a wake after the race never reached epoll_wait"
         );
+    }
+
+    /// Answers every text line with the same line.
+    struct Echo;
+
+    impl App for Echo {
+        fn on_request(&self, conn: &ConnHandle, request: Request) {
+            if let Request::Line(line) = request {
+                conn.send_line(&line);
+            }
+        }
+    }
+
+    #[test]
+    fn replies_written_in_full_never_arm_out() {
+        let config = NetConfig {
+            dispatch_threads: 1,
+            ..NetConfig::default()
+        };
+        let server = NetServer::bind("127.0.0.1:0", config, Arc::new(Echo)).unwrap();
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut reader = io::BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        // Pipelined requests make replies land in the outbox while the loop
+        // is still reading, and one-at-a-time requests while it sleeps.
+        let batch: String = (0..200).map(|i| format!("line {i}\n")).collect();
+        writer.write_all(batch.as_bytes()).unwrap();
+        for i in 0..200 {
+            let mut line = String::new();
+            io::BufRead::read_line(&mut reader, &mut line).unwrap();
+            assert_eq!(line, format!("line {i}\n"));
+        }
+        for i in 0..50 {
+            writer.write_all(format!("again {i}\n").as_bytes()).unwrap();
+            let mut line = String::new();
+            io::BufRead::read_line(&mut reader, &mut line).unwrap();
+            assert_eq!(line, format!("again {i}\n"));
+        }
+        let arms = server.shared.counters.out_arms.load(Ordering::Relaxed);
+        server.shutdown(Duration::from_secs(1));
+        assert_eq!(arms, 0, "OUT was armed for replies the loop wrote in full");
     }
 
     #[test]

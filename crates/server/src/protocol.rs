@@ -16,8 +16,9 @@
 //! [`read_line_capped`] helper.
 
 use saber_net::wire::Frame;
-use saber_types::{DataType, RowBuffer, Schema, TupleRef, Value};
+use saber_types::{DataType, RowBuffer, Schema, TupleRef};
 use std::borrow::Cow;
+use std::fmt::Write as _;
 use std::io::{self, BufRead};
 
 /// How a subscriber wants result rows encoded.
@@ -350,32 +351,62 @@ fn parse_insert(rest: &str) -> Result<Command, String> {
     })
 }
 
-/// Decodes `;`-separated CSV rows into raw row bytes for `schema`.
+/// Decodes `;`-separated CSV rows into raw row bytes for `schema`, in one
+/// pass: each field is parsed where it lies in `text` and its little-endian
+/// bytes are written at its offset in the row. The grammar is in
+/// `docs/server.md`.
 fn decode_csv_rows(schema: &Schema, text: &str) -> Result<Vec<u8>, String> {
+    let bytes = text.as_bytes();
+    let row_size = schema.row_size();
     let mut out = Vec::new();
-    for (r, row) in text.split(';').enumerate() {
-        let row = row.trim();
-        if row.is_empty() {
-            continue;
+    let mut pos = 0;
+    let mut r = 0;
+    while pos <= bytes.len() {
+        let row_start = out.len();
+        out.resize(row_start + row_size, 0);
+        let mut fields = 0;
+        // The first field that failed to parse; reported only once the row
+        // is known to have the right number of fields.
+        let mut bad: Option<(usize, &str)> = None;
+        loop {
+            let start = pos;
+            while pos < bytes.len() && bytes[pos] != b',' && bytes[pos] != b';' {
+                pos += 1;
+            }
+            let last = pos == bytes.len() || bytes[pos] == b';';
+            if fields < schema.len() && bad.is_none() {
+                let field = trim_field(&text[start..pos]);
+                let at = row_start + schema.offset(fields);
+                if write_field(schema.data_type(fields), field, &mut out[at..]).is_none() {
+                    bad = Some((fields, field));
+                }
+            }
+            fields += 1;
+            pos += 1;
+            if last {
+                break;
+            }
         }
-        let fields: Vec<&str> = row.split(',').map(str::trim).collect();
-        if fields.len() != schema.len() {
-            return Err(format!(
-                "row {r}: expected {} fields, got {}",
-                schema.len(),
-                fields.len()
-            ));
+        match bad {
+            // A blank row, one field that is empty once trimmed, is skipped.
+            // An empty field never parses, so it shows up here as `bad`.
+            Some((0, "")) if fields == 1 => out.truncate(row_start),
+            _ if fields != schema.len() => {
+                return Err(format!(
+                    "row {r}: expected {} fields, got {fields}",
+                    schema.len()
+                ))
+            }
+            Some((i, field)) => {
+                return Err(format!(
+                    "row {r}, field `{}`: `{field}` is not a valid {}",
+                    schema.attribute(i).name(),
+                    data_type_name(schema.data_type(i))
+                ))
+            }
+            None => {}
         }
-        let mut values = Vec::with_capacity(fields.len());
-        for (i, field) in fields.iter().enumerate() {
-            values
-                .push(parse_field(schema.data_type(i), field).map_err(|e| {
-                    format!("row {r}, field `{}`: {e}", schema.attribute(i).name())
-                })?);
-        }
-        schema
-            .encode_row(&values, &mut out)
-            .map_err(|e| format!("row {r}: {}", e.message()))?;
+        r += 1;
     }
     if out.is_empty() {
         return Err("empty payload".into());
@@ -383,40 +414,63 @@ fn decode_csv_rows(schema: &Schema, text: &str) -> Result<Vec<u8>, String> {
     Ok(out)
 }
 
-fn parse_field(ty: DataType, field: &str) -> Result<Value, String> {
-    let bad = |what: &str| format!("`{field}` is not a valid {what}");
-    Ok(match ty {
-        DataType::Int => Value::Int(field.parse().map_err(|_| bad("INT"))?),
-        DataType::Long => Value::Long(field.parse().map_err(|_| bad("LONG"))?),
-        DataType::Float => Value::Float(field.parse().map_err(|_| bad("FLOAT"))?),
-        DataType::Double => Value::Double(field.parse().map_err(|_| bad("DOUBLE"))?),
-        DataType::Timestamp => Value::Timestamp(field.parse().map_err(|_| bad("TIMESTAMP"))?),
-    })
+/// `str::trim`, skipped when neither end of `field` can be whitespace.
+fn trim_field(field: &str) -> &str {
+    let maybe_space = |b: &u8| *b <= b' ' || !b.is_ascii();
+    let bytes = field.as_bytes();
+    if bytes.first().is_some_and(maybe_space) || bytes.last().is_some_and(maybe_space) {
+        field.trim()
+    } else {
+        field
+    }
+}
+
+/// Parses `field` as `ty` and writes its little-endian bytes to the front
+/// of `out`; `None` if `field` is not a valid `ty`.
+fn write_field(ty: DataType, field: &str, out: &mut [u8]) -> Option<()> {
+    match ty {
+        DataType::Int => out[..4].copy_from_slice(&field.parse::<i32>().ok()?.to_le_bytes()),
+        DataType::Long | DataType::Timestamp => {
+            out[..8].copy_from_slice(&field.parse::<i64>().ok()?.to_le_bytes())
+        }
+        DataType::Float => out[..4].copy_from_slice(&field.parse::<f32>().ok()?.to_le_bytes()),
+        DataType::Double => out[..8].copy_from_slice(&field.parse::<f64>().ok()?.to_le_bytes()),
+    }
+    Some(())
+}
+
+/// Appends one result row's fields to `out`, comma-separated.
+fn write_csv_row(out: &mut String, tuple: &TupleRef<'_>) {
+    let schema = tuple.schema();
+    for i in 0..schema.len() {
+        if i > 0 {
+            out.push(',');
+        }
+        // Writing to a `String` cannot fail.
+        let _ = match schema.data_type(i) {
+            DataType::Int => write!(out, "{}", tuple.get_i32(i)),
+            DataType::Long | DataType::Timestamp => write!(out, "{}", tuple.get_i64(i)),
+            DataType::Float => write!(out, "{}", tuple.get_f32(i)),
+            DataType::Double => write!(out, "{}", tuple.get_f64(i)),
+        };
+    }
 }
 
 /// Formats one result row as the CSV of a `ROW` line.
 pub fn format_csv_row(tuple: &TupleRef<'_>) -> String {
-    let schema = tuple.schema();
-    let mut fields = Vec::with_capacity(schema.len());
-    for i in 0..schema.len() {
-        fields.push(match schema.data_type(i) {
-            DataType::Int => tuple.get_i32(i).to_string(),
-            DataType::Long | DataType::Timestamp => tuple.get_i64(i).to_string(),
-            DataType::Float => tuple.get_f32(i).to_string(),
-            DataType::Double => tuple.get_f64(i).to_string(),
-        });
-    }
-    fields.join(",")
+    let mut out = String::new();
+    write_csv_row(&mut out, tuple);
+    out
 }
 
 /// Renders one result batch in the subscriber's encoding, ready to write.
 pub fn format_batch(rows: &RowBuffer, encoding: Encoding) -> String {
     match encoding {
         Encoding::Csv => {
-            let mut out = String::new();
+            let mut out = String::with_capacity(rows.len() * (5 + 8 * rows.schema().len()));
             for tuple in rows.iter() {
                 out.push_str("ROW ");
-                out.push_str(&format_csv_row(&tuple));
+                write_csv_row(&mut out, &tuple);
                 out.push('\n');
             }
             out
@@ -554,7 +608,7 @@ fn finish_line(mut line: Vec<u8>) -> io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saber_types::RowBuffer;
+    use saber_types::Value;
 
     fn schema() -> Schema {
         Schema::from_pairs(&[
@@ -739,5 +793,352 @@ mod tests {
         let mut oversized = io::Cursor::new(vec![b'x'; 100]);
         let err = read_line_capped(&mut oversized, 10).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    // ---- the reference codec (split, trim, `Value`s, `encode_row`, one
+    // ---- `String` per field): the differential tests below hold the
+    // ---- one-pass decoder and the one-buffer formatter to it.
+
+    fn oracle_decode_csv_rows(schema: &Schema, text: &str) -> Result<Vec<u8>, String> {
+        let mut out = Vec::new();
+        for (r, row) in text.split(';').enumerate() {
+            let row = row.trim();
+            if row.is_empty() {
+                continue;
+            }
+            let fields: Vec<&str> = row.split(',').map(str::trim).collect();
+            if fields.len() != schema.len() {
+                return Err(format!(
+                    "row {r}: expected {} fields, got {}",
+                    schema.len(),
+                    fields.len()
+                ));
+            }
+            let mut values = Vec::with_capacity(fields.len());
+            for (i, field) in fields.iter().enumerate() {
+                values.push(oracle_parse_field(schema.data_type(i), field).map_err(|e| {
+                    format!("row {r}, field `{}`: {e}", schema.attribute(i).name())
+                })?);
+            }
+            schema
+                .encode_row(&values, &mut out)
+                .map_err(|e| format!("row {r}: {}", e.message()))?;
+        }
+        if out.is_empty() {
+            return Err("empty payload".into());
+        }
+        Ok(out)
+    }
+
+    fn oracle_parse_field(ty: DataType, field: &str) -> Result<Value, String> {
+        let bad = |what: &str| format!("`{field}` is not a valid {what}");
+        Ok(match ty {
+            DataType::Int => Value::Int(field.parse().map_err(|_| bad("INT"))?),
+            DataType::Long => Value::Long(field.parse().map_err(|_| bad("LONG"))?),
+            DataType::Float => Value::Float(field.parse().map_err(|_| bad("FLOAT"))?),
+            DataType::Double => Value::Double(field.parse().map_err(|_| bad("DOUBLE"))?),
+            DataType::Timestamp => Value::Timestamp(field.parse().map_err(|_| bad("TIMESTAMP"))?),
+        })
+    }
+
+    fn oracle_format_csv_row(tuple: &TupleRef<'_>) -> String {
+        let schema = tuple.schema();
+        let mut fields = Vec::with_capacity(schema.len());
+        for i in 0..schema.len() {
+            fields.push(match schema.data_type(i) {
+                DataType::Int => tuple.get_i32(i).to_string(),
+                DataType::Long | DataType::Timestamp => tuple.get_i64(i).to_string(),
+                DataType::Float => tuple.get_f32(i).to_string(),
+                DataType::Double => tuple.get_f64(i).to_string(),
+            });
+        }
+        fields.join(",")
+    }
+
+    fn oracle_format_batch_csv(rows: &RowBuffer) -> String {
+        let mut out = String::new();
+        for tuple in rows.iter() {
+            out.push_str("ROW ");
+            out.push_str(&oracle_format_csv_row(&tuple));
+            out.push('\n');
+        }
+        out
+    }
+
+    /// One attribute of each of the five types.
+    fn every_type() -> Schema {
+        Schema::from_pairs(&[
+            ("ts", DataType::Timestamp),
+            ("i", DataType::Int),
+            ("l", DataType::Long),
+            ("f", DataType::Float),
+            ("d", DataType::Double),
+        ])
+        .unwrap()
+    }
+
+    #[rustfmt::skip]
+    const EDGE_FIELDS: &[&str] = &[
+        "0", "+5", "-0", "+0", "-", "+", "", " ", "7", " 7 ", "\t7\t", "\u{a0}7\u{a0}",
+        "\u{a0}7", "7\u{3000}", "\u{a0}", "-2147483649", "-2147483648", "2147483647",
+        "2147483648", "-9223372036854775809", "-9223372036854775808", "9223372036854775807",
+        "9223372036854775808", "18446744073709551616", "00000000000000000000042", "1e3",
+        "1E3", ".5", "5.", "-.5", "1e", "e3", "inf", "-inf", "+inf", "infinity", "INF", "NaN",
+        "nan", "-NaN", "1.5", "0x10", "--1", "+-1", "1_000", "1 000", "x", "\u{663}",
+        "3.4028236e38", "1e-46", "1e400", "4.9e-324", "\u{e9}",
+    ];
+
+    fn assert_agrees(schema: &Schema, payload: &str) {
+        assert_eq!(
+            decode_csv_rows(schema, payload),
+            oracle_decode_csv_rows(schema, payload),
+            "payload {payload:?}"
+        );
+    }
+
+    #[test]
+    fn csv_decoder_agrees_with_the_oracle_on_edge_cases() {
+        let schema = every_type();
+        let valid = ["1", "2", "3", "4.5", "6.25"];
+        let mut payloads: Vec<String> = [
+            "",
+            ";",
+            ";;",
+            " ; ",
+            "1,2,3,4.5,6.25",
+            "1,2,3,4.5,6.25;",
+            ";1,2,3,4.5,6.25",
+            "1,2,3,4.5,6.25;;1,2,3,4.5,6.25",
+            "1,2,3,4.5,6.25; \u{a0} ;1,2,3,4.5,6.25",
+            " 1 , 2 , 3 , 4.5 , 6.25 ",
+            "1,2,3,4.5",
+            "1,2,3,4.5,6.25,7",
+            ",,,,",
+            ",,,,,",
+            ",",
+            "1,2,3,4.5,6.25;1,2",
+            "1,2;x,y,z,w,v",
+            "x,2,3",
+            "x,2,3,4,5,6",
+            "1,2,3,4.5,6.25;x,2,3",
+            "1,2,3,4.5,x;1,2",
+            "1,2,3,4.5,6.25,",
+        ]
+        .iter()
+        .map(|p| p.to_string())
+        .collect();
+        for field in EDGE_FIELDS {
+            for column in 0..valid.len() {
+                let mut row = valid.map(str::to_string);
+                row[column] = field.to_string();
+                let row = row.join(",");
+                payloads.push(row.clone());
+                payloads.push(format!("1,2,3,4.5,6.25;{row};"));
+            }
+        }
+        for payload in &payloads {
+            assert_agrees(&schema, payload);
+        }
+        // Single-attribute schemas: a blank row is skipped, not a bad field.
+        for ty in [
+            DataType::Int,
+            DataType::Long,
+            DataType::Float,
+            DataType::Double,
+        ] {
+            let one = Schema::from_pairs(&[("ts", DataType::Timestamp), ("v", ty)]).unwrap();
+            let only_ts = Schema::from_pairs(&[("ts", DataType::Timestamp)]).unwrap();
+            for field in EDGE_FIELDS {
+                assert_agrees(&one, &format!("1,{field}"));
+                assert_agrees(&only_ts, field);
+                assert_agrees(&only_ts, &format!("{field};{field}"));
+            }
+        }
+        // A row with the wrong field count reports the count, even when one
+        // of its fields is also bad.
+        assert_eq!(
+            decode_csv_rows(&schema, "1,2,3,4.5,6.25;x,2").unwrap_err(),
+            "row 1: expected 5 fields, got 2"
+        );
+        assert_eq!(
+            decode_csv_rows(&schema, ";1,2147483648,3,4.5,6.25").unwrap_err(),
+            "row 1, field `i`: `2147483648` is not a valid INT"
+        );
+    }
+
+    /// A small deterministic generator (SplitMix64), enough to spread
+    /// payloads over the grammar without a dependency.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
+            items[self.below(items.len())]
+        }
+    }
+
+    #[test]
+    fn csv_decoder_agrees_with_the_oracle_on_generated_payloads() {
+        let schema = every_type();
+        let pads = ["", "", "", " ", "\t", "\u{a0}", "\u{2003}"];
+        let tokens = [
+            "0",
+            "1",
+            "9",
+            "-",
+            "+",
+            ".",
+            "e",
+            "E",
+            ",",
+            ";",
+            " ",
+            "\u{a0}",
+            "x",
+            "inf",
+            "NaN",
+            "2147483648",
+            "9223372036854775808",
+        ];
+        let mut gen = Gen(0x5AB3_2016);
+        let mut accepted = 0;
+        for case in 0..4000 {
+            let mut payload = String::new();
+            if case % 2 == 0 {
+                // Well-formed rows with random values and padding, and the
+                // occasional corrupted field, missing field or blank row.
+                for r in 0..1 + gen.below(6) {
+                    if r > 0 {
+                        payload.push(';');
+                    }
+                    if gen.below(10) == 0 {
+                        payload.push_str(gen.pick(&pads));
+                        continue;
+                    }
+                    let mut fields = vec![
+                        (gen.next() as i64 >> gen.below(64)).to_string(),
+                        (gen.next() as i32 >> gen.below(32)).to_string(),
+                        (gen.next() as i64 >> gen.below(64)).to_string(),
+                        f32::from_bits(gen.next() as u32).to_string(),
+                        (gen.next() as f64 / (gen.next() | 1) as f64).to_string(),
+                    ];
+                    if gen.below(8) == 0 {
+                        let i = gen.below(fields.len());
+                        fields[i] = gen.pick(EDGE_FIELDS).to_string();
+                    }
+                    if gen.below(16) == 0 {
+                        fields.truncate(gen.below(fields.len()));
+                    }
+                    let padded: Vec<String> = fields
+                        .iter()
+                        .map(|f| format!("{}{f}{}", gen.pick(&pads), gen.pick(&pads)))
+                        .collect();
+                    payload.push_str(&padded.join(","));
+                }
+            } else {
+                for _ in 0..gen.below(24) {
+                    payload.push_str(gen.pick(&tokens));
+                }
+            }
+            accepted += usize::from(oracle_decode_csv_rows(&schema, &payload).is_ok());
+            assert_agrees(&schema, &payload);
+        }
+        // The generator reaches both sides of the grammar.
+        assert!((500..3500).contains(&accepted), "{accepted} accepted");
+    }
+
+    #[test]
+    fn rows_round_trip_through_csv_byte_for_byte() {
+        let schema = every_type().into_ref();
+        let mut rows = RowBuffer::new(schema.clone());
+        let floats = [
+            0.0,
+            -0.0,
+            1.5,
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::MIN_POSITIVE / 3.0,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.1,
+            -1e-30,
+        ];
+        let doubles = [
+            0.0,
+            -0.0,
+            0.1,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 7.0,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.0 / 3.0,
+            -2.5e300,
+        ];
+        let ints = [
+            0,
+            -1,
+            1,
+            i32::MIN,
+            i32::MAX,
+            42,
+            -7,
+            1 << 20,
+            i32::MIN + 1,
+            99,
+            3,
+            5,
+        ];
+        let longs = [
+            0,
+            -1,
+            1,
+            i64::MIN,
+            i64::MAX,
+            1 << 40,
+            -(1 << 50),
+            7,
+            8,
+            9,
+            10,
+            11,
+        ];
+        for k in 0..floats.len() {
+            rows.push_values(&[
+                Value::Timestamp(longs[(k + 3) % longs.len()]),
+                Value::Int(ints[k]),
+                Value::Long(longs[k]),
+                Value::Float(floats[k]),
+                Value::Double(doubles[k]),
+            ])
+            .unwrap();
+        }
+        let text = format_batch(&rows, Encoding::Csv);
+        assert_eq!(text, oracle_format_batch_csv(&rows));
+        for tuple in rows.iter() {
+            assert_eq!(format_csv_row(&tuple), oracle_format_csv_row(&tuple));
+        }
+        let payload: Vec<&str> = text
+            .lines()
+            .map(|line| line.strip_prefix("ROW ").unwrap())
+            .collect();
+        let payload = payload.join(";");
+        assert_eq!(decode_csv_rows(&schema, &payload).unwrap(), rows.bytes());
+        assert_agrees(&schema, &payload);
     }
 }

@@ -427,84 +427,82 @@ fn wait_emitted(handle: &QueryHandle, expected: u64) {
     }
 }
 
-/// A follower that attached mid-stream recovers with exactly the suffix it
-/// saw live, although the final snapshot lists it beside its anchor: replay
-/// attaches it at its `AddQuery` record, not before the first ingest.
+/// A member that attached mid-stream recovers with exactly the suffix it
+/// saw live, although the final snapshot lists it beside the plan's first
+/// member: replay attaches it at its `AddQuery` record, not before the
+/// first ingest.
 #[test]
-fn follower_attached_mid_stream_recovers_its_live_suffix() {
-    let dir = TempDir::new("late-follower");
+fn member_attached_mid_stream_recovers_its_live_suffix() {
+    let dir = TempDir::new("late-member");
     let batches: Vec<Vec<u8>> = (0..8).map(|i| rows(64, i * 64)).collect();
     {
         let mut engine = Saber::with_config(durable_engine_config(&dir.path)).unwrap();
         engine.start().unwrap();
         engine.create_stream("S", schema()).unwrap();
         let catalog = engine.shared_catalog().unwrap().snapshot();
-        let anchor = engine.add_query_sql(SQL, &catalog).unwrap();
+        let first = engine.add_query_sql(SQL, &catalog).unwrap();
         for batch in &batches[..4] {
-            anchor.ingest(StreamId(0), batch).unwrap();
+            first.ingest(StreamId(0), batch).unwrap();
         }
-        anchor.flush().unwrap();
-        wait_emitted(&anchor, 256);
-        let follower = engine.add_query_sql(SQL, &catalog).unwrap();
-        assert_eq!(engine.sharing_info(follower.id()), Some((anchor.id(), 2)));
+        first.flush().unwrap();
+        wait_emitted(&first, 256);
+        let second = engine.add_query_sql(SQL, &catalog).unwrap();
+        assert_eq!(engine.sharing_info(second.id()), Some((first.id(), 2)));
         for batch in &batches[4..] {
-            anchor.ingest(StreamId(0), batch).unwrap();
+            first.ingest(StreamId(0), batch).unwrap();
         }
         engine.stop().unwrap();
-        assert_eq!(anchor.tuples_emitted(), 512);
-        assert_eq!(follower.tuples_emitted(), 256);
+        assert_eq!(first.tuples_emitted(), 512);
+        assert_eq!(second.tuples_emitted(), 256);
     }
     let (mut engine, report) = Saber::recover(durable_engine_config(&dir.path)).unwrap();
     assert!(report.snapshot_wal_seq.is_some(), "stop() checkpoints");
-    let anchor = engine.query(QueryId(0)).unwrap();
-    let follower = engine.query(QueryId(1)).unwrap();
+    let first = engine.query(QueryId(0)).unwrap();
+    let second = engine.query(QueryId(1)).unwrap();
     engine.stop().unwrap();
-    assert_eq!(anchor.tuples_emitted(), 512);
-    assert_eq!(follower.tuples_emitted(), 256);
+    assert_eq!(first.tuples_emitted(), 512);
+    assert_eq!(second.tuples_emitted(), 256);
     let all: Vec<&[u8]> = batches.iter().map(|b| b.as_slice()).collect();
+    assert_eq!(first.take_rows().into_bytes(), reference_windows(SQL, &all));
     assert_eq!(
-        anchor.take_rows().into_bytes(),
-        reference_windows(SQL, &all)
-    );
-    assert_eq!(
-        follower.take_rows().into_bytes(),
+        second.take_rows().into_bytes(),
         reference_windows(SQL, &all[4..])
     );
 }
 
-/// A follower whose anchor was removed recovers the whole stream it saw
-/// live: the rows ingested through the anchor before the removal replay
-/// into the follower too.
+/// A member whose plan's first member was removed recovers the whole stream
+/// it saw live: the rows ingested through the first member before the
+/// removal replay into the survivor too.
 #[test]
-fn follower_outliving_its_anchor_recovers_the_whole_stream() {
-    let dir = TempDir::new("orphan-follower");
+fn member_outliving_the_first_member_recovers_the_whole_stream() {
+    let dir = TempDir::new("surviving-member");
     let batches: Vec<Vec<u8>> = (0..8).map(|i| rows(64, i * 64)).collect();
     {
         let mut engine = Saber::with_config(durable_engine_config(&dir.path)).unwrap();
         engine.start().unwrap();
         engine.create_stream("S", schema()).unwrap();
         let catalog = engine.shared_catalog().unwrap().snapshot();
-        let anchor = engine.add_query_sql(SQL, &catalog).unwrap();
-        let follower = engine.add_query_sql(SQL, &catalog).unwrap();
+        let first = engine.add_query_sql(SQL, &catalog).unwrap();
+        let second = engine.add_query_sql(SQL, &catalog).unwrap();
         for batch in &batches[..4] {
-            anchor.ingest(StreamId(0), batch).unwrap();
+            first.ingest(StreamId(0), batch).unwrap();
         }
-        anchor.remove().unwrap();
+        first.remove().unwrap();
         for batch in &batches[4..] {
-            follower.ingest(StreamId(0), batch).unwrap();
+            second.ingest(StreamId(0), batch).unwrap();
         }
         engine.stop().unwrap();
-        assert_eq!(follower.tuples_emitted(), 512);
+        assert_eq!(second.tuples_emitted(), 512);
     }
     let (mut engine, report) = Saber::recover(durable_engine_config(&dir.path)).unwrap();
     let ids: Vec<usize> = report.queries.iter().map(|q| q.id.0).collect();
     assert_eq!(ids, vec![1]);
-    let follower = engine.query(QueryId(1)).unwrap();
+    let second = engine.query(QueryId(1)).unwrap();
     engine.stop().unwrap();
-    assert_eq!(follower.tuples_emitted(), 512);
+    assert_eq!(second.tuples_emitted(), 512);
     let all: Vec<&[u8]> = batches.iter().map(|b| b.as_slice()).collect();
     assert_eq!(
-        follower.take_rows().into_bytes(),
+        second.take_rows().into_bytes(),
         reference_windows(SQL, &all)
     );
 }
