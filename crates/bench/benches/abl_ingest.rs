@@ -49,7 +49,6 @@ fn engine_config(queries: usize, durable_dir: Option<&PathBuf>) -> EngineConfig 
         execution_mode: ExecutionMode::CpuOnly,
         scheduling: SchedulingPolicyKind::default(),
         device: DeviceConfig::unpaced(),
-        input_buffer_capacity: 16 << 20,
         max_queued_tasks: 128.max(queries * 16),
         // Default group-commit interval and fsync policy: this is the
         // configuration whose overhead the durable column reports.

@@ -58,9 +58,6 @@ fn engine_config() -> EngineConfig {
         execution_mode: ExecutionMode::CpuOnly,
         scheduling: SchedulingPolicyKind::default(),
         device: DeviceConfig::unpaced(),
-        // Small rings: with sharing one ring exists regardless of N, but
-        // the no-sharing baseline allocates one per duplicate.
-        input_buffer_capacity: 4 << 20,
         max_queued_tasks: 256,
         durability: None,
     }

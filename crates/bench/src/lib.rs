@@ -55,7 +55,6 @@ pub fn engine_config(mode: ExecutionMode, task_size: usize) -> EngineConfig {
         execution_mode: mode,
         scheduling: SchedulingPolicyKind::default(),
         device: DeviceConfig::default(),
-        input_buffer_capacity: (task_size * 8).max(32 << 20),
         max_queued_tasks: 128,
         durability: None,
     }

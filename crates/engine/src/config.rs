@@ -1,5 +1,6 @@
 //! Engine configuration.
 
+use crate::dispatcher::ring_bytes;
 use crate::engine::Saber;
 use crate::scheduler::SchedulingPolicyKind;
 use saber_gpu::device::DeviceConfig;
@@ -25,7 +26,11 @@ pub struct EngineConfig {
     /// host, keeping one core for dispatch).
     pub worker_threads: usize,
     /// Query task size φ in bytes (the paper's sweet spot is ~1 MB; see
-    /// Fig. 12/13).
+    /// Fig. 12/13). It also sizes each plan's input rings: a ring holds
+    /// only rows not yet cut into a task plus a join's lookback, so its
+    /// capacity follows from φ, the row size and the lookback
+    /// ([`crate::dispatcher::ring_capacity`]) — 4 MiB at φ = 1 MiB
+    /// without a join.
     pub query_task_size: usize,
     /// Which processors to use.
     pub execution_mode: ExecutionMode,
@@ -33,8 +38,6 @@ pub struct EngineConfig {
     pub scheduling: SchedulingPolicyKind,
     /// Configuration of the simulated accelerator.
     pub device: DeviceConfig,
-    /// Capacity of each circular input buffer in bytes.
-    pub input_buffer_capacity: usize,
     /// Maximum number of queued tasks before ingest applies backpressure.
     pub max_queued_tasks: usize,
     /// Durability: when set, acknowledged ingests and catalog mutations are
@@ -58,7 +61,6 @@ impl Default for EngineConfig {
             execution_mode: ExecutionMode::Hybrid,
             scheduling: SchedulingPolicyKind::default(),
             device: DeviceConfig::default(),
-            input_buffer_capacity: 64 << 20,
             max_queued_tasks: 256,
             durability: None,
         }
@@ -73,15 +75,11 @@ impl EngineConfig {
                 "CPU-only mode needs at least one worker".into(),
             ));
         }
-        if self.query_task_size == 0 {
-            return Err(SaberError::Config(
-                "query task size must be positive".into(),
-            ));
-        }
-        if self.input_buffer_capacity < 2 * self.query_task_size {
-            return Err(SaberError::Config(
-                "input buffer capacity must be at least twice the query task size".into(),
-            ));
+        if self.query_task_size == 0 || ring_bytes(self.query_task_size, 1, 0).is_none() {
+            return Err(SaberError::Config(format!(
+                "query task size {} must be positive and small enough to size an input ring",
+                self.query_task_size
+            )));
         }
         if self.max_queued_tasks == 0 {
             return Err(SaberError::Config(
@@ -129,7 +127,6 @@ impl SaberBuilder {
     /// Sets the query task size φ in bytes.
     pub fn query_task_size(mut self, bytes: usize) -> Self {
         self.config.query_task_size = bytes;
-        self.config.input_buffer_capacity = self.config.input_buffer_capacity.max(4 * bytes);
         self
     }
 
@@ -197,10 +194,9 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
-        c.query_task_size = 1 << 20;
-        c.input_buffer_capacity = 1 << 20;
+        c.query_task_size = usize::MAX / 2;
         assert!(c.validate().is_err());
-        c.input_buffer_capacity = 64 << 20;
+        c.query_task_size = 1 << 20;
         c.max_queued_tasks = 0;
         assert!(c.validate().is_err());
     }

@@ -118,11 +118,6 @@ impl StreamIngest {
         self.row_size
     }
 
-    /// The stream's circular input buffer.
-    pub fn buffer(&self) -> &CircularBuffer {
-        &self.buffer
-    }
-
     /// Total tuples published on this input.
     pub fn rows_ingested(&self) -> u64 {
         self.rows_ingested.load(Ordering::Relaxed)
@@ -148,12 +143,13 @@ impl StreamIngest {
     fn append(&self, bytes: &[u8], mut on_full: impl FnMut() -> Result<()>) -> Result<()> {
         // Cutting can never release the retained lookback, so an append that
         // needs more than `capacity - lookback` would wait forever. Reject it
-        // up front instead of hanging.
+        // up front instead of hanging. A ring sized by `ring_capacity` never
+        // gets here; a ring passed to `Dispatcher::new` directly may.
         let reserved = self.lookback_rows * self.row_size;
         if bytes.len() + reserved > self.buffer.capacity() {
             return Err(SaberError::Buffer(format!(
                 "{} bytes cannot fit: the {}-byte input buffer permanently retains {} bytes of \
-                 join-window lookback; increase input_buffer_capacity",
+                 join-window lookback; size the ring with ring_capacity",
                 bytes.len(),
                 self.buffer.capacity(),
                 reserved
@@ -232,7 +228,9 @@ pub struct Dispatcher {
 }
 
 impl Dispatcher {
-    /// Creates the dispatcher for a compiled query.
+    /// Creates the dispatcher for a compiled query, with rings of
+    /// `buffer_capacity` bytes per input (an engine passes
+    /// [`ring_capacity`]).
     pub fn new(
         plan: Arc<CompiledPlan>,
         task_size: usize,
@@ -365,7 +363,7 @@ impl Dispatcher {
 
         // Slice inputs so one call can ingest more than the ring holds;
         // half the ring bounds a slice so concurrent producers still fit.
-        let half_ring = input.buffer().capacity() / 2;
+        let half_ring = input.buffer.capacity() / 2;
         let slice_bytes = (half_ring - half_ring % input.row_size).max(input.row_size);
         for chunk in bytes.chunks(slice_bytes) {
             input.append(chunk, || {
@@ -565,6 +563,36 @@ impl Dispatcher {
             ingest_ack,
         }
     }
+}
+
+/// Capacity in bytes of `plan`'s input rings at task size φ = `task_size`.
+///
+/// A cut copies the pending rows out of the ring and frees them at once, so
+/// a ring holds only under φ pending bytes, producers' in-progress slices
+/// and a join's lookback L. `2·(2φ′ + L)` bytes, φ′ being φ but at least
+/// one row, keeps L within half the ring, so a half-ring slice always fits
+/// beside a full lookback and the pending rows: 4 MiB at φ = 1 MiB without
+/// a join. Queued tasks own copies of their rows and take no ring space.
+pub fn ring_capacity(plan: &CompiledPlan, task_size: usize) -> usize {
+    let lookback = |window| lookback_rows(plan.num_inputs(), window);
+    plan.input_schemas()
+        .iter()
+        .zip(plan.windows())
+        // An unsizable ring (φ within one lookback of the largest that
+        // `EngineConfig::validate` accepts) asks for more than an allocation
+        // may hold, so `CircularBuffer::new` fails loudly, not with a tiny ring.
+        .map(|(schema, window)| {
+            ring_bytes(task_size, schema.row_size(), lookback(window))
+                .unwrap_or(1 << (usize::BITS - 1))
+        })
+        .fold(0, usize::max)
+}
+
+/// One input's ring (see [`ring_capacity`]); `None` on overflow.
+pub(crate) fn ring_bytes(task_size: usize, row_size: usize, lookback_rows: usize) -> Option<usize> {
+    let held = (task_size.max(row_size).checked_mul(2)?)
+        .checked_add(lookback_rows.checked_mul(row_size)?)?;
+    held.checked_mul(2)?.checked_next_power_of_two()
 }
 
 /// Number of lookback rows retained per input: join queries keep one window
@@ -847,6 +875,73 @@ mod tests {
             assert_eq!(t.batches[0].lookback_rows, 8, "task {i}");
             assert_eq!(t.batches[0].start_index, i as u64 * 16);
         }
+    }
+
+    fn join_query(window: WindowSpec) -> saber_query::Query {
+        let builder = QueryBuilder::new("join", schema());
+        let builder = if window.is_count_based() {
+            builder.count_window(window.size(), window.slide())
+        } else {
+            builder.time_window(window.size(), window.slide())
+        };
+        builder
+            .theta_join(schema(), window, Expr::column(1).eq(Expr::column(3 + 1)))
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn a_stateless_plan_at_the_default_task_size_gets_a_4_mib_ring() {
+        let d = dispatcher(1 << 20);
+        assert_eq!(ring_capacity(&d.plan, 1 << 20), 4 << 20);
+    }
+
+    #[test]
+    fn a_join_lookback_takes_at_most_half_the_ring() {
+        // A ROWS join past the lookback cap, and a RANGE join.
+        for (window, lookback) in [
+            (WindowSpec::count(100_000, 100_000), 65_536),
+            (WindowSpec::time(1000, 1000), 4096),
+        ] {
+            assert_eq!(lookback_rows(2, &window), lookback);
+            let plan = CompiledPlan::compile(&join_query(window)).unwrap();
+            let ring = ring_capacity(&plan, 4096);
+            assert!(
+                lookback * 16 <= ring / 2,
+                "{lookback} rows in a {ring}-byte ring"
+            );
+        }
+    }
+
+    #[test]
+    fn the_largest_lookback_join_ingests_a_batch_larger_than_its_ring() {
+        use crate::config::{EngineConfig, ExecutionMode};
+        use crate::engine::Saber;
+        use crate::ids::StreamId;
+        const TASK: usize = 4096;
+        let query = join_query(WindowSpec::count(65_536, 65_536));
+        let ring = ring_capacity(&CompiledPlan::compile(&query).unwrap(), TASK);
+        let mut engine = Saber::with_config(EngineConfig {
+            worker_threads: 1,
+            query_task_size: TASK,
+            execution_mode: ExecutionMode::CpuOnly,
+            max_queued_tasks: 2,
+            ..EngineConfig::default()
+        })
+        .unwrap();
+        let query = engine.add_query_with_options(query, false).unwrap();
+        engine.start().unwrap();
+        let batch = ring / 16 + 1024;
+        query
+            .ingest_handle(StreamId(0))
+            .unwrap()
+            .ingest(&rows(batch, 0))
+            .unwrap();
+        engine.stop().unwrap();
+        let stats = query.stats().snapshot();
+        assert_eq!(stats.tuples_in, batch as u64);
+        // Two half-ring slices and the rest, each cut as it lands.
+        assert!(stats.tasks_created >= 3, "{} tasks", stats.tasks_created);
     }
 
     /// The tentpole invariant: concurrent producers on the same stream never

@@ -16,7 +16,7 @@
 //! workers free queue slots.
 
 use crate::config::{EngineConfig, ExecutionMode, SaberBuilder};
-use crate::dispatcher::Dispatcher;
+use crate::dispatcher::{ring_capacity, Dispatcher};
 use crate::durability::{checkpoint_engine, Durability, QueryMeta};
 use crate::flow::FlowControl;
 use crate::ids::{QueryId, StreamId};
@@ -499,13 +499,14 @@ impl Saber {
     ) -> SharedPlan {
         let core = &self.core;
         compiled.set_query_id(id);
+        let ring = ring_capacity(&compiled, core.config.query_task_size);
         let compiled = Arc::new(compiled);
         let stats = Arc::new(PlanStats::default());
         let results = ResultStage::new(&compiled, stats.clone(), core.recorder.clone());
         let dispatcher = Dispatcher::new(
             compiled,
             core.config.query_task_size,
-            core.config.input_buffer_capacity,
+            ring,
             core.task_ids.clone(),
             true,
         )
@@ -1409,7 +1410,6 @@ mod tests {
             execution_mode: mode,
             scheduling: SchedulingPolicyKind::default(),
             device: DeviceConfig::unpaced(),
-            input_buffer_capacity: 8 << 20,
             max_queued_tasks: 64,
             durability: None,
         };
@@ -2119,7 +2119,6 @@ mod tests {
             execution_mode: ExecutionMode::CpuOnly,
             scheduling: SchedulingPolicyKind::default(),
             device: DeviceConfig::unpaced(),
-            input_buffer_capacity: 8 << 20,
             max_queued_tasks: 2,
             durability: None,
         };

@@ -6,7 +6,9 @@
 //! A counting global allocator tracks the bytes the test thread holds live
 //! while one SQL query is registered 100 times on an engine that has not
 //! started (so no other thread allocates). The bytes retained per member
-//! after the first must stay under `PER_MEMBER_BYTES`.
+//! after the first must stay under `PER_MEMBER_BYTES`, and the bytes that
+//! registering one query on a fresh engine retains — its plan, input ring
+//! included — under `PLAN_BYTES`.
 
 use saber_engine::Saber;
 use saber_sql::Catalog;
@@ -61,6 +63,15 @@ fn live_bytes() -> i64 {
     LIVE_BYTES.with(Cell::get)
 }
 
+const SQL: &str = "SELECT timestamp, key, COUNT(*) FROM S [ROWS 1024 SLIDE 512] GROUP BY key";
+
+fn catalog() -> Catalog {
+    let schema = Schema::from_pairs(&[("timestamp", DataType::Timestamp), ("key", DataType::Int)])
+        .unwrap()
+        .into_ref();
+    Catalog::new().with_stream("S", schema)
+}
+
 /// Members attached after the one whose registration built the plan.
 const MEMBERS: usize = 99;
 /// Live bytes allowed per attached member.
@@ -68,17 +79,13 @@ const PER_MEMBER_BYTES: i64 = 4096;
 
 #[test]
 fn a_member_of_an_existing_plan_retains_under_4_kib() {
-    let schema = Schema::from_pairs(&[("timestamp", DataType::Timestamp), ("key", DataType::Int)])
-        .unwrap()
-        .into_ref();
-    let catalog = Catalog::new().with_stream("S", schema);
-    let sql = "SELECT timestamp, key, COUNT(*) FROM S [ROWS 1024 SLIDE 512] GROUP BY key";
+    let catalog = catalog();
     let engine = Saber::builder().worker_threads(1).build().unwrap();
-    let first = engine.add_query_sql(sql, &catalog).unwrap();
+    let first = engine.add_query_sql(SQL, &catalog).unwrap();
     let mut members = Vec::with_capacity(MEMBERS);
     let before = live_bytes();
     for _ in 0..MEMBERS {
-        members.push(engine.add_query_sql(sql, &catalog).unwrap());
+        members.push(engine.add_query_sql(SQL, &catalog).unwrap());
     }
     let per_member = (live_bytes() - before) / MEMBERS as i64;
     assert_eq!(engine.num_physical_plans(), 1);
@@ -91,4 +98,19 @@ fn a_member_of_an_existing_plan_retains_under_4_kib() {
         per_member < PER_MEMBER_BYTES,
         "{per_member} live bytes per attached member"
     );
+}
+
+/// Live bytes allowed for one physical plan at the default task size.
+const PLAN_BYTES: i64 = 8 << 20;
+
+#[test]
+fn a_plan_at_the_default_task_size_retains_under_8_mib() {
+    let catalog = catalog();
+    let engine = Saber::builder().worker_threads(1).build().unwrap();
+    let before = live_bytes();
+    let query = engine.add_query_sql(SQL, &catalog).unwrap();
+    let plan = live_bytes() - before;
+    assert_eq!(engine.num_physical_plans(), 1);
+    println!("live bytes retained by query {}'s plan: {plan}", query.id());
+    assert!(plan < PLAN_BYTES, "{plan} live bytes for one plan");
 }

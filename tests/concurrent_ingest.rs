@@ -22,7 +22,6 @@ fn config(mode: ExecutionMode, max_queued: usize) -> EngineConfig {
         execution_mode: mode,
         scheduling: SchedulingPolicyKind::default(),
         device: DeviceConfig::unpaced(),
-        input_buffer_capacity: 4 << 20,
         max_queued_tasks: max_queued,
         durability: None,
     }

@@ -24,7 +24,6 @@ fn config() -> EngineConfig {
         execution_mode: ExecutionMode::CpuOnly,
         scheduling: SchedulingPolicyKind::default(),
         device: DeviceConfig::unpaced(),
-        input_buffer_capacity: 4 << 20,
         max_queued_tasks: 64,
         durability: None,
     }

@@ -23,7 +23,6 @@ fn test_config(mode: ExecutionMode) -> EngineConfig {
         execution_mode: mode,
         scheduling: SchedulingPolicyKind::default(),
         device: DeviceConfig::unpaced(),
-        input_buffer_capacity: 16 << 20,
         max_queued_tasks: 64,
         durability: None,
     }

@@ -46,14 +46,10 @@ fn catalog() -> Catalog {
 }
 
 fn engine(worker_threads: usize) -> Saber {
-    // Small input rings: the default 64 MiB ring per physical plan is far
-    // more than these short streams need, and zeroing it dominates
-    // registration time on the 1-core CI box.
     let config = saber::engine::EngineConfig {
         worker_threads,
         query_task_size: WINDOW_ROWS * TUPLE,
         execution_mode: ExecutionMode::CpuOnly,
-        input_buffer_capacity: 1 << 20,
         ..saber::engine::EngineConfig::default()
     };
     Saber::with_config(config).unwrap()
